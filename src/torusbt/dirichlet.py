@@ -1,10 +1,16 @@
 """Dirichlet characters and exact L-values at s = -1.
 
 Character values are tracked as exponents of a root of unity of the
-character's order, so all arithmetic outside the final Bernoulli sums
-is integer. L(chi, -1) = -B_{2,chi}/2 with
+character's order: a character keeps its order and one integer scale per
+canonical generator, so chi(a) is a dot product with the discrete log of
+a. L(chi, -1) = -B_{2,chi}/2 with
 B_{2,chi} = f * sum_{a=1}^{f} chi(a) B_2(a/f), B_2(t) = t^2 - t + 1/6,
-evaluated for the primitive character inducing chi.
+evaluated for the primitive character inducing chi. The sum is taken in
+integers: for each value exponent e, S_j,e = sum of a^j over the a with
+chi(a) = zeta^e, and B_{2,chi} = f * sum_e zeta^e (S2_e/f^2 - S1_e/f + S0_e/6)
+needs one Fraction per exponent. L(chi*, -1) is memoised per primitive
+character, so the zeta values of the fixed fields reuse what the Artin
+L-value computed.
 
 Dedekind zeta values of the abelian fixed fields and the Artin L-value
 of a lattice are assembled from these, with conjugate characters
@@ -16,11 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from math import gcd
 
 from .cyclotomic import CyclotomicNumber
-from .errors import (MultiplicityNotInteger, NonAbelianRealization, NotRational,
-                     NotTotallyReal)
+from .errors import (InvariantViolation, MultiplicityNotInteger,
+                     NonAbelianRealization, NotRational, NotTotallyReal)
 from .exact import lcm
 from .units import UnitGroupStructure, unit_group, units_mod
 
@@ -36,9 +44,17 @@ class DirichletCharacter:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "_units", unit_group(self.modulus))
-        if len(self.exponents) != len(self._units.generators):
+        units = unit_group(self.modulus)
+        if len(self.exponents) != len(units.generators):
             raise ValueError("one exponent per canonical generator required")
+        m = 1
+        for k, n in zip(self.exponents, units.orders):
+            m = lcm(m, n // gcd(n, k))
+        object.__setattr__(self, "_units", units)
+        object.__setattr__(self, "_order", m)
+        # chi(g_i) = zeta_{n}^{k} = zeta_m^{km/n}; n | km by the order formula
+        object.__setattr__(self, "_scale", tuple(
+            (k * m) // n for k, n in zip(self.exponents, units.orders)))
 
     @property
     def units(self) -> UnitGroupStructure:
@@ -46,23 +62,16 @@ class DirichletCharacter:
 
     @property
     def order(self) -> int:
-        m = 1
-        for k, n in zip(self.exponents, self._units.orders):
-            m = lcm(m, n // gcd(n, k))
-        return m
+        return self._order
+
+    def _log_exponent(self, dl: tuple[int, ...]) -> int:
+        """e with chi(a) = zeta_order^e, for a with discrete log dl."""
+        return sum(x * s for x, s in zip(dl, self._scale)) % self._order
 
     def value_exponent(self, a: int) -> int | None:
         """e with chi(a) = zeta_order^e, or None when gcd(a, f) > 1."""
-        a %= self.modulus
-        if self.modulus > 1 and gcd(a, self.modulus) != 1:
-            return None
-        m = self.order
-        dl = self._units.dlog(a if self.modulus > 1 else 1)
-        e = 0
-        for x, k, n in zip(dl, self.exponents, self._units.orders):
-            # chi(g_i) = zeta_{n}^{k} = zeta_m^{km/n}; n | km by the order formula
-            e += x * ((k * m) // n)
-        return e % m
+        dl = self._units.log_table().get(a % self.modulus)
+        return None if dl is None else self._log_exponent(dl)
 
     def value(self, a: int) -> CyclotomicNumber:
         e = self.value_exponent(a)
@@ -86,30 +95,19 @@ class DirichletCharacter:
 
 def characters_mod(f: int) -> list[DirichletCharacter]:
     """All phi(f) characters mod f in lexicographic exponent order."""
-    u = unit_group(f)
-    out = []
-
-    def rec(prefix: tuple[int, ...], pos: int):
-        if pos == len(u.orders):
-            out.append(DirichletCharacter(f, prefix))
-            return
-        for k in range(u.orders[pos]):
-            rec(prefix + (k,), pos + 1)
-    rec((), 0)
-    return out
+    return [DirichletCharacter(f, ks)
+            for ks in product(*(range(n) for n in unit_group(f).orders))]
 
 
 def conductor_primitive(chi: DirichletCharacter) -> tuple[int, DirichletCharacter]:
     """Minimal f' | f through which chi factors, and the inducing primitive character."""
     f = chi.modulus
-    divisors = sorted(d for d in range(1, f + 1) if f % d == 0)
-    cond = f
-    for d in divisors:
-        if all(chi.value_exponent(a) == 0
-               for a in range(1, f + 1)
-               if a % d == 1 % d and (f == 1 or gcd(a, f) == 1)):
-            cond = d
-            break
+    if chi.is_trivial():
+        cond = 1
+    else:                                   # d = f always qualifies
+        cond = next(d for d in range(2, f + 1) if f % d == 0 and all(
+            chi.value_exponent(a) == 0
+            for a in range(1, f + 1, d) if gcd(a, f) == 1))   # the units = 1 mod d
     if cond == f:
         return f, chi
     m = chi.order
@@ -120,10 +118,12 @@ def conductor_primitive(chi: DirichletCharacter) -> tuple[int, DirichletCharacte
         while f > 1 and gcd(a, f) != 1:
             a += cond
         e = chi.value_exponent(a)
-        assert e is not None and (e * n) % m == 0, "primitivization failed"
+        if e is None or (e * n) % m:
+            raise InvariantViolation(f"primitivization of {chi} failed")
         exps.append((e * n // m) % n)
     prim = DirichletCharacter(cond, tuple(exps))
-    assert prim.order == m, "conductor reduction changed the order"
+    if prim.order != m:
+        raise InvariantViolation(f"conductor reduction changed the order of {chi}")
     return cond, prim
 
 
@@ -131,20 +131,30 @@ def bernoulli2_chi(chi: DirichletCharacter) -> CyclotomicNumber:
     """Generalized Bernoulli number B_{2,chi} for a primitive character."""
     f = chi.modulus
     m = chi.order
-    sums: dict[int, Fraction] = {}
-    for a in range(1, f + 1):
-        e = chi.value_exponent(a)
-        if e is None:
-            continue
-        t = Fraction(a, f)
-        b2 = t * t - t + Fraction(1, 6)
-        sums[e] = sums.get(e, Fraction(0)) + b2
-    return CyclotomicNumber.from_exponent_sums(m, sums) * f
+    s0 = [0] * m
+    s1 = [0] * m
+    s2 = [0] * m
+    # Residue 0 stands for a = f when f = 1, and B_2(0) = B_2(1).
+    for a, dl in chi.units.log_table().items():
+        e = chi._log_exponent(dl)
+        s0[e] += 1
+        s1[e] += a
+        s2[e] += a * a
+    # f * (S2/f^2 - S1/f + S0/6) = (6 S2 - 6 f S1 + f^2 S0) / (6 f)
+    sums = {e: Fraction(6 * s2[e] - 6 * f * s1[e] + f * f * s0[e], 6 * f)
+            for e in range(m) if s0[e]}
+    return CyclotomicNumber.from_exponent_sums(m, sums)
 
 
 def L_minus_one(chi: DirichletCharacter) -> CyclotomicNumber:
     """L(chi, -1) = -B_{2,chi}/2 for a primitive character."""
     return bernoulli2_chi(chi) * Fraction(-1, 2)
+
+
+@lru_cache(maxsize=4096)
+def _memo_L_minus_one(prim: DirichletCharacter) -> CyclotomicNumber:
+    """L_minus_one, memoised per primitive character."""
+    return L_minus_one(prim)
 
 
 def galois_orbits(chars: list[DirichletCharacter]) -> list[list[DirichletCharacter]]:
@@ -170,8 +180,7 @@ def _orbit_L_product(orbit: list[DirichletCharacter]) -> Fraction:
     m = orbit[0].order
     prod = CyclotomicNumber.rational(1, m)
     for chi in orbit:
-        _, prim = conductor_primitive(chi)
-        val = L_minus_one(prim)
+        val = _memo_L_minus_one(conductor_primitive(chi)[1])
         if val.order != m:
             val = CyclotomicNumber.from_exponent_sums(
                 m, {k * (m // val.order): c for k, c in enumerate(val.coeffs)})
@@ -182,9 +191,36 @@ def _orbit_L_product(orbit: list[DirichletCharacter]) -> Fraction:
 
 
 def characters_trivial_on(f: int, kernel_units: set[int]) -> list[DirichletCharacter]:
-    """Characters mod f that kill the given unit subgroup."""
-    return [chi for chi in characters_mod(f)
-            if all(chi.value_exponent(u) == 0 for u in kernel_units)]
+    """Characters mod f that kill the given unit subgroup, in the order of
+    characters_mod.
+
+    Only a generating set of the subgroup is tested: units already in the
+    span of those picked so far are skipped. chi with exponents k kills
+    the unit with discrete log x iff sum_i x_i k_i / n_i is an integer,
+    i.e. sum_i k_i * (x_i E / n_i) = 0 mod the exponent E of (Z/f)*, so
+    exponent vectors are filtered before any character is built.
+    """
+    u = unit_group(f)
+    logs = u.log_table()
+    exponent = lcm(*u.orders)
+    span = {1 % f}
+    weights = []
+    for a in kernel_units:
+        a %= f
+        if a in span:
+            continue
+        dl = logs.get(a)
+        if dl is None:                      # a non-unit: no character is 0 on it
+            return []
+        weights.append([x * (exponent // n) for x, n in zip(dl, u.orders)])
+        grown, power = set(span), a
+        while power not in span:            # span * <a>, coset by coset
+            grown.update(b * power % f for b in span)
+            power = power * a % f
+        span = grown
+    return [DirichletCharacter(f, ks)
+            for ks in product(*(range(n) for n in u.orders))
+            if all(sum(k * w for k, w in zip(ks, ws)) % exponent == 0 for ws in weights)]
 
 
 def zeta_minus_one(h, realization) -> Fraction:
@@ -250,24 +286,28 @@ def artin_L_minus_one(x, realization, with_table: bool = False):
     if not realization.totally_real:
         raise NotTotallyReal("Artin L-value at -1 needs pi(-1) = identity")
     mults = character_multiplicities(x, realization)
-    assert sum(m for _, m in mults) == x.rank, "multiplicities must add to the rank"
+    if sum(m for _, m in mults) != x.rank:
+        raise MultiplicityNotInteger("multiplicities do not add up to the rank")
     by_exp = {chi.exponents: m for chi, m in mults}
     total = Fraction(1)
     table = []
     for orbit in galois_orbits([chi for chi, _ in mults]):
         ms = {by_exp[chi.exponents] for chi in orbit}
-        assert len(ms) == 1, "conjugate characters must have equal multiplicity"
+        if len(ms) != 1:
+            raise MultiplicityNotInteger(
+                "conjugate characters must have equal multiplicity")
         mult = ms.pop()
         if with_table:
             for chi in orbit:
                 cond, prim = conductor_primitive(chi)
                 table.append({"conductor": cond, "order": chi.order,
                               "multiplicity": mult,
-                              "value": _value_json(L_minus_one(prim))})
+                              "value": _value_json(_memo_L_minus_one(prim))})
         if mult == 0:
             continue
         total *= _orbit_L_product(orbit) ** mult
-    assert total != 0, "L-value vanished despite a totally real splitting"
+    if total == 0:
+        raise InvariantViolation("L-value vanished despite a totally real splitting")
     return (total, table) if with_table else total
 
 

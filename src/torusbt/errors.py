@@ -37,6 +37,10 @@ class InconsistentRank(TorusBTError):
     """Involution decomposition ranks do not add up; indicates a bug."""
 
 
+class InvariantViolation(TorusBTError):
+    """An exact computation broke one of its own invariants; indicates a bug."""
+
+
 class NoSolution(TorusBTError):
     """The induction linear system is infeasible (invalid character)."""
 

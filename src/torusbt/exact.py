@@ -30,14 +30,14 @@ def integer_nth_root(m: int, n: int) -> int | None:
         raise ValueError("need m >= 0 and n >= 1")
     if m in (0, 1) or n == 1:
         return m
-    # Newton iteration on integers, then verify.
-    r = int(round(m ** (1.0 / n)))
-    if r < 1:
-        r = 1
-    while r ** n > m:
-        r -= 1
-    while (r + 1) ** n <= m:
-        r += 1
+    # Integer Newton iteration from 2^ceil(bits/n) >= m^(1/n): the iterates
+    # fall strictly until they reach floor(m^(1/n)), then stop falling.
+    r = 1 << -(-m.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + m // r ** (n - 1)) // n
+        if s >= r:
+            break
+        r = s
     return r if r ** n == m else None
 
 

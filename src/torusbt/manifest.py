@@ -109,6 +109,10 @@ def _literal(raw: str, lineno: int, fieldname: str):
         raise ManifestError(f"cannot parse value: {exc}", line=lineno, field=fieldname)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_lattice(group: FiniteGroup, section: dict, secname: str) -> GLattice:
     if "rank" not in section:
         raise ManifestError("lattice needs a rank", field=f"{secname}.rank")
@@ -205,12 +209,16 @@ def parse_manifest(text: str) -> Manifest:
             raise ManifestError("realization needs modulus =", field="realization.modulus")
         fraw, fln = sec["modulus"]
         modulus = _literal(fraw, fln, "modulus")
+        if not _is_int(modulus):
+            raise ManifestError("modulus must be an integer", line=fln,
+                                field="realization.modulus")
         images = {}
         if "images" in sec:
             iraw, iln = sec["images"]
             images = _literal(iraw, iln, "images")
-            if not isinstance(images, dict):
-                raise ManifestError("images must be a {unit: element} dict",
+            if not (isinstance(images, dict)
+                    and all(_is_int(u) and _is_int(e) for u, e in images.items())):
+                raise ManifestError("images must be a {unit: element} dict of integers",
                                     line=iln, field="realization.images")
         try:
             man.realization = realization_from_images(man.group, modulus, images)
@@ -343,9 +351,13 @@ def run_manifest(man: Manifest, cache_dir: str | None = None) -> tuple[dict, boo
         os.makedirs(cache_dir, exist_ok=True)
         cache_path = os.path.join(cache_dir, key + ".json")
         if os.path.exists(cache_path):
-            with open(cache_path, "r", encoding="utf-8") as fh:
-                body = json.load(fh)
-            hit = True
+            try:
+                with open(cache_path, "r", encoding="utf-8") as fh:
+                    cached = json.load(fh)
+            except (OSError, ValueError):       # unreadable or corrupt: a miss
+                cached = None
+            if isinstance(cached, dict) and cached.get("cache_key") == key:
+                body, hit = cached, True
 
     if body is None:
         results = {}

@@ -2,17 +2,20 @@
 
 Canonical generators come from the CRT factorization, primes ascending:
 an odd prime power contributes one lifted primitive root; 2^e (e >= 3)
-contributes -1 then 5; 4 contributes 3. Discrete logs are brute force
-per cyclic component, which is fine at conductor scale; the huge
-auxiliary moduli f*p^k used in stabilized invariant computations only
-ever need generators, never logs.
+contributes -1 then 5; 4 contributes 3. Discrete logs are read from a
+table of all phi(N) units, built in one pass over the products of the
+generators the first time a log mod N is asked for and kept on the
+structure. The huge auxiliary moduli f*p^k used in stabilized invariant
+computations only ever need generators, so they never build a table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
+
+from .errors import InvariantViolation
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -69,38 +72,37 @@ class UnitGroupStructure:
     modulus: int
     generators: tuple[int, ...]
     orders: tuple[int, ...]
+    _logs: dict[int, tuple[int, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        total = 1
-        for o in self.orders:
-            total *= o
-        assert total == euler_phi(self.modulus), "generator orders miss phi(N)"
+        if prod(self.orders) != euler_phi(self.modulus):
+            raise InvariantViolation(
+                f"generator orders {self.orders} miss phi({self.modulus})")
+
+    def log_table(self) -> dict[int, tuple[int, ...]]:
+        """Residue -> exponent vector on the canonical generators, every unit."""
+        if self._logs is None:
+            n = self.modulus
+            logs = {1 % n: ()}
+            for g, order in zip(self.generators, self.orders):
+                grown = {}
+                for a, vec in logs.items():
+                    for e in range(order):
+                        grown[a] = vec + (e,)
+                        a = a * g % n
+                logs = grown
+            if len(logs) != euler_phi(n):
+                raise InvariantViolation(f"generators of (Z/{n})* are not independent")
+            object.__setattr__(self, "_logs", logs)
+        return self._logs
 
     def dlog(self, a: int) -> tuple[int, ...]:
-        """Exponent vector of a on the canonical generators (brute force)."""
-        a %= self.modulus
-        if self.modulus == 1:
-            return ()
-        if gcd(a, self.modulus) != 1:
+        """Exponent vector of a on the canonical generators."""
+        vec = self.log_table().get(a % self.modulus)
+        if vec is None:
             raise ValueError(f"{a} is not a unit mod {self.modulus}")
-        return _dlog_rec(self.modulus, a, list(zip(self.generators, self.orders)))
-
-
-def _dlog_rec(n: int, a: int, gens: list[tuple[int, int]]) -> tuple[int, ...]:
-    if not gens:
-        if a % n != 1 % n:
-            raise ValueError("dlog failed; generators incomplete?")
-        return ()
-    g, order = gens[0]
-    x = 1
-    for e in range(order):
-        try:
-            rest = _dlog_rec(n, a * pow(x, -1, n) % n, gens[1:])
-            return (e,) + rest
-        except ValueError:
-            pass
-        x = x * g % n
-    raise ValueError("dlog failed; generators incomplete?")
+        return vec
 
 
 @lru_cache(maxsize=None)

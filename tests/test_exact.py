@@ -1,8 +1,8 @@
 import pytest
 from fractions import Fraction
 
-from torusbt.exact import (FinAbGroup, from_elementary_divisors, odd_part,
-                           rational_nth_root, two_power_ratio)
+from torusbt.exact import (FinAbGroup, from_elementary_divisors, integer_nth_root,
+                           odd_part, rational_nth_root, two_power_ratio)
 
 
 def test_nth_root_perfect_square():
@@ -65,3 +65,26 @@ def test_odd_part_and_two_power():
     assert two_power_ratio(Fraction(8)) == 3
     assert two_power_ratio(Fraction(1, 4)) == -2
     assert two_power_ratio(Fraction(3, 4)) is None
+
+
+def test_integer_nth_root_beyond_float_range():
+    assert integer_nth_root(10 ** 400, 2) == 10 ** 200
+    assert integer_nth_root(10 ** 400 + 1, 2) is None
+    assert integer_nth_root(10 ** 400 - 1, 2) is None
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 48, 97])
+def test_integer_nth_root_large_powers(n):
+    for base in (2, 3 ** 50 + 1, 10 ** 30 - 7, 2 ** 521 - 1):
+        m = base ** n
+        assert integer_nth_root(m, n) == base
+        assert integer_nth_root(m - 1, n) is None
+        assert integer_nth_root(m + 1, n) is None
+
+
+def test_integer_nth_root_small_cases():
+    for n in range(1, 8):
+        powers = {k ** n: k for k in range(300)}
+        for m in range(300):
+            assert integer_nth_root(m, n) == powers.get(m), (m, n)
+    assert integer_nth_root(5, 10) is None

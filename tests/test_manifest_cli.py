@@ -184,3 +184,32 @@ def test_real_decompose_needs_conj_or_realization(tmp_path):
     man2.commands = ("real-decompose",)
     report2, _ = run_manifest(man2)
     assert report2["commands"]["real-decompose"]["b"] == 1
+
+
+def test_non_integer_modulus_is_manifest_error():
+    with pytest.raises(ManifestError) as err:
+        parse_manifest(NORMONE.replace("modulus = 5", "modulus = 'x'"))
+    assert err.value.field == "realization.modulus"
+
+
+def test_non_integer_image_unit_is_manifest_error():
+    with pytest.raises(ManifestError) as err:
+        parse_manifest(NORMONE.replace("images = {2: 1}", "images = {2.5: 1}"))
+    assert err.value.field == "realization.images"
+
+
+@pytest.mark.parametrize("corrupt", ["{not json", "[1, 2]", "{}", b"\xff\xfe"])
+def test_corrupt_cache_file_is_a_miss_and_rewritten(tmp_path, corrupt):
+    man = parse_manifest(NORMONE)
+    first, _ = run_manifest(man, cache_dir=str(tmp_path))
+    (path,) = tmp_path.glob("*.json")
+    if isinstance(corrupt, bytes):
+        path.write_bytes(corrupt)
+    else:
+        path.write_text(corrupt)
+    report, hit = run_manifest(parse_manifest(NORMONE), cache_dir=str(tmp_path))
+    assert not hit
+    assert report["commands"] == first["commands"]
+    assert json.loads(path.read_text())["commands"] == first["commands"]
+    _, hit_again = run_manifest(parse_manifest(NORMONE), cache_dir=str(tmp_path))
+    assert hit_again
