@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 from . import intmat
 from .exact import FinAbGroup
-from .errors import InconsistentRank, ShapeMismatch
+from .errors import InconsistentRank, InvariantViolation, ShapeMismatch
 from .groups import (FiniteGroup, SubgroupClass, generating_set, is_metacyclic,
-                     left_cosets, subgroup_classes, subgroup_elements)
+                     left_cosets, spanning_generators, subgroup_classes,
+                     subgroup_elements)
 from .intmat import IntMatrix
 from .lattices import (GLattice, direct_sum_list, invariant_basis,
                        norm_element_matrix, permutation_lattice, validate,
@@ -205,6 +206,12 @@ def flasque_resolution(x: GLattice,
     rank(P) small and still feeds v into P^H -> X^H, so that map is onto
     for every H; that in turn forces H^1(H, Q) = 0 for the kernel Q. On
     a literal permutation lattice this reproduces P = X, Q = 0.
+
+    X must be a G-lattice. The postconditions (exactness over Z,
+    equivariance of P -> X, flasqueness of Q) raise InvariantViolation.
+    Equivariance is checked on spanning_generators(G) only: P is a sum of
+    coset lattices built here and X is a G-action, so f P(s) = X(s) f for
+    the generators s gives f P(a) = X(a) f for every product a of them.
     """
     g = x.group
     classes = subgroup_classes(g) if classes is None else classes
@@ -239,7 +246,8 @@ def flasque_resolution(x: GLattice,
     for a in range(g.order):
         moved = p_lat.action[a] @ inclusion
         sol = intmat.solve_exact(inclusion, moved)
-        assert sol is not None, "kernel not preserved by the action"
+        if sol is None:
+            raise InvariantViolation("kernel not preserved by the action")
         q_mats.append(sol)
     q_lat = GLattice(g, q_rank, tuple(q_mats))
     validate(q_lat)
@@ -251,14 +259,18 @@ def flasque_resolution(x: GLattice,
         q_lattice=q_lat, inclusion=inclusion)
 
     # Postconditions: exactness over Z, equivariance, and flasqueness of Q.
-    assert intmat.cokernel_structure(surjection).is_trivial, "surjection not onto"
-    assert p_lat.rank == q_rank + x.rank, "rank additivity broken"
-    assert (surjection @ inclusion).is_zero(), "composite not zero"
-    for a in range(g.order):
-        assert surjection @ p_lat.action[a] == x.action[a] @ surjection, \
-            "surjection not equivariant"
+    if not intmat.cokernel_structure(surjection).is_trivial:
+        raise InvariantViolation("surjection not onto")
+    if p_lat.rank != q_rank + x.rank:
+        raise InvariantViolation("rank additivity broken")
+    if not (surjection @ inclusion).is_zero():
+        raise InvariantViolation("composite not zero")
+    for s in spanning_generators(g):
+        if surjection @ p_lat.action[s] != x.action[s] @ surjection:
+            raise InvariantViolation(f"surjection not equivariant at element {s}")
     ok, wit = is_flasque(q_lat, classes)
-    assert ok, f"kernel is not flasque: {wit}"
+    if not ok:
+        raise InvariantViolation(f"kernel is not flasque: {wit}")
     return res
 
 

@@ -263,6 +263,17 @@ def generating_set(g: FiniteGroup, elements: tuple[int, ...]) -> list[int]:
     return gens
 
 
+def spanning_generators(g: FiniteGroup) -> list[int]:
+    """Greedy generating set of the whole group, g.generators tried first.
+
+    Each element is kept only if it is outside the span so far, so every
+    kept one at least doubles the span: at most log2|G| entries. The
+    walk ends on all of range(order), so the result generates G even when
+    g.generators does not.
+    """
+    return generating_set(g, g.generators + tuple(range(g.order)))
+
+
 def subgroup_as_group(g: FiniteGroup, h) -> tuple[FiniteGroup, list[int]]:
     """The subgroup as its own FiniteGroup plus the embedding index list."""
     elems = list(subgroup_elements(h))

@@ -1,7 +1,14 @@
 """G-lattices: free Z-modules with a unimodular action of a finite group.
 
 The action is stored for every group element (groups here are tiny), as
-a dict element-index -> IntMatrix acting on column vectors.
+a tuple element-index -> IntMatrix acting on column vectors.
+
+An action table M is checked on a generating set S of G, not on all
+|G|^2 pairs: if M(e) = I and M(s*b) = M(s)M(b) for every s in S and b in
+G, induction on word length gives M(a*b) = M(a)M(b) for all a, b, and
+then M(a)^ord(a) = I forces det M(a) = +-1. A failed check raises
+NotUnimodular (wrong shape or determinant) or NotHomomorphism (table
+size, identity, or a product).
 """
 
 from __future__ import annotations
@@ -11,9 +18,9 @@ from fractions import Fraction
 
 from . import intmat
 from .intmat import IntMatrix
-from .errors import GroupMismatch, NotHomomorphism, NotUnimodular
-from .groups import (FiniteGroup, conjugacy_classes, left_cosets,
-                     subgroup_as_group, subgroup_elements)
+from .errors import GroupMismatch, NotHomomorphism, NotUnimodular, ShapeMismatch
+from .groups import (FiniteGroup, conjugacy_classes, generating_set, left_cosets,
+                     spanning_generators, subgroup_as_group, subgroup_elements)
 
 
 @dataclass(frozen=True)
@@ -30,7 +37,14 @@ class GLattice:
 
 
 def validate(x: GLattice) -> None:
-    """Check unimodularity, the homomorphism property on all pairs, and identity."""
+    """Check that x.action is a unimodular action of x.group.
+
+    Every matrix must be rank x rank with determinant +-1 (NotUnimodular);
+    the table needs one matrix per element, identity acting as I, and
+    action(s)action(b) == action(s*b) for s in spanning_generators(G) and
+    every b (NotHomomorphism). By the module docstring that is the whole
+    homomorphism property, at |S|*|G| <= |G|*log2|G| products.
+    """
     g = x.group
     if len(x.action) != g.order:
         raise NotHomomorphism("action table size != group order")
@@ -41,20 +55,33 @@ def validate(x: GLattice) -> None:
             raise NotUnimodular(f"action({a}) has determinant {intmat.det(m)}")
     if not x.action[g.identity].is_identity():
         raise NotHomomorphism("action(identity) is not the identity matrix")
-    for a in range(g.order):
+    for s in spanning_generators(g):
         for b in range(g.order):
-            if x.action[a] @ x.action[b] != x.action[g.op(a, b)]:
-                raise NotHomomorphism(f"action({a})action({b}) != action({a}*{b})")
+            if x.action[s] @ x.action[b] != x.action[g.op(s, b)]:
+                raise NotHomomorphism(f"action({s})action({b}) != action({s}*{b})")
 
 
 def from_generator_matrices(group: FiniteGroup, rank: int,
-                            gen_mats: dict[int, IntMatrix] | list[IntMatrix],
-                            check: bool = True) -> GLattice:
-    """Expand matrices given on group.generators to the whole group by BFS."""
+                            gen_mats: dict[int, IntMatrix] | list[IntMatrix]) -> GLattice:
+    """Expand matrices given on group.generators to the whole group by BFS.
+
+    The BFS starts from M(e) = I, checks M(s*a) == M(s)M(a) for every
+    given s and every element a it reaches, and fails unless the given
+    elements reach all of G. That is the generating-set check of
+    validate, so the expanded table is a G-action without a second pass.
+    Wrong-sized matrices raise ShapeMismatch, a failed check
+    NotHomomorphism.
+    """
     if isinstance(gen_mats, (list, tuple)):
         if len(gen_mats) != len(group.generators):
             raise NotHomomorphism("need one matrix per group generator")
         gen_mats = dict(zip(group.generators, gen_mats))
+    for s, ms in gen_mats.items():
+        if not (0 <= s < group.order):
+            raise NotHomomorphism(f"no element {s} in the group")
+        if (ms.rows, ms.cols) != (rank, rank):
+            raise ShapeMismatch(f"matrix of element {s} is {ms.rows}x{ms.cols}, "
+                                f"need {rank}x{rank}")
     known: dict[int, IntMatrix] = {group.identity: intmat.identity(rank)}
     frontier = [group.identity]
     while frontier:
@@ -72,10 +99,7 @@ def from_generator_matrices(group: FiniteGroup, rank: int,
     if len(known) != group.order:
         raise NotHomomorphism("generator matrices do not reach the whole group "
                               "(generators do not generate G?)")
-    lat = GLattice(group, rank, tuple(known[a] for a in range(group.order)))
-    if check:
-        validate(lat)
-    return lat
+    return GLattice(group, rank, tuple(known[a] for a in range(group.order)))
 
 
 def trivial_lattice(group: FiniteGroup, rank: int = 1) -> GLattice:
@@ -195,7 +219,6 @@ def permutation_orbit_stabilizers(x: GLattice) -> list[tuple[int, tuple[int, ...
 
 def invariant_basis(x: GLattice, h) -> IntMatrix:
     """HNF basis (columns) of the fixed sublattice X^H."""
-    from .groups import generating_set
     elems = subgroup_elements(h)
     gens = generating_set(x.group, elems)
     if not gens:
@@ -206,7 +229,6 @@ def invariant_basis(x: GLattice, h) -> IntMatrix:
 
 def coinvariants(x: GLattice, h):
     """X_H = X / span{(g-1)X : g in H} as a FinAbGroup."""
-    from .groups import generating_set
     elems = subgroup_elements(h)
     gens = generating_set(x.group, elems)
     if not gens:

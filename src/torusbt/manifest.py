@@ -26,8 +26,8 @@ Manifests are INI-flavored text::
     [options]
     prime_cap = 50
     stab_cap = 30
-    debug_oracles = false
-    cache_dir = /tmp/torusbt-cache
+    debug_oracles = False
+    cache_dir = '/tmp/torusbt-cache'
     conj = 0                    # involution for real-decompose without realization
 
 Values are Python literals; long arrays may continue on indented lines.
@@ -111,6 +111,16 @@ def _literal(raw: str, lineno: int, fieldname: str):
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Typed [options] keys: predicate and what it demands. Other keys pass as given.
+_OPTION_TYPES = {
+    "stab_cap": (lambda v: _is_int(v) and v > 0, "a positive integer"),
+    "prime_cap": (lambda v: _is_int(v) and v > 0, "a positive integer"),
+    "conj": (_is_int, "an integer"),
+    "debug_oracles": (lambda v: isinstance(v, bool), "True or False"),
+    "cache_dir": (lambda v: isinstance(v, str), "a quoted path"),
+}
 
 
 def _parse_lattice(group: FiniteGroup, section: dict, secname: str) -> GLattice:
@@ -236,7 +246,13 @@ def parse_manifest(text: str) -> Manifest:
 
     if "options" in sections:
         for key, (raw, ln) in sections["options"].items():
-            man.options[key] = _literal(raw, ln, f"options.{key}")
+            value = _literal(raw, ln, f"options.{key}")
+            if key in _OPTION_TYPES:
+                ok, what = _OPTION_TYPES[key]
+                if not ok(value):
+                    raise ManifestError(f"{key} must be {what}, got {value!r}",
+                                        line=ln, field=f"options.{key}")
+            man.options[key] = value
     return man
 
 

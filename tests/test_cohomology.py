@@ -8,7 +8,7 @@ from conftest import (catalog_pool, fin_ab, oracle_h1_bar, oracle_h1_cyclic,
 from torusbt import cohomology as coh
 from torusbt import intmat
 from torusbt import lattices as lat
-from torusbt.errors import ShapeMismatch
+from torusbt.errors import InvariantViolation, ShapeMismatch
 from torusbt.exact import FinAbGroup
 from torusbt.groups import cyclic_group, subgroup_classes
 
@@ -261,3 +261,16 @@ def test_h1_cyclic_oracle_on_catalog(c2, s3, v4):
                 sigma = next(a for a in cls.elements
                              if g.element_order(a) == cls.order)
                 assert coh.h1(cls, x) == oracle_h1_cyclic(x, sigma)
+
+
+def test_flasque_postconditions_are_typed_errors(c2, monkeypatch):
+    x = lat.permutation_lattice(c2, (c2.identity,))
+    # P built with a trivial action: P -> X stops being equivariant.
+    monkeypatch.setattr(coh, "permutation_lattice",
+                        lambda g, h: lat.trivial_lattice(g, g.order // len(h.elements)))
+    with pytest.raises(InvariantViolation, match="not equivariant"):
+        coh.flasque_resolution(x)
+    monkeypatch.undo()
+    monkeypatch.setattr(coh, "is_flasque", lambda q, classes: (False, "forced"))
+    with pytest.raises(InvariantViolation, match="not flasque"):
+        coh.flasque_resolution(x)

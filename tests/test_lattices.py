@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,9 +6,12 @@ import pytest
 from conftest import catalog_pool, random_lattice, random_unimodular
 from torusbt import intmat
 from torusbt import lattices as lat
-from torusbt.errors import GroupMismatch, NotHomomorphism, NotUnimodular
+from torusbt.errors import (GroupMismatch, NotHomomorphism, NotUnimodular,
+                            ShapeMismatch)
 from torusbt.exact import FinAbGroup
-from torusbt.groups import subgroup_classes
+from torusbt.groups import (cyclic_group, group_from_table, spanning_generators,
+                            subgroup_classes)
+from torusbt.manifest import parse_manifest
 
 
 def test_validate_trivial_ok(s3):
@@ -177,3 +181,140 @@ def test_from_generator_matrices_rejects_bad_action(c2):
     with pytest.raises(NotHomomorphism):
         # sigma -> shear: sigma^2 != 1
         lat.from_generator_matrices(c2, 2, [intmat.from_rows([[1, 1], [0, 1]])])
+
+
+# ------------------------------------------- action checks on a generating set
+
+def _all_pairs_oracle(x):
+    """Reference validate: every element's shape and determinant, the
+    identity, then all |G|^2 products. Returns the error class or None."""
+    g = x.group
+    if len(x.action) != g.order:
+        return NotHomomorphism
+    for m in x.action:
+        if (m.rows, m.cols) != (x.rank, x.rank) or intmat.det(m) not in (1, -1):
+            return NotUnimodular
+    if not x.action[g.identity].is_identity():
+        return NotHomomorphism
+    for a in range(g.order):
+        for b in range(g.order):
+            if x.action[a] @ x.action[b] != x.action[g.op(a, b)]:
+                return NotHomomorphism
+    return None
+
+
+def _validate_outcome(x):
+    try:
+        lat.validate(x)
+    except (NotHomomorphism, NotUnimodular) as exc:
+        return type(exc)
+    return None
+
+
+def _with_action(x, a, m):
+    action = list(x.action)
+    action[a] = m
+    return lat.GLattice(x.group, x.rank, tuple(action))
+
+
+def test_validate_rejects_error_only_at_non_generators():
+    c6 = cyclic_group(6)
+    assert c6.generators == (1,)
+    reg = lat.regular_lattice(c6)
+    lat.validate(reg)
+    action = list(reg.action)
+    action[2], action[4] = action[4], action[2]     # both of order 3
+    bad = lat.GLattice(c6, reg.rank, tuple(action))
+    assert _all_pairs_oracle(bad) is NotHomomorphism
+    with pytest.raises(NotHomomorphism):
+        lat.validate(bad)
+
+
+def test_validate_does_not_trust_declared_generators(c2, s3, v4):
+    std = catalog_pool(c2, s3, v4)["s3"][1]         # the rank-2 standard lattice
+    rotation = next(a for a in range(s3.order) if s3.element_order(a) == 3)
+    rotations = {s3.identity, rotation, s3.op(rotation, rotation)}
+    t = next(a for a in range(s3.order) if a not in rotations)
+    # M(r^k) = R^k and M(r^k t) = R^k: every reflection acts like a rotation.
+    action = tuple(m if a in rotations else m @ std.action[t]
+                   for a, m in enumerate(std.action))
+    for gens in ((), (rotation,)):
+        g = dataclasses.replace(s3, generators=gens)
+        assert len(spanning_generators(g)) == 2
+        lat.validate(lat.GLattice(g, 2, std.action))
+        bad = lat.GLattice(g, 2, action)
+        # A check on the declared rotation alone would pass ...
+        assert all(action[rotation] @ action[b] == action[g.op(rotation, b)]
+                   for b in range(g.order))
+        # ... but the table is not a homomorphism.
+        assert _all_pairs_oracle(bad) is NotHomomorphism
+        with pytest.raises(NotHomomorphism):
+            lat.validate(bad)
+
+
+def test_spanning_generators_of_default_table_group(v4):
+    g = group_from_table([list(r) for r in v4.mul])
+    assert len(g.generators) == 3               # every non-identity element
+    assert len(spanning_generators(g)) == 2
+
+
+def test_validate_agrees_with_all_pairs_oracle(c2, s3, v4):
+    rng = random.Random(2024)
+    pool = catalog_pool(c2, s3, v4)
+    groups = {"c2": c2, "s3": s3, "v4": v4}
+    seen = set()
+    for key in pool:
+        for _ in range(8):
+            x = random_lattice(pool[key], rng, max_rank=4)
+            assert _validate_outcome(x) is None and _all_pairs_oracle(x) is None
+            g = groups[key]
+            for _ in range(6):
+                a = rng.randrange(g.order)
+                kind = rng.choice(("entry", "negate", "swap"))
+                if kind == "entry":
+                    rows = x.action[a].tolist()
+                    i, j = rng.randrange(x.rank), rng.randrange(x.rank)
+                    rows[i][j] += rng.choice((-2, -1, 1, 2))
+                    bad = _with_action(x, a, intmat.from_rows(rows))
+                elif kind == "negate":
+                    bad = _with_action(x, a, intmat.from_rows(
+                        [[-v for v in row] for row in x.action[a].tolist()]))
+                else:
+                    b = rng.randrange(g.order)
+                    bad = _with_action(_with_action(x, a, x.action[b]), b, x.action[a])
+                want = _all_pairs_oracle(bad)
+                assert _validate_outcome(bad) is want, (key, kind, a)
+                seen.add(want)
+    assert seen == {None, NotHomomorphism, NotUnimodular}
+
+
+def test_from_generator_matrices_rejects_bad_shape_or_element(c2, s3):
+    with pytest.raises(ShapeMismatch):
+        lat.from_generator_matrices(c2, 2, [intmat.from_rows([[-1]])])
+    with pytest.raises(ShapeMismatch):
+        lat.from_generator_matrices(s3, 2, [intmat.identity(2),
+                                            intmat.from_rows([[1, 0, 0], [0, 1, 0]])])
+    with pytest.raises(NotHomomorphism):
+        lat.from_generator_matrices(c2, 1, {2: intmat.from_rows([[-1]])})
+
+
+def test_parsing_res_manifest_checks_generators_only(monkeypatch):
+    """C18 = Gal(Q(zeta_37)^+/Q): at most |S||G| + |G| products, not |G|^2."""
+    n, p = 18, 37
+    shift = [(i + 1) % n for i in range(n)]
+    rows = [[1 if i == (j + 1) % n else 0 for j in range(n)] for i in range(n)]
+    text = (f"[group]\ngenerators = [{shift}]\n"
+            f"[lattice]\nrank = {n}\naction.g0 = {rows}\n"
+            f"[realization]\nmodulus = {p}\nimages = {{2: 1}}\n")
+    calls = []
+    matmul = intmat.IntMatrix.__matmul__
+
+    def counting(a, b):
+        calls.append(None)
+        return matmul(a, b)
+
+    monkeypatch.setattr(intmat.IntMatrix, "__matmul__", counting)
+    man = parse_manifest(text)
+    s = len(spanning_generators(man.group))
+    assert man.group.order == n and s == 1
+    assert len(calls) <= s * n + n

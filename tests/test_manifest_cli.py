@@ -213,3 +213,29 @@ def test_corrupt_cache_file_is_a_miss_and_rewritten(tmp_path, corrupt):
     assert json.loads(path.read_text())["commands"] == first["commands"]
     _, hit_again = run_manifest(parse_manifest(NORMONE), cache_dir=str(tmp_path))
     assert hit_again
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("stab_cap", "'a'"), ("stab_cap", "2.7"), ("stab_cap", "True"), ("stab_cap", "0"),
+    ("prime_cap", "'a'"), ("prime_cap", "-3"), ("prime_cap", "False"),
+    ("conj", "'x'"), ("conj", "1.0"), ("conj", "True"),
+    ("debug_oracles", "'no'"), ("debug_oracles", "0"),
+    ("cache_dir", "5"),
+])
+def test_badly_typed_option_is_manifest_error(key, raw):
+    with pytest.raises(ManifestError) as err:
+        parse_manifest(f"{NORMONE}\n[options]\n{key} = {raw}\n")
+    assert err.value.field == f"options.{key}"
+
+
+def test_typed_options_pass_through():
+    man = parse_manifest(NORMONE + "\n[options]\nstab_cap = 30\nprime_cap = 20\n"
+                         "conj = 1\ndebug_oracles = False\ncache_dir = 'c'\n")
+    assert man.options == {"stab_cap": 30, "prime_cap": 20, "conj": 1,
+                           "debug_oracles": False, "cache_dir": "c"}
+
+
+def test_wrong_size_action_matrix_is_manifest_error():
+    with pytest.raises(ManifestError) as err:
+        parse_manifest(NORMONE.replace("action.g0 = [[-1]]", "action.g0 = [[-1, 0]]"))
+    assert err.value.field == "lattice"
