@@ -50,7 +50,8 @@ def _cayley_relators(g: FiniteGroup, elems: tuple[int, ...], gens: list[int]):
                     inv = [(sj, -e) for (sj, e) in reversed(word[t])]
                     relators.append(word[h] + [(si, 1)] + inv)
         frontier = new
-    assert len(word) == len(elems), "generators do not generate the subgroup"
+    if len(word) != len(elems):
+        raise InvariantViolation("generators do not generate the subgroup")
     return relators
 
 
@@ -84,8 +85,8 @@ def _cocycle_constraints(x: GLattice, gens: list[int], relators) -> IntMatrix:
 def h1(h, x: GLattice) -> FinAbGroup:
     """H^1(H, X) as cocycles-on-generators modulo coboundaries.
 
-    Always a finite group for a lattice module; the free rank is
-    asserted to vanish.
+    Always a finite group for a lattice module; a nonzero free rank
+    raises InvariantViolation.
     """
     elems = subgroup_elements(h)
     gens = generating_set(x.group, elems)
@@ -97,7 +98,8 @@ def h1(h, x: GLattice) -> FinAbGroup:
     ident = intmat.identity(x.rank)
     cobound = intmat.vstack([x.action[s] - ident for s in gens])
     out = intmat.lattice_quotient(cocycles, cobound)
-    assert out.free_rank == 0, "H^1 of a lattice must be finite"
+    if out.free_rank:
+        raise InvariantViolation("H^1 of a lattice must be finite")
     return out
 
 
@@ -106,7 +108,8 @@ def tate_h0(h, x: GLattice) -> FinAbGroup:
     fixed = invariant_basis(x, h)
     norm = norm_element_matrix(x, h)
     out = intmat.lattice_quotient(fixed, norm)
-    assert out.free_rank == 0, "Tate H^0 of a lattice must be finite"
+    if out.free_rank:
+        raise InvariantViolation("Tate H^0 of a lattice must be finite")
     return out
 
 
@@ -344,7 +347,8 @@ def _hom_basis(source: GLattice, target: GLattice) -> list[IntMatrix]:
 
 
 def _multisets_with_rank(classes, total: int):
-    """Multisets of class ids whose coset ranks [G:H] sum to total."""
+    """Multisets of class ids whose coset ranks [G:H] sum to total, yielded
+    lazily in a fixed order (higher counts of earlier classes first)."""
     idx_rank = [(cls.class_id, cls.index) for cls in classes]
 
     def rec(pos: int, remaining: int):
@@ -358,11 +362,21 @@ def _multisets_with_rank(classes, total: int):
         for count in range(max_count, -1, -1):
             for rest in rec(pos + 1, remaining - count * r):
                 yield (cid,) * count + rest
-    return list(rec(0, total))
+    yield from rec(0, total)
 
 
 def _cohomology_profile(x: GLattice, classes) -> tuple:
     return tuple((tate_h0(cls, x), h1(cls, x)) for cls in classes)
+
+
+def _sum_profiles(profiles) -> tuple:
+    """Profile of a direct sum from the profiles of its summands."""
+    out = None
+    for prof in profiles:
+        out = prof if out is None else tuple(
+            (a0.direct_sum(b0), a1.direct_sum(b1))
+            for (a0, a1), (b0, b1) in zip(out, prof))
+    return out
 
 
 def search_invertibility_certificate(
@@ -378,6 +392,12 @@ def search_invertibility_certificate(
     cheap necessary conditions first (equal characters, equal Tate-H^0
     and H^1 profiles on every subgroup class). Sound but incomplete:
     None just means 'not found within budget'.
+
+    Tate H^0 and H^1 are additive over direct sums (Brown, III.8), so a
+    side's profile is the sum of one memoised profile per summand.
+    Targets are walked in enumeration order and, for each, the complements
+    with chi_Q + chi(comp) = chi(target) in enumeration order; pair_budget
+    counts these character-matched pairs.
     """
     from .lattices import lattice_character
     g = q.group
@@ -386,32 +406,37 @@ def search_invertibility_certificate(
         cert = InvertibilityCertificate(None, intmat.zeros(0, 0), ())
         return cert if verify_invertibility(q, cert, classes) else None
 
-    chi_q = lattice_character(q)
+    chi_q = tuple(int(v) for v in lattice_character(q))
     perm = {cls.class_id: permutation_lattice(g, cls) for cls in classes}
-    chi_perm = {cid: lattice_character(p) for cid, p in perm.items()}
+    chi_perm = {cid: tuple(int(v) for v in lattice_character(p))
+                for cid, p in perm.items()}
+    profiles = {}
 
-    def spec_char(spec):
-        return tuple(sum(chi_perm[cid][i] for cid in spec) for i in range(len(chi_q)))
+    def profile(cid):                     # cid None stands for Q itself
+        if cid not in profiles:
+            profiles[cid] = _cohomology_profile(
+                q if cid is None else perm[cid], classes)
+        return profiles[cid]
 
     pairs_examined = 0
     for target_rank in range(q.rank, q.rank + rank_bound + 1):
+        buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for comp_spec in _multisets_with_rank(classes, target_rank - q.rank):
+            key = tuple(map(sum, zip(chi_q, *(chi_perm[cid] for cid in comp_spec))))
+            buckets.setdefault(key, []).append(comp_spec)
         for target_spec in _multisets_with_rank(classes, target_rank):
-            chi_t = spec_char(target_spec)
-            for comp_spec in _multisets_with_rank(classes, target_rank - q.rank):
-                chi_s = tuple(a + b for a, b in zip(chi_q, spec_char(comp_spec)))
-                if chi_s != chi_t:
-                    continue
+            chi_t = tuple(map(sum, zip(*(chi_perm[cid] for cid in target_spec))))
+            for comp_spec in buckets.get(chi_t, ()):
                 pairs_examined += 1
                 if pairs_examined > pair_budget:
                     return None
+                if _sum_profiles(map(profile, (None,) + comp_spec)) != \
+                        _sum_profiles(map(profile, target_spec)):
+                    continue
                 comp_parts = [perm[cid] for cid in comp_spec]
                 complement = direct_sum_list(comp_parts) if comp_parts else None
                 source = direct_sum_list([q] + comp_parts)
-                targets = [perm[cid] for cid in target_spec]
-                target = direct_sum_list(targets) if targets else zero_lattice(g)
-                if _cohomology_profile(source, classes) != \
-                        _cohomology_profile(target, classes):
-                    continue
+                target = direct_sum_list([perm[cid] for cid in target_spec])
                 basis = _hom_basis(source, target)
                 d = len(basis)
                 if d == 0 or (2 * coeff_bound + 1) ** d > combo_budget:
@@ -468,8 +493,8 @@ def real_decomposition(x: GLattice, conj: int):
     anti = intmat.kernel_basis(sigma + ident)
     h1c = intmat.lattice_quotient(anti, sigma - ident)
     for grp in (h0, h1c):
-        assert grp.free_rank == 0 and all(d == 2 for d in grp.invariant_factors), \
-            f"non-elementary 2-group {grp} from an involution"
+        if grp.free_rank or any(d != 2 for d in grp.invariant_factors):
+            raise InvariantViolation(f"non-elementary 2-group {grp} from an involution")
     a = len(h0.invariant_factors)
     b = len(h1c.invariant_factors)
     if (x.rank - a - b) % 2 != 0 or x.rank - a - b < 0:

@@ -35,6 +35,16 @@ def v4():
     return group_from_generators([[1, 0, 3, 2], [2, 3, 0, 1]], name="V4")
 
 
+@pytest.fixture(scope="session")
+def d4():
+    return group_from_generators([[1, 2, 3, 0], [0, 3, 2, 1]], name="D4")
+
+
+@pytest.fixture(scope="session")
+def a4():
+    return group_from_generators([[1, 2, 0, 3], [0, 2, 3, 1]], name="A4")
+
+
 def quaternion_generators():
     """Q8 acting on itself: elements 1,-1,i,-i,j,-j,k,-k as 0..7."""
     mul = {}

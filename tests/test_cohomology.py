@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import (catalog_pool, fin_ab, oracle_h1_bar, oracle_h1_cyclic,
-                      random_lattice)
+                      random_lattice, sign_lattice_v4)
 from torusbt import cohomology as coh
 from torusbt import intmat
 from torusbt import lattices as lat
@@ -274,3 +274,182 @@ def test_flasque_postconditions_are_typed_errors(c2, monkeypatch):
     monkeypatch.setattr(coh, "is_flasque", lambda q, classes: (False, "forced"))
     with pytest.raises(InvariantViolation, match="not flasque"):
         coh.flasque_resolution(x)
+
+
+# ------------------------------------------- typed invariants under -O
+
+@pytest.mark.parametrize("module, name, fake, call, message", [
+    (coh, "generating_set", lambda g, elems: [g.identity],
+     lambda s3: coh.h1(subgroup_classes(s3)[-1], lat.trivial_lattice(s3)),
+     "do not generate"),
+    (intmat, "lattice_quotient", lambda a, b: FinAbGroup((), 1),
+     lambda s3: coh.h1(subgroup_classes(s3)[-1], lat.trivial_lattice(s3)),
+     "H\\^1 of a lattice must be finite"),
+    (intmat, "lattice_quotient", lambda a, b: FinAbGroup((), 1),
+     lambda s3: coh.tate_h0(subgroup_classes(s3)[-1], lat.trivial_lattice(s3)),
+     "Tate H\\^0 of a lattice must be finite"),
+    (intmat, "lattice_quotient", lambda a, b: FinAbGroup((3,)),
+     lambda s3: coh.real_decomposition(lat.trivial_lattice(s3), 1),
+     "non-elementary 2-group"),
+])
+def test_cohomology_invariants_are_typed_errors(s3, monkeypatch, module, name, fake,
+                                                call, message):
+    monkeypatch.setattr(module, name, fake)
+    with pytest.raises(InvariantViolation, match=message):
+        call(s3)
+
+
+# ------------------------------------------------- certificate search
+
+def _oracle_multisets(classes, total):
+    """Reference enumeration, built as a list."""
+    idx_rank = [(cls.class_id, cls.index) for cls in classes]
+
+    def rec(pos, remaining):
+        if remaining == 0:
+            yield ()
+            return
+        if pos >= len(idx_rank):
+            return
+        cid, r = idx_rank[pos]
+        for count in range(remaining // r, -1, -1):
+            for rest in rec(pos + 1, remaining - count * r):
+                yield (cid,) * count + rest
+    return list(rec(0, total))
+
+
+def _oracle_search(q, classes, rank_bound, pair_budget, seen, coeff_bound=2,
+                   combo_budget=60000):
+    """Pair-by-pair search: Fraction characters summed for every pair and
+    both sum lattices built and profiled from scratch. Appends the
+    (source, target) profiles of every pair examined to seen."""
+    g = q.group
+    chi_q = lat.lattice_character(q)
+    perm = {cls.class_id: lat.permutation_lattice(g, cls) for cls in classes}
+    chi_perm = {cid: lat.lattice_character(p) for cid, p in perm.items()}
+
+    def spec_char(spec):
+        return tuple(sum(chi_perm[cid][i] for cid in spec) for i in range(len(chi_q)))
+
+    pairs_examined = 0
+    for target_rank in range(q.rank, q.rank + rank_bound + 1):
+        for target_spec in _oracle_multisets(classes, target_rank):
+            chi_t = spec_char(target_spec)
+            for comp_spec in _oracle_multisets(classes, target_rank - q.rank):
+                chi_s = tuple(a + b for a, b in zip(chi_q, spec_char(comp_spec)))
+                if chi_s != chi_t:
+                    continue
+                pairs_examined += 1
+                if pairs_examined > pair_budget:
+                    return None
+                comp_parts = [perm[cid] for cid in comp_spec]
+                complement = lat.direct_sum_list(comp_parts) if comp_parts else None
+                source = lat.direct_sum_list([q] + comp_parts)
+                target = lat.direct_sum_list([perm[cid] for cid in target_spec])
+                seen.append((coh._cohomology_profile(source, classes),
+                             coh._cohomology_profile(target, classes)))
+                if seen[-1][0] != seen[-1][1]:
+                    continue
+                basis = coh._hom_basis(source, target)
+                d = len(basis)
+                if d == 0 or (2 * coeff_bound + 1) ** d > combo_budget:
+                    continue
+                for coeffs in itertools.product(
+                        range(-coeff_bound, coeff_bound + 1), repeat=d):
+                    if all(c == 0 for c in coeffs):
+                        continue
+                    m = intmat.zeros(target.rank, source.rank)
+                    for c, b in zip(coeffs, basis):
+                        if c:
+                            m = m + c * b
+                    if intmat.is_unimodular(m):
+                        cert = coh.InvertibilityCertificate(
+                            complement, m, tuple(target_spec))
+                        if coh.verify_invertibility(q, cert, classes):
+                            return cert
+    return None
+
+
+def test_multisets_with_rank_streams_the_same_sequence(s3, v4, d4, a4):
+    for g in (s3, v4, d4, a4):
+        classes = subgroup_classes(g)
+        for total in range(0, 9):
+            walk = coh._multisets_with_rank(classes, total)
+            assert iter(walk) is walk                       # a generator
+            assert list(walk) == _oracle_multisets(classes, total), (g.name, total)
+
+
+def test_profile_additive_over_direct_sums(c2, s3, v4, d4, a4):
+    pool = catalog_pool(c2, s3, v4)
+    for g, extra in ((v4, pool["v4"]), (s3, pool["s3"]), (d4, []), (a4, [])):
+        classes = subgroup_classes(g)
+        parts = list(extra) + [lat.permutation_lattice(g, cls) for cls in classes]
+        for a, b in zip(parts, parts[1:] + parts[:1]):
+            summed = coh._sum_profiles([coh._cohomology_profile(a, classes),
+                                        coh._cohomology_profile(b, classes)])
+            direct = coh._cohomology_profile(lat.direct_sum_list([a, b]), classes)
+            assert summed == direct, g.name
+
+
+def _search_with_profiles(monkeypatch, search):
+    """Run the search, recording the (source, target) profile sums it
+    compares for every pair examined."""
+    real = coh._sum_profiles
+    sums = []
+
+    def recording(profiles):
+        sums.append(real(profiles))
+        return sums[-1]
+    monkeypatch.setattr(coh, "_sum_profiles", recording)
+    cert = search()
+    monkeypatch.setattr(coh, "_sum_profiles", real)
+    return cert, list(zip(sums[::2], sums[1::2]))
+
+
+def test_certificate_search_matches_pair_by_pair_oracle(c2, s3, v4, d4, a4, monkeypatch):
+    """Same certificate, and the same pairs examined in the same order up
+    to the same pair_budget cut."""
+    pool = catalog_pool(c2, s3, v4)
+    cases = []
+    for g in (s3, d4, a4, v4):
+        classes = subgroup_classes(g)
+        for x in (lat.norm_one_lattice(g), lat.dual(lat.norm_one_lattice(g))):
+            q = coh.flasque_resolution(x, classes).q_lattice
+            cases += [(q, classes, 1, 200), (q, classes, 1, 1)]
+    for key, g in (("s3", s3), ("v4", v4)):
+        classes = subgroup_classes(g)
+        for a, b in itertools.combinations_with_replacement(pool[key], 2):
+            if a.rank + b.rank <= 4:                    # kept small for speed
+                q = lat.direct_sum(a, b)
+                cases += [(q, classes, 1, 200), (q, classes, 1, 1)]
+    # Complements of rank 6 are the first with equal characters, e.g.
+    # Z[V4] (+) Z^2 and the sum of the three Z[V4/C2].
+    classes = subgroup_classes(v4)
+    q = sign_lattice_v4(v4, -1, -1)
+    cases.append((q, classes, 6, 30))               # cut among those pairs
+    found = matched = 0
+    for q, classes, rank_bound, pair_budget in cases:
+        new, new_pairs = _search_with_profiles(
+            monkeypatch, lambda: coh.search_invertibility_certificate(
+                q, classes, rank_bound=rank_bound, pair_budget=pair_budget))
+        old_pairs = []
+        old = _oracle_search(q, classes, rank_bound, pair_budget, old_pairs)
+        assert (new and new.to_json()) == (old and old.to_json()), (q.group.name, q.rank)
+        assert new_pairs == old_pairs, (q.group.name, q.rank, rank_bound, pair_budget)
+        found += new is not None
+        matched += sum(src == tgt for src, tgt in new_pairs)
+    assert found >= 10 and matched > found          # both outcomes occur
+
+
+def test_certificate_search_profiles_each_summand_once(d4, monkeypatch):
+    classes = subgroup_classes(d4)
+    q = coh.flasque_resolution(lat.norm_one_lattice(d4), classes).q_lattice
+    calls = {"h1": 0, "tate_h0": 0}
+    for name in calls:
+        def counted(h, x, _name=name, _f=getattr(coh, name)):
+            calls[_name] += 1
+            return _f(h, x)
+        monkeypatch.setattr(coh, name, counted)
+    assert coh.search_invertibility_certificate(q, classes) is None
+    bound = (1 + len(classes)) * len(classes)       # Q and each Z[G/H], every class
+    assert 0 < calls["h1"] <= bound and 0 < calls["tate_h0"] <= bound, calls
