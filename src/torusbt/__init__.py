@@ -9,7 +9,7 @@ flasque resolutions, invertibility certificates, induction identities,
 real-place decompositions, and good-reduction local point counts.
 """
 
-from .exact import BigRational, FinAbGroup, odd_part, rational_nth_root
+from .exact import FinAbGroup, odd_part, rational_nth_root
 from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial
 from .intmat import (IntMatrix, cokernel_structure, kernel_basis,
                      smith_normal_form, solve_exact)

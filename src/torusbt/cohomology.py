@@ -113,11 +113,10 @@ def tate_h0(h, x: GLattice) -> FinAbGroup:
     return out
 
 
-def is_flasque(x: GLattice, classes: list[SubgroupClass] | None = None):
+def is_flasque(x: GLattice):
     """True iff H^1(H, X) = 0 for every subgroup class; else the witnesses."""
-    classes = subgroup_classes(x.group) if classes is None else classes
     witnesses = []
-    for cls in classes:
+    for cls in subgroup_classes(x.group):
         grp = h1(cls, x)
         if not grp.is_trivial:
             witnesses.append((cls, grp))
@@ -198,8 +197,7 @@ def _stabilizer(x: GLattice, v: tuple[int, ...]) -> tuple[int, ...]:
                         if x.action[a].apply(v) == tuple(v)))
 
 
-def flasque_resolution(x: GLattice,
-                       classes: list[SubgroupClass] | None = None) -> FlasqueResolution:
+def flasque_resolution(x: GLattice) -> FlasqueResolution:
     """Constructive flasque resolution 0 -> Q -> P -> X -> 0.
 
     For every subgroup class H (ascending canonical order) each HNF
@@ -217,7 +215,7 @@ def flasque_resolution(x: GLattice,
     the generators s gives f P(a) = X(a) f for every product a of them.
     """
     g = x.group
-    classes = subgroup_classes(g) if classes is None else classes
+    classes = subgroup_classes(g)
 
     summands: list[tuple[int, tuple[int, ...]]] = []
     for cls in classes if x.rank else []:
@@ -271,7 +269,7 @@ def flasque_resolution(x: GLattice,
     for s in spanning_generators(g):
         if surjection @ p_lat.action[s] != x.action[s] @ surjection:
             raise InvariantViolation(f"surjection not equivariant at element {s}")
-    ok, wit = is_flasque(q_lat, classes)
+    ok, wit = is_flasque(q_lat)
     if not ok:
         raise InvariantViolation(f"kernel is not flasque: {wit}")
     return res
@@ -294,11 +292,10 @@ class InvertibilityCertificate:
         }
 
 
-def verify_invertibility(q: GLattice, cert: InvertibilityCertificate,
-                         classes: list[SubgroupClass] | None = None) -> bool:
+def verify_invertibility(q: GLattice, cert: InvertibilityCertificate) -> bool:
     """Soundness check: iso is unimodular and intertwines Q (+) I' with the target."""
     g = q.group
-    classes = subgroup_classes(g) if classes is None else classes
+    classes = subgroup_classes(g)
     parts = [q]
     if cert.complement is not None and cert.complement.rank > 0:
         if cert.complement.group != g:
@@ -380,8 +377,7 @@ def _sum_profiles(profiles) -> tuple:
 
 
 def search_invertibility_certificate(
-        q: GLattice, classes: list[SubgroupClass] | None = None,
-        rank_bound: int = 4, coeff_bound: int = 2,
+        q: GLattice, rank_bound: int = 4, coeff_bound: int = 2,
         combo_budget: int = 60000,
         pair_budget: int = 200) -> InvertibilityCertificate | None:
     """Bounded search for a stably-permutation witness of Q.
@@ -401,10 +397,10 @@ def search_invertibility_certificate(
     """
     from .lattices import lattice_character
     g = q.group
-    classes = subgroup_classes(g) if classes is None else classes
+    classes = subgroup_classes(g)
     if q.rank == 0:
         cert = InvertibilityCertificate(None, intmat.zeros(0, 0), ())
-        return cert if verify_invertibility(q, cert, classes) else None
+        return cert if verify_invertibility(q, cert) else None
 
     chi_q = tuple(int(v) for v in lattice_character(q))
     perm = {cls.class_id: permutation_lattice(g, cls) for cls in classes}
@@ -451,14 +447,13 @@ def search_invertibility_certificate(
                             m = m + c * b
                     if intmat.is_unimodular(m):
                         cert = InvertibilityCertificate(complement, m, tuple(target_spec))
-                        if verify_invertibility(q, cert, classes):
+                        if verify_invertibility(q, cert):
                             return cert
     return None
 
 
 def check_motivic_interpretation(x: GLattice,
-                                 cert: InvertibilityCertificate | None = None,
-                                 classes: list[SubgroupClass] | None = None):
+                                 cert: InvertibilityCertificate | None = None):
     """Sufficient-condition check: 'YesMetaCyclic', 'YesInvertibleCertificate',
     or 'Unknown' (never a 'no'; only sufficient conditions are known).
 
@@ -466,11 +461,10 @@ def check_motivic_interpretation(x: GLattice,
     """
     if is_metacyclic(x.group):
         return "YesMetaCyclic", None, None
-    classes = subgroup_classes(x.group) if classes is None else classes
-    res = flasque_resolution(x, classes)
-    if cert is not None and verify_invertibility(res.q_lattice, cert, classes):
+    res = flasque_resolution(x)
+    if cert is not None and verify_invertibility(res.q_lattice, cert):
         return "YesInvertibleCertificate", cert, res
-    found = search_invertibility_certificate(res.q_lattice, classes)
+    found = search_invertibility_certificate(res.q_lattice)
     if found is not None:
         return "YesInvertibleCertificate", found, res
     return "Unknown", None, res

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotRational, ShapeMismatch
+from .errors import InvariantViolation, NotRational, ShapeMismatch
 
 # Phi_n as integer coefficient tuples (ascending degree), computed by
 # exact division of x^n - 1 by the product of all lower-order Phi_d.
@@ -57,7 +57,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         if n % d == 0:
             den = _poly_mul_int(den, cyclotomic_polynomial(d))
     q, r = _poly_divmod_int(num, den)
-    assert not r, f"Phi_{n} division left a remainder"
+    if r:
+        raise InvariantViolation(f"Phi_{n} division left a remainder")
     _PHI_CACHE[n] = q
     return q
 

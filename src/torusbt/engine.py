@@ -81,19 +81,18 @@ class BTCReport:
         }
 
 
-def ono_identity(x: GLattice, classes=None) -> tuple[int, dict, dict, dict]:
+def ono_identity(x: GLattice) -> tuple[int, dict, dict, dict]:
     """(m, p_spec, q_spec, identity-json) for m*chi_X + chi_P = chi_Q."""
-    classes = subgroup_classes(x.group) if classes is None else classes
-    m, p_spec, q_spec, dec = induction.ono_decomposition(x, classes)
+    m, p_spec, q_spec, dec = induction.ono_decomposition(x)
     return m, p_spec, q_spec, dec.to_json()
 
 
-def ono_l_value(x: GLattice, r: AbelianRealization, classes=None):
+def ono_l_value(x: GLattice, r: AbelianRealization):
     """|L(X,-1)| recovered from the induction identity:
     the m-th root of prod_H |zeta_{M_H}(-1)|^{a_H}. Returns
     (root or None, identity json, warnings)."""
-    classes = subgroup_classes(x.group) if classes is None else classes
-    m, p_spec, q_spec, ident = ono_identity(x, classes)
+    classes = subgroup_classes(x.group)
+    m, p_spec, q_spec, ident = ono_identity(x)
     prod = Fraction(1)
     for cid, mult in q_spec.items():
         prod *= abs(dirichlet.zeta_minus_one(classes[cid], r)) ** mult
@@ -113,9 +112,8 @@ def btc_predict(x: GLattice, r: AbelianRealization | None,
                 debug: bool = False) -> BTCReport:
     """Full prediction report; degrades to symbolic output when the
     realization is missing, non-abelian, or not totally real."""
-    classes = subgroup_classes(x.group)
     warnings: list[str] = []
-    verdict, found_cert, _res = cohomology.check_motivic_interpretation(x, cert, classes)
+    verdict, found_cert, _res = cohomology.check_motivic_interpretation(x, cert)
     certs = None if found_cert is None else found_cert.to_json()
 
     report = BTCReport(
@@ -124,7 +122,7 @@ def btc_predict(x: GLattice, r: AbelianRealization | None,
         w_order=None, predicted_kt_order=None, two_defect_rank=None,
         certificates=certs, warnings=warnings)
 
-    _, _, _, ident = ono_identity(x, classes)
+    _, _, _, ident = ono_identity(x)
     report.ono = ident
 
     if r is None:
@@ -151,7 +149,7 @@ def btc_predict(x: GLattice, r: AbelianRealization | None,
         warnings.append(f"predicted order {report.predicted_kt_order} is not an "
                         "integer; reported as an exact rational")
 
-    root, _, ono_warn = ono_l_value(x, r, classes)
+    root, _, ono_warn = ono_l_value(x, r)
     warnings.extend(ono_warn)
     if root is not None and root != abs(lv):
         raise TorusBTError(
@@ -198,9 +196,8 @@ def weil_restriction_check(h, r: AbelianRealization,
 
 
 def shapiro_suite(r: AbelianRealization, stab_cap: int = realz.STABILIZATION_CAP) -> dict:
-    classes = subgroup_classes(r.group)
     rows = []
-    for cls in classes:
+    for cls in subgroup_classes(r.group):
         row = weil_restriction_check(cls, r, stab_cap=stab_cap)
         row["subgroup_id"] = cls.class_id
         rows.append(row)

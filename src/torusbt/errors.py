@@ -86,6 +86,3 @@ class ManifestError(TorusBTError):
             where.append(f"field {field!r}")
         suffix = f" ({', '.join(where)})" if where else ""
         super().__init__(message + suffix)
-
-
-ParseError = ManifestError

@@ -12,16 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm  # noqa: F401  (re-exported: character orders, induction)
 
-BigRational = Fraction
-
-
-def rational_from_string(s: str) -> Fraction:
-    """Parse the "num/den" wire form (den optional)."""
-    return Fraction(s)
-
-
-def rational_to_string(x: Fraction) -> str:
-    return str(Fraction(x))
+from .units import factorize
 
 
 def integer_nth_root(m: int, n: int) -> int | None:
@@ -107,10 +98,6 @@ class FinAbGroup:
     def is_trivial(self) -> bool:
         return not self.invariant_factors and self.free_rank == 0
 
-    @property
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
-
     def order(self) -> int:
         if self.free_rank:
             raise ValueError("infinite group has no order")
@@ -156,20 +143,8 @@ def from_elementary_divisors(divisors: list[int], free_rank: int = 0) -> FinAbGr
         if d == 0:
             free_rank += 1
             continue
-        if d == 1:
-            continue
-        m = d
-        p = 2
-        while p * p <= m:
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                primary.setdefault(p, []).append(p ** e)
-            p += 1
-        if m > 1:
-            primary.setdefault(m, []).append(m)
+        for p, e in factorize(d):
+            primary.setdefault(p, []).append(p ** e)
     for p in primary:
         primary[p].sort(reverse=True)
     width = max((len(v) for v in primary.values()), default=0)

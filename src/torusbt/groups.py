@@ -4,6 +4,11 @@ Groups here are tiny (Galois groups of real abelian fields, |G| <= 48),
 so everything is table-driven: elements are indices 0..n-1, closure and
 conjugacy are brute force, and subgroups are enumerated by repeatedly
 extending known subgroups by cyclic ones.
+
+The subgroup classes and the conjugacy classes of a group are computed
+once per FiniteGroup instance, on the first call of subgroup_classes or
+conjugacy_classes, and kept on it; every later call returns the same
+list. Callers must not mutate these lists.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import GroupTooLarge, NonPermutation, NotHomomorphism
+from .units import factorize
 
 SUBGROUP_ENUM_BOUND = 48
 
@@ -27,6 +33,11 @@ class FiniteGroup:
     name: str = "G"
     # Optional labels (e.g. permutation tuples) for diagnostics.
     labels: tuple = field(default=None, compare=False, hash=False)
+    # Memos of subgroup_classes and conjugacy_classes, set on first use.
+    _subgroup_classes: list | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _conjugacy_classes: list | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def op(self, a: int, b: int) -> int:
         return self.mul[a][b]
@@ -159,25 +170,19 @@ def group_from_generators(perms: list, name: str = "G") -> FiniteGroup:
 
 def conjugacy_classes(g: FiniteGroup) -> list[list[int]]:
     """Partition of element indices into conjugacy classes, identity class first."""
-    seen = [False] * g.order
-    classes = []
-    for a in range(g.order):
-        if seen[a]:
-            continue
-        orbit = sorted({g.conjugate(x, a) for x in range(g.order)})
-        for b in orbit:
-            seen[b] = True
-        classes.append(orbit)
-    classes.sort(key=lambda c: (c[0] != g.identity, c[0]))
-    return classes
-
-
-def class_of_element(g: FiniteGroup, a: int, classes=None) -> int:
-    classes = conjugacy_classes(g) if classes is None else classes
-    for i, c in enumerate(classes):
-        if a in c:
-            return i
-    raise ValueError(f"element {a} not in any class")
+    if g._conjugacy_classes is None:
+        seen = [False] * g.order
+        classes = []
+        for a in range(g.order):
+            if seen[a]:
+                continue
+            orbit = sorted({g.conjugate(x, a) for x in range(g.order)})
+            for b in orbit:
+                seen[b] = True
+            classes.append(orbit)
+        classes.sort(key=lambda c: (c[0] != g.identity, c[0]))
+        object.__setattr__(g, "_conjugacy_classes", classes)
+    return g._conjugacy_classes
 
 
 def _closure(g: FiniteGroup, seed) -> frozenset:
@@ -195,10 +200,11 @@ def _closure(g: FiniteGroup, seed) -> frozenset:
     return frozenset(elems)
 
 
-def all_subgroups(g: FiniteGroup, bound: int = SUBGROUP_ENUM_BOUND) -> list[tuple[int, ...]]:
+def all_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
     """Every subgroup as a sorted element tuple (not just up to conjugacy)."""
-    if g.order > bound:
-        raise GroupTooLarge(f"|G| = {g.order} exceeds the enumeration bound {bound}")
+    if g.order > SUBGROUP_ENUM_BOUND:
+        raise GroupTooLarge(
+            f"|G| = {g.order} exceeds the enumeration bound {SUBGROUP_ENUM_BOUND}")
     cyclics = {frozenset(_closure(g, [a])) for a in range(g.order)}
     found = {frozenset([g.identity])} | cyclics
     frontier = set(found)
@@ -217,28 +223,28 @@ def all_subgroups(g: FiniteGroup, bound: int = SUBGROUP_ENUM_BOUND) -> list[tupl
     return sorted((tuple(sorted(h)) for h in found), key=lambda t: (len(t), t))
 
 
-def subgroup_classes(g: FiniteGroup, bound: int = SUBGROUP_ENUM_BOUND) -> list[SubgroupClass]:
+def subgroup_classes(g: FiniteGroup) -> list[SubgroupClass]:
     """Subgroups up to conjugacy in a canonical order (by order, then elements)."""
-    subs = all_subgroups(g, bound)
-    remaining = set(subs)
-    classes = []
-    for h in subs:                      # already canonically sorted
-        if h not in remaining:
-            continue
-        hset = set(h)
-        conjugates = {tuple(sorted(g.conjugate(x, a) for a in h)) for x in range(g.order)}
-        normalizer = sum(1 for x in range(g.order)
-                         if {g.conjugate(x, a) for a in h} == hset)
-        for c in conjugates:
-            remaining.discard(c)
-        classes.append((h, normalizer, len(conjugates)))
-    out = []
-    for i, (h, normalizer, n_conj) in enumerate(classes):
-        out.append(SubgroupClass(
-            class_id=i, elements=h, order=len(h),
-            index=g.order // len(h), normalizer_size=normalizer,
-            n_conjugates=n_conj))
-    return out
+    if g._subgroup_classes is None:
+        subs = all_subgroups(g)
+        remaining = set(subs)
+        classes = []
+        for h in subs:                      # already canonically sorted
+            if h not in remaining:
+                continue
+            hset = set(h)
+            conjugates = {tuple(sorted(g.conjugate(x, a) for a in h))
+                          for x in range(g.order)}
+            normalizer = sum(1 for x in range(g.order)
+                             if {g.conjugate(x, a) for a in h} == hset)
+            for c in conjugates:
+                remaining.discard(c)
+            classes.append(SubgroupClass(
+                class_id=len(classes), elements=h, order=len(h),
+                index=g.order // len(h), normalizer_size=normalizer,
+                n_conjugates=len(conjugates)))
+        object.__setattr__(g, "_subgroup_classes", classes)
+    return g._subgroup_classes
 
 
 def subgroup_elements(h) -> tuple[int, ...]:
@@ -284,22 +290,6 @@ def subgroup_as_group(g: FiniteGroup, h) -> tuple[FiniteGroup, list[int]]:
     return sub, elems
 
 
-def sylow_orders(n: int) -> dict[int, int]:
-    out = {}
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            q = 1
-            while m % p == 0:
-                m //= p
-                q *= p
-            out[p] = q
-        p += 1
-    if m > 1:
-        out[m] = m
-    return out
-
-
 def is_metacyclic(g: FiniteGroup) -> bool:
     """True iff every Sylow subgroup is cyclic.
 
@@ -308,7 +298,7 @@ def is_metacyclic(g: FiniteGroup) -> bool:
     it without enumerating subgroups.
     """
     orders = {g.element_order(a) for a in range(g.order)}
-    return all(any(o % q == 0 for o in orders) for q in sylow_orders(g.order).values())
+    return all(any(o % p ** e == 0 for o in orders) for p, e in factorize(g.order))
 
 
 def left_cosets(g: FiniteGroup, elements: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import NoSolution
 from .exact import lcm
-from .groups import FiniteGroup, SubgroupClass, conjugacy_classes, subgroup_classes
+from .groups import FiniteGroup, conjugacy_classes, subgroup_classes
 from .lattices import GLattice, lattice_character, permutation_lattice
 
 
@@ -39,8 +39,8 @@ class ClassFunction:
         return all(v.denominator == 1 for v in self.values)
 
 
-def character_of(x: GLattice, classes=None) -> ClassFunction:
-    return ClassFunction(x.group, lattice_character(x, classes))
+def character_of(x: GLattice) -> ClassFunction:
+    return ClassFunction(x.group, lattice_character(x))
 
 
 @dataclass(frozen=True)
@@ -55,20 +55,12 @@ class InductionDecomposition:
                             for cid, a in sorted(self.coefficients.items())]}
 
 
-def permutation_character_table(g: FiniteGroup, classes: list[SubgroupClass] | None = None,
-                                conj_classes=None):
+def permutation_character_table(g: FiniteGroup):
     """Matrix column per subgroup class: the character of Z[G/H] on each class."""
-    classes = subgroup_classes(g) if classes is None else classes
-    conj_classes = conjugacy_classes(g) if conj_classes is None else conj_classes
-    cols = []
-    for cls in classes:
-        chi = lattice_character(permutation_lattice(g, cls), conj_classes)
-        cols.append(chi)
-    return cols
+    return [lattice_character(permutation_lattice(g, cls)) for cls in subgroup_classes(g)]
 
 
-def artin_induction(chi: ClassFunction,
-                    classes: list[SubgroupClass] | None = None) -> InductionDecomposition:
+def artin_induction(chi: ClassFunction) -> InductionDecomposition:
     """Express chi exactly through permutation characters.
 
     The linear system is often underdetermined; the solution is pinned
@@ -79,10 +71,8 @@ def artin_induction(chi: ClassFunction,
     g = chi.group
     if not chi.is_integral():
         raise NoSolution("lattice characters are integer-valued")
-    classes = subgroup_classes(g) if classes is None else classes
-    conj = conjugacy_classes(g)
-    cols = permutation_character_table(g, classes, conj)
-    nrows, ncols = len(conj), len(cols)
+    cols = permutation_character_table(g)
+    nrows, ncols = len(conjugacy_classes(g)), len(cols)
 
     if all(v == 0 for v in chi.values):
         return InductionDecomposition(1, {})
@@ -133,15 +123,14 @@ def artin_induction(chi: ClassFunction,
     return InductionDecomposition(m, coeffs)
 
 
-def ono_decomposition(x: GLattice, classes: list[SubgroupClass] | None = None):
+def ono_decomposition(x: GLattice):
     """Split the induction identity into m*chi_X + chi_P = chi_Q.
 
     Returns (m, p_spec, q_spec) where the specs map class id ->
     multiplicity; symbolically this is L(X,-1)^m = prod_H
     zeta_{M_H}(-1)^{a_H} over the fixed fields M_H.
     """
-    classes = subgroup_classes(x.group) if classes is None else classes
-    dec = artin_induction(character_of(x), classes)
+    dec = artin_induction(character_of(x))
     p_spec = {cid: -a for cid, a in dec.coefficients.items() if a < 0}
     q_spec = {cid: a for cid, a in dec.coefficients.items() if a > 0}
     return dec.m, p_spec, q_spec, dec

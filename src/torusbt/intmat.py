@@ -425,11 +425,6 @@ def solve_exact(mat: IntMatrix, rhs: IntMatrix) -> IntMatrix | None:
     return v @ from_columns(zcols, mat.cols)
 
 
-def in_column_span(mat: IntMatrix, vec: tuple[int, ...]) -> bool:
-    """Is vec an integer combination of the columns of mat?"""
-    return solve_exact(mat, from_columns([vec], mat.rows)) is not None
-
-
 def lattice_quotient(basis: IntMatrix, sub_gens: IntMatrix) -> FinAbGroup:
     """Structure of (lattice with given basis columns) / (span of sub_gens columns).
 

@@ -197,26 +197,6 @@ def is_permutation_lattice(x: GLattice) -> bool:
     return all(m.is_permutation() for m in x.action)
 
 
-def permutation_orbit_stabilizers(x: GLattice) -> list[tuple[int, tuple[int, ...]]]:
-    """For a literal permutation lattice: (base index, stabilizer) per basis
-    orbit, so X = (+) Z[G/stab] with the base as distinguished coset."""
-    assert is_permutation_lattice(x)
-    g = x.group
-    remaining = set(range(x.rank))
-    out = []
-    while remaining:
-        b = min(remaining)
-        orbit = {b}
-        for a in range(g.order):
-            col = x.action[a].col(b)
-            orbit.add(col.index(1))
-        remaining -= orbit
-        stab = tuple(sorted(a for a in range(g.order)
-                            if x.action[a].col(b).index(1) == b))
-        out.append((b, stab))
-    return out
-
-
 def invariant_basis(x: GLattice, h) -> IntMatrix:
     """HNF basis (columns) of the fixed sublattice X^H."""
     elems = subgroup_elements(h)
@@ -250,11 +230,10 @@ def norm_element_matrix(x: GLattice, h) -> IntMatrix:
     return out
 
 
-def lattice_character(x: GLattice, classes=None) -> tuple[Fraction, ...]:
+def lattice_character(x: GLattice) -> tuple[Fraction, ...]:
     """Trace of the action on each conjugacy class (checked constant on classes)."""
-    classes = conjugacy_classes(x.group) if classes is None else classes
     values = []
-    for cls in classes:
+    for cls in conjugacy_classes(x.group):
         traces = {sum(x.action[a].data[i][i] for i in range(x.rank)) for a in cls}
         if len(traces) != 1:
             raise NotHomomorphism(f"trace not constant on class {cls}")

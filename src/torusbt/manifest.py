@@ -294,7 +294,6 @@ def _run_command(cmd: str, man: Manifest) -> dict:
     stab_cap = int(man.options.get("stab_cap", realz.STABILIZATION_CAP))
     prime_cap = int(man.options.get("prime_cap", 50))
     debug = bool(man.options.get("debug_oracles", False))
-    classes = subgroup_classes(man.group)
 
     if cmd == "predict":
         return engine.btc_predict(x, r, stab_cap=stab_cap, debug=debug).to_json()
@@ -309,14 +308,14 @@ def _run_command(cmd: str, man: Manifest) -> dict:
         out = wres.to_json()
         return {"w_total": out["total"], "w_breakdown": out["breakdown"], "m_global": m}
     if cmd == "resolve":
-        res = cohomology.flasque_resolution(x, classes)
+        res = cohomology.flasque_resolution(x)
         out = res.to_json()
         out["q_action"] = {str(a): m.tolist() for a, m in enumerate(res.q_lattice.action)}
-        out["subgroups"] = engine.subgroup_table_json(classes)
+        out["subgroups"] = engine.subgroup_table_json(subgroup_classes(x.group))
         out["flasque_checked"] = True
         return out
     if cmd == "motivic":
-        verdict, cert, _ = cohomology.check_motivic_interpretation(x, classes=classes)
+        verdict, cert, _ = cohomology.check_motivic_interpretation(x)
         return {"verdict": verdict,
                 "certificate": None if cert is None else cert.to_json()}
     if cmd == "real-decompose":

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import intmat
-from .errors import (BadReduction, NotHomomorphism, NotSurjective,
-                     StabilizationBoundExceeded)
+from .errors import (BadReduction, InvariantViolation, NotHomomorphism,
+                     NotSurjective, StabilizationBoundExceeded)
 from .groups import FiniteGroup, subgroup_elements
 from .intmat import IntMatrix
 from .lattices import GLattice
@@ -38,11 +38,6 @@ class AbelianRealization:
         if self.modulus == 1:
             return self.group.identity
         return self._table[a % self.modulus]
-
-    @property
-    def canonical_images(self) -> dict[int, int]:
-        table = dict(self.pi_table)
-        return {g: table[g] for g in unit_group(self.modulus).generators}
 
     def unit_preimage(self, h) -> set[int]:
         elems = set(subgroup_elements(h))
@@ -76,9 +71,7 @@ def realization_from_images(group: FiniteGroup, modulus: int,
         if norm_images.get(u, e) != e:
             raise NotHomomorphism(f"conflicting images for unit {u}")
         norm_images[u] = e
-    table = {1 % modulus if modulus == 1 else 1: group.identity}
-    if modulus == 1:
-        table = {1: group.identity}
+    table = {1: group.identity}
     frontier = [1]
     while frontier:
         new = []
@@ -99,8 +92,8 @@ def realization_from_images(group: FiniteGroup, modulus: int,
         raise NotHomomorphism("supplied units do not generate (Z/f)*")
     if set(table.values()) != set(range(group.order)):
         raise NotSurjective("images do not generate the whole group")
-    minus_one = (modulus - 1) % modulus if modulus > 2 else 1
-    totally_real = table[minus_one if modulus > 2 else 1] == group.identity
+    minus_one = modulus - 1 if modulus > 2 else 1
+    totally_real = table[minus_one] == group.identity
     return AbelianRealization(
         group, modulus, tuple(sorted(norm_images.items())),
         tuple(sorted(table.items())), totally_real)
@@ -202,8 +195,8 @@ def _stable_part(rank: int, rho_of, f: int, p: int, twist: int, side: str,
     for k in range(1, cap + 1):
         o = level(k)
         if prev is not None and o == prev:
-            if debug:
-                assert level(k + 1) == o, "stabilization check at depth+2 failed"
+            if debug and level(k + 1) != o:
+                raise InvariantViolation("stabilization check at depth+2 failed")
             return o, k - 1
         prev = o
     raise StabilizationBoundExceeded(
@@ -220,7 +213,7 @@ def _next_primes_outside(candidates: list[int], count: int = 3) -> list[int]:
     out = []
     n = 2
     while len(out) < count:
-        if all(n % d for d in range(2, int(n ** 0.5) + 1)) and n not in candidates:
+        if is_prime(n) and n not in candidates:
             out.append(n)
         n += 1
     return out
@@ -247,7 +240,8 @@ def w_group_order(x: GLattice, r: AbelianRealization,
     if debug:
         for p in _next_primes_outside([p for p, _, _ in parts]):
             part, _ = _stable_part(x.rank, rho_of, f, p, 2, "invariants", cap=cap)
-            assert part == 1, f"candidate-prime completeness fails at p = {p}"
+            if part != 1:
+                raise InvariantViolation(f"candidate-prime completeness fails at p = {p}")
     total = 1
     for _, part, _ in parts:
         total *= part
@@ -291,7 +285,7 @@ def w2_of_subfield(h, r: AbelianRealization, cap: int = STABILIZATION_CAP) -> in
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    return factorize(n) == [(n, 1)]
 
 
 def local_point_count(x: GLattice, r: AbelianRealization, ell: int) -> int:

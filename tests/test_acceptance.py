@@ -253,9 +253,8 @@ def test_criterion_8_metacyclic_classifier():
 def test_criterion_9_artin_ono_identities():
     for f in all_fixtures():
         g = f.lattice.group
-        classes = subgroup_classes(g)
-        cols = permutation_character_table(g, classes)
-        m, p_spec, q_spec, _ = ono_decomposition(f.lattice, classes)
+        cols = permutation_character_table(g)
+        m, p_spec, q_spec, _ = ono_decomposition(f.lattice)
         chi = character_of(f.lattice).values
         for i in range(len(chi)):
             lhs = m * chi[i] + sum(mult * cols[j][i] for j, mult in p_spec.items())

@@ -144,7 +144,6 @@ def test_sign_lattice_has_no_rank1_complement(c2):
     """Exhaustive: Z^- (+) any rank-1 C2-lattice never matches a rank-2
     permutation lattice through a unimodular map with entries in -1..1."""
     zm = lat.sign_lattice(c2)
-    classes = subgroup_classes(c2)
     complements = [lat.trivial_lattice(c2), lat.sign_lattice(c2)]
     targets = [(0,), (1, 1)]                   # Z[C2] or Z (+) Z
     found = False
@@ -154,7 +153,7 @@ def test_sign_lattice_has_no_rank1_complement(c2):
             if not intmat.is_unimodular(iso):
                 continue
             cert = coh.InvertibilityCertificate(comp, iso, tspec)
-            if coh.verify_invertibility(zm, cert, classes):
+            if coh.verify_invertibility(zm, cert):
                 found = True
     assert not found
 
@@ -271,7 +270,7 @@ def test_flasque_postconditions_are_typed_errors(c2, monkeypatch):
     with pytest.raises(InvariantViolation, match="not equivariant"):
         coh.flasque_resolution(x)
     monkeypatch.undo()
-    monkeypatch.setattr(coh, "is_flasque", lambda q, classes: (False, "forced"))
+    monkeypatch.setattr(coh, "is_flasque", lambda q: (False, "forced"))
     with pytest.raises(InvariantViolation, match="not flasque"):
         coh.flasque_resolution(x)
 
@@ -365,7 +364,7 @@ def _oracle_search(q, classes, rank_bound, pair_budget, seen, coeff_bound=2,
                     if intmat.is_unimodular(m):
                         cert = coh.InvertibilityCertificate(
                             complement, m, tuple(target_spec))
-                        if coh.verify_invertibility(q, cert, classes):
+                        if coh.verify_invertibility(q, cert):
                             return cert
     return None
 
@@ -414,7 +413,7 @@ def test_certificate_search_matches_pair_by_pair_oracle(c2, s3, v4, d4, a4, monk
     for g in (s3, d4, a4, v4):
         classes = subgroup_classes(g)
         for x in (lat.norm_one_lattice(g), lat.dual(lat.norm_one_lattice(g))):
-            q = coh.flasque_resolution(x, classes).q_lattice
+            q = coh.flasque_resolution(x).q_lattice
             cases += [(q, classes, 1, 200), (q, classes, 1, 1)]
     for key, g in (("s3", s3), ("v4", v4)):
         classes = subgroup_classes(g)
@@ -431,7 +430,7 @@ def test_certificate_search_matches_pair_by_pair_oracle(c2, s3, v4, d4, a4, monk
     for q, classes, rank_bound, pair_budget in cases:
         new, new_pairs = _search_with_profiles(
             monkeypatch, lambda: coh.search_invertibility_certificate(
-                q, classes, rank_bound=rank_bound, pair_budget=pair_budget))
+                q, rank_bound=rank_bound, pair_budget=pair_budget))
         old_pairs = []
         old = _oracle_search(q, classes, rank_bound, pair_budget, old_pairs)
         assert (new and new.to_json()) == (old and old.to_json()), (q.group.name, q.rank)
@@ -443,13 +442,13 @@ def test_certificate_search_matches_pair_by_pair_oracle(c2, s3, v4, d4, a4, monk
 
 def test_certificate_search_profiles_each_summand_once(d4, monkeypatch):
     classes = subgroup_classes(d4)
-    q = coh.flasque_resolution(lat.norm_one_lattice(d4), classes).q_lattice
+    q = coh.flasque_resolution(lat.norm_one_lattice(d4)).q_lattice
     calls = {"h1": 0, "tate_h0": 0}
     for name in calls:
         def counted(h, x, _name=name, _f=getattr(coh, name)):
             calls[_name] += 1
             return _f(h, x)
         monkeypatch.setattr(coh, name, counted)
-    assert coh.search_invertibility_certificate(q, classes) is None
+    assert coh.search_invertibility_certificate(q) is None
     bound = (1 + len(classes)) * len(classes)       # Q and each Z[G/H], every class
     assert 0 < calls["h1"] <= bound and 0 < calls["tate_h0"] <= bound, calls

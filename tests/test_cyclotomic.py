@@ -1,8 +1,9 @@
 import pytest
 from fractions import Fraction
 
+from torusbt import cyclotomic as cyc
 from torusbt.cyclotomic import CyclotomicNumber, cyclotomic_polynomial, phi_degree
-from torusbt.errors import NotRational
+from torusbt.errors import InvariantViolation, NotRational
 from torusbt.units import euler_phi, units_mod
 
 
@@ -76,3 +77,10 @@ def test_mixed_order_arithmetic_is_rejected():
     b = CyclotomicNumber.zeta_power(4, 1)
     with pytest.raises(Exception):
         _ = a + b
+
+
+def test_phi_remainder_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(cyc, "_PHI_CACHE", {})
+    monkeypatch.setattr(cyc, "_poly_divmod_int", lambda num, den: ((1,), (1,)))
+    with pytest.raises(InvariantViolation, match="remainder"):
+        cyclotomic_polynomial(1)

@@ -93,6 +93,17 @@ def test_subgroup_classes_deterministic(s3):
     assert subgroup_classes(s3) == subgroup_classes(s3)
 
 
+def test_classes_are_computed_per_group_instance():
+    """Two equal groups built separately enumerate independently and agree;
+    one instance hands back its stored lists."""
+    a, b = (group_from_generators([[1, 2, 0], [1, 0, 2]]) for _ in range(2))
+    assert a == b and a is not b
+    for classes in (subgroup_classes, conjugacy_classes):
+        assert classes(a) == classes(b)
+        assert classes(a) is not classes(b)
+        assert classes(a) is classes(a)
+
+
 def test_group_too_large():
     with pytest.raises(GroupTooLarge):
         subgroup_classes(cyclic_group(50))

@@ -13,9 +13,8 @@ from torusbt.induction import (ClassFunction, artin_induction, character_of,
                                ono_decomposition, permutation_character_table)
 
 
-def reconstruct(g, dec, classes=None):
-    classes = subgroup_classes(g) if classes is None else classes
-    cols = permutation_character_table(g, classes)
+def reconstruct(g, dec):
+    cols = permutation_character_table(g)
     n = len(conjugacy_classes(g))
     return tuple(sum(dec.coefficients.get(j, 0) * cols[j][i]
                      for j in range(len(cols))) for i in range(n))
@@ -115,10 +114,9 @@ def test_ono_decomposition_examples(c2):
 def test_ono_identity_on_catalog(c2, s3, v4):
     pool = catalog_pool(c2, s3, v4)
     for key, g in (("c2", c2), ("s3", s3), ("v4", v4)):
-        classes = subgroup_classes(g)
-        cols = permutation_character_table(g, classes)
+        cols = permutation_character_table(g)
         for x in pool[key]:
-            m, p_spec, q_spec, _ = ono_decomposition(x, classes)
+            m, p_spec, q_spec, _ = ono_decomposition(x)
             chi = character_of(x).values
             nclasses = len(chi)
             for i in range(nclasses):

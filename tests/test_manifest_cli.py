@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from torusbt import groups
 from torusbt.cli import main as cli_main
 from torusbt.errors import ManifestError
 from torusbt.manifest import parse_manifest, run_manifest
@@ -239,3 +240,41 @@ def test_wrong_size_action_matrix_is_manifest_error():
     with pytest.raises(ManifestError) as err:
         parse_manifest(NORMONE.replace("action.g0 = [[-1]]", "action.g0 = [[-1, 0]]"))
     assert err.value.field == "lattice"
+
+
+def _cyclic_manifest(n, action, modulus, commands):
+    """C_n generated by an n-cycle, with 2 mapped to that generator."""
+    shift = [(i + 1) % n for i in range(n)]
+    return (f"[group]\ngenerators = [{shift}]\n"
+            f"[lattice]\nrank = {len(action)}\naction.g0 = {action}\n"
+            f"[realization]\nmodulus = {modulus}\nimages = {{2: 1}}\n"
+            f"[commands]\nrun = {commands}\n")
+
+
+def test_manifest_run_enumerates_subgroups_once(monkeypatch):
+    """Res of Q(zeta_13)^+ (Z[C6]) through every command that reads subgroups."""
+    calls = []
+    real = groups.all_subgroups
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+    monkeypatch.setattr(groups, "all_subgroups", counted)
+    regular = [[1 if i == (j + 1) % 6 else 0 for j in range(6)] for i in range(6)]
+    man = parse_manifest(_cyclic_manifest(
+        6, regular, 13, "predict, lvalue, wgroup, resolve, real-decompose, "
+                        "local-table, check-shapiro"))
+    report, _ = run_manifest(man)
+    assert not [c for c in report["commands"].values() if "error" in c]
+    assert len(calls) == 1
+
+
+def test_commands_without_subgroups_run_past_the_enumeration_bound():
+    """|C50| = 50 is past SUBGROUP_ENUM_BOUND: only predict needs the classes."""
+    man = parse_manifest(_cyclic_manifest(
+        50, [[1]], 101, "lvalue, wgroup, local-table, predict"))
+    out = run_manifest(man)[0]["commands"]
+    assert out["lvalue"]["l_value"] == "-1/12"
+    assert out["wgroup"]["w_total"] == 24
+    assert out["local-table"]["local_table"]
+    assert out["predict"]["error"]["type"] == "GroupTooLarge"

@@ -1,9 +1,10 @@
 """Suites whose invariants are typed errors, run under ``python -O``.
 
 ``-O`` strips ``assert`` statements, so any invariant of the library that
-still rested on one would silently stop being checked. The checks on the
-Dirichlet path, in ``validate`` and in ``flasque_resolution`` are typed
-errors; this runs their tests with asserts off.
+still rested on one would silently stop being checked. No check in the
+library is an ``assert``: those on the Dirichlet path, in ``cyclotomic``,
+``realization``, ``validate`` and ``flasque_resolution`` are typed errors;
+this runs their tests with asserts off.
 """
 
 import os
@@ -26,7 +27,8 @@ def _passes_under_python_O(*paths):
 
 
 def test_dirichlet_suite_passes_under_python_O():
-    _passes_under_python_O("tests/test_dirichlet.py", "tests/test_dirichlet_oracles.py")
+    _passes_under_python_O("tests/test_dirichlet.py", "tests/test_dirichlet_oracles.py",
+                           "tests/test_cyclotomic.py", "tests/test_realization.py")
 
 
 def test_lattice_and_cohomology_suites_pass_under_python_O():

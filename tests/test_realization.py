@@ -4,10 +4,11 @@ import pytest
 from conftest import oracle_w2
 from torusbt import intmat
 from torusbt import lattices as lat
-from torusbt.errors import (BadReduction, NotHomomorphism, NotSurjective,
-                            StabilizationBoundExceeded)
+from torusbt import realization as realz
+from torusbt.errors import (BadReduction, InvariantViolation, NotHomomorphism,
+                            NotSurjective, StabilizationBoundExceeded)
 from torusbt.groups import cyclic_group, subgroup_classes
-from torusbt.realization import (global_coinvariants_order, local_point_count,
+from torusbt.realization import (global_coinvariants_order, is_prime, local_point_count,
                                  realization_from_images, validate_realization,
                                  w2_of_subfield, w_group_order)
 
@@ -221,3 +222,28 @@ def test_candidate_prime_completeness_debug(c2, v4, r5, r40):
     w_group_order(lat.permutation_lattice(c2, (0,)), r5, debug=True)
     w_group_order(lat.sign_lattice(c2), r5, debug=True)
     w_group_order(lat.dual(lat.norm_one_lattice(v4)), r40, debug=True)
+
+
+def test_stabilization_debug_check_is_a_typed_error(c2, r5, monkeypatch):
+    """Orders 1, 1 at depths 1, 2 and then 2 at depth 3: the depth+2
+    check of the debug oracles must fail."""
+    monkeypatch.setattr(realz, "_solution_count",
+                        lambda mats, rank, pk, side: 1 if pk < 8 else 2)
+    with pytest.raises(InvariantViolation, match="depth\\+2"):
+        w_group_order(lat.permutation_lattice(c2, (0,)), r5, debug=True)
+
+
+def test_candidate_prime_debug_check_is_a_typed_error(c2, r5, monkeypatch):
+    """Every prime, candidate or not, reports a part of 2."""
+    monkeypatch.setattr(realz, "_solution_count", lambda mats, rank, pk, side: 2)
+    with pytest.raises(InvariantViolation, match="candidate-prime completeness"):
+        w_group_order(lat.permutation_lattice(c2, (0,)), r5, debug=True)
+
+
+def test_is_prime_matches_a_sieve():
+    sieve = [False, False] + [True] * 498
+    for n in range(2, 23):
+        for m in range(n * n, 500, n):
+            sieve[m] = False
+    assert [n for n in range(-5, 500) if is_prime(n)] == \
+        [n for n in range(500) if sieve[n]]
