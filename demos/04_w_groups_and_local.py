@@ -1,11 +1,12 @@
 """Twisted Galois invariants: the W-group, global coinvariants, and
 good-reduction point counts.
 
-|W^T(Q)| is computed prime by prime: at level p^k the Galois generators
-act on X (x) Z/p^k by a^2 * rho(pi(a)), the invariant count is read off
-a Smith form, and k grows until the count stabilizes. The same loop
-with twist a^1 and cokernels gives the global coinvariants order m of
-the localization sequence. Local components at good primes are plain
+|W^T(Q)| is computed prime by prime: generators a of (Z/f p^2)* (of
+(Z/8f)* for p = 2) act on X (x) Q_p/Z_p(2) by a^2 * rho(pi(a)), and the
+p-part and its depth are read off the p-adic valuations of one Smith
+form of the stacked a^2 rho(a) - 1. The same form with twist a^1 and
+cokernels gives the global coinvariants order m of the localization
+sequence. Local components at good primes are plain
 determinants |det(ell * rho(Frob_ell) - 1)|.
 """
 
@@ -19,7 +20,7 @@ for name in ("gm_q", "res_sqrt5", "normone_5", "dual_normone_v4"):
     print(f"== {name}")
     print(f"   |W| = {res.total}")
     for p, part, depth in res.parts:
-        print(f"     p = {p}: part {part} (stabilized at depth {depth})")
+        print(f"     p = {p}: part {part} (depth {depth})")
     print(f"   global coinvariants order m = {m}")
     table = local_table(f.lattice, f.realization, prime_cap=20)
     pretty = ", ".join(f"#T(F_{row['ell']}) = {row['count']}" for row in table)

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import cohomology, dirichlet, induction, lattices, realization as realz
-from .errors import (CharacterMismatch, NonAbelianRealization, NotTotallyReal,
-                     TorusBTError)
+from .errors import CharacterMismatch, TorusBTError
 from .exact import odd_part, rational_nth_root, two_power_ratio
 from .groups import SubgroupClass, subgroup_classes
 from .lattices import GLattice
@@ -87,12 +86,9 @@ def ono_identity(x: GLattice) -> tuple[int, dict, dict, dict]:
     return m, p_spec, q_spec, dec.to_json()
 
 
-def ono_l_value(x: GLattice, r: AbelianRealization):
-    """|L(X,-1)| recovered from the induction identity:
-    the m-th root of prod_H |zeta_{M_H}(-1)|^{a_H}. Returns
-    (root or None, identity json, warnings)."""
-    classes = subgroup_classes(x.group)
-    m, p_spec, q_spec, ident = ono_identity(x)
+def _ono_root(m: int, p_spec: dict, q_spec: dict, r: AbelianRealization):
+    """(m-th root of prod_H |zeta_{M_H}(-1)|^{a_H} or None, warnings)."""
+    classes = subgroup_classes(r.group)
     prod = Fraction(1)
     for cid, mult in q_spec.items():
         prod *= abs(dirichlet.zeta_minus_one(classes[cid], r)) ** mult
@@ -103,6 +99,15 @@ def ono_l_value(x: GLattice, r: AbelianRealization):
     if root is None:
         warnings.append(
             f"ono cross-check: {prod} has no exact rational {m}-th root")
+    return root, warnings
+
+
+def ono_l_value(x: GLattice, r: AbelianRealization):
+    """|L(X,-1)| recovered from the induction identity:
+    the m-th root of prod_H |zeta_{M_H}(-1)|^{a_H}. Returns
+    (root or None, identity json, warnings)."""
+    m, p_spec, q_spec, ident = ono_identity(x)
+    root, warnings = _ono_root(m, p_spec, q_spec, r)
     return root, ident, warnings
 
 
@@ -122,8 +127,7 @@ def btc_predict(x: GLattice, r: AbelianRealization | None,
         w_order=None, predicted_kt_order=None, two_defect_rank=None,
         certificates=certs, warnings=warnings)
 
-    _, _, _, ident = ono_identity(x)
-    report.ono = ident
+    m, p_spec, q_spec, report.ono = ono_identity(x)
 
     if r is None:
         if not x.group.is_abelian():
@@ -149,15 +153,15 @@ def btc_predict(x: GLattice, r: AbelianRealization | None,
         warnings.append(f"predicted order {report.predicted_kt_order} is not an "
                         "integer; reported as an exact rational")
 
-    root, _, ono_warn = ono_l_value(x, r)
+    root, ono_warn = _ono_root(m, p_spec, q_spec, r)
     warnings.extend(ono_warn)
     if root is not None and root != abs(lv):
         raise TorusBTError(
             f"ono cross-check mismatch: direct |L| = {abs(lv)}, induction route {root}")
 
-    conj = r.pi(r.modulus - 1 if r.modulus > 2 else 1)
-    a, _, _, _ = cohomology.real_decomposition(x, conj)
-    report.two_defect_rank = a
+    # r is totally real, so conj = pi(-1) is the identity: H^0 = Z^r/2Z^r
+    # and H^1 = 0, and real_decomposition would return a = x.rank.
+    report.two_defect_rank = x.rank
     return report
 
 

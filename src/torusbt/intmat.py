@@ -1,9 +1,11 @@
 """Arbitrary-precision integer matrices and their normal forms.
 
-Everything here is exact: entries are Python ints, transforms are kept
-unimodular, and no modular shortcuts are taken. The Smith form drives
-all kernel/cokernel computations in the package. Matrices are immutable
-(tuple-of-row-tuples) so they can be shared freely across threads.
+Everything here is exact: entries are Python ints and transforms are
+kept unimodular. The Smith form drives all kernel/cokernel computations
+in the package; the one modular routine, smith_valuations, reads the
+p-adic valuations of its diagonal by elimination mod p^k. Matrices are
+immutable (tuple-of-row-tuples) so they can be shared freely across
+threads.
 """
 
 from __future__ import annotations
@@ -329,6 +331,38 @@ def snf_diagonal(mat: IntMatrix) -> list[int]:
     a = [list(r) for r in mat.data]
     _snf_inplace(a, mat.rows, mat.cols)
     return [a[i][i] for i in range(min(mat.rows, mat.cols))]
+
+
+def smith_valuations(mat: IntMatrix, p: int, k: int) -> list[int]:
+    """min(v_p(d_i), k) for the Smith diagonal d_1 | d_2 | ... of mat.
+
+    Gaussian elimination over Z/p^k, where every ideal is a power of p.
+    Every live entry stays divisible by p^v, v the last pivot valuation;
+    a pivot of valuation exactly v divides its column, so row operations
+    clear it, and the column operations that would clear its row touch
+    no other row, so its row and column are dropped. Entries stay below
+    p^k.
+    """
+    pk = p ** k
+    rows = [[a % pk for a in r] for r in mat.data]
+    live = list(range(mat.cols))
+    out, v = [], 0
+    while rows and live and v < k:
+        pv = p ** (v + 1)
+        hit = next(((i, j) for i, r in enumerate(rows) for j in live if r[j] % pv), None)
+        if hit is None:
+            v += 1
+            continue
+        i, j = hit
+        piv = rows.pop(i)
+        inv = pow(piv[j] // p ** v, -1, pk)
+        for r in rows:
+            q = r[j] // p ** v * inv % pk
+            if q:
+                r[:] = [(a - q * b) % pk for a, b in zip(r, piv)]
+        live.remove(j)
+        out.append(v)
+    return out + [k] * (min(mat.rows, mat.cols) - len(out))
 
 
 def rank(mat: IntMatrix) -> int:

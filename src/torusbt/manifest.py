@@ -234,6 +234,11 @@ def parse_manifest(text: str) -> Manifest:
             man.realization = realization_from_images(man.group, modulus, images)
         except TorusBTError as exc:
             raise ManifestError(str(exc), line=fln, field="realization")
+    for part in (man.lattice, man.realization):
+        if part is not None and part.group.mul != man.group.mul:
+            raise ManifestError("the fixture's lattice and realization are over its own "
+                                "group; a different [group] needs its own [lattice] "
+                                "and [realization]", field="group")
 
     if "commands" in sections:
         raw, ln = sections["commands"].get("run", (None, 0))

@@ -2,22 +2,22 @@
 
 A realization presents the splitting field L inside Q(mu_f) as a
 surjection pi: (Z/f)* -> G. The absolute Galois group then acts on
-X (x) Z/p^k(j) through sigma_a |-> a^j * rho(pi(a mod f)), and the
-W-group / coinvariant orders are read off from kernels and cokernels
-mod p^k, stabilized in k prime by prime.
+X (x) Z_p(j) through sigma_a |-> a^j * rho(pi(a mod f)). For each
+candidate prime p, one Smith form over Z/p^cap of the stacked
+a^j rho(a) - 1, a running over generators of (Z/f p^2)* (of (Z/8f)*
+for p = 2), gives the p-part of the W-group / coinvariant orders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from . import intmat
 from .errors import (BadReduction, InvariantViolation, NotHomomorphism,
                      NotSurjective, StabilizationBoundExceeded)
 from .groups import FiniteGroup, subgroup_elements
-from .intmat import IntMatrix
-from .lattices import GLattice
+from .lattices import GLattice, trivial_lattice
 from .units import factorize, unit_group, units_mod
 
 STABILIZATION_CAP = 30
@@ -155,52 +155,36 @@ def _restricted_unit_generators(n: int, f: int, allowed: set[int]) -> list[int]:
     return sorted(set(gens))
 
 
-def _solution_count(mats: list[IntMatrix], rank: int, pk: int, side: str) -> int:
-    """Order of ker / coker of the stacked action-constraint matrices mod p^k."""
-    if rank == 0:
-        return 1
-    if side == "invariants":
-        stacked = intmat.vstack(mats) if mats else intmat.zeros(0, rank)
-    else:
-        stacked = intmat.hstack(mats) if mats else intmat.zeros(rank, 0)
-    ds = intmat.snf_diagonal(stacked)
-    ds += [0] * (rank - len(ds))
-    out = 1
-    for d in ds[:rank]:
-        out *= gcd(d, pk) if d else pk
-    return out
+def _stable_part(x: GLattice, r: AbelianRealization, p: int, twist: int,
+                 side: str, cap: int, allowed: set[int] | None = None) -> tuple[int, int]:
+    """(p-part, depth) of the twisted invariants or coinvariants.
 
-
-def _stable_part(rank: int, rho_of, f: int, p: int, twist: int, side: str,
-                 allowed: set[int] | None = None, cap: int = STABILIZATION_CAP,
-                 debug: bool = False) -> tuple[int, int]:
-    """Stabilized p-part: order at level p^k once o_{k+1} = o_k.
-
-    Equal consecutive orders mean the p-primary group has no element of
-    the next order, so it equals its p^k-torsion.
+    The action factors through Gal(Q(mu_{f p^inf})/Q), and the kernel of
+    its reduction to (Z/n)*, n = f p^2 (8f for p = 2), lies in its
+    Frattini subgroup. So integers whose residues generate (Z/n)* (or
+    the preimage of `allowed`) generate it topologically, and the part
+    is p^(sum v_i) for the p-adic valuations v_i of the Smith diagonal
+    of the stacked a^twist rho(a) - 1 (its transposed blocks on the
+    coinvariants side); the depth is max(1, max v_i). Valuations are
+    read at precision p^cap, so one that reaches cap, a zero d_i (an
+    infinite group) included, raises.
     """
-    def level(k: int) -> int:
-        pk = p ** k
-        n = f * pk
-        gens = (_restricted_unit_generators(n, f, allowed) if allowed is not None
-                else list(unit_group(n).generators))
-        ident = intmat.identity(rank)
-        mats = []
-        for a in gens:
-            scalar = pow(a, twist, pk)
-            mats.append((scalar * rho_of(a) - ident).mod(pk))
-        return _solution_count(mats, rank, pk, side)
-
-    prev = None
-    for k in range(1, cap + 1):
-        o = level(k)
-        if prev is not None and o == prev:
-            if debug and level(k + 1) != o:
-                raise InvariantViolation("stabilization check at depth+2 failed")
-            return o, k - 1
-        prev = o
-    raise StabilizationBoundExceeded(
-        f"p = {p} did not stabilize within depth {cap}")
+    pk = p ** cap
+    n = r.modulus * (8 if p == 2 else p * p)
+    gens = (_restricted_unit_generators(n, r.modulus, allowed) if allowed is not None
+            else unit_group(n).generators)
+    ident = intmat.identity(x.rank)
+    blocks = [pow(a, twist, pk) * x.action[r.pi(a)] - ident for a in gens]
+    if side == "coinvariants":
+        blocks = [b.transpose() for b in blocks]
+    stacked = intmat.vstack(blocks) if blocks else intmat.zeros(0, x.rank)
+    vs = intmat.smith_valuations(stacked, p, cap)
+    vs += [cap] * (x.rank - len(vs))
+    depth = max(1, max(vs, default=0))
+    if depth >= cap:
+        raise StabilizationBoundExceeded(
+            f"p = {p} did not stabilize within depth {cap}")
+    return p ** sum(vs), depth
 
 
 def _candidate_primes(f: int, extra: tuple[int, ...]) -> list[int]:
@@ -225,63 +209,33 @@ def w_group_order(x: GLattice, r: AbelianRealization,
 
     Candidate primes are {2, 3} and the divisors of f: away from the
     conductor the twist acts by the full square scalar, which fixes
-    anything mod p only for p <= 3.
+    anything mod p only for p <= 3. With debug, the three smallest
+    primes outside that set are checked to contribute nothing.
     """
-    f = r.modulus
-
-    def rho_of(a: int) -> IntMatrix:
-        return x.action[r.pi(a)]
-
-    parts = []
-    for p in _candidate_primes(f, (2, 3)):
-        part, depth = _stable_part(x.rank, rho_of, f, p, 2, "invariants",
-                                   cap=cap, debug=debug)
-        parts.append((p, part, depth))
+    ps = _candidate_primes(r.modulus, (2, 3))
+    parts = tuple((p, *_stable_part(x, r, p, 2, "invariants", cap)) for p in ps)
     if debug:
-        for p in _next_primes_outside([p for p, _, _ in parts]):
-            part, _ = _stable_part(x.rank, rho_of, f, p, 2, "invariants", cap=cap)
-            if part != 1:
+        for p in _next_primes_outside(ps):
+            if _stable_part(x, r, p, 2, "invariants", cap)[0] != 1:
                 raise InvariantViolation(f"candidate-prime completeness fails at p = {p}")
-    total = 1
-    for _, part, _ in parts:
-        total *= part
-    return WGroupResult(total, tuple(parts))
+    return WGroupResult(prod(part for _, part, _ in parts), parts)
 
 
 def global_coinvariants_order(x: GLattice, r: AbelianRealization,
-                              cap: int = STABILIZATION_CAP,
-                              debug: bool = False) -> int:
+                              cap: int = STABILIZATION_CAP) -> int:
     """Order m of the twist-1 Tate-module coinvariants (the global term
     of the localization sequence); candidate primes {2} and divisors of f."""
-    f = r.modulus
-
-    def rho_of(a: int) -> IntMatrix:
-        return x.action[r.pi(a)]
-
-    total = 1
-    for p in _candidate_primes(f, (2,)):
-        part, _ = _stable_part(x.rank, rho_of, f, p, 1, "coinvariants",
-                               cap=cap, debug=debug)
-        total *= part
-    return total
+    return prod(_stable_part(x, r, p, 1, "coinvariants", cap)[0]
+                for p in _candidate_primes(r.modulus, (2,)))
 
 
 def w2_of_subfield(h, r: AbelianRealization, cap: int = STABILIZATION_CAP) -> int:
-    """w_2(M) for the fixed field M of H: the same stabilized invariants
-    computation run on the trivial rank-1 module with Frobenii restricted
-    to the unit preimage of H."""
-    allowed = r.unit_preimage(h)
-    one = intmat.identity(1)
-
-    def rho_of(a: int) -> IntMatrix:
-        return one
-
-    total = 1
-    for p in _candidate_primes(r.modulus, (2, 3)):
-        part, _ = _stable_part(1, rho_of, r.modulus, p, 2, "invariants",
-                               allowed=allowed, cap=cap)
-        total *= part
-    return total
+    """w_2(M) for the fixed field M of H: the same invariants computation
+    run on the trivial rank-1 module with Frobenii restricted to the unit
+    preimage of H."""
+    one, allowed = trivial_lattice(r.group), r.unit_preimage(h)
+    return prod(_stable_part(one, r, p, 2, "invariants", cap, allowed)[0]
+                for p in _candidate_primes(r.modulus, (2, 3)))
 
 
 def is_prime(n: int) -> bool:

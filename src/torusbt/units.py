@@ -5,7 +5,7 @@ an odd prime power contributes one lifted primitive root; 2^e (e >= 3)
 contributes -1 then 5; 4 contributes 3. Discrete logs are read from a
 table of all phi(N) units, built in one pass over the products of the
 generators the first time a log mod N is asked for and kept on the
-structure. The huge auxiliary moduli f*p^k used in stabilized invariant
+structure. The auxiliary moduli f*p^2 (8f for p = 2) of the W-group
 computations only ever need generators, so they never build a table.
 """
 

@@ -29,6 +29,28 @@ def test_predict_gm_q():
     assert not rep.warnings
 
 
+def test_predict_solves_the_identity_once_and_skips_the_real_split(monkeypatch):
+    """The cross-check reuses the induction identity, and the real place
+    needs no decomposition on a totally real realization."""
+    from torusbt import cohomology, induction
+    calls = {"ono": 0, "real": 0}
+
+    def counting(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(induction, "ono_decomposition",
+                        counting("ono", induction.ono_decomposition))
+    monkeypatch.setattr(cohomology, "real_decomposition",
+                        counting("real", cohomology.real_decomposition))
+    f = fixture("dual_normone_v4")
+    rep = btc_predict(f.lattice, f.realization)
+    assert calls == {"ono": 1, "real": 0}
+    assert rep.two_defect_rank == f.lattice.rank
+
+
 def test_predict_res_sqrt5():
     f = fixture("res_sqrt5")
     rep = btc_predict(f.lattice, f.realization)

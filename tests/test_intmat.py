@@ -57,6 +57,34 @@ def test_snf_random_property(seed):
     check_snf(m)
 
 
+def _valuation(d, p, k):
+    v = 0
+    while d and d % p == 0 and v < k:
+        d //= p
+        v += 1
+    return k if d == 0 else v
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_smith_valuations_match_the_integer_smith_form(seed):
+    rng = random.Random(2000 + seed)
+    rows, cols = rng.randint(0, 6), rng.randint(0, 5)
+    p = rng.choice([2, 3, 5])
+    k = rng.randint(1, 4)
+    # entries built from powers of p so that high valuations occur
+    m = from_rows([[rng.choice([0, 1, -1, 2]) * p ** rng.randint(0, 3)
+                    for _ in range(cols)] for _ in range(rows)], cols)
+    expected = [_valuation(d, p, k) for d in intmat.snf_diagonal(m)]
+    assert intmat.smith_valuations(m, p, k) == expected
+
+
+def test_smith_valuations_examples():
+    assert intmat.smith_valuations(from_rows([[8, 0], [0, 3]]), 2, 5) == [0, 3]
+    assert intmat.smith_valuations(from_rows([[8, 0], [0, 3]]), 2, 2) == [0, 2]
+    assert intmat.smith_valuations(zeros(3, 2), 7, 4) == [4, 4]
+    assert intmat.smith_valuations(zeros(0, 2), 7, 4) == []
+
+
 def test_cokernel_examples():
     assert cokernel_structure(from_rows([[2]])) == FinAbGroup((2,))
     assert cokernel_structure(zeros(2, 0)) == FinAbGroup((), 2)

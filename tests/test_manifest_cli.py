@@ -93,6 +93,18 @@ def test_unknown_fixture():
         parse_manifest("[fixture]\nname = not_a_fixture\n")
 
 
+def test_group_section_cannot_move_a_fixture_onto_another_group():
+    """res_sqrt5 is over C2; a C3 [group] without its own [lattice] would run
+    the C2 lattice and file the report under C3."""
+    text = "[fixture]\nname = res_sqrt5\n[group]\ngenerators = [[1,2,0]]\n"
+    with pytest.raises(ManifestError) as err:
+        parse_manifest(text)
+    assert err.value.field == "group"
+    # Restating the fixture's own group is not a move.
+    same = parse_manifest("[fixture]\nname = res_sqrt5\n[group]\ngenerators = [[1,0]]\n")
+    assert same.lattice.group.mul == same.group.mul
+
+
 def test_missing_lattice():
     with pytest.raises(ManifestError):
         parse_manifest("[group]\ngenerators = [[1,0]]\n")

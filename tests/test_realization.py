@@ -1,4 +1,6 @@
 
+from math import gcd
+
 import pytest
 
 from conftest import oracle_w2
@@ -7,10 +9,12 @@ from torusbt import lattices as lat
 from torusbt import realization as realz
 from torusbt.errors import (BadReduction, InvariantViolation, NotHomomorphism,
                             NotSurjective, StabilizationBoundExceeded)
+from torusbt.engine import btc_predict
 from torusbt.groups import cyclic_group, subgroup_classes
-from torusbt.realization import (global_coinvariants_order, is_prime, local_point_count,
-                                 realization_from_images, validate_realization,
-                                 w2_of_subfield, w_group_order)
+from torusbt.realization import (WGroupResult, global_coinvariants_order, is_prime,
+                                 local_point_count, realization_from_images,
+                                 validate_realization, w2_of_subfield, w_group_order)
+from torusbt.units import primitive_root_mod_prime, unit_group
 
 
 @pytest.fixture(scope="module")
@@ -224,18 +228,9 @@ def test_candidate_prime_completeness_debug(c2, v4, r5, r40):
     w_group_order(lat.dual(lat.norm_one_lattice(v4)), r40, debug=True)
 
 
-def test_stabilization_debug_check_is_a_typed_error(c2, r5, monkeypatch):
-    """Orders 1, 1 at depths 1, 2 and then 2 at depth 3: the depth+2
-    check of the debug oracles must fail."""
-    monkeypatch.setattr(realz, "_solution_count",
-                        lambda mats, rank, pk, side: 1 if pk < 8 else 2)
-    with pytest.raises(InvariantViolation, match="depth\\+2"):
-        w_group_order(lat.permutation_lattice(c2, (0,)), r5, debug=True)
-
-
 def test_candidate_prime_debug_check_is_a_typed_error(c2, r5, monkeypatch):
-    """Every prime, candidate or not, reports a part of 2."""
-    monkeypatch.setattr(realz, "_solution_count", lambda mats, rank, pk, side: 2)
+    """Every prime, candidate or not, reports a part of p."""
+    monkeypatch.setattr(intmat, "smith_valuations", lambda mat, p, k: [1] * mat.cols)
     with pytest.raises(InvariantViolation, match="candidate-prime completeness"):
         w_group_order(lat.permutation_lattice(c2, (0,)), r5, debug=True)
 
@@ -247,3 +242,129 @@ def test_is_prime_matches_a_sieve():
             sieve[m] = False
     assert [n for n in range(-5, 500) if is_prime(n)] == \
         [n for n in range(500) if sieve[n]]
+
+
+# ------------------------------------------------ one Smith form per prime
+
+def _rung(p):
+    """Res Q(zeta_p)^+: G = C_{(p-1)/2}, a primitive root going to 1."""
+    g = cyclic_group((p - 1) // 2)
+    return g, realization_from_images(g, p, {primitive_root_mod_prime(p): 1})
+
+
+RUNG_PRIMES = [p for p in range(7, 98) if is_prime(p)]      # C3 .. C48
+
+
+def _closed_form_w2(h, r):
+    """w_2 of the fixed field K of h: 2^(n_2+1) * prod_{q odd} q^(n_q), n_q the
+    largest n with Q(zeta_{q^n})^+ inside K, i.e. with the unit preimage of h
+    inside {+-1 mod q^n}. Shares no code with the Smith forms."""
+    f = r.modulus
+    units = r.unit_preimage(h)
+
+    def contains(m):
+        if m in (2, 3, 4):                  # Q(zeta_m)^+ = Q
+            return True
+        return f % m == 0 and all(u % m in (1, m - 1) for u in units)
+
+    w = 2
+    for q in range(2, max(f, 3) + 1):
+        if all(q % d for d in range(2, q)) and (q <= 3 or f % q == 0):
+            n = 0
+            while contains(q ** (n + 1)):
+                n += 1
+            w *= q ** n
+    return w
+
+
+def test_w2_closed_form_on_every_subgroup_class(c2, v4, r5, r8, r40, r1):
+    """Shapiro: w(Z[G/H]) = w_2 of the fixed field, for every subgroup class
+    of every rung C3 .. C48 and of the small realizations."""
+    cases = [_rung(p) for p in RUNG_PRIMES]
+    cases += [(c2, r5), (c2, r8), (v4, r40), (r1.group, r1)]
+    for g, r in cases:
+        for h in subgroup_classes(g):
+            expected = _closed_form_w2(h, r)
+            assert w_group_order(lat.permutation_lattice(g, h), r).total == expected, \
+                (r.modulus, h.elements)
+            assert w2_of_subfield(h, r) == expected, (r.modulus, h.elements)
+
+
+def _depth_loop_part(x, r, p, twist, side, cap=30, allowed=None):
+    """The former depth loop, as an independent check: orders of the
+    (co)invariants mod p^k over generators of (Z/f p^k)*, for k = 1, 2, ...
+    until two consecutive depths give the same order."""
+    f, rank = r.modulus, x.rank
+    ident = intmat.identity(rank)
+    prev = None
+    for k in range(1, cap + 1):
+        pk = p ** k
+        n = f * pk
+        gens = (realz._restricted_unit_generators(n, f, allowed)
+                if allowed is not None else unit_group(n).generators)
+        mats = [(pow(a, twist, pk) * x.action[r.pi(a)] - ident).mod(pk) for a in gens]
+        if side == "invariants":
+            stacked = intmat.vstack(mats) if mats else intmat.zeros(0, rank)
+        else:
+            stacked = intmat.hstack(mats) if mats else intmat.zeros(rank, 0)
+        ds = intmat.snf_diagonal(stacked)
+        ds += [0] * (rank - len(ds))
+        order = 1
+        for d in ds[:rank]:
+            order *= gcd(d, pk) if d else pk
+        if order == prev:
+            return order, k - 1
+        prev = order
+    raise StabilizationBoundExceeded(f"p = {p}")
+
+
+def test_one_smith_form_matches_the_depth_loop():
+    """Parts and depths of W, the coinvariants and w_2 of every subgroup class
+    agree with the depth loop on the fixtures and on rungs C3 .. C30."""
+    from torusbt.catalog import fixture
+    cases = []
+    for name in ("gm_q", "res_sqrt5", "normone_5", "res_sqrt2", "dual_normone_v4"):
+        fx = fixture(name)
+        cases.append((fx.lattice, fx.realization))
+    for p in RUNG_PRIMES:
+        if p > 61:
+            break
+        g, r = _rung(p)
+        cases.append((lat.permutation_lattice(g, (g.identity,)), r))
+        if g.order <= 12:               # the loop's Smith forms grow past this
+            cases.append((lat.norm_one_lattice(g), r))
+    for x, r in cases:
+        cap = realz.STABILIZATION_CAP
+        for p in realz._candidate_primes(r.modulus, (2, 3)):
+            args = (x, r, p, 2, "invariants", cap)
+            assert realz._stable_part(*args) == _depth_loop_part(*args), (r.modulus, p)
+        for p in realz._candidate_primes(r.modulus, (2,)):
+            args = (x, r, p, 1, "coinvariants", cap)
+            assert realz._stable_part(*args) == _depth_loop_part(*args), (r.modulus, p)
+        one = lat.trivial_lattice(r.group)
+        for h in subgroup_classes(r.group):
+            for p in realz._candidate_primes(r.modulus, (2, 3)):
+                args = (one, r, p, 2, "invariants", cap, r.unit_preimage(h))
+                assert realz._stable_part(*args) == _depth_loop_part(*args), (r.modulus, p)
+
+
+def test_stabilization_cap_boundary(r1):
+    """gm_q has depth 3 at p = 2 (w_2(Q) = 24): the cap is the first depth
+    that is not allowed."""
+    x = lat.trivial_lattice(r1.group)
+    with pytest.raises(StabilizationBoundExceeded):
+        w_group_order(x, r1, cap=3)
+    res = w_group_order(x, r1, cap=4)
+    assert res.breakdown()[2] == {"part": 8, "depth": 3}
+
+
+def test_norm_one_predictions_at_c20_and_c29():
+    """The norm-one tori of Q(zeta_41)^+ and Q(zeta_59)^+, whose W-groups
+    the depth loop took seconds to stabilize."""
+    for p, w, parts in ((41, 164, ((2, 4, 2), (3, 1, 1), (41, 41, 1))),
+                        (59, 59, ((2, 1, 1), (3, 1, 1), (59, 59, 1)))):
+        g, r = _rung(p)
+        report = btc_predict(lat.norm_one_lattice(g), r)
+        assert report.w_order == w
+        assert report.w_breakdown == WGroupResult(w, parts).to_json()["breakdown"]
+        assert report.predicted_kt_order == report.l_value_abs * w
