@@ -11,8 +11,7 @@ real-place decompositions, and good-reduction local point counts.
 
 from .exact import FinAbGroup, odd_part, rational_nth_root
 from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial
-from .intmat import (IntMatrix, cokernel_structure, kernel_basis,
-                     smith_normal_form, solve_exact)
+from .intmat import IntMatrix, cokernel_structure, kernel_basis, solve_exact
 from .groups import (FiniteGroup, SubgroupClass, conjugacy_classes, cyclic_group,
                      group_from_generators, group_from_table, is_metacyclic,
                      subgroup_classes)

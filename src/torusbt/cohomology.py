@@ -1,9 +1,8 @@
 """Group cohomology of finite groups acting on lattices.
 
-H^1 is computed from cocycles on a generating set of the subgroup,
-constrained by the relators of its Cayley graph (one relator per
-non-tree edge of a BFS spanning tree). This keeps every matrix at size
-(#generators x rank) instead of (|H| x rank).
+H^1(H, X) is one lattice quotient: |H| kills it, so it is read off
+X/|H|X with a kernel of size (#generators * rank) x ((#generators + 1)
+* rank) instead of a cocycle system over all of H.
 
 The same module hosts the flasque/invertible classification, the
 constructive flasque resolution 0 -> Q -> P -> X -> 0 with P a direct
@@ -28,62 +27,13 @@ from .lattices import (GLattice, direct_sum_list, invariant_basis,
                        zero_lattice)
 
 
-def _cayley_relators(g: FiniteGroup, elems: tuple[int, ...], gens: list[int]):
-    """Relator words of <gens> from a BFS spanning tree of the Cayley graph.
-
-    Words are lists of (generator position, +-1); every relator
-    multiplies out to the identity in the subgroup.
-    """
-    word = {g.identity: []}
-    frontier = [g.identity]
-    relators = []
-    while frontier:
-        new = []
-        for h in frontier:
-            for si, s in enumerate(gens):
-                t = g.op(h, s)
-                if t not in word:
-                    word[t] = word[h] + [(si, 1)]
-                    new.append(t)
-                else:
-                    # word(h) * s * word(t)^{-1} == e
-                    inv = [(sj, -e) for (sj, e) in reversed(word[t])]
-                    relators.append(word[h] + [(si, 1)] + inv)
-        frontier = new
-    if len(word) != len(elems):
-        raise InvariantViolation("generators do not generate the subgroup")
-    return relators
-
-
-def _cocycle_constraints(x: GLattice, gens: list[int], relators) -> IntMatrix:
-    """Stack the linear conditions on (c(s))_s imposed by each relator.
-
-    A 1-cocycle satisfies c(uv) = c(u) + u.c(v), so evaluating c along a
-    relator word and equating to zero is linear in the generator values;
-    inverse letters contribute -rho(prefix * s^{-1}) c(s).
-    """
-    g = x.group
-    n = x.rank
-    blocks = []
-    for rel in relators:
-        coeff = [intmat.zeros(n, n) for _ in gens]
-        prefix = g.identity
-        for (si, e) in rel:
-            s = gens[si]
-            if e == 1:
-                coeff[si] = coeff[si] + x.action[prefix]
-                prefix = g.op(prefix, s)
-            else:
-                prefix = g.op(prefix, g.inv(s))
-                coeff[si] = coeff[si] - x.action[prefix]
-        blocks.append(intmat.hstack(coeff))
-    if not blocks:
-        return intmat.zeros(0, n * len(gens))
-    return intmat.vstack(blocks)
-
-
 def h1(h, x: GLattice) -> FinAbGroup:
-    """H^1(H, X) as cocycles-on-generators modulo coboundaries.
+    """H^1(H, X) as one lattice quotient L / (X^H + nX), n = |H|.
+
+    Proof: n kills H^1(H, X) (Brown, Cohomology of Groups, III.10), so the
+    long exact sequence of 0 -> X -n-> X -> X/nX -> 0 gives
+    H^1 = (X/nX)^H / image(X^H), where (X/nX)^H = L/nX and
+    L = {v : (s - 1) v in nX for each generator s of H}.
 
     Always a finite group for a lattice module; a nonzero free rank
     raises InvariantViolation.
@@ -92,12 +42,14 @@ def h1(h, x: GLattice) -> FinAbGroup:
     gens = generating_set(x.group, elems)
     if not gens:
         return FinAbGroup()
-    relators = _cayley_relators(x.group, elems, gens)
-    constraints = _cocycle_constraints(x, gens, relators)
-    cocycles = intmat.kernel_basis(constraints)           # columns in Z^{n|S|}
-    ident = intmat.identity(x.rank)
-    cobound = intmat.vstack([x.action[s] - ident for s in gens])
-    out = intmat.lattice_quotient(cocycles, cobound)
+    n, r = len(elems), x.rank
+    ident = intmat.identity(r)
+    stacked = intmat.vstack([x.action[s] - ident for s in gens])
+    big = intmat.kernel_basis(intmat.hstack(
+        [stacked, -n * intmat.identity(stacked.rows)]))
+    lat = IntMatrix(r, big.cols, big.data[:r])
+    fixed = intmat.kernel_basis(stacked)
+    out = intmat.lattice_quotient(lat, intmat.hstack([fixed, n * ident]))
     if out.free_rank:
         raise InvariantViolation("H^1 of a lattice must be finite")
     return out
@@ -478,6 +430,8 @@ def real_decomposition(x: GLattice, conj: int):
     real-place torsion (Z/2)^a.
     """
     g = x.group
+    if not 0 <= conj < g.order:
+        raise ShapeMismatch(f"conj = {conj} is not an element of a group of order {g.order}")
     if g.op(conj, conj) != g.identity:
         raise ShapeMismatch("conj must square to the identity")
     sigma = x.action[conj]

@@ -9,6 +9,10 @@ class NonPermutation(TorusBTError):
     """A generator is not a bijection of the point set."""
 
 
+class NotSubgroup(TorusBTError):
+    """An element tuple is out of range or not closed under the group law."""
+
+
 class GroupTooLarge(TorusBTError):
     """Group order exceeds the configured subgroup-enumeration bound."""
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import GroupTooLarge, NonPermutation, NotHomomorphism
+from .errors import GroupTooLarge, NonPermutation, NotHomomorphism, NotSubgroup
 from .units import factorize
 
 SUBGROUP_ENUM_BOUND = 48
@@ -255,8 +255,13 @@ def subgroup_elements(h) -> tuple[int, ...]:
 
 
 def generating_set(g: FiniteGroup, elements: tuple[int, ...]) -> list[int]:
-    """Small deterministic generating set of the subgroup with these elements."""
+    """Small deterministic generating set of the subgroup with these elements.
+
+    Raises NotSubgroup when the elements are out of range or not closed.
+    """
     target = set(elements)
+    if not all(0 <= a < g.order for a in target):
+        raise NotSubgroup(f"elements {sorted(target)} out of range for |G| = {g.order}")
     gens: list[int] = []
     span = {g.identity}
     for a in elements:
@@ -266,6 +271,8 @@ def generating_set(g: FiniteGroup, elements: tuple[int, ...]) -> list[int]:
         span = set(_closure(g, gens))
         if span == target:
             break
+    if span != target:
+        raise NotSubgroup(f"elements {sorted(target)} do not form a subgroup")
     return gens
 
 

@@ -1,11 +1,12 @@
 """Arbitrary-precision integer matrices and their normal forms.
 
-Everything here is exact: entries are Python ints and transforms are
-kept unimodular. The Smith form drives all kernel/cokernel computations
-in the package; the one modular routine, smith_valuations, reads the
-p-adic valuations of its diagonal by elimination mod p^k. Matrices are
-immutable (tuple-of-row-tuples) so they can be shared freely across
-threads.
+Everything here is exact: entries are Python ints. One column Hermite
+elimination of [A; I] gives both the kernel of A and a unimodular
+transform for exact solves; the Smith diagonal (no transforms) gives
+ranks and cokernel structures, and the one modular routine,
+smith_valuations, reads its p-adic valuations by elimination mod p^k.
+Matrices are immutable (tuple-of-row-tuples) so they can be shared
+freely across threads.
 """
 
 from __future__ import annotations
@@ -219,43 +220,25 @@ def is_unimodular(mat: IntMatrix) -> bool:
     return mat.rows == mat.cols and det(mat) in (1, -1)
 
 
-def _snf_inplace(a: list[list[int]], rows: int, cols: int):
-    """Reduce a to Smith form in place; return the row and column transforms.
+def _snf_inplace(a: list[list[int]], rows: int, cols: int) -> None:
+    """Reduce a to Smith form in place, keeping no transforms.
 
     Pivot choice is the minimal nonzero absolute value in the remaining
     block, which keeps intermediate entries small at the scales this
     package works at.
     """
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i1, i2):
-        a[i1], a[i2] = a[i2], a[i1]
-        u[i1], u[i2] = u[i2], u[i1]
-
     def swap_cols(j1, j2):
         for r in a:
-            r[j1], r[j2] = r[j2], r[j1]
-        for r in v:
             r[j1], r[j2] = r[j2], r[j1]
 
     def addmul_row(dst, src, q):
         ad, asrc = a[dst], a[src]
         for j in range(cols):
             ad[j] += q * asrc[j]
-        ud, usrc = u[dst], u[src]
-        for j in range(rows):
-            ud[j] += q * usrc[j]
 
     def addmul_col(dst, src, q):
         for r in a:
             r[dst] += q * r[src]
-        for r in v:
-            r[dst] += q * r[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     t = 0
     limit = min(rows, cols)
@@ -271,7 +254,7 @@ def _snf_inplace(a: list[list[int]], rows: int, cols: int):
             break
         _, bi, bj = best
         if bi != t:
-            swap_rows(t, bi)
+            a[t], a[bi] = a[bi], a[t]
         if bj != t:
             swap_cols(t, bj)
 
@@ -283,7 +266,7 @@ def _snf_inplace(a: list[list[int]], rows: int, cols: int):
                     q = a[i][t] // a[t][t]
                     addmul_row(i, t, -q)
                     if a[i][t] != 0:
-                        swap_rows(t, i)
+                        a[t], a[i] = a[i], a[t]
                         dirty = True
             if dirty:
                 continue
@@ -310,21 +293,8 @@ def _snf_inplace(a: list[list[int]], rows: int, cols: int):
                 break
             addmul_row(t, offender, 1)
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
         t += 1
-    return u, v
-
-
-def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (U, D, V) with U @ mat @ V = D, U and V unimodular.
-
-    D is diagonal with nonnegative entries d_1 | d_2 | ...
-    """
-    a = [list(r) for r in mat.data]
-    u, v = _snf_inplace(a, mat.rows, mat.cols)
-    return (from_rows(u, mat.rows),
-            from_rows(a, mat.cols),
-            from_rows(v, mat.cols))
 
 
 def snf_diagonal(mat: IntMatrix) -> list[int]:
@@ -419,44 +389,55 @@ def hnf_columns(mat: IntMatrix) -> IntMatrix:
     return from_columns([tuple(r) for r in kept], mat.rows)
 
 
+def _hermite(mat: IntMatrix):
+    """Column Hermite form [mat @ T; T] of [mat; I] as (top rows, T rows, rank).
+
+    T is unimodular; the first rank columns of mat @ T are in echelon form
+    and the rest are zero, so T's last columns are the canonical HNF basis
+    of the kernel (Cohen, A Course in Computational Algebraic Number
+    Theory, §2.4).
+    """
+    h = hnf_columns(vstack([mat, identity(mat.cols)]))
+    top, t = h.data[:mat.rows], h.data[mat.rows:]
+    r = sum(1 for j in range(mat.cols) if any(row[j] for row in top))
+    return top, t, r
+
+
 def kernel_basis(mat: IntMatrix) -> IntMatrix:
     """Canonical (HNF-reduced) basis of {x : mat @ x = 0}, as columns.
 
     The kernel of an integer matrix is a saturated sublattice, so this
     basis generates every integer solution.
     """
-    _, d, v = smith_normal_form(mat)
-    free = []
-    limit = min(mat.rows, mat.cols)
-    for j in range(mat.cols):
-        if j >= limit or d.data[j][j] == 0:
-            free.append(v.col(j))
-    return hnf_columns(from_columns(free, mat.cols))
+    _, t, r = _hermite(mat)
+    return IntMatrix(mat.cols, mat.cols - r, tuple(row[r:] for row in t))
 
 
 def solve_exact(mat: IntMatrix, rhs: IntMatrix) -> IntMatrix | None:
-    """Solve mat @ X = rhs over the integers; None when no solution exists."""
+    """Solve mat @ X = rhs over the integers; None when no solution exists.
+
+    Each column is forward-substituted along the pivots of mat @ T (a
+    remainder stays in the residual) and mapped back by T; when mat has
+    full column rank the solution is unique.
+    """
     if rhs.rows != mat.rows:
         raise ShapeMismatch("solve_exact shape mismatch")
-    u, d, v = smith_normal_form(mat)
-    w = u @ rhs
-    limit = min(mat.rows, mat.cols)
-    zcols = []
+    top, t, r = _hermite(mat)
+    pivots = [next(i for i, row in enumerate(top) if row[k]) for k in range(r)]
+    ys = []
     for j in range(rhs.cols):
-        z = [0] * mat.cols
-        for i in range(mat.rows):
-            di = d.data[i][i] if i < limit else 0
-            wi = w.data[i][j]
-            if di == 0:
-                if wi != 0:
-                    return None
-            else:
-                if wi % di != 0:
-                    return None
-                if i < mat.cols:
-                    z[i] = wi // di
-        zcols.append(tuple(z))
-    return v @ from_columns(zcols, mat.cols)
+        res = list(rhs.col(j))
+        y = []
+        for k, p in enumerate(pivots):
+            q = res[p] // top[p][k]
+            y.append(q)
+            if q:
+                res = [a - q * row[k] for a, row in zip(res, top)]
+        if any(res):
+            return None
+        ys.append(y)
+    return IntMatrix(mat.cols, rhs.cols, tuple(
+        tuple(sum(a * b for a, b in zip(row[:r], y)) for y in ys) for row in t))
 
 
 def lattice_quotient(basis: IntMatrix, sub_gens: IntMatrix) -> FinAbGroup:
@@ -466,10 +447,6 @@ def lattice_quotient(basis: IntMatrix, sub_gens: IntMatrix) -> FinAbGroup:
     basis columns (true whenever basis is saturated and the columns lie
     in its rational span, the situation for all cohomology quotients here).
     """
-    if basis.cols == 0:
-        if not sub_gens.is_zero():
-            raise ShapeMismatch("sublattice not contained in zero lattice")
-        return FinAbGroup()
     y = solve_exact(basis, sub_gens)
     if y is None:
         raise ShapeMismatch("sublattice generators outside the lattice")

@@ -29,9 +29,6 @@ class GLattice:
     rank: int
     action: tuple[IntMatrix, ...]      # one matrix per element index
 
-    def act(self, g: int) -> IntMatrix:
-        return self.action[g]
-
     def __repr__(self) -> str:
         return f"GLattice(rank={self.rank} over {self.group.name})"
 

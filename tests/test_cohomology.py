@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -8,9 +9,10 @@ from conftest import (catalog_pool, fin_ab, oracle_h1_bar, oracle_h1_cyclic,
 from torusbt import cohomology as coh
 from torusbt import intmat
 from torusbt import lattices as lat
-from torusbt.errors import InvariantViolation, ShapeMismatch
+from torusbt.errors import InvariantViolation, NotSubgroup, ShapeMismatch
 from torusbt.exact import FinAbGroup
-from torusbt.groups import cyclic_group, subgroup_classes
+from torusbt.groups import (cyclic_group, generating_set, group_from_generators,
+                            subgroup_classes, subgroup_elements)
 
 
 def test_h1_sign_lattice(c2):
@@ -237,6 +239,70 @@ def test_real_decomposition_additive_and_consistent(c2):
         assert chi == (a + b + 2 * c, a - b)
 
 
+def _cayley_h1(h, x):
+    """Reference H^1: cocycles on a generating set of H, constrained by the
+    relators of a BFS spanning tree of its Cayley graph, modulo coboundaries."""
+    g = x.group
+    gens = generating_set(g, subgroup_elements(h))
+    if not gens:
+        return FinAbGroup()
+    word, frontier, relators = {g.identity: []}, [g.identity], []
+    while frontier:
+        new = []
+        for a in frontier:
+            for si, s in enumerate(gens):
+                t = g.op(a, s)
+                if t not in word:
+                    word[t] = word[a] + [(si, 1)]
+                    new.append(t)
+                else:
+                    relators.append(word[a] + [(si, 1)]
+                                    + [(sj, -e) for sj, e in reversed(word[t])])
+        frontier = new
+    n = x.rank
+    blocks = []
+    for rel in relators:
+        coeff = [intmat.zeros(n, n) for _ in gens]
+        prefix = g.identity
+        for si, e in rel:
+            if e == 1:
+                coeff[si] = coeff[si] + x.action[prefix]
+                prefix = g.op(prefix, gens[si])
+            else:
+                prefix = g.op(prefix, g.inv(gens[si]))
+                coeff[si] = coeff[si] - x.action[prefix]
+        blocks.append(intmat.hstack(coeff))
+    cocycles = intmat.kernel_basis(intmat.vstack(blocks) if blocks
+                                   else intmat.zeros(0, n * len(gens)))
+    ident = intmat.identity(n)
+    cobound = intmat.vstack([x.action[s] - ident for s in gens])
+    return intmat.lattice_quotient(cocycles, cobound)
+
+
+def test_h1_matches_cayley_relator_cocycles(c2, s3, v4, d4, a4):
+    d6 = group_from_generators([[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]], name="D6")
+    pool = catalog_pool(c2, s3, v4)
+    cases = [x for key in ("c2", "s3", "v4") for x in pool[key]]
+    for g in (d4, a4, d6):
+        for x in (lat.norm_one_lattice(g), lat.dual(lat.norm_one_lattice(g))):
+            cases += [x, coh.flasque_resolution(x).q_lattice]
+    nontrivial = 0
+    for x in cases:
+        for cls in subgroup_classes(x.group):
+            got = coh.h1(cls, x)
+            assert got == _cayley_h1(cls, x), (x.group.name, x.rank, cls.elements)
+            nontrivial += not got.is_trivial
+    assert nontrivial >= 20
+
+
+def test_certificate_search_on_d5_norm_one_q_is_fast():
+    d5 = group_from_generators([[1, 2, 3, 4, 0], [0, 4, 3, 2, 1]], name="D5")
+    q = coh.flasque_resolution(lat.norm_one_lattice(d5)).q_lattice
+    start = time.perf_counter()
+    coh.search_invertibility_certificate(q)
+    assert time.perf_counter() - start < 1.5
+
+
 def test_h1_additive_over_direct_sum(c2, s3, v4):
     rng = random.Random(17)
     pool = catalog_pool(c2, s3, v4)
@@ -278,9 +344,6 @@ def test_flasque_postconditions_are_typed_errors(c2, monkeypatch):
 # ------------------------------------------- typed invariants under -O
 
 @pytest.mark.parametrize("module, name, fake, call, message", [
-    (coh, "generating_set", lambda g, elems: [g.identity],
-     lambda s3: coh.h1(subgroup_classes(s3)[-1], lat.trivial_lattice(s3)),
-     "do not generate"),
     (intmat, "lattice_quotient", lambda a, b: FinAbGroup((), 1),
      lambda s3: coh.h1(subgroup_classes(s3)[-1], lat.trivial_lattice(s3)),
      "H\\^1 of a lattice must be finite"),
@@ -296,6 +359,23 @@ def test_cohomology_invariants_are_typed_errors(s3, monkeypatch, module, name, f
     monkeypatch.setattr(module, name, fake)
     with pytest.raises(InvariantViolation, match=message):
         call(s3)
+
+
+@pytest.mark.parametrize("elems", [(0, 1, 2), (1,), (0, 99)], ids=str)
+@pytest.mark.parametrize("call", [
+    lambda h, x: coh.h1(h, x), lambda h, x: coh.tate_h0(h, x),
+    lambda h, x: lat.invariant_basis(x, h), lambda h, x: lat.coinvariants(x, h),
+], ids=["h1", "tate_h0", "invariant_basis", "coinvariants"])
+def test_non_subgroup_tuples_are_typed_errors(s3, call, elems):
+    # (0, 1, 2) is not closed in S3, (1,) lacks the identity, 99 is out of range.
+    with pytest.raises(NotSubgroup):
+        call(elems, lat.trivial_lattice(s3))
+
+
+@pytest.mark.parametrize("conj", [99, -1])
+def test_real_decomposition_rejects_conj_out_of_range(c2, conj):
+    with pytest.raises(ShapeMismatch, match="not an element"):
+        coh.real_decomposition(lat.sign_lattice(c2), conj)
 
 
 # ------------------------------------------------- certificate search

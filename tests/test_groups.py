@@ -1,10 +1,10 @@
 import pytest
 
 from conftest import quaternion_generators
-from torusbt.errors import GroupTooLarge, NonPermutation
-from torusbt.groups import (conjugacy_classes, cyclic_group, group_from_generators,
-                            group_from_table, is_metacyclic, left_cosets,
-                            subgroup_as_group, subgroup_classes)
+from torusbt.errors import GroupTooLarge, NonPermutation, NotSubgroup
+from torusbt.groups import (conjugacy_classes, cyclic_group, generating_set,
+                            group_from_generators, group_from_table, is_metacyclic,
+                            left_cosets, subgroup_as_group, subgroup_classes)
 
 
 def test_single_transposition_gives_c2():
@@ -107,6 +107,12 @@ def test_classes_are_computed_per_group_instance():
 def test_group_too_large():
     with pytest.raises(GroupTooLarge):
         subgroup_classes(cyclic_group(50))
+
+
+@pytest.mark.parametrize("elems", [(0, 1, 2), (1,), (), (0, 99), (0, -1)], ids=str)
+def test_generating_set_rejects_non_subgroups(s3, elems):
+    with pytest.raises(NotSubgroup):
+        generating_set(s3, elems)
 
 
 def test_metacyclic_suite(s3, v4):

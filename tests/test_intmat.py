@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -6,23 +7,30 @@ import pytest
 from torusbt import intmat
 from torusbt.exact import FinAbGroup
 from torusbt.intmat import (cokernel_structure, det, from_rows, hnf_columns,
-                            identity, kernel_basis, smith_normal_form,
-                            solve_exact, zeros)
+                            identity, kernel_basis, solve_exact, zeros)
+
+
+def _minor_gcd(m, k):
+    """gcd of all k x k minors of m (0 when every one vanishes)."""
+    out = 0
+    for rows in combinations(range(m.rows), k):
+        for cols in combinations(range(m.cols), k):
+            out = gcd(out, det(from_rows([[m[i, j] for j in cols] for i in rows])))
+    return out
 
 
 def check_snf(m):
-    u, d, v = smith_normal_form(m)
-    assert u @ m @ v == d
-    assert intmat.is_unimodular(u) and intmat.is_unimodular(v)
-    diag = [d.data[i][i] for i in range(min(m.rows, m.cols))]
-    for i in range(m.rows):
-        for j in range(m.cols):
-            if i != j:
-                assert d.data[i][j] == 0
+    """Smith diagonal against the determinantal divisors: d_1...d_k is the
+    gcd of the k x k minors."""
+    diag = intmat.snf_diagonal(m)
+    assert len(diag) == min(m.rows, m.cols)
     for a, b in zip(diag, diag[1:]):
-        assert a >= 0 and (a == 0 and b == 0 or b % max(a, 1) == 0 or a == 0)
-        if a != 0:
-            assert b % a == 0
+        assert a >= 0 and b >= 0
+        assert b % a == 0 if a else b == 0
+    prod = 1
+    for k, d in enumerate(diag, start=1):
+        prod *= d
+        assert prod == _minor_gcd(m, k)
     return diag
 
 
@@ -158,3 +166,133 @@ def test_block_and_stack_helpers():
     assert bd.data == ((1, 0, 0), (0, 1, 0), (0, 0, 5))
     assert intmat.vstack([a, zeros(1, 2)]).rows == 3
     assert intmat.hstack([a, zeros(2, 1)]).cols == 3
+
+
+# ------------------------------------- the Smith-transform reference solver
+
+def _snf_with_transforms(mat):
+    """Reference: (U, D, V) with U @ mat @ V = D, by the Smith elimination
+    that once drove kernel_basis and solve_exact (min-|pivot| choice)."""
+    rows, cols = mat.rows, mat.cols
+    a = [list(r) for r in mat.data]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def swap_rows(i1, i2):
+        a[i1], a[i2] = a[i2], a[i1]
+        u[i1], u[i2] = u[i2], u[i1]
+
+    def swap_cols(j1, j2):
+        for r in a + v:
+            r[j1], r[j2] = r[j2], r[j1]
+
+    def addmul_row(dst, src, q):
+        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+    def addmul_col(dst, src, q):
+        for r in a + v:
+            r[dst] += q * r[src]
+
+    for t in range(min(rows, cols)):
+        nz = [(abs(a[i][j]), i, j) for i in range(t, rows) for j in range(t, cols)
+              if a[i][j]]
+        if not nz:
+            break
+        _, bi, bj = min(nz)
+        swap_rows(t, bi)
+        swap_cols(t, bj)
+        while True:
+            dirty = False
+            for i in range(t + 1, rows):
+                if a[i][t]:
+                    addmul_row(i, t, -(a[i][t] // a[t][t]))
+                    if a[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(t + 1, cols):
+                if a[t][j]:
+                    addmul_col(j, t, -(a[t][j] // a[t][t]))
+                    if a[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            offender = next((i for i in range(t + 1, rows)
+                             for j in range(t + 1, cols) if a[i][j] % a[t][t]), None)
+            if offender is None:
+                break
+            addmul_row(t, offender, 1)
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+    return from_rows(u, rows), from_rows(a, cols), from_rows(v, cols)
+
+
+def _reference_kernel(mat):
+    _, d, v = _snf_with_transforms(mat)
+    free = [v.col(j) for j in range(mat.cols)
+            if j >= min(mat.rows, mat.cols) or d[j, j] == 0]
+    return hnf_columns(intmat.from_columns(free, mat.cols))
+
+
+def _reference_solve(mat, rhs):
+    u, d, v = _snf_with_transforms(mat)
+    w = u @ rhs
+    zcols = []
+    for j in range(rhs.cols):
+        z = [0] * mat.cols
+        for i in range(mat.rows):
+            di = d[i, i] if i < min(mat.rows, mat.cols) else 0
+            if (w[i, j] if di == 0 else w[i, j] % di) != 0:
+                return None
+            if di:
+                z[i] = w[i, j] // di
+        zcols.append(tuple(z))
+    return v @ intmat.from_columns(zcols, mat.cols)
+
+
+def _random_system(rng):
+    """A random A (often rank-deficient, with zero rows or columns) and a
+    right-hand side mixing solvable and unsolvable columns."""
+    rows, cols, inner = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+    b = [[rng.randint(-4, 4) for _ in range(inner)] for _ in range(rows)]
+    c = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(inner)]
+    a = from_rows(b, inner) @ from_rows(c, cols)
+    data = [list(r) for r in a.data]
+    for i in range(rows):
+        if rng.random() < 0.15:
+            data[i] = [0] * cols
+    for j in range(cols):
+        if rng.random() < 0.15:
+            for r in data:
+                r[j] = 0
+    a = from_rows(data, cols)
+    x = from_rows([[rng.randint(-3, 3) for _ in range(3)] for _ in range(cols)], 3)
+    rhs = [list(r) for r in (a @ x).data]
+    for r in rhs:
+        if rng.random() < 0.3:
+            r[rng.randrange(3)] += rng.choice([-2, -1, 1, 2])
+    return a, from_rows(rhs, 3)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_hermite_kernel_and_solve_match_the_smith_transforms(seed):
+    rng = random.Random(4000 + seed)
+    for _ in range(60):
+        a, rhs = _random_system(rng)
+        assert kernel_basis(a) == _reference_kernel(a)
+        full_rank = intmat.rank(a) == a.cols
+        for j in range(rhs.cols):
+            b = intmat.from_columns([rhs.col(j)], a.rows)
+            x, ref = solve_exact(a, b), _reference_solve(a, b)
+            assert (x is None) == (ref is None)
+            if x is not None:
+                assert a @ x == b
+                if full_rank:
+                    assert x == ref
+        x = solve_exact(a, rhs)
+        if x is not None:
+            assert a @ x == rhs

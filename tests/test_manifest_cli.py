@@ -199,6 +199,16 @@ def test_real_decompose_needs_conj_or_realization(tmp_path):
     assert report2["commands"]["real-decompose"]["b"] == 1
 
 
+@pytest.mark.parametrize("conj", [99, -1])
+def test_real_decompose_conj_out_of_range_is_a_typed_error(conj):
+    text = ("[group]\ngenerators = [[1,0]]\n\n[lattice]\nrank = 1\naction.g0 = [[-1]]\n"
+            f"\n[options]\nconj = {conj}\n")
+    man = parse_manifest(text)
+    man.commands = ("real-decompose",)
+    report, _ = run_manifest(man)
+    assert report["commands"]["real-decompose"]["error"]["type"] == "ShapeMismatch"
+
+
 def test_non_integer_modulus_is_manifest_error():
     with pytest.raises(ManifestError) as err:
         parse_manifest(NORMONE.replace("modulus = 5", "modulus = 'x'"))
