@@ -21,6 +21,7 @@ from .errors import InconsistentRank, InvariantViolation, ShapeMismatch
 from .groups import (FiniteGroup, SubgroupClass, generating_set, is_metacyclic,
                      left_cosets, spanning_generators, subgroup_classes,
                      subgroup_elements)
+from .induction import permutation_character_table
 from .intmat import IntMatrix
 from .lattices import (GLattice, direct_sum_list, invariant_basis,
                        norm_element_matrix, permutation_lattice, validate,
@@ -195,14 +196,16 @@ def flasque_resolution(x: GLattice) -> FlasqueResolution:
 
     inclusion = intmat.kernel_basis(surjection)
     q_rank = inclusion.cols
-    q_mats = []
-    for a in range(g.order):
-        moved = p_lat.action[a] @ inclusion
-        sol = intmat.solve_exact(inclusion, moved)
-        if sol is None:
-            raise InvariantViolation("kernel not preserved by the action")
-        q_mats.append(sol)
-    q_lat = GLattice(g, q_rank, tuple(q_mats))
+    # One solve for all elements: inclusion has full column rank, so each
+    # q_rank-column block of the solution is that element's unique action.
+    sol = intmat.solve_exact(inclusion, intmat.hstack(
+        [p_lat.action[a] @ inclusion for a in range(g.order)]))
+    if sol is None:
+        raise InvariantViolation("kernel not preserved by the action")
+    q_lat = GLattice(g, q_rank, tuple(
+        IntMatrix(q_rank, q_rank, tuple(row[a * q_rank:(a + 1) * q_rank]
+                                        for row in sol.data))
+        for a in range(g.order)))
     validate(q_lat)
 
     res = FlasqueResolution(
@@ -356,8 +359,7 @@ def search_invertibility_certificate(
 
     chi_q = tuple(int(v) for v in lattice_character(q))
     perm = {cls.class_id: permutation_lattice(g, cls) for cls in classes}
-    chi_perm = {cid: tuple(int(v) for v in lattice_character(p))
-                for cid, p in perm.items()}
+    chi_perm = dict(enumerate(permutation_character_table(g)))
     profiles = {}
 
     def profile(cid):                     # cid None stands for Q itself

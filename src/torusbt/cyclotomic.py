@@ -1,8 +1,10 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n) = Q[x]/(Phi_n).
 
-Elements carry their order n and a coefficient vector of length
-deg Phi_n = phi(n), fully reduced. Orders stay tiny here (they divide
-the exponent of some (Z/f)*), so dense Fraction vectors are plenty.
+Arithmetic is on integer coefficient vectors of length deg Phi_n =
+phi(n): reduce_mod_phi reduces a polynomial in zeta_n and mul_mod_phi
+multiplies two reduced ones. A CyclotomicNumber is a reduced value with
+rational coefficients, built once from an integer vector and a common
+denominator; it carries no arithmetic.
 """
 
 from __future__ import annotations
@@ -67,8 +69,32 @@ def phi_degree(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
+def reduce_mod_phi(order: int, vec) -> list[int]:
+    """Integer coefficient vector reduced mod Phi_order, of length deg Phi_order.
+
+    Phi_order is monic, so each leading term is cleared by subtracting a
+    multiple of it; only its nonzero coefficients are visited.
+    """
+    phi = cyclotomic_polynomial(order)
+    deg = len(phi) - 1
+    terms = [(j, c) for j, c in enumerate(phi[:-1]) if c]
+    vec = list(vec) + [0] * (deg - len(vec))
+    for i in range(len(vec) - 1, deg - 1, -1):
+        c = vec[i]
+        if c:
+            for j, y in terms:
+                vec[i - deg + j] -= c * y
+    return vec[:deg]
+
+
+def mul_mod_phi(order: int, a, b) -> list[int]:
+    """Product of two integer coefficient vectors in Z[zeta_order]."""
+    return reduce_mod_phi(order, _poly_mul_int(a, b))
+
+
 @dataclass(frozen=True)
 class CyclotomicNumber:
+    """A reduced element of Q(zeta_order), kept as a value for reports."""
     order: int
     coeffs: tuple[Fraction, ...]
 
@@ -78,20 +104,9 @@ class CyclotomicNumber:
                 f"need {phi_degree(self.order)} coefficients for order {self.order}")
 
     @staticmethod
-    def rational(x, order: int = 1) -> "CyclotomicNumber":
-        deg = phi_degree(order)
-        return CyclotomicNumber(order, (Fraction(x),) + (Fraction(0),) * (deg - 1))
-
-    @staticmethod
-    def zeta_power(order: int, k: int) -> "CyclotomicNumber":
-        """zeta_order^k, reduced mod Phi_order."""
-        k %= order
-        return _reduce(order, {k: Fraction(1)})
-
-    @staticmethod
-    def from_exponent_sums(order: int, sums: dict[int, Fraction]) -> "CyclotomicNumber":
-        """Sum of c_k * zeta^k for an exponent->coefficient dict."""
-        return _reduce(order, {k % order: Fraction(c) for k, c in sums.items()})
+    def from_integers(order: int, vec, den: int) -> "CyclotomicNumber":
+        """sum_k (vec[k] / den) zeta^k for a reduced integer vector vec."""
+        return CyclotomicNumber(order, tuple(Fraction(c, den) for c in vec))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -105,68 +120,6 @@ class CyclotomicNumber:
             raise NotRational(f"{self} is not rational")
         return self.coeffs[0]
 
-    def _binop(self, other) -> tuple["CyclotomicNumber", "CyclotomicNumber"]:
-        if isinstance(other, CyclotomicNumber):
-            if other.order != self.order:
-                raise ShapeMismatch("mixed cyclotomic orders; lift explicitly")
-            return self, other
-        return self, CyclotomicNumber.rational(other, self.order)
-
-    def __add__(self, other):
-        a, b = self._binop(other)
-        return CyclotomicNumber(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        a, b = self._binop(other)
-        return CyclotomicNumber(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
-
-    def __neg__(self):
-        return CyclotomicNumber(self.order, tuple(-x for x in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return CyclotomicNumber(self.order, tuple(x * c for x in self.coeffs))
-        a, b = self._binop(other)
-        prod: dict[int, Fraction] = {}
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        prod[i + j] = prod.get(i + j, Fraction(0)) + x * y
-        return _reduce(a.order, prod)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return CyclotomicNumber(self.order, tuple(x / c for x in self.coeffs))
-        raise TypeError("division only by rationals")
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers not supported")
-        out = CyclotomicNumber.rational(1, self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def conjugate(self, k: int) -> "CyclotomicNumber":
-        """Galois conjugate zeta -> zeta^k (k coprime to the order)."""
-        out: dict[int, Fraction] = {}
-        for i, c in enumerate(self.coeffs):
-            if c:
-                e = (i * k) % self.order
-                out[e] = out.get(e, Fraction(0)) + c
-        return _reduce(self.order, out)
-
     def __str__(self) -> str:
         if self.is_rational():
             return str(self.coeffs[0])
@@ -175,20 +128,3 @@ class CyclotomicNumber:
             if c:
                 terms.append(f"{c}*z^{i}" if i else f"{c}")
         return f"({' + '.join(terms)} : z = zeta_{self.order})"
-
-
-def _reduce(order: int, exp_coeffs: dict[int, Fraction]) -> CyclotomicNumber:
-    """Reduce a sparse polynomial in zeta (exponent -> coefficient) mod Phi_order."""
-    deg = phi_degree(order)
-    maxe = max(exp_coeffs, default=0)
-    vec = [Fraction(0)] * (max(maxe + 1, deg))
-    for e, c in exp_coeffs.items():
-        vec[e % order if e >= order else e] += c
-    phi = cyclotomic_polynomial(order)
-    for i in range(len(vec) - 1, deg - 1, -1):
-        c = vec[i]
-        if c:
-            vec[i] = Fraction(0)
-            for j, y in enumerate(phi[:-1]):
-                vec[i - deg + j] -= c * y
-    return CyclotomicNumber(order, tuple(vec[:deg]))

@@ -7,15 +7,18 @@ a. L(chi, -1) = -B_{2,chi}/2 with
 B_{2,chi} = f * sum_{a=1}^{f} chi(a) B_2(a/f), B_2(t) = t^2 - t + 1/6,
 evaluated for the primitive character inducing chi. The sum is taken in
 integers: for each value exponent e, S_j,e = sum of a^j over the a with
-chi(a) = zeta^e, and B_{2,chi} = f * sum_e zeta^e (S2_e/f^2 - S1_e/f + S0_e/6)
-needs one Fraction per exponent. L(chi*, -1) is memoised per primitive
-character, so the zeta values of the fixed fields reuse what the Artin
-L-value computed.
+chi(a) = zeta^e, and 6f B_{2,chi} = sum_e zeta^e (6 S2_e - 6f S1_e + f^2 S0_e)
+is an integer vector reduced mod Phi_order. That vector is memoised per
+primitive character, so the zeta values of the fixed fields reuse what
+the Artin L-value computed.
 
 Dedekind zeta values of the abelian fixed fields and the Artin L-value
 of a lattice are assembled from these, with conjugate characters
-grouped into Galois orbits whose products are certified rational
-before anything is multiplied together.
+grouped into Galois orbits. An orbit's product is taken in
+Z[zeta_order] over one integer denominator and certified rational
+before anything is multiplied together. The traces of a lattice are
+rational, so conjugate characters share one multiplicity; it is read
+off once per orbit from the Ramanujan sums of the character values.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ from functools import lru_cache
 from itertools import product
 from math import gcd
 
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, mul_mod_phi, phi_degree, reduce_mod_phi
 from .errors import (InvariantViolation, MultiplicityNotInteger,
                      NonAbelianRealization, NotRational, NotTotallyReal)
 from .exact import lcm
-from .units import UnitGroupStructure, unit_group, units_mod
+from .units import UnitGroupStructure, euler_phi, factorize, unit_group, units_mod
 
 
 @dataclass(frozen=True)
@@ -72,12 +75,6 @@ class DirichletCharacter:
         """e with chi(a) = zeta_order^e, or None when gcd(a, f) > 1."""
         dl = self._units.log_table().get(a % self.modulus)
         return None if dl is None else self._log_exponent(dl)
-
-    def value(self, a: int) -> CyclotomicNumber:
-        e = self.value_exponent(a)
-        if e is None:
-            return CyclotomicNumber.rational(0, self.order)
-        return CyclotomicNumber.zeta_power(self.order, e)
 
     def is_trivial(self) -> bool:
         return all(k % n == 0 for k, n in zip(self.exponents, self._units.orders))
@@ -127,8 +124,10 @@ def conductor_primitive(chi: DirichletCharacter) -> tuple[int, DirichletCharacte
     return cond, prim
 
 
-def bernoulli2_chi(chi: DirichletCharacter) -> CyclotomicNumber:
-    """Generalized Bernoulli number B_{2,chi} for a primitive character."""
+@lru_cache(maxsize=4096)
+def _bernoulli2_integers(chi: DirichletCharacter) -> tuple[tuple[int, ...], int]:
+    """(v, 6f) with B_{2,chi} = sum_k v[k] zeta^k / (6f), memoised per
+    primitive character; v is reduced mod Phi_order."""
     f = chi.modulus
     m = chi.order
     s0 = [0] * m
@@ -141,20 +140,20 @@ def bernoulli2_chi(chi: DirichletCharacter) -> CyclotomicNumber:
         s1[e] += a
         s2[e] += a * a
     # f * (S2/f^2 - S1/f + S0/6) = (6 S2 - 6 f S1 + f^2 S0) / (6 f)
-    sums = {e: Fraction(6 * s2[e] - 6 * f * s1[e] + f * f * s0[e], 6 * f)
-            for e in range(m) if s0[e]}
-    return CyclotomicNumber.from_exponent_sums(m, sums)
+    v = reduce_mod_phi(m, [6 * s2[e] - 6 * f * s1[e] + f * f * s0[e] for e in range(m)])
+    return tuple(v), 6 * f
+
+
+def bernoulli2_chi(chi: DirichletCharacter) -> CyclotomicNumber:
+    """Generalized Bernoulli number B_{2,chi} for a primitive character."""
+    v, den = _bernoulli2_integers(chi)
+    return CyclotomicNumber.from_integers(chi.order, v, den)
 
 
 def L_minus_one(chi: DirichletCharacter) -> CyclotomicNumber:
     """L(chi, -1) = -B_{2,chi}/2 for a primitive character."""
-    return bernoulli2_chi(chi) * Fraction(-1, 2)
-
-
-@lru_cache(maxsize=4096)
-def _memo_L_minus_one(prim: DirichletCharacter) -> CyclotomicNumber:
-    """L_minus_one, memoised per primitive character."""
-    return L_minus_one(prim)
+    v, den = _bernoulli2_integers(chi)
+    return CyclotomicNumber.from_integers(chi.order, v, -2 * den)
 
 
 def galois_orbits(chars: list[DirichletCharacter]) -> list[list[DirichletCharacter]]:
@@ -176,18 +175,23 @@ def galois_orbits(chars: list[DirichletCharacter]) -> list[list[DirichletCharact
 
 
 def _orbit_L_product(orbit: list[DirichletCharacter]) -> Fraction:
-    """Rational product of L(chi*, -1) over one Galois orbit."""
+    """Rational product of L(chi*, -1) over one Galois orbit.
+
+    Each conjugate is primitivized and evaluated on its own;
+    conductor_primitive keeps the order, so every value lies in
+    Z[zeta_m] over its own denominator -12f.
+    """
     m = orbit[0].order
-    prod = CyclotomicNumber.rational(1, m)
+    num = [1] + [0] * (phi_degree(m) - 1)
+    den = 1
     for chi in orbit:
-        val = _memo_L_minus_one(conductor_primitive(chi)[1])
-        if val.order != m:
-            val = CyclotomicNumber.from_exponent_sums(
-                m, {k * (m // val.order): c for k, c in enumerate(val.coeffs)})
-        prod = prod * val
-    if not prod.is_rational():
+        v, d = _bernoulli2_integers(conductor_primitive(chi)[1])
+        num = mul_mod_phi(m, num, v)
+        den *= -2 * d
+    if any(num[1:]):
+        prod = CyclotomicNumber.from_integers(m, num, den)
         raise NotRational(f"orbit product of conjugate L-values not rational: {prod}")
-    return prod.to_rational()
+    return Fraction(num[0], den)
 
 
 def characters_trivial_on(f: int, kernel_units: set[int]) -> list[DirichletCharacter]:
@@ -241,11 +245,26 @@ def zeta_minus_one(h, realization) -> Fraction:
     return total
 
 
-def character_multiplicities(x, realization) -> list[tuple[DirichletCharacter, int]]:
-    """Multiplicity of each character of G inside the lattice representation.
+def _ramanujan_sum(m: int, e: int) -> int:
+    """c_m(e), the sum of zeta_m^(k e) over k coprime to m:
+    mu(q) phi(m) / phi(q) with q = m / gcd(e, m)."""
+    q = m // gcd(e, m)
+    ps = factorize(q)
+    if any(k > 1 for _, k in ps):           # mu(q) = 0
+        return 0
+    return (-1) ** len(ps) * (euler_phi(m) // euler_phi(q))
 
-    m_chi = (1/|G|) sum_g conj(chi)(g) tr rho(g), computed exactly in
-    Q(zeta_{ord chi}) and certified to be a nonnegative integer.
+
+def character_multiplicities(x, realization) -> list[tuple[list[DirichletCharacter], int]]:
+    """Multiplicity of the characters of each Galois orbit of G inside the
+    lattice representation, as (orbit, multiplicity) pairs.
+
+    m_chi = (1/|G|) sum_g conj(chi)(g) tr rho(g). The traces are rational,
+    so the phi(m) conjugates of chi (order m) share m_chi, and summing
+    over the orbit turns each zeta_m^e into the Ramanujan sum
+    c_m(e) = mu(q) phi(m) / phi(q), q = m / gcd(e, m):
+    phi(m) |G| m_chi = sum_g tr rho(g) c_m(e_g). The quotient is certified
+    to be a nonnegative integer.
     """
     g = x.group
     if not g.is_abelian():
@@ -262,19 +281,15 @@ def character_multiplicities(x, realization) -> list[tuple[DirichletCharacter, i
     traces = {a: sum(x.action[a].data[i][i] for i in range(x.rank))
               for a in range(g.order)}
     out = []
-    for chi in chars:
-        m = chi.order
-        sums: dict[int, Fraction] = {}
-        for a in range(g.order):
-            e = chi.value_exponent(reps[a])
-            sums[(-e) % m] = sums.get((-e) % m, Fraction(0)) + traces[a]
-        total = CyclotomicNumber.from_exponent_sums(m, sums) / g.order
-        if not total.is_rational():
-            raise MultiplicityNotInteger(f"multiplicity of {chi} not rational")
-        mult = total.to_rational()
-        if mult.denominator != 1 or mult < 0:
-            raise MultiplicityNotInteger(f"multiplicity {mult} of {chi}")
-        out.append((chi, int(mult)))
+    for orbit in galois_orbits(chars):
+        chi, m = orbit[0], orbit[0].order
+        total = sum(traces[a] * _ramanujan_sum(m, chi.value_exponent(reps[a]))
+                    for a in range(g.order))
+        mult, rem = divmod(total, euler_phi(m) * g.order)
+        if rem or mult < 0:
+            raise MultiplicityNotInteger(
+                f"multiplicity {Fraction(total, euler_phi(m) * g.order)} of {chi}")
+        out.append((orbit, mult))
     return out
 
 
@@ -286,23 +301,17 @@ def artin_L_minus_one(x, realization, with_table: bool = False):
     if not realization.totally_real:
         raise NotTotallyReal("Artin L-value at -1 needs pi(-1) = identity")
     mults = character_multiplicities(x, realization)
-    if sum(m for _, m in mults) != x.rank:
+    if sum(len(orbit) * m for orbit, m in mults) != x.rank:
         raise MultiplicityNotInteger("multiplicities do not add up to the rank")
-    by_exp = {chi.exponents: m for chi, m in mults}
     total = Fraction(1)
     table = []
-    for orbit in galois_orbits([chi for chi, _ in mults]):
-        ms = {by_exp[chi.exponents] for chi in orbit}
-        if len(ms) != 1:
-            raise MultiplicityNotInteger(
-                "conjugate characters must have equal multiplicity")
-        mult = ms.pop()
+    for orbit, mult in mults:
         if with_table:
             for chi in orbit:
                 cond, prim = conductor_primitive(chi)
                 table.append({"conductor": cond, "order": chi.order,
                               "multiplicity": mult,
-                              "value": _value_json(_memo_L_minus_one(prim))})
+                              "value": _value_json(L_minus_one(prim))})
         if mult == 0:
             continue
         total *= _orbit_L_product(orbit) ** mult

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import NoSolution
 from .exact import lcm
 from .groups import FiniteGroup, conjugacy_classes, subgroup_classes
-from .lattices import GLattice, lattice_character, permutation_lattice
+from .lattices import GLattice, lattice_character
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,19 @@ class InductionDecomposition:
                             for cid, a in sorted(self.coefficients.items())]}
 
 
-def permutation_character_table(g: FiniteGroup):
-    """Matrix column per subgroup class: the character of Z[G/H] on each class."""
-    return [lattice_character(permutation_lattice(g, cls)) for cls in subgroup_classes(g)]
+def permutation_character_table(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """Matrix column per subgroup class: the character of Z[G/H] on each class.
+
+    Its value at an element a is the number of cosets xH that a fixes,
+    |{x : x^-1 a x in H}| / |H|, counted on one element per class.
+    """
+    reps = [cls[0] for cls in conjugacy_classes(g)]
+    table = []
+    for cls in subgroup_classes(g):
+        h = set(cls.elements)
+        table.append(tuple(sum(g.conjugate(x, a) in h for x in range(g.order)) // cls.order
+                           for a in reps))
+    return table
 
 
 def artin_induction(chi: ClassFunction) -> InductionDecomposition:

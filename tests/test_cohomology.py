@@ -130,6 +130,24 @@ def test_flasque_resolution_random_postconditions(c2, s3, v4):
             assert res.p_lattice.rank == res.q_lattice.rank + x.rank
 
 
+def test_flasque_kernel_action_is_carried_by_the_inclusion(c2, s3, v4, d4, a4):
+    """inclusion Q(a) = P(a) inclusion for every element a, so chi_Q = chi_P - chi_X."""
+    rng = random.Random(29)
+    pool = catalog_pool(c2, s3, v4)
+    cases = [x for key in ("c2", "s3", "v4") for x in pool[key]]
+    cases += [random_lattice(pool[key], rng, max_rank=4) for key in ("c2", "s3", "v4")]
+    for g in (d4, a4):
+        cases += [lat.norm_one_lattice(g), lat.dual(lat.norm_one_lattice(g))]
+    for x in cases:
+        res = coh.flasque_resolution(x)
+        for a in range(x.group.order):
+            assert res.inclusion @ res.q_lattice.action[a] == \
+                res.p_lattice.action[a] @ res.inclusion, (x.group.name, a)
+        chi_p, chi_q, chi_x = (lat.lattice_character(y)
+                               for y in (res.p_lattice, res.q_lattice, x))
+        assert chi_q == tuple(p - v for p, v in zip(chi_p, chi_x))
+
+
 def test_verify_invertibility_trivial_cases(c2, s3):
     zero = lat.zero_lattice(s3)
     cert = coh.InvertibilityCertificate(None, intmat.zeros(0, 0), ())

@@ -1,5 +1,10 @@
-import pytest
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from conftest import oracle_bernoulli_numbers
 from torusbt import lattices as lat
@@ -186,3 +191,30 @@ def test_unit_group_canonical_generators():
     assert u40.orders == (2, 2, 4)
     u8 = unit_group(8)
     assert u8.generators == (7, 5)
+
+
+def test_c48_regular_predict_is_fast():
+    """btc_predict on the regular lattice of Q(zeta_97)^+ (G = C48), in a
+    fresh process so that no memo is warm."""
+    code = """
+import time
+from torusbt import lattices
+from torusbt.engine import btc_predict
+from torusbt.groups import cyclic_group
+from torusbt.realization import realization_from_images
+from torusbt.units import primitive_root_mod_prime
+g = cyclic_group(48)
+r = realization_from_images(g, 97, {primitive_root_mod_prime(97): 1})
+x = lattices.permutation_lattice(g, (g.identity,))
+start = time.perf_counter()
+btc_predict(x, r)
+print(time.perf_counter() - start)
+"""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert float(proc.stdout.split()[-1]) < 0.3

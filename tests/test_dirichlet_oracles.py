@@ -3,7 +3,9 @@
 Real quadratic zeta values against the Cohen-Zagier class-number sum,
 discrete logs against their defining products, and B_{2,chi} against
 the per-residue Fraction formula with character values enumerated from
-the generators. These also run under ``python -O``
+the generators. Orbit products and character multiplicities against
+copies of the Fraction-vector arithmetic they replaced, and Ramanujan
+sums against reduced orbit sums. These also run under ``python -O``
 (tests/test_optimized_mode.py), so every check here must be a pytest
 assertion or a typed exception, never a bare library ``assert``.
 """
@@ -14,12 +16,18 @@ from math import gcd, isqrt, lcm, prod
 
 import pytest
 
-from torusbt.cyclotomic import CyclotomicNumber, cyclotomic_polynomial
-from torusbt.dirichlet import (bernoulli2_chi, characters_mod, characters_trivial_on,
-                               conductor_primitive, zeta_minus_one)
+from test_realization import RUNG_PRIMES, _rung
+from torusbt import intmat
+from torusbt import lattices as lat
+from torusbt.catalog import all_fixtures
+from torusbt.cyclotomic import CyclotomicNumber, cyclotomic_polynomial, reduce_mod_phi
+from torusbt.dirichlet import (L_minus_one, _orbit_L_product, _ramanujan_sum,
+                               bernoulli2_chi, character_multiplicities, characters_mod,
+                               characters_trivial_on, conductor_primitive, galois_orbits,
+                               zeta_minus_one)
 from torusbt.errors import InvariantViolation
 from torusbt.realization import realization_from_images
-from torusbt.units import UnitGroupStructure, euler_phi, unit_group
+from torusbt.units import UnitGroupStructure, euler_phi, unit_group, units_mod
 
 
 # ---------------------------------------------------------------- oracles
@@ -183,3 +191,109 @@ def test_unit_group_invariants_are_typed_errors():
         UnitGroupStructure(5, (2,), (2,))           # orders miss phi(5) = 4
     with pytest.raises(InvariantViolation):
         UnitGroupStructure(8, (3, 3), (2, 2)).log_table()   # 3 does not split (Z/8)*
+
+
+# ------------------------- the Fraction arithmetic the integer path replaced
+
+def fraction_reduce(order: int, exp_coeffs: dict[int, Fraction]) -> list[Fraction]:
+    """exponent -> Fraction coefficient, reduced mod Phi_order through every
+    coefficient of Phi_order, zeros included."""
+    phi = cyclotomic_polynomial(order)
+    deg = len(phi) - 1
+    vec = [Fraction(0)] * max(max(exp_coeffs, default=0) + 1, deg)
+    for e, c in exp_coeffs.items():
+        vec[e] += c
+    for i in range(len(vec) - 1, deg - 1, -1):
+        c = vec[i]
+        if c:
+            vec[i] = Fraction(0)
+            for j, y in enumerate(phi[:-1]):
+                vec[i - deg + j] -= c * y
+    return vec[:deg]
+
+
+def fraction_orbit_product(orbit) -> Fraction:
+    """Product of L(chi*, -1) over the orbit, multiplied in Fraction vectors."""
+    m = orbit[0].order
+    out = fraction_reduce(m, {0: Fraction(1)})
+    for chi in orbit:
+        val = L_minus_one(conductor_primitive(chi)[1]).coeffs
+        prod_coeffs: dict[int, Fraction] = {}
+        for i, x in enumerate(out):
+            for j, y in enumerate(val):
+                prod_coeffs[i + j] = prod_coeffs.get(i + j, Fraction(0)) + x * y
+        out = fraction_reduce(m, prod_coeffs)
+    if any(out[1:]):
+        raise AssertionError(f"orbit product not rational: {out}")
+    return out[0]
+
+
+def per_character_multiplicities(x, r) -> dict:
+    """m_chi = (1/|G|) sum_g conj(chi)(g) tr rho(g), one character at a time."""
+    g = x.group
+    f = r.modulus
+    reps: dict[int, int] = {}
+    for u in units_mod(f):
+        reps.setdefault(r.pi(u), u)
+    kernel = {u for u in units_mod(f) if r.pi(u) == g.identity}
+    out = {}
+    for chi in characters_trivial_on(f, kernel):
+        m = chi.order
+        sums: dict[int, Fraction] = {}
+        for a in range(g.order):
+            e = (-chi.value_exponent(reps[a])) % m
+            trace = sum(x.action[a].data[i][i] for i in range(x.rank))
+            sums[e] = sums.get(e, Fraction(0)) + Fraction(trace, g.order)
+        total = fraction_reduce(m, sums)
+        if any(total[1:]) or total[0].denominator != 1 or total[0] < 0:
+            raise AssertionError(f"multiplicity of {chi} is {total}")
+        out[chi] = int(total[0])
+    return out
+
+
+def test_orbit_products_match_fraction_arithmetic():
+    checked = 0
+    for f in range(1, 61):
+        for orbit in galois_orbits(characters_mod(f)):
+            assert _orbit_L_product(orbit) == fraction_orbit_product(orbit), \
+                (f, orbit[0].exponents)
+            checked += len(orbit)
+    assert checked == sum(euler_phi(f) for f in range(1, 61))
+
+
+def test_ramanujan_sum_is_the_orbit_sum_of_a_root_of_unity():
+    for m in range(1, 61):
+        for e in range(m):
+            vec = [0] * m
+            for k in units_mod(m):
+                vec[k * e % m] += 1
+            reduced = reduce_mod_phi(m, vec)
+            assert not any(reduced[1:]), (m, e)
+            assert _ramanujan_sum(m, e) == reduced[0], (m, e)
+
+
+def test_multiplicities_match_per_character_sums():
+    """On the abelian fixtures and the regular, norm-one, dual norm-one and
+    sum-d lattices of the rungs Res Q(zeta_p)^+ up to C30."""
+    cases = [(fx.lattice, fx.realization) for fx in all_fixtures()
+             if fx.realization is not None]
+    for p in RUNG_PRIMES:
+        if p > 61:
+            break
+        g, r = _rung(p)
+        n = g.order
+        norm_one = lat.norm_one_lattice(g)
+        cases += [(lat.permutation_lattice(g, (g.identity,)), r), (norm_one, r),
+                  (lat.dual(norm_one), r)]
+        for d in range(1, n):
+            if n % d == 0:
+                summand = lat.permutation_lattice(g, tuple(range(0, n, d)))
+                cases.append((lat.GLattice(g, n, tuple(
+                    intmat.block_diag([mat] * (n // d)) for mat in summand.action)), r))
+    for x, r in cases:
+        expected = per_character_multiplicities(x, r)
+        got = character_multiplicities(x, r)
+        assert [orbit for orbit, _ in got] == galois_orbits(list(expected))
+        for orbit, mult in got:
+            for chi in orbit:
+                assert expected[chi] == mult, (r.modulus, x.rank, str(chi))

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import catalog_pool, random_lattice
+from conftest import catalog_pool, quaternion_generators, random_lattice
 from torusbt import intmat
 from torusbt import lattices as lat
 from torusbt.errors import NoSolution
 from torusbt.exact import lcm
-from torusbt.groups import conjugacy_classes, subgroup_classes
+from torusbt.groups import (conjugacy_classes, cyclic_group, group_from_generators,
+                            subgroup_classes)
 from torusbt.induction import (ClassFunction, artin_induction, character_of,
                                ono_decomposition, permutation_character_table)
 
@@ -124,3 +125,21 @@ def test_ono_identity_on_catalog(c2, s3, v4):
                                        for j, mult in p_spec.items())
                 rhs = sum(mult * cols[j][i] for j, mult in q_spec.items())
                 assert lhs == rhs
+
+
+def test_permutation_character_table_counts_fixed_cosets(s3, d4, a4):
+    """Against the traces of the coset lattices Z[G/H] themselves."""
+    groups = [s3, d4, a4, group_from_generators(quaternion_generators(), name="Q8")]
+    for gens, name in (([[1, 2, 3, 4, 0], [0, 4, 3, 2, 1]], "D5"),
+                       ([[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]], "D6"),
+                       ([[x ^ (1 << i) for x in range(8)] for i in range(3)], "C2^3")):
+        groups.append(group_from_generators(gens, name=name))
+    groups.extend(cyclic_group(n) for n in range(1, 49))
+    for g in groups:
+        table = permutation_character_table(g)
+        classes = subgroup_classes(g)
+        assert len(table) == len(classes), g.name
+        for col, cls in zip(table, classes):
+            assert all(type(v) is int for v in col), g.name
+            assert col == lat.lattice_character(lat.permutation_lattice(g, cls)), \
+                (g.name, cls.class_id)

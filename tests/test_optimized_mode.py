@@ -3,9 +3,9 @@
 ``-O`` strips ``assert`` statements, so any invariant of the library that
 still rested on one would silently stop being checked. No check in the
 library is an ``assert``: those on the Dirichlet path, in ``cyclotomic``,
-``realization``, ``validate``, ``flasque_resolution``, ``generating_set``
-and the exact solver are typed errors or explicit checks; this runs
-their tests with asserts off.
+``realization``, ``validate``, ``flasque_resolution``, ``generating_set``,
+``induction`` and the exact solver are typed errors or explicit checks;
+this runs their tests with asserts off.
 """
 
 import os
@@ -33,7 +33,8 @@ def test_dirichlet_suite_passes_under_python_O():
 
 
 def test_lattice_and_cohomology_suites_pass_under_python_O():
-    _passes_under_python_O("tests/test_lattices.py", "tests/test_cohomology.py")
+    _passes_under_python_O("tests/test_lattices.py", "tests/test_cohomology.py",
+                           "tests/test_induction.py")
 
 
 def test_intmat_and_groups_suites_pass_under_python_O():
