@@ -24,8 +24,7 @@ from .cohomology import (FlasqueResolution, InvertibilityCertificate,
                          is_flasque, real_decomposition,
                          search_invertibility_certificate, tate_h0,
                          verify_invertibility)
-from .induction import (ClassFunction, InductionDecomposition, artin_induction,
-                        character_of, ono_decomposition)
+from .induction import InductionDecomposition, artin_induction, ono_decomposition
 from .dirichlet import (DirichletCharacter, L_minus_one, artin_L_minus_one,
                         bernoulli2_chi, characters_mod, conductor_primitive,
                         zeta_minus_one)

@@ -7,7 +7,7 @@ import json
 import sys
 
 from .errors import ManifestError, TorusBTError
-from .manifest import COMMANDS, load_manifest, run_manifest
+from .manifest import COMMANDS, check_option, load_manifest, run_manifest
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,8 +32,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    overrides = {"prime_cap": args.prime_cap, "stab_cap": args.stab_cap,
+                 "debug_oracles": args.debug_oracles or None}
     try:
         man = load_manifest(args.manifest)
+        for key, value in overrides.items():
+            if value is not None:
+                man.options[key] = check_option(key, value)
     except FileNotFoundError:
         print(f"torusbt: no such manifest: {args.manifest}", file=sys.stderr)
         return 2
@@ -42,12 +47,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     man.commands = (args.command,)
-    if args.prime_cap is not None:
-        man.options["prime_cap"] = args.prime_cap
-    if args.stab_cap is not None:
-        man.options["stab_cap"] = args.stab_cap
-    if args.debug_oracles:
-        man.options["debug_oracles"] = True
 
     try:
         report, hit = run_manifest(man, cache_dir=args.cache_dir)

@@ -23,9 +23,8 @@ from .groups import (FiniteGroup, SubgroupClass, generating_set, is_metacyclic,
                      subgroup_elements)
 from .induction import permutation_character_table
 from .intmat import IntMatrix
-from .lattices import (GLattice, direct_sum_list, invariant_basis,
-                       norm_element_matrix, permutation_lattice, validate,
-                       zero_lattice)
+from .lattices import (GLattice, direct_sum_list, invariant_basis, lattice_character,
+                       norm_element_matrix, permutation_lattice, validate, zero_lattice)
 
 
 def h1(h, x: GLattice) -> FinAbGroup:
@@ -39,7 +38,7 @@ def h1(h, x: GLattice) -> FinAbGroup:
     Always a finite group for a lattice module; a nonzero free rank
     raises InvariantViolation.
     """
-    elems = subgroup_elements(h)
+    elems = subgroup_elements(x.group, h)
     gens = generating_set(x.group, elems)
     if not gens:
         return FinAbGroup()
@@ -162,10 +161,11 @@ def flasque_resolution(x: GLattice) -> FlasqueResolution:
     a literal permutation lattice this reproduces P = X, Q = 0.
 
     X must be a G-lattice. The postconditions (exactness over Z,
-    equivariance of P -> X, flasqueness of Q) raise InvariantViolation.
-    Equivariance is checked on spanning_generators(G) only: P is a sum of
-    coset lattices built here and X is a G-action, so f P(s) = X(s) f for
-    the generators s gives f P(a) = X(a) f for every product a of them.
+    equivariance of P -> X and of Q -> P, flasqueness of Q) raise
+    InvariantViolation. Equivariance is checked on spanning_generators(G)
+    only: P, Q and X are G-actions, so f P(s) = X(s) f for the generators
+    s gives f P(a) = X(a) f for every product a of them, and likewise for
+    the inclusion.
     """
     g = x.group
     classes = subgroup_classes(g)
@@ -224,6 +224,8 @@ def flasque_resolution(x: GLattice) -> FlasqueResolution:
     for s in spanning_generators(g):
         if surjection @ p_lat.action[s] != x.action[s] @ surjection:
             raise InvariantViolation(f"surjection not equivariant at element {s}")
+        if p_lat.action[s] @ inclusion != inclusion @ q_lat.action[s]:
+            raise InvariantViolation(f"inclusion not equivariant at element {s}")
     ok, wit = is_flasque(q_lat)
     if not ok:
         raise InvariantViolation(f"kernel is not flasque: {wit}")
@@ -350,16 +352,15 @@ def search_invertibility_certificate(
     with chi_Q + chi(comp) = chi(target) in enumeration order; pair_budget
     counts these character-matched pairs.
     """
-    from .lattices import lattice_character
     g = q.group
     classes = subgroup_classes(g)
     if q.rank == 0:
         cert = InvertibilityCertificate(None, intmat.zeros(0, 0), ())
         return cert if verify_invertibility(q, cert) else None
 
-    chi_q = tuple(int(v) for v in lattice_character(q))
+    chi_q = lattice_character(q)
     perm = {cls.class_id: permutation_lattice(g, cls) for cls in classes}
-    chi_perm = dict(enumerate(permutation_character_table(g)))
+    chi_perm = permutation_character_table(g)
     profiles = {}
 
     def profile(cid):                     # cid None stands for Q itself

@@ -234,11 +234,7 @@ def zeta_minus_one(h, realization) -> Fraction:
     characters mod f trivial on the unit preimage of H; each one is
     primitivized before evaluation so every Euler factor is right.
     """
-    from .groups import subgroup_elements
-    helems = set(subgroup_elements(h))
-    preimage = {u for u in units_mod(realization.modulus)
-                if realization.pi(u) in helems}
-    chars = characters_trivial_on(realization.modulus, preimage)
+    chars = characters_trivial_on(realization.modulus, realization.unit_preimage(h))
     total = Fraction(1)
     for orbit in galois_orbits(chars):
         total *= _orbit_L_product(orbit)

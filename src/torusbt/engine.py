@@ -80,12 +80,6 @@ class BTCReport:
         }
 
 
-def ono_identity(x: GLattice) -> tuple[int, dict, dict, dict]:
-    """(m, p_spec, q_spec, identity-json) for m*chi_X + chi_P = chi_Q."""
-    m, p_spec, q_spec, dec = induction.ono_decomposition(x)
-    return m, p_spec, q_spec, dec.to_json()
-
-
 def _ono_root(m: int, p_spec: dict, q_spec: dict, r: AbelianRealization):
     """(m-th root of prod_H |zeta_{M_H}(-1)|^{a_H} or None, warnings)."""
     classes = subgroup_classes(r.group)
@@ -106,9 +100,9 @@ def ono_l_value(x: GLattice, r: AbelianRealization):
     """|L(X,-1)| recovered from the induction identity:
     the m-th root of prod_H |zeta_{M_H}(-1)|^{a_H}. Returns
     (root or None, identity json, warnings)."""
-    m, p_spec, q_spec, ident = ono_identity(x)
+    m, p_spec, q_spec, dec = induction.ono_decomposition(x)
     root, warnings = _ono_root(m, p_spec, q_spec, r)
-    return root, ident, warnings
+    return root, dec.to_json(), warnings
 
 
 def btc_predict(x: GLattice, r: AbelianRealization | None,
@@ -127,7 +121,8 @@ def btc_predict(x: GLattice, r: AbelianRealization | None,
         w_order=None, predicted_kt_order=None, two_defect_rank=None,
         certificates=certs, warnings=warnings)
 
-    m, p_spec, q_spec, report.ono = ono_identity(x)
+    m, p_spec, q_spec, dec = induction.ono_decomposition(x)
+    report.ono = dec.to_json()
 
     if r is None:
         if not x.group.is_abelian():

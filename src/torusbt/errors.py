@@ -34,7 +34,7 @@ class NotSurjective(TorusBTError):
 
 
 class ShapeMismatch(TorusBTError):
-    """Matrix dimensions inconsistent with the declared shapes."""
+    """Matrix dimensions inconsistent with the declared shapes, or a non-int entry."""
 
 
 class InconsistentRank(TorusBTError):

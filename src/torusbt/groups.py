@@ -105,9 +105,20 @@ def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[q[x]] for x in range(len(p)))
 
 
+def _int_rows(rows) -> bool:
+    """True iff rows is a list or tuple of lists or tuples of ints."""
+    return isinstance(rows, (list, tuple)) and all(
+        isinstance(r, (list, tuple)) and all(type(x) is int for x in r) for r in rows)
+
+
 def group_from_table(table, name: str = "G", generators=None, labels=None) -> FiniteGroup:
+    """Group with this multiplication table. A malformed table raises
+    NotHomomorphism; generators that are not element indices raise
+    NotSubgroup."""
+    if not _int_rows(table):
+        raise NotHomomorphism(f"multiplication table must be rows of integers, got {table!r}")
     n = len(table)
-    mul = tuple(tuple(int(x) for x in row) for row in table)
+    mul = tuple(tuple(row) for row in table)
     for row in mul:
         if len(row) != n or any(not (0 <= x < n) for x in row):
             raise NotHomomorphism("malformed multiplication table")
@@ -126,6 +137,9 @@ def group_from_table(table, name: str = "G", generators=None, labels=None) -> Fi
         inverse.append(inv[0])
     if generators is None:
         generators = tuple(a for a in range(n) if a != identity)
+    elif not (isinstance(generators, (list, tuple))
+              and all(type(s) is int and 0 <= s < n for s in generators)):
+        raise NotSubgroup(f"generators {generators!r} are not element indices below {n}")
     g = FiniteGroup(n, mul, identity, tuple(inverse), tuple(generators), name,
                     tuple(labels) if labels is not None else None)
     g.validate()
@@ -136,12 +150,15 @@ def group_from_generators(perms: list, name: str = "G") -> FiniteGroup:
     """Close a list of permutations (images form) under composition.
 
     Each permutation is a sequence p with p[i] = image of point i. The
-    empty list yields the trivial group.
+    empty list yields the trivial group. Anything but a list of integer
+    sequences raises NonPermutation.
     """
+    if not _int_rows(perms):
+        raise NonPermutation(f"generators must be lists of point indices, got {perms!r}")
     gens = []
     npoints = None
     for p in perms:
-        p = tuple(int(x) for x in p)
+        p = tuple(p)
         if npoints is None:
             npoints = len(p)
         if len(p) != npoints or sorted(p) != list(range(npoints)):
@@ -247,11 +264,17 @@ def subgroup_classes(g: FiniteGroup) -> list[SubgroupClass]:
     return g._subgroup_classes
 
 
-def subgroup_elements(h) -> tuple[int, ...]:
-    """Accept a SubgroupClass or a raw element tuple."""
+def subgroup_elements(g: FiniteGroup, h) -> tuple[int, ...]:
+    """Elements of a SubgroupClass, or of a raw element tuple of g.
+
+    A raw tuple must be a subgroup of g: generating_set raises NotSubgroup
+    when its elements are out of range or not closed.
+    """
     if isinstance(h, SubgroupClass):
         return h.elements
-    return tuple(sorted(set(h)))
+    elems = tuple(sorted(set(h)))
+    generating_set(g, elems)
+    return elems
 
 
 def generating_set(g: FiniteGroup, elements: tuple[int, ...]) -> list[int]:
@@ -260,7 +283,7 @@ def generating_set(g: FiniteGroup, elements: tuple[int, ...]) -> list[int]:
     Raises NotSubgroup when the elements are out of range or not closed.
     """
     target = set(elements)
-    if not all(0 <= a < g.order for a in target):
+    if not all(type(a) is int and 0 <= a < g.order for a in target):
         raise NotSubgroup(f"elements {sorted(target)} out of range for |G| = {g.order}")
     gens: list[int] = []
     span = {g.identity}
@@ -289,7 +312,7 @@ def spanning_generators(g: FiniteGroup) -> list[int]:
 
 def subgroup_as_group(g: FiniteGroup, h) -> tuple[FiniteGroup, list[int]]:
     """The subgroup as its own FiniteGroup plus the embedding index list."""
-    elems = list(subgroup_elements(h))
+    elems = list(subgroup_elements(g, h))
     pos = {a: i for i, a in enumerate(elems)}
     mul = [[pos[g.op(a, b)] for b in elems] for a in elems]
     gens = [pos[a] for a in generating_set(g, tuple(elems))]

@@ -1,5 +1,6 @@
-"""Rational class functions and induction from coset lattices.
+"""Permutation characters and induction from coset lattices.
 
+A class function is a tuple of ints, one value per conjugacy class.
 Any lattice character is a Q-combination of the permutation characters
 of Z[G/H] over the subgroup classes (Artin induction with the cyclic
 columns already included among them). Clearing denominators gives the
@@ -10,37 +11,12 @@ into a product of Dedekind zeta values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
+from . import intmat
 from .errors import NoSolution
-from .exact import lcm
 from .groups import FiniteGroup, conjugacy_classes, subgroup_classes
 from .lattices import GLattice, lattice_character
-
-
-@dataclass(frozen=True)
-class ClassFunction:
-    group: FiniteGroup
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.values) != len(conjugacy_classes(self.group)):
-            raise ValueError("one value per conjugacy class required")
-
-    def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        return ClassFunction(self.group,
-                             tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def scale(self, c) -> "ClassFunction":
-        c = Fraction(c)
-        return ClassFunction(self.group, tuple(c * v for v in self.values))
-
-    def is_integral(self) -> bool:
-        return all(v.denominator == 1 for v in self.values)
-
-
-def character_of(x: GLattice) -> ClassFunction:
-    return ClassFunction(x.group, lattice_character(x))
 
 
 @dataclass(frozen=True)
@@ -70,65 +46,45 @@ def permutation_character_table(g: FiniteGroup) -> list[tuple[int, ...]]:
     return table
 
 
-def artin_induction(chi: ClassFunction) -> InductionDecomposition:
-    """Express chi exactly through permutation characters.
+def artin_induction(g: FiniteGroup, chi: tuple[int, ...]) -> InductionDecomposition:
+    """Express the integer class function chi exactly through permutation characters.
 
-    The linear system is often underdetermined; the solution is pinned
-    down by eliminating with pivots on the largest subgroups first and
-    zeroing the remaining free coefficients, which concentrates support
-    on large subgroups and reproduces textbook decompositions.
+    The linear system is often underdetermined; the support is the greedy
+    set of independent characters taken from the largest subgroup down
+    (the pivot rows of the Hermite form of the reversed table), and the
+    other coefficients are zero. That concentrates support on large
+    subgroups and reproduces textbook decompositions. On that support the
+    solution is unique, so (a, m) is the primitive kernel vector of
+    [T_support | -chi] with m > 0.
     """
-    g = chi.group
-    if not chi.is_integral():
-        raise NoSolution("lattice characters are integer-valued")
     cols = permutation_character_table(g)
-    nrows, ncols = len(conjugacy_classes(g)), len(cols)
-
-    if all(v == 0 for v in chi.values):
+    nrows = len(conjugacy_classes(g))
+    if not (isinstance(chi, (tuple, list)) and len(chi) == nrows
+            and all(type(v) is int for v in chi)):
+        raise NoSolution(f"a character of {g.name} is {nrows} integers, got {chi!r}")
+    if not any(chi):
         return InductionDecomposition(1, {})
     # A singleton support is the lexicographically smallest possible one;
     # it also pins chi of Z[G/H] to the single coefficient a_H = 1.
-    for j in range(ncols):
-        c = Fraction(chi.values[0], cols[j][0])
-        if all(chi.values[i] == c * cols[j][i] for i in range(nrows)):
-            m = c.denominator
-            return InductionDecomposition(m, {j: int(c * m)})
+    for j, col in enumerate(cols):
+        if all(v * col[0] == chi[0] * c for v, c in zip(chi, col)):
+            d = gcd(chi[0], col[0])
+            return InductionDecomposition(col[0] // d, {j: chi[0] // d})
 
-    # Augmented Gaussian elimination over Q, pivot columns scanned from
-    # the last (largest subgroup) to the first.
-    a = [[Fraction(cols[j][i]) for j in range(ncols)] + [chi.values[i]]
-         for i in range(nrows)]
-    pivots: list[tuple[int, int]] = []
-    used_rows: set[int] = set()
-    for j in range(ncols - 1, -1, -1):
-        pr = next((i for i in range(nrows)
-                   if i not in used_rows and a[i][j] != 0), None)
-        if pr is None:
-            continue
-        used_rows.add(pr)
-        pivots.append((pr, j))
-        pv = a[pr][j]
-        a[pr] = [v / pv for v in a[pr]]
-        for i in range(nrows):
-            if i != pr and a[i][j] != 0:
-                f = a[i][j]
-                a[i] = [v - f * w for v, w in zip(a[i], a[pr])]
-    for i in range(nrows):
-        if i not in used_rows and a[i][ncols] != 0:
-            raise NoSolution("character outside the permutation-character span")
-    x = [Fraction(0)] * ncols
-    for pr, j in pivots:
-        x[j] = a[pr][ncols] - sum(a[pr][k] * x[k] for k in range(ncols) if k != j)
-
-    m = 1
-    for v in x:
-        m = lcm(m, v.denominator) if v else m
-    coeffs = {j: int(v * m) for j, v in enumerate(x) if v != 0}
+    h = intmat.hnf_columns(intmat.from_rows(cols[::-1]))
+    support = sorted(len(cols) - 1 - next(i for i in range(h.rows) if h[i, k])
+                     for k in range(h.cols))
+    kern = intmat.kernel_basis(intmat.from_columns(
+        [cols[j] for j in support] + [tuple(-v for v in chi)], nrows))
+    if kern.cols != 1 or kern[len(support), 0] == 0:
+        raise NoSolution("character outside the permutation-character span")
+    sign = 1 if kern[len(support), 0] > 0 else -1
+    *sol, m = (sign * v for v in kern.col(0))
+    coeffs = {j: a for j, a in zip(support, sol) if a}
 
     # Exact verification of m*chi = sum a_H chi_H before returning.
     for i in range(nrows):
-        total = sum(coeffs.get(j, 0) * cols[j][i] for j in range(ncols))
-        if total != m * chi.values[i]:
+        if sum(a * cols[j][i] for j, a in coeffs.items()) != m * chi[i]:
             raise NoSolution("internal: solution fails verification")
     return InductionDecomposition(m, coeffs)
 
@@ -136,11 +92,11 @@ def artin_induction(chi: ClassFunction) -> InductionDecomposition:
 def ono_decomposition(x: GLattice):
     """Split the induction identity into m*chi_X + chi_P = chi_Q.
 
-    Returns (m, p_spec, q_spec) where the specs map class id ->
-    multiplicity; symbolically this is L(X,-1)^m = prod_H
+    Returns (m, p_spec, q_spec, decomposition) where the specs map class
+    id -> multiplicity; symbolically this is L(X,-1)^m = prod_H
     zeta_{M_H}(-1)^{a_H} over the fixed fields M_H.
     """
-    dec = artin_induction(character_of(x))
+    dec = artin_induction(x.group, lattice_character(x))
     p_spec = {cid: -a for cid, a in dec.coefficients.items() if a < 0}
     q_spec = {cid: a for cid, a in dec.coefficients.items() if a > 0}
     return dec.m, p_spec, q_spec, dec

@@ -117,13 +117,17 @@ class IntMatrix:
 
 
 def from_rows(rows: list[list[int]] | list[tuple[int, ...]], cols: int | None = None) -> IntMatrix:
+    """Matrix with these rows; an entry that is not an int raises ShapeMismatch."""
     nrows = len(rows)
     if nrows == 0:
         if cols is None:
             cols = 0
         return IntMatrix(0, cols, ())
     ncols = len(rows[0]) if cols is None else cols
-    return IntMatrix(nrows, ncols, tuple(tuple(int(a) for a in r) for r in rows))
+    data = tuple(tuple(r) for r in rows)
+    if not all(type(a) is int for r in data for a in r):
+        raise ShapeMismatch(f"matrix entries must be integers, got {rows!r}")
+    return IntMatrix(nrows, ncols, data)
 
 
 def identity(n: int) -> IntMatrix:

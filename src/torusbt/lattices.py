@@ -14,7 +14,6 @@ size, identity, or a product).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import intmat
 from .intmat import IntMatrix
@@ -110,7 +109,7 @@ def zero_lattice(group: FiniteGroup) -> GLattice:
 
 def permutation_lattice(group: FiniteGroup, h) -> GLattice:
     """Z[G/H] with G permuting the left cosets of H; rank = [G:H]."""
-    elements = subgroup_elements(h)
+    elements = subgroup_elements(group, h)
     cosets = left_cosets(group, elements)
     pos = {c: i for i, c in enumerate(cosets)}
     n = len(cosets)
@@ -196,7 +195,7 @@ def is_permutation_lattice(x: GLattice) -> bool:
 
 def invariant_basis(x: GLattice, h) -> IntMatrix:
     """HNF basis (columns) of the fixed sublattice X^H."""
-    elems = subgroup_elements(h)
+    elems = subgroup_elements(x.group, h)
     gens = generating_set(x.group, elems)
     if not gens:
         return intmat.identity(x.rank)
@@ -206,7 +205,7 @@ def invariant_basis(x: GLattice, h) -> IntMatrix:
 
 def coinvariants(x: GLattice, h):
     """X_H = X / span{(g-1)X : g in H} as a FinAbGroup."""
-    elems = subgroup_elements(h)
+    elems = subgroup_elements(x.group, h)
     gens = generating_set(x.group, elems)
     if not gens:
         return intmat.cokernel_structure(intmat.zeros(x.rank, 0))
@@ -220,21 +219,21 @@ def invariants_and_coinvariants(x: GLattice, h):
 
 def norm_element_matrix(x: GLattice, h) -> IntMatrix:
     """N_H = sum of action(a) over a in H."""
-    elems = subgroup_elements(h)
+    elems = subgroup_elements(x.group, h)
     out = intmat.zeros(x.rank, x.rank)
     for a in elems:
         out = out + x.action[a]
     return out
 
 
-def lattice_character(x: GLattice) -> tuple[Fraction, ...]:
+def lattice_character(x: GLattice) -> tuple[int, ...]:
     """Trace of the action on each conjugacy class (checked constant on classes)."""
     values = []
     for cls in conjugacy_classes(x.group):
         traces = {sum(x.action[a].data[i][i] for i in range(x.rank)) for a in cls}
         if len(traces) != 1:
             raise NotHomomorphism(f"trace not constant on class {cls}")
-        values.append(Fraction(traces.pop()))
+        values.append(traces.pop())
     return tuple(values)
 
 

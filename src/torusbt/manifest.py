@@ -123,12 +123,23 @@ _OPTION_TYPES = {
 }
 
 
+def check_option(key: str, value, line: int | None = None):
+    """value itself when _OPTION_TYPES accepts it for key (or key is
+    untyped); otherwise a ManifestError on field options.<key>."""
+    if key in _OPTION_TYPES:
+        ok, what = _OPTION_TYPES[key]
+        if not ok(value):
+            raise ManifestError(f"{key} must be {what}, got {value!r}",
+                                line=line, field=f"options.{key}")
+    return value
+
+
 def _parse_lattice(group: FiniteGroup, section: dict, secname: str) -> GLattice:
     if "rank" not in section:
         raise ManifestError("lattice needs a rank", field=f"{secname}.rank")
     rank_raw, ln = section["rank"]
     rank = _literal(rank_raw, ln, "rank")
-    if not isinstance(rank, int) or rank < 0:
+    if not _is_int(rank) or rank < 0:
         raise ManifestError("rank must be a nonnegative integer", line=ln, field="rank")
     gen_mats: dict[int, intmat.IntMatrix] = {}
     for key, (raw, ln) in section.items():
@@ -251,13 +262,7 @@ def parse_manifest(text: str) -> Manifest:
 
     if "options" in sections:
         for key, (raw, ln) in sections["options"].items():
-            value = _literal(raw, ln, f"options.{key}")
-            if key in _OPTION_TYPES:
-                ok, what = _OPTION_TYPES[key]
-                if not ok(value):
-                    raise ManifestError(f"{key} must be {what}, got {value!r}",
-                                        line=ln, field=f"options.{key}")
-            man.options[key] = value
+            man.options[key] = check_option(key, _literal(raw, ln, f"options.{key}"), ln)
     return man
 
 

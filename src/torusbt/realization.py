@@ -40,7 +40,7 @@ class AbelianRealization:
         return self._table[a % self.modulus]
 
     def unit_preimage(self, h) -> set[int]:
-        elems = set(subgroup_elements(h))
+        elems = set(subgroup_elements(self.group, h))
         return {u for u, e in self.pi_table if e in elems}
 
     def to_json(self) -> dict:
@@ -167,8 +167,11 @@ def _stable_part(x: GLattice, r: AbelianRealization, p: int, twist: int,
     of the stacked a^twist rho(a) - 1 (its transposed blocks on the
     coinvariants side); the depth is max(1, max v_i). Valuations are
     read at precision p^cap, so one that reaches cap, a zero d_i (an
-    infinite group) included, raises.
+    infinite group) included, raises; so does a cap below 1, which no
+    depth meets.
     """
+    if type(cap) is not int or cap < 1:
+        raise StabilizationBoundExceeded(f"cap = {cap!r} is not a positive integer depth")
     pk = p ** cap
     n = r.modulus * (8 if p == 2 else p * p)
     gens = (_restricted_unit_generators(n, r.modulus, allowed) if allowed is not None

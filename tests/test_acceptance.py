@@ -21,7 +21,7 @@ from torusbt.engine import btc_predict, isogeny_invariance_check, ono_l_value, s
 from torusbt.exact import odd_part
 from torusbt.groups import (cyclic_group, group_from_generators, is_metacyclic,
                             subgroup_classes)
-from torusbt.induction import character_of, ono_decomposition, permutation_character_table
+from torusbt.induction import ono_decomposition, permutation_character_table
 from torusbt.realization import w_group_order
 from torusbt.dirichlet import artin_L_minus_one
 
@@ -255,7 +255,7 @@ def test_criterion_9_artin_ono_identities():
         g = f.lattice.group
         cols = permutation_character_table(g)
         m, p_spec, q_spec, _ = ono_decomposition(f.lattice)
-        chi = character_of(f.lattice).values
+        chi = lat.lattice_character(f.lattice)
         for i in range(len(chi)):
             lhs = m * chi[i] + sum(mult * cols[j][i] for j, mult in p_spec.items())
             rhs = sum(mult * cols[j][i] for j, mult in q_spec.items())

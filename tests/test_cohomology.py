@@ -261,7 +261,7 @@ def _cayley_h1(h, x):
     """Reference H^1: cocycles on a generating set of H, constrained by the
     relators of a BFS spanning tree of its Cayley graph, modulo coboundaries."""
     g = x.group
-    gens = generating_set(g, subgroup_elements(h))
+    gens = generating_set(g, subgroup_elements(g, h))
     if not gens:
         return FinAbGroup()
     word, frontier, relators = {g.identity: []}, [g.identity], []
@@ -346,7 +346,7 @@ def test_h1_cyclic_oracle_on_catalog(c2, s3, v4):
                 assert coh.h1(cls, x) == oracle_h1_cyclic(x, sigma)
 
 
-def test_flasque_postconditions_are_typed_errors(c2, monkeypatch):
+def test_flasque_postconditions_are_typed_errors(c2, v4, monkeypatch):
     x = lat.permutation_lattice(c2, (c2.identity,))
     # P built with a trivial action: P -> X stops being equivariant.
     monkeypatch.setattr(coh, "permutation_lattice",
@@ -357,6 +357,18 @@ def test_flasque_postconditions_are_typed_errors(c2, monkeypatch):
     monkeypatch.setattr(coh, "is_flasque", lambda q: (False, "forced"))
     with pytest.raises(InvariantViolation, match="not flasque"):
         coh.flasque_resolution(x)
+    monkeypatch.undo()
+    # Q's action solved as identity blocks: Q -> P stops being equivariant.
+    # The one-column solves pick the summands and stay exact.
+    real_solve = intmat.solve_exact
+
+    def identity_blocks(mat, rhs):
+        if rhs.cols == 1:
+            return real_solve(mat, rhs)
+        return intmat.hstack([intmat.identity(mat.cols)] * (rhs.cols // mat.cols))
+    monkeypatch.setattr(intmat, "solve_exact", identity_blocks)
+    with pytest.raises(InvariantViolation, match="inclusion not equivariant"):
+        coh.flasque_resolution(lat.norm_one_lattice(v4))
 
 
 # ------------------------------------------- typed invariants under -O
@@ -383,7 +395,9 @@ def test_cohomology_invariants_are_typed_errors(s3, monkeypatch, module, name, f
 @pytest.mark.parametrize("call", [
     lambda h, x: coh.h1(h, x), lambda h, x: coh.tate_h0(h, x),
     lambda h, x: lat.invariant_basis(x, h), lambda h, x: lat.coinvariants(x, h),
-], ids=["h1", "tate_h0", "invariant_basis", "coinvariants"])
+    lambda h, x: lat.permutation_lattice(x.group, h), lambda h, x: lat.restrict(x, h),
+], ids=["h1", "tate_h0", "invariant_basis", "coinvariants", "permutation_lattice",
+        "restrict"])
 def test_non_subgroup_tuples_are_typed_errors(s3, call, elems):
     # (0, 1, 2) is not closed in S3, (1,) lacks the identity, 99 is out of range.
     with pytest.raises(NotSubgroup):

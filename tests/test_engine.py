@@ -7,7 +7,7 @@ from torusbt import lattices as lat
 from torusbt.catalog import FIXTURE_NAMES, all_fixtures, fixture
 from torusbt.engine import (btc_predict, isogeny_invariance_check, local_table,
                             ono_l_value, shapiro_suite, weil_restriction_check)
-from torusbt.errors import CharacterMismatch
+from torusbt.errors import CharacterMismatch, NotSubgroup
 from torusbt.exact import odd_part
 from torusbt.groups import subgroup_classes
 from torusbt.dirichlet import artin_L_minus_one
@@ -138,6 +138,11 @@ def test_weil_restriction_single():
     assert out["equal"]
     assert out["classical"] == "4"
     assert out["zeta_fixed_field"] == "1/12" and out["w2_fixed_field"] == 48
+
+
+def test_weil_restriction_of_a_non_subgroup_is_a_typed_error():
+    with pytest.raises(NotSubgroup):
+        weil_restriction_check((0, 7), fixture("res_sqrt5").realization)
 
 
 def test_ono_cross_check_all_catalog():

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import quaternion_generators
-from torusbt.errors import GroupTooLarge, NonPermutation, NotSubgroup
+from torusbt.errors import GroupTooLarge, NonPermutation, NotHomomorphism, NotSubgroup
 from torusbt.groups import (conjugacy_classes, cyclic_group, generating_set,
                             group_from_generators, group_from_table, is_metacyclic,
                             left_cosets, subgroup_as_group, subgroup_classes)
@@ -40,6 +40,24 @@ def test_non_permutation_rejected():
         group_from_generators([[0, 0]])
     with pytest.raises(NonPermutation):
         group_from_generators([[1, 2]])
+
+
+@pytest.mark.parametrize("perms", [5, [[1, "a"]], [[1.0, 0.0]], [[True, False]], "ab"],
+                         ids=str)
+def test_badly_typed_generators_rejected(perms):
+    with pytest.raises(NonPermutation):
+        group_from_generators(perms)
+
+
+@pytest.mark.parametrize("table, gens, error", [
+    ("ab", None, NotHomomorphism), ([[0, 1], [1, "a"]], None, NotHomomorphism),
+    ([[0, 1], [1, 0.0]], None, NotHomomorphism),
+    ([[0, 1], [1, 0]], [7], NotSubgroup), ([[0, 1], [1, 0]], "x", NotSubgroup),
+    ([[0, 1], [1, 0]], 1, NotSubgroup), ([[0, 1], [1, 0]], [True], NotSubgroup),
+], ids=str)
+def test_badly_typed_table_or_generators_rejected(table, gens, error):
+    with pytest.raises(error):
+        group_from_table(table, generators=gens)
 
 
 def test_table_roundtrip(v4):

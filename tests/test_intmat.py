@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from torusbt import intmat
+from torusbt.errors import ShapeMismatch
 from torusbt.exact import FinAbGroup
 from torusbt.intmat import (cokernel_structure, det, from_rows, hnf_columns,
                             identity, kernel_basis, solve_exact, zeros)
@@ -50,6 +51,12 @@ def test_snf_determinant_divisor_oracle():
 
 def test_snf_zero_matrix():
     assert check_snf(zeros(2, 3)) == [0, 0]
+
+
+@pytest.mark.parametrize("rows", [[[1.5]], [[1.0]], [[True]], [[1, "a"]]], ids=str)
+def test_from_rows_rejects_non_int_entries(rows):
+    with pytest.raises(ShapeMismatch, match="must be integers"):
+        from_rows(rows)
 
 
 def test_snf_empty_shapes():

@@ -258,6 +258,33 @@ def test_typed_options_pass_through():
                            "debug_oracles": False, "cache_dir": "c"}
 
 
+@pytest.mark.parametrize("old, new, field", [
+    ("action.g0 = [[-1]]", "action.g0 = [[1.5]]", "action.g0"),
+    ("action.g0 = [[-1]]", "action.g0 = [[True]]", "action.g0"),
+    ("rank = 1", "rank = True", "rank"),
+    ("generators = [[1,0]]", "generators = 5", "group.generators"),
+    ("generators = [[1,0]]", "generators = [[1, 'a']]", "group.generators"),
+    ("generators = [[1,0]]", "table = 'ab'", "group.table"),
+    ("generators = [[1,0]]", "table = [[0,1],[1,0]]\ngens = 'x'", "group.table"),
+    ("generators = [[1,0]]", "table = [[0,1],[1,0]]\ngens = [7]", "group.table"),
+])
+def test_badly_typed_group_or_matrix_is_manifest_error(old, new, field):
+    """Each was a raw TypeError or ValueError, or (1.5, True, gens = [7])
+    silently accepted."""
+    with pytest.raises(ManifestError) as err:
+        parse_manifest(NORMONE.replace(old, new))
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("flags", [["--stab-cap", "-1"], ["--stab-cap", "0"],
+                                   ["--prime-cap", "0"]])
+def test_cli_overrides_are_checked_like_options(tmp_path, capsys, flags):
+    mpath = tmp_path / "man.ini"
+    mpath.write_text(NORMONE)
+    assert cli_main(["predict", str(mpath), *flags]) == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+
+
 def test_wrong_size_action_matrix_is_manifest_error():
     with pytest.raises(ManifestError) as err:
         parse_manifest(NORMONE.replace("action.g0 = [[-1]]", "action.g0 = [[-1, 0]]"))

@@ -7,8 +7,9 @@ from conftest import oracle_w2
 from torusbt import intmat
 from torusbt import lattices as lat
 from torusbt import realization as realz
+from torusbt.dirichlet import zeta_minus_one
 from torusbt.errors import (BadReduction, InvariantViolation, NotHomomorphism,
-                            NotSurjective, StabilizationBoundExceeded)
+                            NotSubgroup, NotSurjective, StabilizationBoundExceeded)
 from torusbt.engine import btc_predict
 from torusbt.groups import cyclic_group, subgroup_classes
 from torusbt.realization import (WGroupResult, global_coinvariants_order, is_prime,
@@ -142,6 +143,29 @@ def test_w_group_debug_mode_runs(c2, r5):
 def test_stabilization_bound_error(c2, r5):
     with pytest.raises(StabilizationBoundExceeded):
         w_group_order(lat.trivial_lattice(c2), r5, cap=2)
+
+
+@pytest.mark.parametrize("cap", [0, -1, 2.5])
+def test_stabilization_cap_below_one_is_a_typed_error(c2, r5, cap):
+    x = lat.trivial_lattice(c2)
+    with pytest.raises(StabilizationBoundExceeded, match="not a positive integer"):
+        w_group_order(x, r5, cap=cap)
+    with pytest.raises(StabilizationBoundExceeded):
+        global_coinvariants_order(x, r5, cap=cap)
+    with pytest.raises(StabilizationBoundExceeded):
+        btc_predict(x, r5, stab_cap=cap)
+
+
+@pytest.mark.parametrize("h", [(0, 5), (5,), (0, 1, 2)], ids=str)
+def test_raw_non_subgroup_tuples_are_typed_errors(r5, h):
+    """Over C2, 5 and 2 are out of range: before, zeta_minus_one((0, 5), r5)
+    returned 1/30 and w2_of_subfield((0, 5), r5) returned 120."""
+    with pytest.raises(NotSubgroup):
+        zeta_minus_one(h, r5)
+    with pytest.raises(NotSubgroup):
+        w2_of_subfield(h, r5)
+    with pytest.raises(NotSubgroup):
+        r5.unit_preimage(h)
 
 
 def test_global_coinvariants_examples(c2, r5, r1):
