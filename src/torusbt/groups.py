@@ -1,24 +1,36 @@
 """Finite groups as multiplication tables, with subgroup machinery.
 
-Groups here are tiny (Galois groups of real abelian fields, |G| <= 48),
-so everything is table-driven: elements are indices 0..n-1, closure and
-conjugacy are brute force, and subgroups are enumerated by repeatedly
-extending known subgroups by cyclic ones.
+Everything is table-driven: elements are indices 0..n-1, and subgroups
+are found by extending known subgroups by cyclic ones. Abelian groups
+(e.g. C_{(p-1)/2} or C2^k) take closed forms: the join of H and <a> is
+the set product H<a>, and every subgroup and element is its own class.
+Only non-abelian groups need closures and conjugation over all of G.
 
-The subgroup classes and the conjugacy classes of a group are computed
-once per FiniteGroup instance, on the first call of subgroup_classes or
-conjugacy_classes, and kept on it; every later call returns the same
-list. Callers must not mutate these lists.
+Functions decorated with @memoised run once per FiniteGroup instance;
+every later call returns the same object, which callers must not mutate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
 
 from .errors import GroupTooLarge, NonPermutation, NotHomomorphism, NotSubgroup
 from .units import factorize
 
 SUBGROUP_ENUM_BOUND = 48
+# Budget of the enumeration itself: C2^6 has 2825 subgroups, C2^8 417199.
+SUBGROUP_COUNT_BOUND = 5000
+
+
+def memoised(build):
+    """build(g), computed on the first call for each group g and kept on it."""
+    @wraps(build)
+    def cached(g):
+        if build.__qualname__ not in g._memo:
+            g._memo[build.__qualname__] = build(g)
+        return g._memo[build.__qualname__]
+    return cached
 
 
 @dataclass(frozen=True)
@@ -33,11 +45,8 @@ class FiniteGroup:
     name: str = "G"
     # Optional labels (e.g. permutation tuples) for diagnostics.
     labels: tuple = field(default=None, compare=False, hash=False)
-    # Memos of subgroup_classes and conjugacy_classes, set on first use.
-    _subgroup_classes: list | None = field(
-        default=None, init=False, repr=False, compare=False)
-    _conjugacy_classes: list | None = field(
-        default=None, init=False, repr=False, compare=False)
+    # Values of the @memoised functions of this group, set on first use.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def op(self, a: int, b: int) -> int:
         return self.mul[a][b]
@@ -48,39 +57,38 @@ class FiniteGroup:
     def conjugate(self, g: int, x: int) -> int:
         return self.op(self.op(g, x), self.inv(g))
 
-    def element_order(self, a: int) -> int:
-        n, x = 1, a
+    def powers(self, a: int) -> frozenset:
+        """The cyclic subgroup <a>."""
+        out, x = {self.identity}, a
         while x != self.identity:
+            out.add(x)
             x = self.op(x, a)
-            n += 1
-        return n
+        return frozenset(out)
 
-    def power(self, a: int, k: int) -> int:
-        k %= self.element_order(a)
-        x = self.identity
-        for _ in range(k):
-            x = self.op(x, a)
-        return x
+    def element_order(self, a: int) -> int:
+        return len(self.powers(a))
 
+    @memoised
     def is_abelian(self) -> bool:
         return all(self.mul[a][b] == self.mul[b][a]
-                   for a in range(self.order) for b in range(self.order))
+                   for a in range(self.order) for b in range(a))
 
     def validate(self) -> None:
-        """Full table scan: identity, inverses, associativity."""
-        n = self.order
-        e = self.identity
+        """Identity, inverses, and associativity by Light's test: the s with
+        (xs)y = x(sy) for all x, y are closed under products, as (x(st))y =
+        (xs)(ty) = x((st)y), so the s in spanning_generators cover all triples."""
+        n, e, mul = self.order, self.identity, self.mul
         for a in range(n):
-            if self.mul[e][a] != a or self.mul[a][e] != a:
+            if mul[e][a] != a or mul[a][e] != a:
                 raise NotHomomorphism(f"identity fails at {a}")
-            if self.mul[a][self.inverse[a]] != e:
+            if mul[a][self.inverse[a]] != e:
                 raise NotHomomorphism(f"inverse fails at {a}")
-        for a in range(n):
-            for b in range(n):
-                ab = self.mul[a][b]
-                for c in range(n):
-                    if self.mul[ab][c] != self.mul[a][self.mul[b][c]]:
-                        raise NotHomomorphism(f"associativity fails at {(a, b, c)}")
+        for s in spanning_generators(self):
+            for x in range(n):
+                xs_row, x_row = mul[mul[x][s]], mul[x]
+                for y in range(n):
+                    if xs_row[y] != x_row[mul[s][y]]:
+                        raise NotHomomorphism(f"associativity fails at {(x, s, y)}")
 
     def __repr__(self) -> str:
         return f"{self.name}(order={self.order})"
@@ -185,21 +193,22 @@ def group_from_generators(perms: list, name: str = "G") -> FiniteGroup:
     return group_from_table(mul, name=name, generators=gen_indices, labels=ordered)
 
 
+@memoised
 def conjugacy_classes(g: FiniteGroup) -> list[list[int]]:
-    """Partition of element indices into conjugacy classes, identity class first."""
-    if g._conjugacy_classes is None:
-        seen = [False] * g.order
-        classes = []
-        for a in range(g.order):
-            if seen[a]:
-                continue
-            orbit = sorted({g.conjugate(x, a) for x in range(g.order)})
-            for b in orbit:
-                seen[b] = True
-            classes.append(orbit)
-        classes.sort(key=lambda c: (c[0] != g.identity, c[0]))
-        object.__setattr__(g, "_conjugacy_classes", classes)
-    return g._conjugacy_classes
+    """Partition of element indices into conjugacy classes, identity class
+    first; in an abelian group, singletons."""
+    abelian = g.is_abelian()
+    seen = [False] * g.order
+    classes = []
+    for a in range(g.order):
+        if seen[a]:
+            continue
+        orbit = [a] if abelian else sorted({g.conjugate(x, a) for x in range(g.order)})
+        for b in orbit:
+            seen[b] = True
+        classes.append(orbit)
+    classes.sort(key=lambda c: (c[0] != g.identity, c[0]))
+    return classes
 
 
 def _closure(g: FiniteGroup, seed) -> frozenset:
@@ -218,12 +227,19 @@ def _closure(g: FiniteGroup, seed) -> frozenset:
 
 
 def all_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
-    """Every subgroup as a sorted element tuple (not just up to conjugacy)."""
-    if g.order > SUBGROUP_ENUM_BOUND:
-        raise GroupTooLarge(
-            f"|G| = {g.order} exceeds the enumeration bound {SUBGROUP_ENUM_BOUND}")
-    cyclics = {frozenset(_closure(g, [a])) for a in range(g.order)}
-    found = {frozenset([g.identity])} | cyclics
+    """Every subgroup as a sorted element tuple (not just up to conjugacy).
+
+    The join of H and a cyclic <a> is the set product H<a> when G is
+    abelian, else the closure of H | <a>. A non-abelian G of order past
+    SUBGROUP_ENUM_BOUND, or a G with more than SUBGROUP_COUNT_BOUND
+    subgroups, raises GroupTooLarge.
+    """
+    abelian = g.is_abelian()
+    if not abelian and g.order > SUBGROUP_ENUM_BOUND:
+        raise GroupTooLarge(f"non-abelian |G| = {g.order} exceeds the enumeration "
+                            f"bound {SUBGROUP_ENUM_BOUND}")
+    cyclics = {g.powers(a) for a in range(g.order)}
+    found = set(cyclics)                    # <identity> = {identity} among them
     frontier = set(found)
     # Extend by cyclic subgroups until nothing new appears.
     while frontier:
@@ -232,49 +248,63 @@ def all_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
             for c in cyclics:
                 if c <= h:
                     continue
-                j = frozenset(_closure(g, h | c))
+                j = (frozenset(g.op(x, y) for x in h for y in c) if abelian
+                     else _closure(g, h | c))
                 if j not in found:
                     found.add(j)
                     new.add(j)
+                    if len(found) > SUBGROUP_COUNT_BOUND:
+                        raise GroupTooLarge(f"{g.name} has more than "
+                                            f"{SUBGROUP_COUNT_BOUND} subgroups")
         frontier = new
     return sorted((tuple(sorted(h)) for h in found), key=lambda t: (len(t), t))
 
 
+@memoised
 def subgroup_classes(g: FiniteGroup) -> list[SubgroupClass]:
-    """Subgroups up to conjugacy in a canonical order (by order, then elements)."""
-    if g._subgroup_classes is None:
-        subs = all_subgroups(g)
-        remaining = set(subs)
-        classes = []
-        for h in subs:                      # already canonically sorted
-            if h not in remaining:
-                continue
+    """Subgroups up to conjugacy in a canonical order (by order, then
+    elements); in an abelian group each subgroup is its own class."""
+    abelian = g.is_abelian()
+    subs = all_subgroups(g)
+    remaining = set(subs)
+    classes = []
+    for h in subs:                          # already canonically sorted
+        if h not in remaining:
+            continue
+        if abelian:
+            conjugates, normalizer = {h}, g.order
+        else:
             hset = set(h)
             conjugates = {tuple(sorted(g.conjugate(x, a) for a in h))
                           for x in range(g.order)}
             normalizer = sum(1 for x in range(g.order)
                              if {g.conjugate(x, a) for a in h} == hset)
-            for c in conjugates:
-                remaining.discard(c)
-            classes.append(SubgroupClass(
-                class_id=len(classes), elements=h, order=len(h),
-                index=g.order // len(h), normalizer_size=normalizer,
-                n_conjugates=len(conjugates)))
-        object.__setattr__(g, "_subgroup_classes", classes)
-    return g._subgroup_classes
+        remaining.difference_update(conjugates)
+        classes.append(SubgroupClass(
+            class_id=len(classes), elements=h, order=len(h),
+            index=g.order // len(h), normalizer_size=normalizer,
+            n_conjugates=len(conjugates)))
+    return classes
 
 
 def subgroup_elements(g: FiniteGroup, h) -> tuple[int, ...]:
     """Elements of a SubgroupClass, or of a raw element tuple of g.
 
-    A raw tuple must be a subgroup of g: generating_set raises NotSubgroup
-    when its elements are out of range or not closed.
+    Either must be a subgroup of g, a class of another group too:
+    generating_set raises NotSubgroup when the elements are out of range
+    or not closed. Each element set passes that check once per group.
     """
-    if isinstance(h, SubgroupClass):
-        return h.elements
-    elems = tuple(sorted(set(h)))
-    generating_set(g, elems)
+    elems = h.elements if isinstance(h, SubgroupClass) else tuple(sorted(set(h)))
+    if elems not in _checked_subgroups(g) or any(type(a) is not int for a in elems):
+        generating_set(g, elems)
+        _checked_subgroups(g).add(elems)
     return elems
+
+
+@memoised
+def _checked_subgroups(g: FiniteGroup) -> set:
+    """Element tuples found to be subgroups of g (a memo that grows)."""
+    return set()
 
 
 def generating_set(g: FiniteGroup, elements: tuple[int, ...]) -> list[int]:

@@ -15,7 +15,7 @@ from math import gcd
 
 from . import intmat
 from .errors import NoSolution
-from .groups import FiniteGroup, conjugacy_classes, subgroup_classes
+from .groups import FiniteGroup, conjugacy_classes, memoised, subgroup_classes
 from .lattices import GLattice, lattice_character
 
 
@@ -31,18 +31,24 @@ class InductionDecomposition:
                             for cid, a in sorted(self.coefficients.items())]}
 
 
+@memoised
 def permutation_character_table(g: FiniteGroup) -> list[tuple[int, ...]]:
     """Matrix column per subgroup class: the character of Z[G/H] on each class.
 
     Its value at an element a is the number of cosets xH that a fixes,
-    |{x : x^-1 a x in H}| / |H|, counted on one element per class.
+    |{x : x^-1 a x in H}| / |H|, counted on one element per class; for
+    abelian G every conjugate of a is a, so it is [G:H] if a in H, else 0.
+    Kept on the group (groups.memoised): callers must not mutate it.
     """
     reps = [cls[0] for cls in conjugacy_classes(g)]
     table = []
     for cls in subgroup_classes(g):
         h = set(cls.elements)
-        table.append(tuple(sum(g.conjugate(x, a) in h for x in range(g.order)) // cls.order
-                           for a in reps))
+        if g.is_abelian():
+            table.append(tuple(cls.index if a in h else 0 for a in reps))
+        else:
+            table.append(tuple(sum(g.conjugate(x, a) in h for x in range(g.order))
+                               // cls.order for a in reps))
     return table
 
 

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -204,3 +208,49 @@ def test_random_isogeny_pairs_odd_parts_equal():
         assert out["odd_parts_equal"], out
         checked += 1
     assert checked == 10
+
+
+PAST_THE_BOUND = """
+import sys, time
+from torusbt import intmat, lattices
+from torusbt.engine import btc_predict
+from torusbt.groups import cyclic_group
+from torusbt.realization import realization_from_images
+from torusbt.units import primitive_root_mod_prime
+n, kind = int(sys.argv[1]), sys.argv[2]
+g = cyclic_group(n)
+r = realization_from_images(g, 2 * n + 1, {primitive_root_mod_prime(2 * n + 1): 1})
+if kind == "regular":
+    x = lattices.permutation_lattice(g, (g.identity,))
+else:
+    # norm_one_lattice's basis [a] - [0], a = 1..n-1, written out: its
+    # validate would spend n dense products on checking it.
+    def coords(a, k):
+        col = [0] * (n - 1)
+        for b, sign in (((a + k) % n, 1), (k, -1)):
+            if b:
+                col[b - 1] += sign
+        return tuple(col)
+    x = lattices.GLattice(g, n - 1, tuple(
+        intmat.from_columns([coords(a, k) for a in range(1, n)], n - 1) for k in range(n)))
+    if kind == "dual-norm-one":
+        x = lattices.dual(x)
+start = time.perf_counter()
+btc_predict(x, r)
+print(time.perf_counter() - start)
+"""
+
+
+@pytest.mark.parametrize("n", [50, 96])
+@pytest.mark.parametrize("kind", ["regular", "norm-one", "dual-norm-one"])
+def test_cyclic_predict_past_the_enumeration_bound_is_fast(n, kind):
+    """Res of Q(zeta_p)^+ for p = 101, 193 (G = C50, C96): btc_predict in a
+    fresh process, so that no memo is warm, with the input built untimed."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", PAST_THE_BOUND, str(n), kind], cwd=root,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert float(proc.stdout.split()[-1]) < 2.0

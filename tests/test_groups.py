@@ -1,10 +1,14 @@
+import itertools
+
 import pytest
 
 from conftest import quaternion_generators
 from torusbt.errors import GroupTooLarge, NonPermutation, NotHomomorphism, NotSubgroup
-from torusbt.groups import (conjugacy_classes, cyclic_group, generating_set,
-                            group_from_generators, group_from_table, is_metacyclic,
-                            left_cosets, subgroup_as_group, subgroup_classes)
+from torusbt.groups import (FiniteGroup, all_subgroups, conjugacy_classes, cyclic_group,
+                            generating_set, group_from_generators, group_from_table,
+                            is_metacyclic, left_cosets, subgroup_as_group, subgroup_classes,
+                            subgroup_elements)
+from torusbt.induction import permutation_character_table
 
 
 def test_single_transposition_gives_c2():
@@ -123,14 +127,34 @@ def test_classes_are_computed_per_group_instance():
 
 
 def test_group_too_large():
+    """The bound holds only for non-abelian groups: D25 (order 50) is refused,
+    C50 is enumerated, one class per divisor of 50."""
+    d25 = group_from_generators([[(i + 1) % 25 for i in range(25)],
+                                 [-i % 25 for i in range(25)]], name="D25")
+    assert d25.order == 50
     with pytest.raises(GroupTooLarge):
-        subgroup_classes(cyclic_group(50))
+        subgroup_classes(d25)
+    assert [c.order for c in subgroup_classes(cyclic_group(50))] == [1, 2, 5, 10, 25, 50]
+
+
+def test_subgroup_count_budget():
+    """C2^6 has 2825 subgroups, within the budget; C2^7 has 29212 and is refused."""
+    assert len(all_subgroups(_product_of_cyclics(*[2] * 6))) == 2825
+    with pytest.raises(GroupTooLarge):
+        all_subgroups(_product_of_cyclics(*[2] * 7))
 
 
 @pytest.mark.parametrize("elems", [(0, 1, 2), (1,), (), (0, 99), (0, -1)], ids=str)
 def test_generating_set_rejects_non_subgroups(s3, elems):
     with pytest.raises(NotSubgroup):
         generating_set(s3, elems)
+
+
+def test_subgroup_elements_keeps_rejecting_non_int_elements(c2):
+    """(0, True) equals the checked (0, 1) as a tuple, but True is not an element index."""
+    assert subgroup_elements(c2, (0, 1)) == subgroup_elements(c2, (1, 0)) == (0, 1)
+    with pytest.raises(NotSubgroup):
+        subgroup_elements(c2, (0, True))
 
 
 def test_metacyclic_suite(s3, v4):
@@ -171,3 +195,130 @@ def test_subgroup_as_group(s3):
 def test_element_orders(s3):
     orders = sorted(s3.element_order(a) for a in range(6))
     assert orders == [1, 2, 2, 2, 3, 3]
+
+
+# ------------------------------------- abelian closed forms against brute force
+
+def _brute_closure(g, seed):
+    elems = set(seed) | {g.identity}
+    while True:
+        new = {g.op(a, b) for a in elems for b in elems} - elems
+        if not new:
+            return frozenset(elems)
+        elems |= new
+
+
+def _brute_subgroup_classes(g):
+    """Joins of cyclic subgroups by closure, then classes by conjugating over G."""
+    cyclics = {_brute_closure(g, [a]) for a in range(g.order)}
+    found, frontier = set(cyclics), set(cyclics)
+    while frontier:
+        frontier = {_brute_closure(g, h | c) for h in frontier for c in cyclics} - found
+        found |= frontier
+    subs = sorted((tuple(sorted(h)) for h in found), key=lambda t: (len(t), t))
+    classes, remaining = [], set(subs)
+    for h in subs:
+        if h not in remaining:
+            continue
+        conjugates = {tuple(sorted(g.conjugate(x, a) for a in h)) for x in range(g.order)}
+        normalizer = sum(tuple(sorted(g.conjugate(x, a) for a in h)) == h
+                         for x in range(g.order))
+        remaining -= conjugates
+        classes.append((len(classes), h, len(h), g.order // len(h), normalizer,
+                        len(conjugates)))
+    return classes
+
+
+def _brute_conjugacy_classes(g):
+    classes = {tuple(sorted({g.conjugate(x, a) for x in range(g.order)}))
+               for a in range(g.order)}
+    return sorted((list(c) for c in classes), key=lambda c: (c[0] != g.identity, c[0]))
+
+
+def _brute_fixed_cosets(g, classes, conj):
+    return [tuple(sum(g.conjugate(x, c[0]) in h for x in range(g.order)) // len(h)
+                  for c in conj) for _, h, *_ in classes]
+
+
+def _product_of_cyclics(*ns):
+    """C_n1 x C_n2 x ... as rotations of disjoint cycles of points."""
+    perms, start = [], 0
+    total = sum(ns)
+    for n in ns:
+        perms.append([start + (i - start + 1) % n if start <= i < start + n else i
+                      for i in range(total)])
+        start += n
+    return group_from_generators(perms, name="x".join(f"C{n}" for n in ns))
+
+
+ABELIAN_GROUPS = ([cyclic_group(n) for n in range(1, 61)]
+                  + [_product_of_cyclics(*ns) for ns in
+                     ((2, 2), (2, 2, 2), (2, 4), (2, 6), (3, 3), (4, 4))])
+
+
+@pytest.mark.parametrize("g", ABELIAN_GROUPS, ids=repr)
+def test_abelian_closed_forms_match_brute_force(g):
+    """Set-product joins, singleton classes with normaliser G and the table
+    [G:H] on H, 0 off it agree with closure, conjugation over G and the
+    fixed-coset count."""
+    brute = _brute_subgroup_classes(g)
+    conj = _brute_conjugacy_classes(g)
+    assert [(c.class_id, c.elements, c.order, c.index, c.normalizer_size, c.n_conjugates)
+            for c in subgroup_classes(g)] == brute
+    assert all_subgroups(g) == [h for _, h, *_ in brute]
+    assert conjugacy_classes(g) == conj
+    assert permutation_character_table(g) == _brute_fixed_cosets(g, brute, conj)
+
+
+def test_permutation_character_table_is_kept_on_the_group(s3):
+    for g in (s3, cyclic_group(12)):
+        assert permutation_character_table(g) is permutation_character_table(g)
+
+
+# ---------------------------------------------------- Light's associativity test
+
+def _identity_and_inverses_hold(g):
+    e = g.identity
+    return all(g.mul[e][a] == a == g.mul[a][e] and g.mul[a][g.inverse[a]] == e
+               for a in range(g.order))
+
+
+def _full_scan_verdict(g):
+    """The O(n^3) check: identity, inverses and every triple."""
+    n, mul = g.order, g.mul
+    return _identity_and_inverses_hold(g) and all(
+        mul[mul[a][b]][c] == mul[a][mul[b][c]]
+        for a in range(n) for b in range(n) for c in range(n))
+
+
+def _light_verdict(g):
+    try:
+        g.validate()
+    except NotHomomorphism:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name, changed", [("S3", 1), ("C6", 1), ("C2^3", 1), ("C2^2", 2)])
+def test_light_associativity_test_matches_full_scan(name, changed):
+    """Every table with one (for C2^2, two) products of the group changed
+    gets the same verdict from validate as from the full scan. At least 100
+    of them keep identity and inverses, so only associativity can reject
+    them; three two-product changes of C2^2 escape a check on the first
+    spanning generator alone."""
+    base = {"S3": group_from_generators([[1, 2, 0], [1, 0, 2]]), "C6": cyclic_group(6),
+            "C2^3": _product_of_cyclics(2, 2, 2), "C2^2": _product_of_cyclics(2, 2)}[name]
+    assert _light_verdict(base) and _full_scan_verdict(base)
+    n, associativity_only = base.order, 0
+    cells = [(a, b) for a in range(n) for b in range(n)]
+    for where in itertools.combinations(cells, changed):
+        for values in itertools.product(*(set(range(n)) - {base.mul[a][b]}
+                                          for a, b in where)):
+            mul = [list(row) for row in base.mul]
+            for (a, b), v in zip(where, values):
+                mul[a][b] = v
+            g = FiniteGroup(n, tuple(map(tuple, mul)), base.identity, base.inverse,
+                            base.generators)
+            assert _light_verdict(g) == _full_scan_verdict(g), (where, values)
+            associativity_only += _identity_and_inverses_hold(g)
+    assert associativity_only >= 100

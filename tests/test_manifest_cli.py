@@ -5,6 +5,7 @@ import pytest
 
 from torusbt import groups
 from torusbt.cli import main as cli_main
+from torusbt.engine import btc_predict
 from torusbt.errors import ManifestError
 from torusbt.manifest import parse_manifest, run_manifest
 
@@ -319,11 +320,12 @@ def test_manifest_run_enumerates_subgroups_once(monkeypatch):
 
 
 def test_commands_without_subgroups_run_past_the_enumeration_bound():
-    """|C50| = 50 is past SUBGROUP_ENUM_BOUND: only predict needs the classes."""
+    """|C50| = 50 is past SUBGROUP_ENUM_BOUND, which binds only non-abelian
+    groups: predict runs and reports what btc_predict does."""
     man = parse_manifest(_cyclic_manifest(
         50, [[1]], 101, "lvalue, wgroup, local-table, predict"))
     out = run_manifest(man)[0]["commands"]
     assert out["lvalue"]["l_value"] == "-1/12"
     assert out["wgroup"]["w_total"] == 24
     assert out["local-table"]["local_table"]
-    assert out["predict"]["error"]["type"] == "GroupTooLarge"
+    assert out["predict"] == btc_predict(man.lattice, man.realization).to_json()

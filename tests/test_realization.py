@@ -168,6 +168,19 @@ def test_raw_non_subgroup_tuples_are_typed_errors(r5, h):
         r5.unit_preimage(h)
 
 
+def test_subgroup_class_of_another_group_is_a_typed_error():
+    """H1 = (0, 2) is a class of C4, not a subgroup of the C2 of res_sqrt5:
+    before, zeta_minus_one returned 1/30 and w2_of_subfield returned 120."""
+    from torusbt.catalog import fixture
+    r = fixture("res_sqrt5").realization
+    h1 = subgroup_classes(cyclic_group(4))[1]
+    assert h1.elements == (0, 2)
+    with pytest.raises(NotSubgroup):
+        zeta_minus_one(h1, r)
+    with pytest.raises(NotSubgroup):
+        w2_of_subfield(h1, r)
+
+
 def test_global_coinvariants_examples(c2, r5, r1):
     assert global_coinvariants_order(lat.trivial_lattice(r1.group), r1) == 2
     assert global_coinvariants_order(lat.permutation_lattice(c2, (0,)), r5) == 2
