@@ -13,18 +13,20 @@ the real place.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from . import intmat
 from .exact import FinAbGroup
 from .errors import InconsistentRank, InvariantViolation, ShapeMismatch
-from .groups import (FiniteGroup, SubgroupClass, generating_set, is_metacyclic,
-                     left_cosets, spanning_generators, subgroup_classes,
-                     subgroup_elements)
+from .groups import (FiniteGroup, SubgroupClass, is_metacyclic, left_cosets,
+                     spanning_generators, subgroup_classes, subgroup_elements,
+                     subgroup_generators)
 from .induction import permutation_character_table
 from .intmat import IntMatrix
 from .lattices import (GLattice, direct_sum_list, invariant_basis, lattice_character,
                        norm_element_matrix, permutation_lattice, validate, zero_lattice)
+from .units import factorize
 
 
 def h1(h, x: GLattice) -> FinAbGroup:
@@ -39,7 +41,7 @@ def h1(h, x: GLattice) -> FinAbGroup:
     raises InvariantViolation.
     """
     elems = subgroup_elements(x.group, h)
-    gens = generating_set(x.group, elems)
+    gens = subgroup_generators(x.group, h)
     if not gens:
         return FinAbGroup()
     n, r = len(elems), x.rank
@@ -319,17 +321,79 @@ def _multisets_with_rank(classes, total: int):
     yield from rec(0, total)
 
 
-def _cohomology_profile(x: GLattice, classes) -> tuple:
-    return tuple((tate_h0(cls, x), h1(cls, x)) for cls in classes)
+def _matched_multisets(classes, chi_perm, total: int, keys):
+    """(multiset, key) for each multiset of _multisets_with_rank(classes,
+    total), in its order, whose character sum(chi_perm[cid]) is in keys.
+
+    The walk goes depth-first along the classes carrying key - partial
+    character for every key still live. A permutation character counts
+    fixed cosets, so it is never negative: a key whose residual has a
+    negative entry can never be matched and is dropped, and a branch with
+    no key left is cut.
+    """
+    steps = [(cls.class_id, cls.index, chi_perm[cls.class_id]) for cls in classes]
+
+    def rec(pos: int, remaining: int, live):
+        if remaining == 0:
+            for key, residual in live:
+                if not any(residual):
+                    yield (), key
+            return
+        if pos >= len(steps):
+            return
+        cid, r, chi = steps[pos]
+        # The most copies of this class each key's residual can take.
+        caps = [min(a // c for a, c in zip(res, chi) if c) for _, res in live]
+        for count in range(min(max(caps), remaining // r), -1, -1):
+            kept = live if count == 0 else [
+                (key, tuple(a - count * c for a, c in zip(res, chi)))
+                for (key, res), cap in zip(live, caps) if cap >= count]
+            for rest, key in rec(pos + 1, remaining - count * r, kept):
+                yield (cid,) * count + rest, key
+    live = [(key, key) for key in keys if min(key) >= 0]
+    if live:
+        yield from rec(0, total, live)
 
 
-def _sum_profiles(profiles) -> tuple:
+def _profile_add(out: Counter, pos: int, degree: int, order: int) -> None:
+    """Count the primary parts of Z/order at (class position, degree)."""
+    out.update((pos, degree, p ** e) for p, e in factorize(order))
+
+
+def _cohomology_profile(x: GLattice, classes) -> Counter:
+    """Tate H^0 (degree 0) and H^1 (degree 1) of x on every class, as the
+    multiset (class position, degree, prime power) of their primary parts."""
+    out = Counter()
+    for pos, cls in enumerate(classes):
+        for degree, grp in ((0, tate_h0(cls, x)), (1, h1(cls, x))):
+            for d in grp.invariant_factors:
+                _profile_add(out, pos, degree, d)
+    return out
+
+
+def _permutation_profile(g: FiniteGroup, h: SubgroupClass, classes) -> Counter:
+    """_cohomology_profile of Z[G/H] by Mackey's formula: restricted to K,
+    Z[G/H] is the sum over double cosets KgH of Z[K/(K n gHg^-1)], so
+    H^1(K, Z[G/H]) = 0 and Tate H^0 = (+) Z/|K n gHg^-1|, one summand per
+    K-orbit on G/H, of order |K| / orbit size (Brown, III.5-III.8)."""
+    cosets = left_cosets(g, h.elements)
+    coset_of = {a: i for i, c in enumerate(cosets) for a in c}
+    out = Counter()
+    for pos, k in enumerate(classes):
+        seen = set()
+        for i, c in enumerate(cosets):
+            if i not in seen:
+                orbit = {coset_of[g.op(a, c[0])] for a in k.elements}
+                seen |= orbit
+                _profile_add(out, pos, 0, k.order // len(orbit))
+    return out
+
+
+def _sum_profiles(profiles) -> Counter:
     """Profile of a direct sum from the profiles of its summands."""
-    out = None
+    out = Counter()
     for prof in profiles:
-        out = prof if out is None else tuple(
-            (a0.direct_sum(b0), a1.direct_sum(b1))
-            for (a0, a1), (b0, b1) in zip(out, prof))
+        out.update(prof)
     return out
 
 
@@ -347,9 +411,14 @@ def search_invertibility_certificate(
     None just means 'not found within budget'.
 
     Tate H^0 and H^1 are additive over direct sums (Brown, III.8), so a
-    side's profile is the sum of one memoised profile per summand.
-    Targets are walked in enumeration order and, for each, the complements
-    with chi_Q + chi(comp) = chi(target) in enumeration order; pair_budget
+    side's profile is the sum of one memoised profile per summand: Q's from
+    h1 and tate_h0, each Z[G/H]'s from Mackey's formula.
+
+    For each target rank the complements are bucketed by chi_Q + chi(comp).
+    Targets are walked in enumeration order, but only those whose
+    character is a bucket key: _matched_multisets cuts a branch as soon as
+    its partial character exceeds each key in some entry. Each target is
+    paired with its bucket's complements in enumeration order; pair_budget
     counts these character-matched pairs.
     """
     g = q.group
@@ -365,8 +434,8 @@ def search_invertibility_certificate(
 
     def profile(cid):                     # cid None stands for Q itself
         if cid not in profiles:
-            profiles[cid] = _cohomology_profile(
-                q if cid is None else perm[cid], classes)
+            profiles[cid] = (_cohomology_profile(q, classes) if cid is None
+                             else _permutation_profile(g, classes[cid], classes))
         return profiles[cid]
 
     pairs_examined = 0
@@ -375,9 +444,9 @@ def search_invertibility_certificate(
         for comp_spec in _multisets_with_rank(classes, target_rank - q.rank):
             key = tuple(map(sum, zip(chi_q, *(chi_perm[cid] for cid in comp_spec))))
             buckets.setdefault(key, []).append(comp_spec)
-        for target_spec in _multisets_with_rank(classes, target_rank):
-            chi_t = tuple(map(sum, zip(*(chi_perm[cid] for cid in target_spec))))
-            for comp_spec in buckets.get(chi_t, ()):
+        for target_spec, chi_t in _matched_multisets(classes, chi_perm, target_rank,
+                                                     buckets):
+            for comp_spec in buckets[chi_t]:
                 pairs_examined += 1
                 if pairs_examined > pair_budget:
                     return None

@@ -111,12 +111,6 @@ class FinAbGroup:
             raise ValueError("infinite group has no exponent")
         return self.invariant_factors[-1] if self.invariant_factors else 1
 
-    def direct_sum(self, other: "FinAbGroup") -> "FinAbGroup":
-        return from_elementary_divisors(
-            list(self.invariant_factors) + list(other.invariant_factors),
-            self.free_rank + other.free_rank,
-        )
-
     def to_json(self) -> dict:
         return {"invariant_factors": list(self.invariant_factors),
                 "free_rank": self.free_rank}

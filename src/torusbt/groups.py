@@ -296,15 +296,20 @@ def subgroup_elements(g: FiniteGroup, h) -> tuple[int, ...]:
     """
     elems = h.elements if isinstance(h, SubgroupClass) else tuple(sorted(set(h)))
     if elems not in _checked_subgroups(g) or any(type(a) is not int for a in elems):
-        generating_set(g, elems)
-        _checked_subgroups(g).add(elems)
+        _checked_subgroups(g)[elems] = generating_set(g, elems)
     return elems
 
 
+def subgroup_generators(g: FiniteGroup, h) -> list[int]:
+    """generating_set of the subgroup h of g, kept from its subgroup_elements check."""
+    return _checked_subgroups(g)[subgroup_elements(g, h)]
+
+
 @memoised
-def _checked_subgroups(g: FiniteGroup) -> set:
-    """Element tuples found to be subgroups of g (a memo that grows)."""
-    return set()
+def _checked_subgroups(g: FiniteGroup) -> dict:
+    """Element tuples found to be subgroups of g, each mapped to its
+    generating_set (a memo that grows)."""
+    return {}
 
 
 def generating_set(g: FiniteGroup, elements: tuple[int, ...]) -> list[int]:
@@ -329,6 +334,7 @@ def generating_set(g: FiniteGroup, elements: tuple[int, ...]) -> list[int]:
     return gens
 
 
+@memoised
 def spanning_generators(g: FiniteGroup) -> list[int]:
     """Greedy generating set of the whole group, g.generators tried first.
 
@@ -345,7 +351,7 @@ def subgroup_as_group(g: FiniteGroup, h) -> tuple[FiniteGroup, list[int]]:
     elems = list(subgroup_elements(g, h))
     pos = {a: i for i, a in enumerate(elems)}
     mul = [[pos[g.op(a, b)] for b in elems] for a in elems]
-    gens = [pos[a] for a in generating_set(g, tuple(elems))]
+    gens = [pos[a] for a in subgroup_generators(g, h)]
     sub = group_from_table(mul, name=f"{g.name}|sub", generators=gens)
     return sub, elems
 

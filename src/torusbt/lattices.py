@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from . import intmat
 from .intmat import IntMatrix
 from .errors import GroupMismatch, NotHomomorphism, NotUnimodular, ShapeMismatch
-from .groups import (FiniteGroup, conjugacy_classes, generating_set, left_cosets,
-                     spanning_generators, subgroup_as_group, subgroup_elements)
+from .groups import (FiniteGroup, conjugacy_classes, left_cosets, spanning_generators,
+                     subgroup_as_group, subgroup_elements, subgroup_generators)
 
 
 @dataclass(frozen=True)
@@ -195,8 +195,7 @@ def is_permutation_lattice(x: GLattice) -> bool:
 
 def invariant_basis(x: GLattice, h) -> IntMatrix:
     """HNF basis (columns) of the fixed sublattice X^H."""
-    elems = subgroup_elements(x.group, h)
-    gens = generating_set(x.group, elems)
+    gens = subgroup_generators(x.group, h)
     if not gens:
         return intmat.identity(x.rank)
     stacked = intmat.vstack([x.action[s] - intmat.identity(x.rank) for s in gens])
@@ -205,8 +204,7 @@ def invariant_basis(x: GLattice, h) -> IntMatrix:
 
 def coinvariants(x: GLattice, h):
     """X_H = X / span{(g-1)X : g in H} as a FinAbGroup."""
-    elems = subgroup_elements(x.group, h)
-    gens = generating_set(x.group, elems)
+    gens = subgroup_generators(x.group, h)
     if not gens:
         return intmat.cokernel_structure(intmat.zeros(x.rank, 0))
     stacked = intmat.hstack([x.action[s] - intmat.identity(x.rank) for s in gens])

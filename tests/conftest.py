@@ -15,7 +15,7 @@ import pytest
 from torusbt import intmat
 from torusbt import lattices as lat
 from torusbt.exact import FinAbGroup
-from torusbt.groups import group_from_generators, subgroup_classes
+from torusbt.groups import cyclic_group, group_from_generators, subgroup_classes
 
 
 # ---------------------------------------------------------------- groups
@@ -75,6 +75,16 @@ def quaternion_generators():
     for g in ("i", "j"):
         perms.append([names.index(mult(g, x)) for x in names])
     return perms
+
+
+def small_groups(s3, d4, a4, max_cyclic):
+    """S3, D4, A4, Q8, D5, D6, C2^3 and C_n for n <= max_cyclic."""
+    groups = [s3, d4, a4, group_from_generators(quaternion_generators(), name="Q8")]
+    for gens, name in (([[1, 2, 3, 4, 0], [0, 4, 3, 2, 1]], "D5"),
+                       ([[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]], "D6"),
+                       ([[x ^ (1 << i) for x in range(8)] for i in range(3)], "C2^3")):
+        groups.append(group_from_generators(gens, name=name))
+    return groups + [cyclic_group(n) for n in range(1, max_cyclic + 1)]
 
 
 # ---------------------------------------------------------------- lattices

@@ -1,18 +1,23 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from conftest import (catalog_pool, fin_ab, oracle_h1_bar, oracle_h1_cyclic,
+from conftest import (catalog_pool, fin_ab, oracle_h1_bar, oracle_h1_cyclic, small_groups,
                       random_lattice, sign_lattice_v4)
 from torusbt import cohomology as coh
 from torusbt import intmat
 from torusbt import lattices as lat
 from torusbt.errors import InvariantViolation, NotSubgroup, ShapeMismatch
-from torusbt.exact import FinAbGroup
+from torusbt.exact import FinAbGroup, from_elementary_divisors
 from torusbt.groups import (cyclic_group, generating_set, group_from_generators,
                             subgroup_classes, subgroup_elements)
+from torusbt.induction import permutation_character_table
 
 
 def test_h1_sign_lattice(c2):
@@ -52,7 +57,6 @@ def test_tate_h0_examples(c2):
 def test_tate_h0_coset_lattice_double_coset_oracle(c2, s3, v4):
     """Tate H^0(H, Z[G/H']) = (+) Z/(|H| / orbit size) over the H-orbits
     on cosets: a purely combinatorial prediction."""
-    from torusbt.exact import from_elementary_divisors
     from torusbt.groups import left_cosets
     for g in (c2, s3, v4):
         classes = subgroup_classes(g)
@@ -329,7 +333,8 @@ def test_h1_additive_over_direct_sum(c2, s3, v4):
         y = random_lattice(pool[key], rng, max_rank=2)
         s = lat.direct_sum(x, y)
         for cls in subgroup_classes(g):
-            merged = coh.h1(cls, x).direct_sum(coh.h1(cls, y))
+            merged = from_elementary_divisors(
+                list(coh.h1(cls, x).invariant_factors) + list(coh.h1(cls, y).invariant_factors))
             assert coh.h1(cls, s) == merged
 
 
@@ -490,6 +495,48 @@ def test_multisets_with_rank_streams_the_same_sequence(s3, v4, d4, a4):
             assert list(walk) == _oracle_multisets(classes, total), (g.name, total)
 
 
+def _spec_character(chi_perm, spec):
+    return tuple(sum(chi_perm[cid][i] for cid in spec) for i in range(len(chi_perm[0])))
+
+
+def _oracle_matched_targets(classes, chi_perm, total, keys):
+    """The walk before pruning: every multiset of the rank, kept when its
+    character is one of keys."""
+    return [(spec, _spec_character(chi_perm, spec))
+            for spec in _oracle_multisets(classes, total)
+            if _spec_character(chi_perm, spec) in keys]
+
+
+def test_matched_multisets_walk_only_the_character_matched_targets(s3, v4, d4, a4):
+    """Same (multiset, key) list as the filtered enumeration, for key sets
+    mixing characters that occur, characters one off in one entry (some
+    negative) and random vectors."""
+    c2_cubed = group_from_generators([[x ^ (1 << i) for x in range(8)] for i in range(3)],
+                                     name="C2^3")
+    rng = random.Random(12)
+    matched = 0
+    for g in (s3, v4, d4, a4, c2_cubed):
+        classes = subgroup_classes(g)
+        chi_perm = permutation_character_table(g)
+        width = len(chi_perm[0])
+        for total in range(0, 9):
+            chars = sorted({_spec_character(chi_perm, spec)
+                            for spec in _oracle_multisets(classes, total)})
+            for _ in range(3):
+                keys = set(rng.sample(chars, min(len(chars), rng.randint(0, 6))))
+                for chi in rng.sample(chars, min(len(chars), 3)):
+                    i = rng.randrange(width)
+                    keys.add(chi[:i] + (chi[i] + rng.choice((-1, 1)),) + chi[i + 1:])
+                keys.add(tuple(rng.randint(-1, total) for _ in range(width)))
+                walk = coh._matched_multisets(classes, chi_perm, total, keys)
+                assert iter(walk) is walk                   # a generator
+                got = list(walk)
+                assert got == _oracle_matched_targets(classes, chi_perm, total, keys), \
+                    (g.name, total)
+                matched += len(got)
+    assert matched > 250
+
+
 def test_profile_additive_over_direct_sums(c2, s3, v4, d4, a4):
     pool = catalog_pool(c2, s3, v4)
     for g, extra in ((v4, pool["v4"]), (s3, pool["s3"]), (d4, []), (a4, [])):
@@ -553,14 +600,68 @@ def test_certificate_search_matches_pair_by_pair_oracle(c2, s3, v4, d4, a4, monk
 
 
 def test_certificate_search_profiles_each_summand_once(d4, monkeypatch):
+    """Q is profiled once, through h1 and tate_h0; each Z[G/H] by Mackey's
+    formula, with no h1 or tate_h0 call."""
     classes = subgroup_classes(d4)
     q = coh.flasque_resolution(lat.norm_one_lattice(d4)).q_lattice
-    calls = {"h1": 0, "tate_h0": 0}
-    for name in calls:
+    profiled = {"_cohomology_profile": [], "_permutation_profile": []}
+    for name in profiled:
+        def recorded(*args, _name=name, _f=getattr(coh, name)):
+            profiled[_name].append(args)
+            return _f(*args)
+        monkeypatch.setattr(coh, name, recorded)
+    cohomology_of = {"h1": [], "tate_h0": []}
+    for name in cohomology_of:
         def counted(h, x, _name=name, _f=getattr(coh, name)):
-            calls[_name] += 1
+            cohomology_of[_name].append(x)
             return _f(h, x)
         monkeypatch.setattr(coh, name, counted)
     assert coh.search_invertibility_certificate(q) is None
-    bound = (1 + len(classes)) * len(classes)       # Q and each Z[G/H], every class
-    assert 0 < calls["h1"] <= bound and 0 < calls["tate_h0"] <= bound, calls
+    assert [args[0] for args in profiled["_cohomology_profile"]] == [q]
+    summands = [args[1].class_id for args in profiled["_permutation_profile"]]
+    assert 0 < len(summands) == len(set(summands)) <= len(classes), summands
+    for name, lattices in cohomology_of.items():
+        assert len(lattices) == len(classes) and all(x is q for x in lattices), name
+
+
+def test_permutation_profile_matches_cohomology_profile(s3, d4, a4):
+    """Mackey's closed form against h1 and tate_h0 of Z[G/H] itself, on
+    every class of S3, D4, A4, Q8, D5, D6, C2^3 and C_1-C_12."""
+    nontrivial = 0
+    for g in small_groups(s3, d4, a4, 12):
+        classes = subgroup_classes(g)
+        for cls in classes:
+            mackey = coh._permutation_profile(g, cls, classes)
+            assert mackey == coh._cohomology_profile(lat.permutation_lattice(g, cls), classes), \
+                (g.name, cls.class_id)
+            nontrivial += bool(mackey)
+    assert nontrivial > 50
+
+
+C2_CUBED_NORM_ONE = """
+import time
+from torusbt.cohomology import check_motivic_interpretation
+from torusbt.groups import group_from_generators
+from torusbt.lattices import norm_one_lattice
+g = group_from_generators([[x ^ (1 << i) for x in range(8)] for i in range(3)], name="C2^3")
+x = norm_one_lattice(g)
+start = time.perf_counter()
+verdict = check_motivic_interpretation(x)[0]
+print(verdict, time.perf_counter() - start)
+"""
+
+
+def test_c2_cubed_norm_one_motivic_check_is_fast():
+    """Q(sqrt2, sqrt3, sqrt5): the certificate search on the C2^3 norm-one
+    Q ends in Unknown within its default budgets. Run in a fresh process,
+    so that no memo is warm, with the lattice built untimed."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", C2_CUBED_NORM_ONE], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    verdict, seconds = proc.stdout.split()[-2:]
+    assert verdict == "Unknown"
+    assert float(seconds) < 1.5

@@ -48,12 +48,6 @@ def test_from_elementary_divisors_canonicalizes():
     assert from_elementary_divisors([1, 1, 0, 5]) == FinAbGroup((5,), 1)
 
 
-def test_finab_direct_sum_merges_invariants():
-    a = FinAbGroup((2,))
-    b = FinAbGroup((4,), 1)
-    assert a.direct_sum(b) == FinAbGroup((2, 4), 1)
-
-
 def test_serialization_wire_form():
     assert str(Fraction(-1, 12)) == "-1/12"
     assert str(Fraction(3)) == "3"

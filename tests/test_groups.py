@@ -1,4 +1,6 @@
 import itertools
+import sys
+from collections import Counter
 
 import pytest
 
@@ -8,7 +10,9 @@ from torusbt.groups import (FiniteGroup, all_subgroups, conjugacy_classes, cycli
                             generating_set, group_from_generators, group_from_table,
                             is_metacyclic, left_cosets, subgroup_as_group, subgroup_classes,
                             subgroup_elements)
+from torusbt.engine import btc_predict
 from torusbt.induction import permutation_character_table
+from torusbt.lattices import norm_one_lattice
 
 
 def test_single_transposition_gives_c2():
@@ -155,6 +159,26 @@ def test_subgroup_elements_keeps_rejecting_non_int_elements(c2):
     assert subgroup_elements(c2, (0, 1)) == subgroup_elements(c2, (1, 0)) == (0, 1)
     with pytest.raises(NotSubgroup):
         subgroup_elements(c2, (0, True))
+
+
+def test_predict_runs_generating_set_once_per_element_set(monkeypatch):
+    """subgroup_elements keeps the generating set it checks, and h1,
+    invariant_basis, coinvariants and spanning_generators read it back: a
+    D4 norm-one predict closes each element set once. The group is fresh,
+    so no memo is warm; it and the lattice are built before counting."""
+    d4 = group_from_generators([[1, 2, 3, 0], [0, 3, 2, 1]], name="D4")
+    x = norm_one_lattice(d4)
+    calls = Counter()
+
+    def counted(g, elements):
+        calls[frozenset(elements)] += 1
+        return generating_set(g, elements)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "torusbt" and \
+                getattr(module, "generating_set", None) is generating_set:
+            monkeypatch.setattr(module, "generating_set", counted)
+    btc_predict(x, None)
+    assert len(calls) == len(subgroup_classes(d4)) and max(calls.values()) == 1, calls
 
 
 def test_metacyclic_suite(s3, v4):

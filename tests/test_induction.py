@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import catalog_pool, quaternion_generators, random_lattice
+from conftest import catalog_pool, random_lattice, small_groups
 from torusbt import intmat
 from torusbt import lattices as lat
 from torusbt.errors import NoSolution
 from torusbt.exact import lcm
-from torusbt.groups import (conjugacy_classes, cyclic_group, group_from_generators,
-                            subgroup_classes)
+from torusbt.groups import conjugacy_classes, subgroup_classes
 from torusbt.induction import artin_induction, ono_decomposition, permutation_character_table
 
 
@@ -134,19 +133,9 @@ def test_ono_identity_on_catalog(c2, s3, v4):
                 assert lhs == rhs
 
 
-def _small_groups(s3, d4, a4, max_cyclic):
-    """S3, D4, A4, Q8, D5, D6, C2^3 and C_n for n <= max_cyclic."""
-    groups = [s3, d4, a4, group_from_generators(quaternion_generators(), name="Q8")]
-    for gens, name in (([[1, 2, 3, 4, 0], [0, 4, 3, 2, 1]], "D5"),
-                       ([[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]], "D6"),
-                       ([[x ^ (1 << i) for x in range(8)] for i in range(3)], "C2^3")):
-        groups.append(group_from_generators(gens, name=name))
-    return groups + [cyclic_group(n) for n in range(1, max_cyclic + 1)]
-
-
 def test_permutation_character_table_counts_fixed_cosets(s3, d4, a4):
     """Against the traces of the coset lattices Z[G/H] themselves."""
-    for g in _small_groups(s3, d4, a4, 48):
+    for g in small_groups(s3, d4, a4, 48):
         table = permutation_character_table(g)
         classes = subgroup_classes(g)
         assert len(table) == len(classes), g.name
@@ -198,7 +187,7 @@ def test_integer_solve_matches_fraction_elimination(s3, d4, a4):
     random direct sums of them give the same (m, a_H) as the Fraction
     Gauss-Jordan solve."""
     rng = random.Random(10)
-    for g in _small_groups(s3, d4, a4, 24):
+    for g in small_groups(s3, d4, a4, 24):
         norm_one = lat.norm_one_lattice(g)
         parts = [lat.permutation_lattice(g, cls) for cls in subgroup_classes(g)]
         parts += [norm_one, lat.dual(norm_one)]
