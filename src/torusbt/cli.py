@@ -26,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stab-cap", dest="stab_cap", type=int,
                    help="maximum stabilization depth per prime")
     p.add_argument("--debug-oracles", action="store_true",
-                   help="run the extra stabilization and candidate-prime checks")
+                   help="run the extra candidate-prime check")
     return p
 
 

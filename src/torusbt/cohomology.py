@@ -355,27 +355,32 @@ def _matched_multisets(classes, chi_perm, total: int, keys):
         yield from rec(0, total, live)
 
 
-def _profile_add(out: Counter, pos: int, degree: int, order: int) -> None:
-    """Count the primary parts of Z/order at (class position, degree)."""
-    out.update((pos, degree, p ** e) for p, e in factorize(order))
+def _profile_add(out: Counter, pos: int, order: int) -> None:
+    """Count the primary parts of Z/order at class position pos."""
+    out.update((pos, p ** e) for p, e in factorize(order))
 
 
 def _cohomology_profile(x: GLattice, classes) -> Counter:
-    """Tate H^0 (degree 0) and H^1 (degree 1) of x on every class, as the
-    multiset (class position, degree, prime power) of their primary parts."""
+    """Tate H^0 of x on every class, as the multiset (class position,
+    prime power) of its primary parts.
+
+    H^1 is left out: H^1(K, Z[G/H]) = 0 (Shapiro), so Q (+) C ~ T with
+    C and T permutation lattices forces H^1(K, Q) = 0, and comparing H^1
+    never changes which certificate is found. On the motivic path
+    flasque_resolution has already checked H^1(K, Q) = 0 on every class.
+    """
     out = Counter()
     for pos, cls in enumerate(classes):
-        for degree, grp in ((0, tate_h0(cls, x)), (1, h1(cls, x))):
-            for d in grp.invariant_factors:
-                _profile_add(out, pos, degree, d)
+        for d in tate_h0(cls, x).invariant_factors:
+            _profile_add(out, pos, d)
     return out
 
 
 def _permutation_profile(g: FiniteGroup, h: SubgroupClass, classes) -> Counter:
     """_cohomology_profile of Z[G/H] by Mackey's formula: restricted to K,
     Z[G/H] is the sum over double cosets KgH of Z[K/(K n gHg^-1)], so
-    H^1(K, Z[G/H]) = 0 and Tate H^0 = (+) Z/|K n gHg^-1|, one summand per
-    K-orbit on G/H, of order |K| / orbit size (Brown, III.5-III.8)."""
+    Tate H^0 = (+) Z/|K n gHg^-1|, one summand per K-orbit on G/H, of
+    order |K| / orbit size (Brown, III.5-III.8)."""
     cosets = left_cosets(g, h.elements)
     coset_of = {a: i for i, c in enumerate(cosets) for a in c}
     out = Counter()
@@ -385,7 +390,7 @@ def _permutation_profile(g: FiniteGroup, h: SubgroupClass, classes) -> Counter:
             if i not in seen:
                 orbit = {coset_of[g.op(a, c[0])] for a in k.elements}
                 seen |= orbit
-                _profile_add(out, pos, 0, k.order // len(orbit))
+                _profile_add(out, pos, k.order // len(orbit))
     return out
 
 
@@ -407,12 +412,12 @@ def search_invertibility_certificate(
     what the in-scope examples need); candidate isos are small integer
     combinations of a Hom_G basis. Candidate pairs are pruned by the
     cheap necessary conditions first (equal characters, equal Tate-H^0
-    and H^1 profiles on every subgroup class). Sound but incomplete:
-    None just means 'not found within budget'.
+    profiles on every subgroup class). Sound but incomplete: None just
+    means 'not found within budget'.
 
-    Tate H^0 and H^1 are additive over direct sums (Brown, III.8), so a
-    side's profile is the sum of one memoised profile per summand: Q's from
-    h1 and tate_h0, each Z[G/H]'s from Mackey's formula.
+    Tate H^0 is additive over direct sums (Brown, III.8), so a side's
+    profile is the sum of one memoised profile per summand: Q's from
+    tate_h0, each Z[G/H]'s from Mackey's formula.
 
     For each target rank the complements are bucketed by chi_Q + chi(comp).
     Targets are walked in enumeration order, but only those whose

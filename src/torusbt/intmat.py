@@ -1,20 +1,23 @@
 """Arbitrary-precision integer matrices and their normal forms.
 
-Everything here is exact: entries are Python ints. One column Hermite
-elimination of [A; I] gives both the kernel of A and a unimodular
-transform for exact solves; the Smith diagonal (no transforms) gives
-ranks and cokernel structures, and the one modular routine,
-smith_valuations, reads its p-adic valuations by elimination mod p^k.
-Matrices are immutable (tuple-of-row-tuples) so they can be shared
-freely across threads.
+Everything here is exact: entries are Python ints, and two eliminations
+do all the work. The column Hermite form gives ranks and, applied to
+[A; I], both the kernel of A and a unimodular transform for exact
+solves. smith_valuations reads the p-adic valuations of the Smith
+diagonal by elimination mod p^k. A cokernel takes its free rank and
+torsion order from Hermite forms and its p-parts from smith_valuations,
+so no integer Smith form is ever built. Matrices are immutable
+(tuple-of-row-tuples) so they can be shared freely across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .exact import FinAbGroup, from_elementary_divisors
 from .errors import ShapeMismatch
+from .units import factorize
 
 
 @dataclass(frozen=True)
@@ -32,9 +35,6 @@ class IntMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.data[i]
 
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.data)
@@ -139,15 +139,6 @@ def zeros(rows: int, cols: int) -> IntMatrix:
     return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
 
-def diag(entries: list[int], rows: int | None = None, cols: int | None = None) -> IntMatrix:
-    n = len(entries)
-    rows = n if rows is None else rows
-    cols = n if cols is None else cols
-    return IntMatrix(rows, cols, tuple(
-        tuple(entries[i] if i == j and i < n else 0 for j in range(cols))
-        for i in range(rows)))
-
-
 def vstack(mats: list[IntMatrix]) -> IntMatrix:
     mats = [m for m in mats]
     if not mats:
@@ -182,10 +173,6 @@ def block_diag(mats: list[IntMatrix]) -> IntMatrix:
         i0 += m.rows
         j0 += m.cols
     return from_rows(out, cols)
-
-
-def columns(mat: IntMatrix) -> list[tuple[int, ...]]:
-    return [mat.col(j) for j in range(mat.cols)]
 
 
 def from_columns(cols: list[tuple[int, ...]], rows: int) -> IntMatrix:
@@ -224,89 +211,6 @@ def is_unimodular(mat: IntMatrix) -> bool:
     return mat.rows == mat.cols and det(mat) in (1, -1)
 
 
-def _snf_inplace(a: list[list[int]], rows: int, cols: int) -> None:
-    """Reduce a to Smith form in place, keeping no transforms.
-
-    Pivot choice is the minimal nonzero absolute value in the remaining
-    block, which keeps intermediate entries small at the scales this
-    package works at.
-    """
-    def swap_cols(j1, j2):
-        for r in a:
-            r[j1], r[j2] = r[j2], r[j1]
-
-    def addmul_row(dst, src, q):
-        ad, asrc = a[dst], a[src]
-        for j in range(cols):
-            ad[j] += q * asrc[j]
-
-    def addmul_col(dst, src, q):
-        for r in a:
-            r[dst] += q * r[src]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        # Locate the smallest nonzero entry in the trailing block.
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != t:
-            a[t], a[bi] = a[bi], a[t]
-        if bj != t:
-            swap_cols(t, bj)
-
-        while True:
-            # Clear the pivot column.
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    addmul_row(i, t, -q)
-                    if a[i][t] != 0:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            if dirty:
-                continue
-            # Clear the pivot row.
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    addmul_col(j, t, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # Enforce divisibility of the trailing block by the pivot.
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            addmul_row(t, offender, 1)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-        t += 1
-
-
-def snf_diagonal(mat: IntMatrix) -> list[int]:
-    a = [list(r) for r in mat.data]
-    _snf_inplace(a, mat.rows, mat.cols)
-    return [a[i][i] for i in range(min(mat.rows, mat.cols))]
-
-
 def smith_valuations(mat: IntMatrix, p: int, k: int) -> list[int]:
     """min(v_p(d_i), k) for the Smith diagonal d_1 | d_2 | ... of mat.
 
@@ -337,17 +241,6 @@ def smith_valuations(mat: IntMatrix, p: int, k: int) -> list[int]:
         live.remove(j)
         out.append(v)
     return out + [k] * (min(mat.rows, mat.cols) - len(out))
-
-
-def rank(mat: IntMatrix) -> int:
-    return sum(1 for d in snf_diagonal(mat) if d != 0)
-
-
-def cokernel_structure(mat: IntMatrix) -> FinAbGroup:
-    """Isomorphism type of Z^rows / column-image(mat)."""
-    ds = snf_diagonal(mat)
-    r = sum(1 for d in ds if d != 0)
-    return from_elementary_divisors([d for d in ds if d > 1], mat.rows - r)
 
 
 def hnf_columns(mat: IntMatrix) -> IntMatrix:
@@ -442,6 +335,24 @@ def solve_exact(mat: IntMatrix, rhs: IntMatrix) -> IntMatrix | None:
         ys.append(y)
     return IntMatrix(mat.cols, rhs.cols, tuple(
         tuple(sum(a * b for a, b in zip(row[:r], y)) for y in ys) for row in t))
+
+
+def cokernel_structure(mat: IntMatrix) -> FinAbGroup:
+    """Isomorphism type of Z^rows / column-image(mat).
+
+    H = hnf_columns(mat) spans the image with full column rank r, so the
+    free rank is rows - r. H^T has full row rank, so the pivots of its
+    Hermite form multiply to d_1...d_r, the torsion order, and for each
+    p^e exactly dividing that order smith_valuations(H, p, e) gives the
+    p-parts. Only the order is factored: H's own pivots depend on the
+    basis ([[2**89 - 1], [1]] has cokernel Z and pivot 2**89 - 1).
+    """
+    h = hnf_columns(mat)
+    t = hnf_columns(h.transpose())
+    order = prod(t[k, k] for k in range(h.cols))
+    return from_elementary_divisors(
+        [p ** v for p, e in factorize(order) for v in smith_valuations(h, p, e)],
+        mat.rows - h.cols)
 
 
 def lattice_quotient(basis: IntMatrix, sub_gens: IntMatrix) -> FinAbGroup:

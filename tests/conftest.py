@@ -3,7 +3,8 @@
 Oracles here must stay independent of the code paths they check:
 w2 by direct congruence search, Bernoulli numbers by the binomial
 recurrence, H^1 from the all-elements cocycle complex, cyclic H^1 from
-ker(norm)/im(sigma - 1).
+ker(norm)/im(sigma - 1), Smith diagonals by the integer Smith
+elimination that intmat no longer carries.
 """
 
 import random
@@ -14,7 +15,7 @@ import pytest
 
 from torusbt import intmat
 from torusbt import lattices as lat
-from torusbt.exact import FinAbGroup
+from torusbt.exact import FinAbGroup, from_elementary_divisors
 from torusbt.groups import cyclic_group, group_from_generators, subgroup_classes
 
 
@@ -178,6 +179,96 @@ def oracle_w2(modulus: int, allowed_units, search_cap: int = 2000) -> int:
         if ok:
             best = max(best, n)
     return best
+
+
+def _snf_inplace(a: list[list[int]], rows: int, cols: int) -> None:
+    """Reduce a to Smith form in place, keeping no transforms.
+
+    Pivot choice is the minimal nonzero absolute value in the remaining
+    block, which keeps intermediate entries small at the scales this
+    package works at.
+    """
+    def swap_cols(j1, j2):
+        for r in a:
+            r[j1], r[j2] = r[j2], r[j1]
+
+    def addmul_row(dst, src, q):
+        ad, asrc = a[dst], a[src]
+        for j in range(cols):
+            ad[j] += q * asrc[j]
+
+    def addmul_col(dst, src, q):
+        for r in a:
+            r[dst] += q * r[src]
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        # Locate the smallest nonzero entry in the trailing block.
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                x = a[i][j]
+                if x != 0 and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        if bi != t:
+            a[t], a[bi] = a[bi], a[t]
+        if bj != t:
+            swap_cols(t, bj)
+
+        while True:
+            # Clear the pivot column.
+            dirty = False
+            for i in range(t + 1, rows):
+                if a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    addmul_row(i, t, -q)
+                    if a[i][t] != 0:
+                        a[t], a[i] = a[i], a[t]
+                        dirty = True
+            if dirty:
+                continue
+            # Clear the pivot row.
+            for j in range(t + 1, cols):
+                if a[t][j] != 0:
+                    q = a[t][j] // a[t][t]
+                    addmul_col(j, t, -q)
+                    if a[t][j] != 0:
+                        swap_cols(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            # Enforce divisibility of the trailing block by the pivot.
+            offender = None
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if a[i][j] % a[t][t] != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            addmul_row(t, offender, 1)
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+        t += 1
+
+
+def snf_diagonal(mat: intmat.IntMatrix) -> list[int]:
+    a = [list(r) for r in mat.data]
+    _snf_inplace(a, mat.rows, mat.cols)
+    return [a[i][i] for i in range(min(mat.rows, mat.cols))]
+
+
+def oracle_cokernel(mat: intmat.IntMatrix) -> FinAbGroup:
+    """Z^rows / column-image(mat) read off the integer Smith diagonal."""
+    ds = snf_diagonal(mat)
+    r = sum(1 for d in ds if d != 0)
+    return from_elementary_divisors([d for d in ds if d > 1], mat.rows - r)
 
 
 def oracle_bernoulli_numbers(n: int) -> list[Fraction]:

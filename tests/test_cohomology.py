@@ -600,8 +600,8 @@ def test_certificate_search_matches_pair_by_pair_oracle(c2, s3, v4, d4, a4, monk
 
 
 def test_certificate_search_profiles_each_summand_once(d4, monkeypatch):
-    """Q is profiled once, through h1 and tate_h0; each Z[G/H] by Mackey's
-    formula, with no h1 or tate_h0 call."""
+    """Q is profiled once, through tate_h0 alone; each Z[G/H] by Mackey's
+    formula. The search makes no h1 call: Q is flasque."""
     classes = subgroup_classes(d4)
     q = coh.flasque_resolution(lat.norm_one_lattice(d4)).q_lattice
     profiled = {"_cohomology_profile": [], "_permutation_profile": []}
@@ -620,8 +620,20 @@ def test_certificate_search_profiles_each_summand_once(d4, monkeypatch):
     assert [args[0] for args in profiled["_cohomology_profile"]] == [q]
     summands = [args[1].class_id for args in profiled["_permutation_profile"]]
     assert 0 < len(summands) == len(set(summands)) <= len(classes), summands
-    for name, lattices in cohomology_of.items():
-        assert len(lattices) == len(classes) and all(x is q for x in lattices), name
+    assert cohomology_of["h1"] == []
+    lattices = cohomology_of["tate_h0"]
+    assert len(lattices) == len(classes) and all(x is q for x in lattices)
+
+
+def test_certificate_search_finds_nothing_for_non_flasque_lattices(c2, s3, v4):
+    """The profile no longer compares H^1, and none is needed: H^1(K, Q) is
+    a summand of H^1(K, T) = 0 for any Q (+) C ~ T, so a non-flasque
+    lattice has no certificate and the search returns None."""
+    pool = catalog_pool(c2, s3, v4)
+    non_flasque = [x for xs in pool.values() for x in xs if not coh.is_flasque(x)[0]]
+    assert len(non_flasque) >= 3
+    for x in non_flasque:
+        assert coh.search_invertibility_certificate(x) is None, x.group.name
 
 
 def test_permutation_profile_matches_cohomology_profile(s3, d4, a4):

@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from conftest import oracle_w2
+from conftest import oracle_w2, snf_diagonal
 from torusbt import intmat
 from torusbt import lattices as lat
 from torusbt import realization as realz
@@ -344,7 +344,7 @@ def _depth_loop_part(x, r, p, twist, side, cap=30, allowed=None):
             stacked = intmat.vstack(mats) if mats else intmat.zeros(0, rank)
         else:
             stacked = intmat.hstack(mats) if mats else intmat.zeros(rank, 0)
-        ds = intmat.snf_diagonal(stacked)
+        ds = snf_diagonal(stacked)
         ds += [0] * (rank - len(ds))
         order = 1
         for d in ds[:rank]:
