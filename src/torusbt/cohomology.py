@@ -7,7 +7,9 @@ X/|H|X with a kernel of size (#generators * rank) x ((#generators + 1)
 The same module hosts the flasque/invertible classification, the
 constructive flasque resolution 0 -> Q -> P -> X -> 0 with P a direct
 sum of coset lattices Z[G/H], and the order-2 decomposition used for
-the real place.
+the real place. The resolution works on orbits of vectors: a summand
+(Z[G/H], w) has Stab(w) = H, so G/H is the orbit Gw and the images of
+its K-invariants are the sums of the K-orbits inside Gw.
 """
 
 from __future__ import annotations
@@ -98,57 +100,16 @@ class FlasqueResolution:
         }
 
 
-def _class_lookup(g: FiniteGroup, classes, elements: tuple[int, ...]) -> tuple[int, int]:
-    """(class id, conjugator u) with u * rep * u^{-1} = the given subgroup."""
-    target = set(elements)
-    for cls in classes:
-        if cls.order != len(target):
-            continue
-        for u in range(g.order):
-            if {g.conjugate(u, a) for a in cls.elements} == target:
-                return cls.class_id, u
-    raise ShapeMismatch("subgroup not matched to any class")
-
-
-def _summand_image_columns(x: GLattice, kelems: tuple[int, ...],
-                           cls: SubgroupClass, v: tuple[int, ...]):
-    """Images of the K-invariants of the summand (Z[G/H], v) inside X^K.
-
-    The K-invariants of Z[G/H] are spanned by K-orbit sums of cosets;
-    each orbit maps to the sum of rho(min coset rep) v.
-    """
-    g = x.group
-    cosets = left_cosets(g, cls.elements)
-    orbit_of = {}
-    for c in cosets:
-        if c in orbit_of:
-            continue
-        orbit = set()
-        stack = [c]
-        while stack:
-            cc = stack.pop()
-            if cc in orbit:
-                continue
-            orbit.add(cc)
-            for k in kelems:
-                img = tuple(sorted(g.op(k, a) for a in cc))
-                if img not in orbit:
-                    stack.append(img)
-        for cc in orbit:
-            orbit_of[cc] = frozenset(orbit)
-    cols = []
-    for orbit in sorted({o for o in orbit_of.values()}, key=lambda o: min(o)):
-        vec = [0] * x.rank
-        for c in orbit:
-            w = x.action[min(c)].apply(tuple(v))
-            vec = [a + b for a, b in zip(vec, w)]
-        cols.append(tuple(vec))
+def _orbit_sums(x: GLattice, kelems: tuple[int, ...], orbit) -> list[tuple[int, ...]]:
+    """Sums of the K-orbits inside the G-orbit `orbit`, a tuple of vectors,
+    in the order of each K-orbit's first vector."""
+    seen, cols = set(), []
+    for vec in orbit:
+        if vec not in seen:
+            korbit = {x.action[k].apply(vec) for k in kelems}
+            seen |= korbit
+            cols.append(tuple(map(sum, zip(*korbit))))
     return cols
-
-
-def _stabilizer(x: GLattice, v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(a for a in range(x.group.order)
-                        if x.action[a].apply(v) == tuple(v)))
 
 
 def flasque_resolution(x: GLattice) -> FlasqueResolution:
@@ -162,6 +123,14 @@ def flasque_resolution(x: GLattice) -> FlasqueResolution:
     for every H; that in turn forces H^1(H, Q) = 0 for the kernel Q. On
     a literal permutation lattice this reproduces P = X, Q = 0.
 
+    Each summand works on an orbit of vectors. With Stab(v) = u H u^-1
+    for the least such u and H its class representative, the summand is
+    (Z[G/H], w) with w = u^-1 v, so Stab(w) = H exactly and xH -> x w is
+    a G-bijection from G/H onto Gw, listed in left_cosets order (least
+    element first). The K-invariants of Z[G/H] are K-orbit sums of
+    cosets, so their images in X^K are the sums of the K-orbits inside
+    Gw (_orbit_sums).
+
     X must be a G-lattice. The postconditions (exactness over Z,
     equivariance of P -> X and of Q -> P, flasqueness of Q) raise
     InvariantViolation. Equivariance is checked on spanning_generators(G)
@@ -171,30 +140,34 @@ def flasque_resolution(x: GLattice) -> FlasqueResolution:
     """
     g = x.group
     classes = subgroup_classes(g)
+    class_of = {cls.elements: cls.class_id for cls in classes}
 
-    summands: list[tuple[int, tuple[int, ...]]] = []
+    summands: list[tuple[int, tuple[int, ...], tuple]] = []     # (class id, w, Gw)
     for cls in classes if x.rank else []:
         kelems = cls.elements
-        have = []
-        for cid, v in summands:
-            have.extend(_summand_image_columns(x, kelems, classes[cid], v))
+        have = [c for _, _, orbit in summands for c in _orbit_sums(x, kelems, orbit)]
         basis = invariant_basis(x, cls)
         for j in range(basis.cols):
             v = basis.col(j)
             mat = intmat.from_columns(have, x.rank)
             if intmat.solve_exact(mat, intmat.from_columns([v], x.rank)) is None:
-                cid, u = _class_lookup(g, classes, _stabilizer(x, v))
-                w = x.action[g.inv(u)].apply(v)
-                summands.append((cid, w))
-                have.extend(_summand_image_columns(x, kelems, classes[cid], w))
+                images = [m.apply(v) for m in x.action]
+                stab = [a for a in range(g.order) if images[a] == v]
+                for u in range(g.order):
+                    cid = class_of.get(tuple(sorted(g.conjugate(g.inv(u), a) for a in stab)))
+                    if cid is not None:
+                        break
+                else:
+                    raise ShapeMismatch("subgroup not matched to any class")
+                uinv = g.inv(u)
+                orbit = tuple(dict.fromkeys(images[g.op(a, uinv)] for a in range(g.order)))
+                summands.append((cid, images[uinv], orbit))
+                have.extend(_orbit_sums(x, kelems, orbit))
 
-    p_parts = [permutation_lattice(g, classes[cid]) for cid, _ in summands]
+    p_parts = [permutation_lattice(g, classes[cid]) for cid, _, _ in summands]
     p_lat = direct_sum_list(p_parts) if p_parts else zero_lattice(g)
-    surj_cols = []
-    for cid, v in summands:
-        for coset in left_cosets(g, classes[cid].elements):
-            surj_cols.append(x.action[min(coset)].apply(tuple(v)))
-    surjection = intmat.from_columns(surj_cols, x.rank)
+    surjection = intmat.from_columns(
+        [vec for _, _, orbit in summands for vec in orbit], x.rank)
 
     inclusion = intmat.kernel_basis(surjection)
     q_rank = inclusion.cols
@@ -211,8 +184,8 @@ def flasque_resolution(x: GLattice) -> FlasqueResolution:
     validate(q_lat)
 
     res = FlasqueResolution(
-        p_spec=tuple(cid for cid, _ in summands),
-        p_generators=tuple(tuple(v) for _, v in summands),
+        p_spec=tuple(cid for cid, _, _ in summands),
+        p_generators=tuple(w for _, w, _ in summands),
         p_lattice=p_lat, surjection=surjection,
         q_lattice=q_lat, inclusion=inclusion)
 

@@ -108,9 +108,6 @@ class CyclotomicNumber:
         """sum_k (vec[k] / den) zeta^k for a reduced integer vector vec."""
         return CyclotomicNumber(order, tuple(Fraction(c, den) for c in vec))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def is_rational(self) -> bool:
         """True iff every coefficient beyond degree 0 vanishes exactly."""
         return all(c == 0 for c in self.coeffs[1:])

@@ -106,13 +106,12 @@ def ono_l_value(x: GLattice, r: AbelianRealization):
 
 
 def btc_predict(x: GLattice, r: AbelianRealization | None,
-                cert: cohomology.InvertibilityCertificate | None = None,
                 stab_cap: int = realz.STABILIZATION_CAP,
                 debug: bool = False) -> BTCReport:
     """Full prediction report; degrades to symbolic output when the
     realization is missing, non-abelian, or not totally real."""
     warnings: list[str] = []
-    verdict, found_cert, _res = cohomology.check_motivic_interpretation(x, cert)
+    verdict, found_cert, _res = cohomology.check_motivic_interpretation(x)
     certs = None if found_cert is None else found_cert.to_json()
 
     report = BTCReport(

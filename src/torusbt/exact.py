@@ -106,11 +106,6 @@ class FinAbGroup:
             n *= d
         return n
 
-    def exponent(self) -> int:
-        if self.free_rank:
-            raise ValueError("infinite group has no exponent")
-        return self.invariant_factors[-1] if self.invariant_factors else 1
-
     def to_json(self) -> dict:
         return {"invariant_factors": list(self.invariant_factors),
                 "free_rank": self.free_rank}

@@ -43,8 +43,6 @@ class FiniteGroup:
     # trivial group); manifests attach one lattice matrix per entry.
     generators: tuple[int, ...] = ()
     name: str = "G"
-    # Optional labels (e.g. permutation tuples) for diagnostics.
-    labels: tuple = field(default=None, compare=False, hash=False)
     # Values of the @memoised functions of this group, set on first use.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -119,7 +117,7 @@ def _int_rows(rows) -> bool:
         isinstance(r, (list, tuple)) and all(type(x) is int for x in r) for r in rows)
 
 
-def group_from_table(table, name: str = "G", generators=None, labels=None) -> FiniteGroup:
+def group_from_table(table, name: str = "G", generators=None) -> FiniteGroup:
     """Group with this multiplication table. A malformed table raises
     NotHomomorphism; generators that are not element indices raise
     NotSubgroup."""
@@ -148,8 +146,7 @@ def group_from_table(table, name: str = "G", generators=None, labels=None) -> Fi
     elif not (isinstance(generators, (list, tuple))
               and all(type(s) is int and 0 <= s < n for s in generators)):
         raise NotSubgroup(f"generators {generators!r} are not element indices below {n}")
-    g = FiniteGroup(n, mul, identity, tuple(inverse), tuple(generators), name,
-                    tuple(labels) if labels is not None else None)
+    g = FiniteGroup(n, mul, identity, tuple(inverse), tuple(generators), name)
     g.validate()
     return g
 
@@ -190,7 +187,7 @@ def group_from_generators(perms: list, name: str = "G") -> FiniteGroup:
     index = {p: i for i, p in enumerate(ordered)}
     mul = [[index[_compose(a, b)] for b in ordered] for a in ordered]
     gen_indices = tuple(index[p] for p in gens)
-    return group_from_table(mul, name=name, generators=gen_indices, labels=ordered)
+    return group_from_table(mul, name=name, generators=gen_indices)
 
 
 @memoised

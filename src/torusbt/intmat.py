@@ -1,8 +1,9 @@
 """Arbitrary-precision integer matrices and their normal forms.
 
 Everything here is exact: entries are Python ints, and two eliminations
-do all the work. The column Hermite form gives ranks and, applied to
-[A; I], both the kernel of A and a unimodular transform for exact
+do all the work. The column Hermite form gives ranks, unimodularity
+(the form is I) and |det| (the product of its diagonal), and, applied
+to [A; I], both the kernel of A and a unimodular transform for exact
 solves. smith_valuations reads the p-adic valuations of the Smith
 diagonal by elimination mod p^k. A cokernel takes its free rank and
 torsion order from Hermite forms and its p-parts from smith_valuations,
@@ -88,10 +89,6 @@ class IntMatrix:
         return IntMatrix(self.cols, self.rows, tuple(zip(*self.data)) if self.data
                          else tuple(() for _ in range(self.cols)))
 
-    def mod(self, n: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(a % n for a in r) for r in self.data))
-
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.data for a in r)
 
@@ -99,18 +96,6 @@ class IntMatrix:
         return self.rows == self.cols and all(
             self.data[i][j] == (1 if i == j else 0)
             for i in range(self.rows) for j in range(self.cols))
-
-    def is_permutation(self) -> bool:
-        """True iff this is a permutation matrix (0/1, one 1 per row and column)."""
-        if self.rows != self.cols:
-            return False
-        seen_cols = set()
-        for r in self.data:
-            ones = [j for j, a in enumerate(r) if a == 1]
-            if len(ones) != 1 or any(a not in (0, 1) for a in r):
-                return False
-            seen_cols.add(ones[0])
-        return len(seen_cols) == self.rows
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(a) for a in r) for r in self.data) + "]"
@@ -178,37 +163,6 @@ def block_diag(mats: list[IntMatrix]) -> IntMatrix:
 def from_columns(cols: list[tuple[int, ...]], rows: int) -> IntMatrix:
     return IntMatrix(rows, len(cols),
                      tuple(tuple(c[i] for c in cols) for i in range(rows)))
-
-
-def det(mat: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    if mat.rows != mat.cols:
-        raise ShapeMismatch("determinant of non-square matrix")
-    n = mat.rows
-    if n == 0:
-        return 1
-    a = [list(r) for r in mat.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def is_unimodular(mat: IntMatrix) -> bool:
-    return mat.rows == mat.cols and det(mat) in (1, -1)
 
 
 def smith_valuations(mat: IntMatrix, p: int, k: int) -> list[int]:
@@ -284,6 +238,20 @@ def hnf_columns(mat: IntMatrix) -> IntMatrix:
         pivot_row += 1
     kept = [r for r in m[:pivot_row]]
     return from_columns([tuple(r) for r in kept], mat.rows)
+
+
+def is_unimodular(mat: IntMatrix) -> bool:
+    """True iff mat is square and its columns span Z^rows: Hermite form I."""
+    return mat.rows == mat.cols and hnf_columns(mat).is_identity()
+
+
+def abs_det(mat: IntMatrix) -> int:
+    """|det| of a square matrix: the product of its Hermite diagonal, or 0
+    when the Hermite form drops a column."""
+    if mat.rows != mat.cols:
+        raise ShapeMismatch("determinant of non-square matrix")
+    h = hnf_columns(mat)
+    return prod(h[k, k] for k in range(h.cols)) if h.cols == mat.cols else 0
 
 
 def _hermite(mat: IntMatrix):

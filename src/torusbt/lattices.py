@@ -7,7 +7,7 @@ An action table M is checked on a generating set S of G, not on all
 |G|^2 pairs: if M(e) = I and M(s*b) = M(s)M(b) for every s in S and b in
 G, induction on word length gives M(a*b) = M(a)M(b) for all a, b, and
 then M(a)^ord(a) = I forces det M(a) = +-1. A failed check raises
-NotUnimodular (wrong shape or determinant) or NotHomomorphism (table
+NotUnimodular (wrong shape or not unimodular) or NotHomomorphism (table
 size, identity, or a product).
 """
 
@@ -35,7 +35,7 @@ class GLattice:
 def validate(x: GLattice) -> None:
     """Check that x.action is a unimodular action of x.group.
 
-    Every matrix must be rank x rank with determinant +-1 (NotUnimodular);
+    Every matrix must be rank x rank and unimodular (NotUnimodular);
     the table needs one matrix per element, identity acting as I, and
     action(s)action(b) == action(s*b) for s in spanning_generators(G) and
     every b (NotHomomorphism). By the module docstring that is the whole
@@ -47,8 +47,8 @@ def validate(x: GLattice) -> None:
     for a, m in enumerate(x.action):
         if (m.rows, m.cols) != (x.rank, x.rank):
             raise NotUnimodular(f"action({a}) has wrong shape")
-        if intmat.det(m) not in (1, -1):
-            raise NotUnimodular(f"action({a}) has determinant {intmat.det(m)}")
+        if not intmat.is_unimodular(m):
+            raise NotUnimodular(f"action({a}) is not unimodular")
     if not x.action[g.identity].is_identity():
         raise NotHomomorphism("action(identity) is not the identity matrix")
     for s in spanning_generators(g):
@@ -125,10 +125,6 @@ def permutation_lattice(group: FiniteGroup, h) -> GLattice:
     return GLattice(group, n, tuple(mats))
 
 
-def regular_lattice(group: FiniteGroup) -> GLattice:
-    return permutation_lattice(group, (group.identity,))
-
-
 def sign_lattice(group: FiniteGroup, signs: dict[int, int] | None = None) -> GLattice:
     """Rank-1 lattice with action +-1; signs maps each element to its sign.
 
@@ -169,15 +165,6 @@ def dual(x: GLattice) -> GLattice:
     return GLattice(g, x.rank, mats)
 
 
-def conjugate_lattice(x: GLattice, u: IntMatrix) -> GLattice:
-    """Base change by a unimodular u: action -> u^{-1} action u (same lattice, new basis)."""
-    uinv = intmat.solve_exact(u, intmat.identity(u.rows))
-    if uinv is None:
-        raise NotUnimodular("base change matrix is not invertible over Z")
-    mats = tuple(uinv @ m @ u for m in x.action)
-    return GLattice(x.group, x.rank, mats)
-
-
 def restrict(x: GLattice, h) -> tuple[GLattice, list[int]]:
     """The same module over the subgroup H, as a lattice over H's own group.
 
@@ -186,11 +173,6 @@ def restrict(x: GLattice, h) -> tuple[GLattice, list[int]]:
     sub, embed = subgroup_as_group(x.group, h)
     mats = tuple(x.action[embed[a]] for a in range(sub.order))
     return GLattice(sub, x.rank, mats), embed
-
-
-def is_permutation_lattice(x: GLattice) -> bool:
-    """True iff every action matrix is literally a permutation matrix."""
-    return all(m.is_permutation() for m in x.action)
 
 
 def invariant_basis(x: GLattice, h) -> IntMatrix:

@@ -116,9 +116,6 @@ class WGroupResult:
     total: int
     parts: tuple[tuple[int, int, int], ...]    # (p, part, depth)
 
-    def breakdown(self) -> dict[int, dict[str, int]]:
-        return {p: {"part": part, "depth": depth} for p, part, depth in self.parts}
-
     def to_json(self) -> dict:
         return {"total": self.total,
                 "breakdown": {str(p): {"part": part, "depth": depth}
@@ -252,4 +249,4 @@ def local_point_count(x: GLattice, r: AbelianRealization, ell: int) -> int:
     if r.modulus % ell == 0 and r.modulus > 1:
         raise BadReduction(f"{ell} divides the conductor {r.modulus}")
     frob = x.action[r.pi(ell)]
-    return abs(intmat.det(ell * frob - intmat.identity(x.rank)))
+    return intmat.abs_det(ell * frob - intmat.identity(x.rank))

@@ -4,7 +4,8 @@ Oracles here must stay independent of the code paths they check:
 w2 by direct congruence search, Bernoulli numbers by the binomial
 recurrence, H^1 from the all-elements cocycle complex, cyclic H^1 from
 ker(norm)/im(sigma - 1), Smith diagonals by the integer Smith
-elimination that intmat no longer carries.
+elimination and determinants by the Bareiss elimination that intmat no
+longer carries.
 """
 
 import random
@@ -15,6 +16,7 @@ import pytest
 
 from torusbt import intmat
 from torusbt import lattices as lat
+from torusbt.errors import NotUnimodular, ShapeMismatch
 from torusbt.exact import FinAbGroup, from_elementary_divisors
 from torusbt.groups import cyclic_group, group_from_generators, subgroup_classes
 
@@ -136,6 +138,15 @@ def random_unimodular(n: int, rng: random.Random, shears: int = 6) -> intmat.Int
     return intmat.from_rows(m)
 
 
+def conjugate_lattice(x, u: intmat.IntMatrix):
+    """Base change by a unimodular u: action -> u^{-1} action u (same lattice, new basis)."""
+    uinv = intmat.solve_exact(u, intmat.identity(u.rows))
+    if uinv is None:
+        raise NotUnimodular("base change matrix is not invertible over Z")
+    mats = tuple(uinv @ m @ u for m in x.action)
+    return lat.GLattice(x.group, x.rank, mats)
+
+
 def random_lattice(group_pool, rng: random.Random, max_rank: int = 5):
     """Random direct sum of pool lattices, conjugated by a random basis change."""
     pool = list(group_pool)
@@ -155,7 +166,7 @@ def random_lattice(group_pool, rng: random.Random, max_rank: int = 5):
     for p in parts[1:]:
         x = lat.direct_sum(x, p)
     u = random_unimodular(x.rank, rng)
-    return lat.conjugate_lattice(x, u)
+    return conjugate_lattice(x, u)
 
 
 # ---------------------------------------------------------------- oracles
@@ -256,6 +267,33 @@ def _snf_inplace(a: list[list[int]], rows: int, cols: int) -> None:
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
         t += 1
+
+
+def det(mat: intmat.IntMatrix) -> int:
+    """Exact determinant via fraction-free (Bareiss) elimination."""
+    if mat.rows != mat.cols:
+        raise ShapeMismatch("determinant of non-square matrix")
+    n = mat.rows
+    if n == 0:
+        return 1
+    a = [list(r) for r in mat.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def snf_diagonal(mat: intmat.IntMatrix) -> list[int]:

@@ -16,7 +16,7 @@ from torusbt import lattices as lat
 from torusbt.errors import InvariantViolation, NotSubgroup, ShapeMismatch
 from torusbt.exact import FinAbGroup, from_elementary_divisors
 from torusbt.groups import (cyclic_group, generating_set, group_from_generators,
-                            subgroup_classes, subgroup_elements)
+                            left_cosets, subgroup_classes, subgroup_elements)
 from torusbt.induction import permutation_character_table
 
 
@@ -150,6 +150,117 @@ def test_flasque_kernel_action_is_carried_by_the_inclusion(c2, s3, v4, d4, a4):
         chi_p, chi_q, chi_x = (lat.lattice_character(y)
                                for y in (res.p_lattice, res.q_lattice, x))
         assert chi_q == tuple(p - v for p, v in zip(chi_p, chi_x))
+
+
+# ------------------------------- the resolution on orbits of vectors
+
+def _coset_image_columns(x, kelems, cls, v):
+    """The coset walk the orbit sums replace: K-orbits of the sorted coset
+    tuples of H, each mapped to the sum of rho(min coset) v."""
+    g = x.group
+    orbit_of = {}
+    for c in left_cosets(g, cls.elements):
+        if c in orbit_of:
+            continue
+        orbit, stack = set(), [c]
+        while stack:
+            cc = stack.pop()
+            if cc not in orbit:
+                orbit.add(cc)
+                stack.extend(tuple(sorted(g.op(k, a) for a in cc)) for k in kelems)
+        for cc in orbit:
+            orbit_of[cc] = frozenset(orbit)
+    cols = []
+    for orbit in sorted(set(orbit_of.values()), key=min):
+        vec = [0] * x.rank
+        for c in orbit:
+            vec = [a + b for a, b in zip(vec, x.action[min(c)].apply(v))]
+        cols.append(tuple(vec))
+    return cols
+
+
+def _coset_walk_resolution(x):
+    """(p_spec, p_generators, surjection, inclusion, Q action) by the coset
+    walk, a scan of every class against every conjugator and a separate
+    stabilizer pass."""
+    g = x.group
+    classes = subgroup_classes(g)
+    summands = []
+    for cls in classes if x.rank else []:
+        have = [c for cid, v in summands
+                for c in _coset_image_columns(x, cls.elements, classes[cid], v)]
+        basis = lat.invariant_basis(x, cls)
+        for j in range(basis.cols):
+            v = basis.col(j)
+            if intmat.solve_exact(intmat.from_columns(have, x.rank),
+                                  intmat.from_columns([v], x.rank)) is not None:
+                continue
+            stab = {a for a in range(g.order) if x.action[a].apply(v) == v}
+            cid, u = next((c.class_id, u) for c in classes if c.order == len(stab)
+                          for u in range(g.order)
+                          if {g.conjugate(u, a) for a in c.elements} == stab)
+            w = x.action[g.inv(u)].apply(v)
+            summands.append((cid, w))
+            have.extend(_coset_image_columns(x, cls.elements, classes[cid], w))
+    surjection = intmat.from_columns(
+        [x.action[min(c)].apply(w) for cid, w in summands
+         for c in left_cosets(g, classes[cid].elements)], x.rank)
+    inclusion = intmat.kernel_basis(surjection)
+    parts = [lat.permutation_lattice(g, classes[cid]) for cid, _ in summands]
+    p_lat = lat.direct_sum_list(parts) if parts else lat.zero_lattice(g)
+    q_action = tuple(intmat.solve_exact(inclusion, p_lat.action[a] @ inclusion)
+                     for a in range(g.order))
+    return (tuple(cid for cid, _ in summands), tuple(w for _, w in summands),
+            surjection, inclusion, q_action)
+
+
+def _resolution_cases(c2, s3, v4, d4, a4, draws):
+    """Regular, norm-one and dual norm-one lattices of the small groups,
+    then `draws` seeded random lattices per catalog_pool group."""
+    for g in small_groups(s3, d4, a4, 12):
+        norm_one = lat.norm_one_lattice(g)
+        yield from (lat.permutation_lattice(g, (g.identity,)), norm_one, lat.dual(norm_one))
+    rng = random.Random(41)
+    for xs in catalog_pool(c2, s3, v4).values():
+        for _ in range(draws):
+            yield random_lattice(xs, rng)
+
+
+def test_orbit_resolution_matches_the_coset_walk(c2, s3, v4, d4, a4):
+    """Same summands, generators, surjection, inclusion and Q action as the
+    coset walk, hence the same FlasqueResolution JSON."""
+    count = 0
+    for x in _resolution_cases(c2, s3, v4, d4, a4, 60):
+        res = coh.flasque_resolution(x)
+        got = (res.p_spec, res.p_generators, res.surjection, res.inclusion,
+               res.q_lattice.action)
+        assert got == _coset_walk_resolution(x), (x.group.name, x.rank)
+        count += 1
+    assert count == 3 * 19 + 3 * 60
+
+
+def test_orbit_sums_span_the_image_of_the_coset_invariants(c2, s3, v4, d4, a4):
+    """For each summand (Z[G/H], w) and class K, the K-orbit sums inside Gw
+    span the image of Z[G/H]^K under xH -> x w."""
+    checked = 0
+    for x in _resolution_cases(c2, s3, v4, d4, a4, 5):
+        g = x.group
+        classes = subgroup_classes(g)
+        res = coh.flasque_resolution(x)
+        start = 0
+        for cid in res.p_spec:
+            perm = lat.permutation_lattice(g, classes[cid])
+            block = intmat.IntMatrix(x.rank, perm.rank, tuple(
+                row[start:start + perm.rank] for row in res.surjection.data))
+            start += perm.rank
+            orbit = tuple(block.col(j) for j in range(block.cols))
+            for k in classes:
+                sums = coh._orbit_sums(x, k.elements, orbit)
+                image = block @ lat.invariant_basis(perm, k)
+                assert intmat.hnf_columns(intmat.from_columns(sums, x.rank)) == \
+                    intmat.hnf_columns(image), (g.name, cid, k.class_id)
+                checked += 1
+    assert checked > 400
 
 
 def test_verify_invertibility_trivial_cases(c2, s3):

@@ -38,7 +38,7 @@ def test_finab_invariant_chain_enforced():
 
 def test_finab_order_and_exponent():
     g = FinAbGroup((2, 4))
-    assert g.order() == 8 and g.exponent() == 4
+    assert g.order() == 8 and g.invariant_factors[-1] == 4
     assert FinAbGroup().order() == 1
 
 

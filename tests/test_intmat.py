@@ -5,12 +5,12 @@ from math import gcd
 
 import pytest
 
-from conftest import oracle_cokernel, snf_diagonal
+from conftest import det, oracle_cokernel, random_unimodular, snf_diagonal
 from torusbt import intmat
 from torusbt.errors import ShapeMismatch
 from torusbt.exact import FinAbGroup
-from torusbt.intmat import (cokernel_structure, det, from_rows, hnf_columns,
-                            identity, kernel_basis, solve_exact, zeros)
+from torusbt.intmat import (abs_det, cokernel_structure, from_rows, hnf_columns,
+                            identity, is_unimodular, kernel_basis, solve_exact, zeros)
 
 
 def _minor_gcd(m, k):
@@ -199,7 +199,7 @@ def test_matmul_and_empty_dims():
     a = zeros(2, 0)
     b = zeros(0, 3)
     assert (a @ b) == zeros(2, 3)
-    assert det(zeros(0, 0)) == 1
+    assert abs_det(zeros(0, 0)) == 1 and is_unimodular(zeros(0, 0))
 
 
 def test_block_and_stack_helpers():
@@ -339,3 +339,39 @@ def test_hermite_kernel_and_solve_match_the_smith_transforms(seed):
         x = solve_exact(a, rhs)
         if x is not None:
             assert a @ x == rhs
+
+
+def _random_square(rng):
+    """A singular product, a unimodular matrix or plain small entries,
+    in any size from 0 x 0 to 7 x 7."""
+    n = rng.randint(0, 7)
+    kind = rng.randrange(3)
+    if kind == 0:
+        inner = rng.randint(0, max(n - 1, 0))
+        b = from_rows([[rng.randint(-4, 4) for _ in range(inner)] for _ in range(n)], inner)
+        return b @ from_rows([[rng.randint(-4, 4) for _ in range(n)]
+                              for _ in range(inner)], n)
+    if kind == 1:
+        return random_unimodular(n, rng) if n else zeros(0, 0)
+    return from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], n)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_abs_det_and_is_unimodular_match_the_bareiss_determinant(seed):
+    rng = random.Random(6000 + seed)
+    kinds = {"singular": 0, "unimodular": 0, "other": 0}
+    for _ in range(240):
+        m = _random_square(rng)
+        d = det(m)
+        assert abs_det(m) == abs(d), m
+        assert is_unimodular(m) == (d in (1, -1)), m
+        kinds["singular" if d == 0 else "unimodular" if abs(d) == 1 else "other"] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_abs_det_and_is_unimodular_reject_non_square():
+    m = from_rows([[1, 0, 0], [0, 1, 0]])
+    assert not is_unimodular(m)
+    assert not is_unimodular(m.transpose())
+    with pytest.raises(ShapeMismatch):
+        abs_det(m)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import catalog_pool, random_lattice, random_unimodular
+from conftest import catalog_pool, conjugate_lattice, det, random_lattice, random_unimodular
 from torusbt import intmat
 from torusbt import lattices as lat
 from torusbt.errors import (GroupMismatch, NotHomomorphism, NotUnimodular,
@@ -72,7 +72,8 @@ def test_direct_sum_of_coset_lattices_is_permutation(c2):
     zreg = lat.permutation_lattice(c2, (0,))
     both = lat.direct_sum(zreg, zreg)
     assert both.rank == 4
-    assert lat.is_permutation_lattice(both)
+    rows = sorted(intmat.identity(4).data)
+    assert all(sorted(m.data) == rows for m in both.action)   # permutation matrices
 
 
 def test_sign_lattice_character(c2):
@@ -92,7 +93,7 @@ def test_dual_involution_and_fixed_points(c2, s3):
     x = lat.permutation_lattice(s3, subgroup_classes(s3)[1])
     assert lat.dual(x).action == x.action       # permutation: transpose = inverse
     rng = random.Random(5)
-    y = lat.conjugate_lattice(x, random_unimodular(3, rng))
+    y = conjugate_lattice(x, random_unimodular(3, rng))
     assert lat.dual(lat.dual(y)).action == y.action
 
 
@@ -112,7 +113,8 @@ def test_restrict_coset_lattice_to_c3_is_regular(s3):
     assert sub.group.order == 3
     chi = lat.lattice_character(sub)
     assert chi == (3, 0, 0)                     # regular representation
-    assert lat.is_permutation_lattice(sub)
+    rows = sorted(intmat.identity(3).data)
+    assert all(sorted(m.data) == rows for m in sub.action)    # permutation matrices
 
 
 def test_invariants_coinvariants_examples(c2):
@@ -192,7 +194,7 @@ def _all_pairs_oracle(x):
     if len(x.action) != g.order:
         return NotHomomorphism
     for m in x.action:
-        if (m.rows, m.cols) != (x.rank, x.rank) or intmat.det(m) not in (1, -1):
+        if (m.rows, m.cols) != (x.rank, x.rank) or det(m) not in (1, -1):
             return NotUnimodular
     if not x.action[g.identity].is_identity():
         return NotHomomorphism
@@ -220,7 +222,7 @@ def _with_action(x, a, m):
 def test_validate_rejects_error_only_at_non_generators():
     c6 = cyclic_group(6)
     assert c6.generators == (1,)
-    reg = lat.regular_lattice(c6)
+    reg = lat.permutation_lattice(c6, (c6.identity,))
     lat.validate(reg)
     action = list(reg.action)
     action[2], action[4] = action[4], action[2]     # both of order 3

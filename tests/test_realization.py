@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from conftest import oracle_w2, snf_diagonal
+from conftest import det, oracle_w2, snf_diagonal
 from torusbt import intmat
 from torusbt import lattices as lat
 from torusbt import realization as realz
@@ -76,19 +76,23 @@ def test_realization_incomplete_generators():
         realization_from_images(c2xc2, 8, {7: 1})
 
 
+def _breakdown(res):
+    return {p: {"part": part, "depth": depth} for p, part, depth in res.parts}
+
+
 def test_w_group_gm(r1):
     res = w_group_order(lat.trivial_lattice(r1.group), r1)
     assert res.total == 24
-    assert res.breakdown()[2]["part"] == 8 and res.breakdown()[3]["part"] == 3
+    assert _breakdown(res)[2]["part"] == 8 and _breakdown(res)[3]["part"] == 3
     assert res.total == oracle_w2(1, [1])
 
 
 def test_w_group_res5(c2, r5):
     res = w_group_order(lat.permutation_lattice(c2, (0,)), r5)
     assert res.total == 120
-    assert res.breakdown()[2]["part"] == 8
-    assert res.breakdown()[3]["part"] == 3
-    assert res.breakdown()[5]["part"] == 5
+    assert _breakdown(res)[2]["part"] == 8
+    assert _breakdown(res)[3]["part"] == 3
+    assert _breakdown(res)[5]["part"] == 5
     # oracle: largest N with a^2 = 1 mod N over units with a = +-1 mod 5
     assert res.total == oracle_w2(5, [1, 4], search_cap=300)
 
@@ -96,7 +100,7 @@ def test_w_group_res5(c2, r5):
 def test_w_group_normone5(c2, r5):
     res = w_group_order(lat.sign_lattice(c2), r5)
     assert res.total == 10
-    assert res.breakdown()[2]["part"] == 2 and res.breakdown()[5]["part"] == 5
+    assert _breakdown(res)[2]["part"] == 2 and _breakdown(res)[5]["part"] == 5
 
 
 def test_w_group_res2_oracle(c2, r8):
@@ -221,7 +225,7 @@ def test_local_count_charpoly_consistency(c2, v4, r5, r40):
                 n1 = local_point_count(x, r, ell)
                 frob = x.action[r.pi(ell)]
                 frob_inv = x.action[g.inv(r.pi(ell))]
-                n2 = abs(intmat.det(ell * intmat.identity(x.rank) - frob_inv))
+                n2 = abs(det(ell * intmat.identity(x.rank) - frob_inv))
                 assert n1 == n2
                 if g.element_order(r.pi(ell)) <= 2:
                     assert local_point_count(lat.dual(x), r, ell) == n1
@@ -339,7 +343,9 @@ def _depth_loop_part(x, r, p, twist, side, cap=30, allowed=None):
         n = f * pk
         gens = (realz._restricted_unit_generators(n, f, allowed)
                 if allowed is not None else unit_group(n).generators)
-        mats = [(pow(a, twist, pk) * x.action[r.pi(a)] - ident).mod(pk) for a in gens]
+        mats = [intmat.from_rows([[c % pk for c in row] for row in
+                                  (pow(a, twist, pk) * x.action[r.pi(a)] - ident).data], rank)
+                for a in gens]
         if side == "invariants":
             stacked = intmat.vstack(mats) if mats else intmat.zeros(0, rank)
         else:
@@ -392,7 +398,7 @@ def test_stabilization_cap_boundary(r1):
     with pytest.raises(StabilizationBoundExceeded):
         w_group_order(x, r1, cap=3)
     res = w_group_order(x, r1, cap=4)
-    assert res.breakdown()[2] == {"part": 8, "depth": 3}
+    assert _breakdown(res)[2] == {"part": 8, "depth": 3}
 
 
 def test_norm_one_predictions_at_c20_and_c29():
