@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from . import intmat
 from .exact import FinAbGroup
 from .errors import InconsistentRank, InvariantViolation, ShapeMismatch
-from .groups import (FiniteGroup, SubgroupClass, is_metacyclic, left_cosets,
+from .groups import (FiniteGroup, SubgroupClass, coset_action, is_metacyclic,
                      spanning_generators, subgroup_classes, subgroup_elements,
                      subgroup_generators)
 from .induction import permutation_character_table
 from .intmat import IntMatrix
-from .lattices import (GLattice, direct_sum_list, invariant_basis, lattice_character,
+from .lattices import (GLattice, direct_sum, invariant_basis, lattice_character,
                        norm_element_matrix, permutation_lattice, validate, zero_lattice)
 from .units import factorize
 
@@ -126,7 +126,7 @@ def flasque_resolution(x: GLattice) -> FlasqueResolution:
     Each summand works on an orbit of vectors. With Stab(v) = u H u^-1
     for the least such u and H its class representative, the summand is
     (Z[G/H], w) with w = u^-1 v, so Stab(w) = H exactly and xH -> x w is
-    a G-bijection from G/H onto Gw, listed in left_cosets order (least
+    a G-bijection from G/H onto Gw, listed in coset_action order (least
     element first). The K-invariants of Z[G/H] are K-orbit sums of
     cosets, so their images in X^K are the sums of the K-orbits inside
     Gw (_orbit_sums).
@@ -165,7 +165,7 @@ def flasque_resolution(x: GLattice) -> FlasqueResolution:
                 have.extend(_orbit_sums(x, kelems, orbit))
 
     p_parts = [permutation_lattice(g, classes[cid]) for cid, _, _ in summands]
-    p_lat = direct_sum_list(p_parts) if p_parts else zero_lattice(g)
+    p_lat = direct_sum(*p_parts) if p_parts else zero_lattice(g)
     surjection = intmat.from_columns(
         [vec for _, _, orbit in summands for vec in orbit], x.rank)
 
@@ -233,9 +233,9 @@ def verify_invertibility(q: GLattice, cert: InvertibilityCertificate) -> bool:
         if cert.complement.group != g:
             raise ShapeMismatch("complement over a different group")
         parts.append(cert.complement)
-    source = direct_sum_list(parts)
+    source = direct_sum(*parts)
     targets = [permutation_lattice(g, classes[cid]) for cid in cert.target_spec]
-    target = direct_sum_list(targets) if targets else zero_lattice(g)
+    target = direct_sum(*targets) if targets else zero_lattice(g)
     if cert.iso.rows != target.rank or cert.iso.cols != source.rank:
         raise ShapeMismatch(
             f"iso is {cert.iso.rows}x{cert.iso.cols}, need {target.rank}x{source.rank}")
@@ -354,16 +354,12 @@ def _permutation_profile(g: FiniteGroup, h: SubgroupClass, classes) -> Counter:
     Z[G/H] is the sum over double cosets KgH of Z[K/(K n gHg^-1)], so
     Tate H^0 = (+) Z/|K n gHg^-1|, one summand per K-orbit on G/H, of
     order |K| / orbit size (Brown, III.5-III.8)."""
-    cosets = left_cosets(g, h.elements)
-    coset_of = {a: i for i, c in enumerate(cosets) for a in c}
+    perms = coset_action(g, h)
     out = Counter()
     for pos, k in enumerate(classes):
-        seen = set()
-        for i, c in enumerate(cosets):
-            if i not in seen:
-                orbit = {coset_of[g.op(a, c[0])] for a in k.elements}
-                seen |= orbit
-                _profile_add(out, pos, k.order // len(orbit))
+        orbits = {frozenset(perms[a][i] for a in k.elements) for i in range(len(perms[0]))}
+        for orbit in orbits:
+            _profile_add(out, pos, k.order // len(orbit))
     return out
 
 
@@ -432,9 +428,9 @@ def search_invertibility_certificate(
                         _sum_profiles(map(profile, target_spec)):
                     continue
                 comp_parts = [perm[cid] for cid in comp_spec]
-                complement = direct_sum_list(comp_parts) if comp_parts else None
-                source = direct_sum_list([q] + comp_parts)
-                target = direct_sum_list([perm[cid] for cid in target_spec])
+                complement = direct_sum(*comp_parts) if comp_parts else None
+                source = direct_sum(q, *comp_parts)
+                target = direct_sum(*(perm[cid] for cid in target_spec))
                 basis = _hom_basis(source, target)
                 d = len(basis)
                 if d == 0 or (2 * coeff_bound + 1) ** d > combo_budget:

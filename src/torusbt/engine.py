@@ -179,11 +179,12 @@ def isogeny_invariance_check(x1: GLattice, x2: GLattice,
 def weil_restriction_check(h, r: AbelianRealization,
                            stab_cap: int = realz.STABILIZATION_CAP) -> dict:
     """Prediction through Z[G/H] must equal the classical Birch-Tate
-    prediction |zeta_M(-1)| * w_2(M) for the fixed field M, exactly."""
+    prediction |zeta_M(-1)| * w_2(M) for the fixed field M, exactly. w_2(M)
+    is a closed form that shares no code with the W-group's _stable_part."""
     lat = lattices.permutation_lattice(r.group, h)
     via_lattice = btc_predict(lat, r, stab_cap=stab_cap).predicted_kt_order
     zeta = dirichlet.zeta_minus_one(h, r)
-    w2 = realz.w2_of_subfield(h, r, cap=stab_cap)
+    w2 = realz.w2_of_subfield(h, r)
     classical = abs(zeta) * w2
     return {
         "via_lattice": str(via_lattice),

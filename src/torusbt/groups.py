@@ -364,18 +364,16 @@ def is_metacyclic(g: FiniteGroup) -> bool:
     return all(any(o % p ** e == 0 for o in orders) for p, e in factorize(g.order))
 
 
-def left_cosets(g: FiniteGroup, elements: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Left cosets x*H as sorted tuples, ordered by their minimal element."""
-    hset = list(elements)
-    seen = set()
-    cosets = []
+def coset_action(g: FiniteGroup, h) -> tuple[tuple[int, ...], ...]:
+    """G permuting G/H: entry [a][i] is the number of a * x_i H, cosets
+    numbered by their least element. A non-subgroup h raises NotSubgroup."""
+    elements = subgroup_elements(g, h)
+    coset_of, reps = {}, []
     for x in range(g.order):
-        c = tuple(sorted(g.op(x, a) for a in hset))
-        if c not in seen:
-            seen.add(c)
-            cosets.append(c)
-    cosets.sort(key=lambda c: c[0])
-    return cosets
+        if x not in coset_of:
+            coset_of.update((g.op(x, a), len(reps)) for a in elements)
+            reps.append(x)
+    return tuple(tuple(coset_of[g.op(a, x)] for x in reps) for a in range(g.order))
 
 
 def cyclic_group(n: int) -> FiniteGroup:

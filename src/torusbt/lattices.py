@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import intmat
 from .intmat import IntMatrix
 from .errors import GroupMismatch, NotHomomorphism, NotUnimodular, ShapeMismatch
-from .groups import (FiniteGroup, conjugacy_classes, left_cosets, spanning_generators,
+from .groups import (FiniteGroup, conjugacy_classes, coset_action, spanning_generators,
                      subgroup_as_group, subgroup_elements, subgroup_generators)
 
 
@@ -108,21 +108,12 @@ def zero_lattice(group: FiniteGroup) -> GLattice:
 
 
 def permutation_lattice(group: FiniteGroup, h) -> GLattice:
-    """Z[G/H] with G permuting the left cosets of H; rank = [G:H]."""
-    elements = subgroup_elements(group, h)
-    cosets = left_cosets(group, elements)
-    pos = {c: i for i, c in enumerate(cosets)}
-    n = len(cosets)
-    mats = []
-    for g in range(group.order):
-        cols = []
-        for c in cosets:
-            img = tuple(sorted(group.op(g, a) for a in c))
-            col = [0] * n
-            col[pos[img]] = 1
-            cols.append(tuple(col))
-        mats.append(intmat.from_columns(cols, n))
-    return GLattice(group, n, tuple(mats))
+    """Z[G/H], rank [G:H], G permuting the cosets in coset_action order."""
+    perms = coset_action(group, h)
+    n = len(perms[0])
+    unit = intmat.identity(n).data
+    mats = tuple(intmat.from_columns([unit[j] for j in p], n) for p in perms)
+    return GLattice(group, n, mats)
 
 
 def sign_lattice(group: FiniteGroup, signs: dict[int, int] | None = None) -> GLattice:
@@ -141,21 +132,15 @@ def sign_lattice(group: FiniteGroup, signs: dict[int, int] | None = None) -> GLa
     return lat
 
 
-def direct_sum(x: GLattice, y: GLattice) -> GLattice:
-    if x.group is not y.group and x.group != y.group:
-        raise GroupMismatch("direct_sum over different groups")
-    mats = tuple(intmat.block_diag([x.action[a], y.action[a]])
-                 for a in range(x.group.order))
-    return GLattice(x.group, x.rank + y.rank, mats)
-
-
-def direct_sum_list(lats: list[GLattice]) -> GLattice:
+def direct_sum(*lats: GLattice) -> GLattice:
+    """lats[0] (+) ... (+) lats[-1], one block_diag per group element."""
     if not lats:
         raise ValueError("empty direct sum needs an explicit group")
-    out = lats[0]
-    for l in lats[1:]:
-        out = direct_sum(out, l)
-    return out
+    g = lats[0].group
+    if any(x.group is not g and x.group != g for x in lats):
+        raise GroupMismatch("direct_sum over different groups")
+    mats = tuple(intmat.block_diag([x.action[a] for x in lats]) for a in range(g.order))
+    return GLattice(g, sum(x.rank for x in lats), mats)
 
 
 def dual(x: GLattice) -> GLattice:

@@ -113,7 +113,7 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# Typed [options] keys: predicate and what it demands. Other keys pass as given.
+# The [options] keys: predicate and what it demands.
 _OPTION_TYPES = {
     "stab_cap": (lambda v: _is_int(v) and v > 0, "a positive integer"),
     "prime_cap": (lambda v: _is_int(v) and v > 0, "a positive integer"),
@@ -124,13 +124,15 @@ _OPTION_TYPES = {
 
 
 def check_option(key: str, value, line: int | None = None):
-    """value itself when _OPTION_TYPES accepts it for key (or key is
-    untyped); otherwise a ManifestError on field options.<key>."""
-    if key in _OPTION_TYPES:
-        ok, what = _OPTION_TYPES[key]
-        if not ok(value):
-            raise ManifestError(f"{key} must be {what}, got {value!r}",
-                                line=line, field=f"options.{key}")
+    """value itself when _OPTION_TYPES accepts it for key; otherwise, an
+    unknown key included, a ManifestError on field options.<key>."""
+    if key not in _OPTION_TYPES:
+        raise ManifestError(f"unknown option {key!r}; allowed: {', '.join(_OPTION_TYPES)}",
+                            line=line, field=f"options.{key}")
+    ok, what = _OPTION_TYPES[key]
+    if not ok(value):
+        raise ManifestError(f"{key} must be {what}, got {value!r}",
+                            line=line, field=f"options.{key}")
     return value
 
 
@@ -301,9 +303,9 @@ def _require_realization(man: Manifest, cmd: str) -> AbelianRealization:
 
 def _run_command(cmd: str, man: Manifest) -> dict:
     x, r = man.lattice, man.realization
-    stab_cap = int(man.options.get("stab_cap", realz.STABILIZATION_CAP))
-    prime_cap = int(man.options.get("prime_cap", 50))
-    debug = bool(man.options.get("debug_oracles", False))
+    stab_cap = man.options.get("stab_cap", realz.STABILIZATION_CAP)
+    prime_cap = man.options.get("prime_cap", 50)
+    debug = man.options.get("debug_oracles", False)
 
     if cmd == "predict":
         return engine.btc_predict(x, r, stab_cap=stab_cap, debug=debug).to_json()
@@ -332,7 +334,7 @@ def _run_command(cmd: str, man: Manifest) -> dict:
         if r is not None:
             conj = r.pi(r.modulus - 1 if r.modulus > 2 else 1)
         elif "conj" in man.options:
-            conj = int(man.options["conj"])
+            conj = man.options["conj"]
         else:
             raise TorusBTError("real-decompose needs a realization or options.conj")
         a, b, c, tor = cohomology.real_decomposition(x, conj)

@@ -5,7 +5,8 @@ surjection pi: (Z/f)* -> G. The absolute Galois group then acts on
 X (x) Z_p(j) through sigma_a |-> a^j * rho(pi(a mod f)). For each
 candidate prime p, one Smith form over Z/p^cap of the stacked
 a^j rho(a) - 1, a running over generators of (Z/f p^2)* (of (Z/8f)*
-for p = 2), gives the p-part of the W-group / coinvariant orders.
+for p = 2), gives the p-part of the W-group / coinvariant orders; w_2 of
+a subfield M = L^H is its classical closed form (w2_of_subfield) instead.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import intmat
 from .errors import (BadReduction, InvariantViolation, NotHomomorphism,
                      NotSurjective, StabilizationBoundExceeded)
 from .groups import FiniteGroup, subgroup_elements
-from .lattices import GLattice, trivial_lattice
+from .lattices import GLattice
 from .units import factorize, unit_group, units_mod
 
 STABILIZATION_CAP = 30
@@ -122,62 +123,31 @@ class WGroupResult:
                               for p, part, depth in self.parts}}
 
 
-def _restricted_unit_generators(n: int, f: int, allowed: set[int]) -> list[int]:
-    """Generators of {a in (Z/n)* : a mod f in allowed}, f | n.
-
-    The subgroup is the kernel of (Z/n)* -> (Z/f)*/U; its generator
-    exponent vectors form the lattice {x : V x in Lambda} computed by
-    projecting the kernel of [V | Lambda-generators].
-    """
-    ug_n = unit_group(n)
-    if f == 1 or len(allowed) == len(units_mod(f)):
-        return list(ug_n.generators)
-    ug_f = unit_group(f)
-    r = len(ug_f.generators)
-    vcols = [ug_f.dlog(h % f) for h in ug_n.generators]
-    lam = [tuple(ug_f.orders[i] if i == j else 0 for i in range(r)) for j in range(r)]
-    lam += [ug_f.dlog(u) for u in sorted(allowed)]
-    big = intmat.hstack([intmat.from_columns(vcols, r),
-                         intmat.from_columns(lam, r)])
-    kern = intmat.kernel_basis(big)
-    gens = []
-    nj = len(ug_n.generators)
-    for jc in range(kern.cols):
-        x = kern.col(jc)[:nj]
-        a = 1
-        for h, e, order in zip(ug_n.generators, x, ug_n.orders):
-            a = a * pow(h, e % order, n) % n
-        if a != 1:
-            gens.append(a)
-    return sorted(set(gens))
-
-
 def _stable_part(x: GLattice, r: AbelianRealization, p: int, twist: int,
-                 side: str, cap: int, allowed: set[int] | None = None) -> tuple[int, int]:
+                 side: str, cap: int) -> tuple[int, int]:
     """(p-part, depth) of the twisted invariants or coinvariants.
 
     The action factors through Gal(Q(mu_{f p^inf})/Q), and the kernel of
     its reduction to (Z/n)*, n = f p^2 (8f for p = 2), lies in its
-    Frattini subgroup. So integers whose residues generate (Z/n)* (or
-    the preimage of `allowed`) generate it topologically, and the part
-    is p^(sum v_i) for the p-adic valuations v_i of the Smith diagonal
-    of the stacked a^twist rho(a) - 1 (its transposed blocks on the
-    coinvariants side); the depth is max(1, max v_i). Valuations are
-    read at precision p^cap, so one that reaches cap, a zero d_i (an
-    infinite group) included, raises; so does a cap below 1, which no
-    depth meets.
+    Frattini subgroup. So integers whose residues generate (Z/n)*
+    generate it topologically, and the part is p^(sum v_i) for the
+    p-adic valuations v_i of the Smith diagonal of the stacked
+    a^twist rho(a) - 1 (its transposed blocks on the coinvariants
+    side); the depth is max(1, max v_i). Valuations are read at
+    precision p^cap, so one that reaches cap, a zero d_i (an infinite
+    group) included, raises; so does a cap below 1, which no depth
+    meets.
     """
     if type(cap) is not int or cap < 1:
         raise StabilizationBoundExceeded(f"cap = {cap!r} is not a positive integer depth")
     pk = p ** cap
     n = r.modulus * (8 if p == 2 else p * p)
-    gens = (_restricted_unit_generators(n, r.modulus, allowed) if allowed is not None
-            else unit_group(n).generators)
     ident = intmat.identity(x.rank)
-    blocks = [pow(a, twist, pk) * x.action[r.pi(a)] - ident for a in gens]
+    blocks = [pow(a, twist, pk) * x.action[r.pi(a)] - ident
+              for a in unit_group(n).generators]
     if side == "coinvariants":
         blocks = [b.transpose() for b in blocks]
-    stacked = intmat.vstack(blocks) if blocks else intmat.zeros(0, x.rank)
+    stacked = intmat.vstack(blocks)
     vs = intmat.smith_valuations(stacked, p, cap)
     vs += [cap] * (x.rank - len(vs))
     depth = max(1, max(vs, default=0))
@@ -229,13 +199,21 @@ def global_coinvariants_order(x: GLattice, r: AbelianRealization,
                 for p in _candidate_primes(r.modulus, (2,)))
 
 
-def w2_of_subfield(h, r: AbelianRealization, cap: int = STABILIZATION_CAP) -> int:
-    """w_2(M) for the fixed field M of H: the same invariants computation
-    run on the trivial rank-1 module with Frobenii restricted to the unit
-    preimage of H."""
-    one, allowed = trivial_lattice(r.group), r.unit_preimage(h)
-    return prod(_stable_part(one, r, p, 2, "invariants", cap, allowed)[0]
-                for p in _candidate_primes(r.modulus, (2, 3)))
+def w2_of_subfield(h, r: AbelianRealization) -> int:
+    """w_2(M), M = L^H: the largest m with Gal(M(mu_m)/M) of exponent 2,
+    2^(n_2+1) * prod_{q odd} q^(n_q), n_q the largest n with
+    Q(zeta_{q^n})^+ in M (Tate, Symbols in arithmetic, 1970), as
+    Gal(Q(mu_{q^n})/Q) is cyclic for odd q and {a : a^2 = 1 mod 2^m}
+    fixes Q(zeta_{2^(m-1)})^+. Q(zeta_m)^+ = Q for m = 2, 3, 4; past
+    those, M in Q(mu_f) holds Q(zeta_m)^+ exactly when m | f and the
+    unit preimage of H is +-1 mod m."""
+    units, out = r.unit_preimage(h), 2
+    for q in _candidate_primes(r.modulus, (2, 3)):
+        m = {2: 4, 3: 3}.get(q, 1)
+        while r.modulus % (m * q) == 0 and all(u % (m * q) in (1, m * q - 1) for u in units):
+            m *= q
+        out *= m
+    return out
 
 
 def is_prime(n: int) -> bool:

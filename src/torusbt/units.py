@@ -97,13 +97,6 @@ class UnitGroupStructure:
             object.__setattr__(self, "_logs", logs)
         return self._logs
 
-    def dlog(self, a: int) -> tuple[int, ...]:
-        """Exponent vector of a on the canonical generators."""
-        vec = self.log_table().get(a % self.modulus)
-        if vec is None:
-            raise ValueError(f"{a} is not a unit mod {self.modulus}")
-        return vec
-
 
 @lru_cache(maxsize=None)
 def unit_group(n: int) -> UnitGroupStructure:

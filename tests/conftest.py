@@ -1,11 +1,11 @@
 """Shared fixtures and the independent brute-force oracles.
 
 Oracles here must stay independent of the code paths they check:
-w2 by direct congruence search, Bernoulli numbers by the binomial
-recurrence, H^1 from the all-elements cocycle complex, cyclic H^1 from
-ker(norm)/im(sigma - 1), Smith diagonals by the integer Smith
-elimination and determinants by the Bareiss elimination that intmat no
-longer carries.
+cosets as sorted element tuples, w2 by direct congruence search,
+Bernoulli numbers by the binomial recurrence, H^1 from the all-elements
+cocycle complex, cyclic H^1 from ker(norm)/im(sigma - 1), Smith
+diagonals by the integer Smith elimination and determinants by the
+Bareiss elimination that intmat no longer carries.
 """
 
 import random
@@ -170,6 +170,12 @@ def random_lattice(group_pool, rng: random.Random, max_rank: int = 5):
 
 
 # ---------------------------------------------------------------- oracles
+
+def left_cosets(g, elements):
+    """Left cosets x*H as sorted tuples, ordered by their minimal element."""
+    cosets = {tuple(sorted(g.op(x, a) for a in elements)) for x in range(g.order)}
+    return sorted(cosets, key=lambda c: c[0])
+
 
 def oracle_w2(modulus: int, allowed_units, search_cap: int = 2000) -> int:
     """Largest N <= cap with a^2 = 1 (mod N) for every unit a of N*modulus

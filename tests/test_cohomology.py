@@ -8,15 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (catalog_pool, fin_ab, oracle_h1_bar, oracle_h1_cyclic, small_groups,
-                      random_lattice, sign_lattice_v4)
+from conftest import (catalog_pool, fin_ab, left_cosets, oracle_h1_bar, oracle_h1_cyclic,
+                      small_groups, random_lattice, sign_lattice_v4)
 from torusbt import cohomology as coh
 from torusbt import intmat
 from torusbt import lattices as lat
 from torusbt.errors import InvariantViolation, NotSubgroup, ShapeMismatch
 from torusbt.exact import FinAbGroup, from_elementary_divisors
 from torusbt.groups import (cyclic_group, generating_set, group_from_generators,
-                            left_cosets, subgroup_classes, subgroup_elements)
+                            subgroup_classes, subgroup_elements)
 from torusbt.induction import permutation_character_table
 
 
@@ -57,7 +57,6 @@ def test_tate_h0_examples(c2):
 def test_tate_h0_coset_lattice_double_coset_oracle(c2, s3, v4):
     """Tate H^0(H, Z[G/H']) = (+) Z/(|H| / orbit size) over the H-orbits
     on cosets: a purely combinatorial prediction."""
-    from torusbt.groups import left_cosets
     for g in (c2, s3, v4):
         classes = subgroup_classes(g)
         for hcls in classes:
@@ -207,7 +206,7 @@ def _coset_walk_resolution(x):
          for c in left_cosets(g, classes[cid].elements)], x.rank)
     inclusion = intmat.kernel_basis(surjection)
     parts = [lat.permutation_lattice(g, classes[cid]) for cid, _ in summands]
-    p_lat = lat.direct_sum_list(parts) if parts else lat.zero_lattice(g)
+    p_lat = lat.direct_sum(*parts) if parts else lat.zero_lattice(g)
     q_action = tuple(intmat.solve_exact(inclusion, p_lat.action[a] @ inclusion)
                      for a in range(g.order))
     return (tuple(cid for cid, _ in summands), tuple(w for _, w in summands),
@@ -570,9 +569,9 @@ def _oracle_search(q, classes, rank_bound, pair_budget, seen, coeff_bound=2,
                 if pairs_examined > pair_budget:
                     return None
                 comp_parts = [perm[cid] for cid in comp_spec]
-                complement = lat.direct_sum_list(comp_parts) if comp_parts else None
-                source = lat.direct_sum_list([q] + comp_parts)
-                target = lat.direct_sum_list([perm[cid] for cid in target_spec])
+                complement = lat.direct_sum(*comp_parts) if comp_parts else None
+                source = lat.direct_sum(q, *comp_parts)
+                target = lat.direct_sum(*(perm[cid] for cid in target_spec))
                 seen.append((coh._cohomology_profile(source, classes),
                              coh._cohomology_profile(target, classes)))
                 if seen[-1][0] != seen[-1][1]:
@@ -656,7 +655,7 @@ def test_profile_additive_over_direct_sums(c2, s3, v4, d4, a4):
         for a, b in zip(parts, parts[1:] + parts[:1]):
             summed = coh._sum_profiles([coh._cohomology_profile(a, classes),
                                         coh._cohomology_profile(b, classes)])
-            direct = coh._cohomology_profile(lat.direct_sum_list([a, b]), classes)
+            direct = coh._cohomology_profile(lat.direct_sum(a, b), classes)
             assert summed == direct, g.name
 
 

@@ -4,12 +4,12 @@ from collections import Counter
 
 import pytest
 
-from conftest import quaternion_generators
+from conftest import left_cosets, quaternion_generators, small_groups
 from torusbt.errors import GroupTooLarge, NonPermutation, NotHomomorphism, NotSubgroup
-from torusbt.groups import (FiniteGroup, all_subgroups, conjugacy_classes, cyclic_group,
-                            generating_set, group_from_generators, group_from_table,
-                            is_metacyclic, left_cosets, subgroup_as_group, subgroup_classes,
-                            subgroup_elements)
+from torusbt.groups import (FiniteGroup, all_subgroups, conjugacy_classes, coset_action,
+                            cyclic_group, generating_set, group_from_generators,
+                            group_from_table, is_metacyclic, subgroup_as_group,
+                            subgroup_classes, subgroup_elements)
 from torusbt.engine import btc_predict
 from torusbt.induction import permutation_character_table
 from torusbt.lattices import norm_one_lattice
@@ -206,6 +206,28 @@ def test_left_cosets(s3):
     cosets = left_cosets(s3, cls[1].elements)
     assert len(cosets) == 3
     assert sorted(x for c in cosets for x in c) == list(range(6))
+
+
+def test_coset_action_is_the_action_on_sorted_cosets(s3, d4, a4):
+    """Coset i of coset_action is the i-th sorted coset tuple, G acts by
+    left multiplication through a homomorphism into the permutations, and
+    coset 0 is H; a non-subgroup raises NotSubgroup."""
+    for g in small_groups(s3, d4, a4, 12):
+        assert g.identity == 0, g
+        for cls in subgroup_classes(g):
+            cosets = left_cosets(g, cls.elements)
+            pos = {c: i for i, c in enumerate(cosets)}
+            perms = coset_action(g, cls)
+            assert cosets[0] == cls.elements
+            assert {a for a in range(g.order) if perms[a][0] == 0} == set(cls.elements)
+            for a in range(g.order):
+                assert sorted(perms[a]) == list(range(len(cosets))), (g, cls, a)
+                assert list(perms[a]) == [pos[tuple(sorted(g.op(a, x) for x in c))]
+                                          for c in cosets], (g, cls, a)
+                for b in range(g.order):
+                    assert perms[g.op(a, b)] == tuple(perms[a][i] for i in perms[b])
+    with pytest.raises(NotSubgroup):
+        coset_action(s3, (1, 2))
 
 
 def test_subgroup_as_group(s3):

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from conftest import catalog_pool, conjugate_lattice, det, random_lattice, random_unimodular
+from conftest import (catalog_pool, conjugate_lattice, det, left_cosets, random_lattice,
+                      random_unimodular, small_groups)
 from torusbt import intmat
 from torusbt import lattices as lat
 from torusbt.errors import (GroupMismatch, NotHomomorphism, NotUnimodular,
@@ -169,6 +170,30 @@ def test_permutation_character_counts_fixed_cosets(s3, v4):
             x = lat.permutation_lattice(g, cls)
             for value in lat.lattice_character(x):
                 assert value >= 0 and value == int(value)
+
+
+def _sorted_tuple_permutation_lattice(g, h):
+    """Z[G/H] as built before coset_action: one column per sorted coset
+    tuple, looked up after multiplying its elements out."""
+    cosets = left_cosets(g, h.elements)
+    pos = {c: i for i, c in enumerate(cosets)}
+    n = len(cosets)
+    mats = []
+    for a in range(g.order):
+        cols = []
+        for c in cosets:
+            col = [0] * n
+            col[pos[tuple(sorted(g.op(a, x) for x in c))]] = 1
+            cols.append(tuple(col))
+        mats.append(intmat.from_columns(cols, n))
+    return lat.GLattice(g, n, tuple(mats))
+
+
+def test_permutation_lattice_matches_sorted_coset_tuples(c2, s3, v4, d4, a4):
+    for g in small_groups(s3, d4, a4, 12) + [c2, v4]:
+        for cls in subgroup_classes(g):
+            assert lat.permutation_lattice(g, cls) == _sorted_tuple_permutation_lattice(g, cls), \
+                (g, cls)
 
 
 def test_norm_one_lattice_character(v4):

@@ -259,6 +259,20 @@ def test_typed_options_pass_through():
                            "debug_oracles": False, "cache_dir": "c"}
 
 
+def test_unknown_option_is_manifest_error(tmp_path, capsys):
+    """A misspelt key (stab_cpa for stab_cap) was accepted, ignored, and
+    written into the report's inputs and cache key."""
+    text = "[fixture]\nname = res_sqrt5\n\n[options]\nstab_cpa = 1\n"
+    with pytest.raises(ManifestError) as err:
+        parse_manifest(text)
+    assert err.value.field == "options.stab_cpa"
+    assert "stab_cap" in str(err.value)
+    mpath = tmp_path / "man.ini"
+    mpath.write_text(text)
+    assert cli_main(["predict", str(mpath)]) == 2
+    assert "unknown option 'stab_cpa'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("old, new, field", [
     ("action.g0 = [[-1]]", "action.g0 = [[1.5]]", "action.g0"),
     ("action.g0 = [[-1]]", "action.g0 = [[True]]", "action.g0"),

@@ -1,9 +1,9 @@
 
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
-from conftest import det, oracle_w2, snf_diagonal
+from conftest import det, left_cosets, oracle_w2, snf_diagonal
 from torusbt import intmat
 from torusbt import lattices as lat
 from torusbt import realization as realz
@@ -11,11 +11,11 @@ from torusbt.dirichlet import zeta_minus_one
 from torusbt.errors import (BadReduction, InvariantViolation, NotHomomorphism,
                             NotSubgroup, NotSurjective, StabilizationBoundExceeded)
 from torusbt.engine import btc_predict
-from torusbt.groups import cyclic_group, subgroup_classes
+from torusbt.groups import cyclic_group, group_from_table, subgroup_classes
 from torusbt.realization import (WGroupResult, global_coinvariants_order, is_prime,
                                  local_point_count, realization_from_images,
                                  validate_realization, w2_of_subfield, w_group_order)
-from torusbt.units import primitive_root_mod_prime, unit_group
+from torusbt.units import primitive_root_mod_prime, unit_group, units_mod
 
 
 @pytest.fixture(scope="module")
@@ -240,7 +240,6 @@ def test_local_count_charpoly_consistency(c2, v4, r5, r40):
 def test_local_counts_permutation_orbit_oracle(v4, r40):
     """For coset lattices #T(F_ell) = prod over Frobenius orbits on cosets
     of (ell^{orbit size} - 1): independent of the determinant route."""
-    from torusbt.groups import left_cosets
     for cls in subgroup_classes(v4):
         x = lat.permutation_lattice(v4, cls)
         for ell in (3, 7, 11):
@@ -318,17 +317,84 @@ def _closed_form_w2(h, r):
     return w
 
 
+FULL_UNIT_MODULI = (1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21, 24, 28, 32, 36, 40, 48)
+
+
+def _full_units(f):
+    """G = (Z/f)* itself, pi the identity: L = Q(zeta_f), not totally real
+    for f > 2, so every subfield of Q(zeta_f) is a fixed field."""
+    units = units_mod(f)
+    pos = {u % f: i for i, u in enumerate(units)}
+    g = group_from_table([[pos[u * v % f] for v in units] for u in units], name=f"U{f}")
+    return g, realization_from_images(g, f, {u: pos[u % f] for u in units})
+
+
+def _w2_cases():
+    """(group, realization) over which w_2 is checked on every subgroup
+    class: the full (Z/f)* above and the rungs Q(zeta_p)^+, p <= 97."""
+    return [_full_units(f) for f in FULL_UNIT_MODULI] + [_rung(p) for p in RUNG_PRIMES]
+
+
 def test_w2_closed_form_on_every_subgroup_class(c2, v4, r5, r8, r40, r1):
     """Shapiro: w(Z[G/H]) = w_2 of the fixed field, for every subgroup class
-    of every rung C3 .. C48 and of the small realizations."""
-    cases = [_rung(p) for p in RUNG_PRIMES]
-    cases += [(c2, r5), (c2, r8), (v4, r40), (r1.group, r1)]
+    of every rung C3 .. C48, of the full (Z/f)* and of the small realizations."""
+    cases = _w2_cases() + [(c2, r5), (c2, r8), (v4, r40), (r1.group, r1)]
     for g, r in cases:
         for h in subgroup_classes(g):
             expected = _closed_form_w2(h, r)
             assert w_group_order(lat.permutation_lattice(g, h), r).total == expected, \
                 (r.modulus, h.elements)
             assert w2_of_subfield(h, r) == expected, (r.modulus, h.elements)
+
+
+def _restricted_unit_generators(n, f, allowed):
+    """Generators of {a in (Z/n)* : a mod f in allowed}, f | n: the kernel
+    of (Z/n)* -> (Z/f)*/U, its exponent vectors the projection of the
+    kernel of [V | Lambda-generators]."""
+    ug_n = unit_group(n)
+    if f == 1 or len(allowed) == len(units_mod(f)):
+        return list(ug_n.generators)
+    ug_f = unit_group(f)
+    logs, k = ug_f.log_table(), len(ug_f.generators)
+    vcols = [logs[a % f] for a in ug_n.generators]
+    lam = [tuple(ug_f.orders[i] if i == j else 0 for i in range(k)) for j in range(k)]
+    lam += [logs[u] for u in sorted(allowed)]
+    kern = intmat.kernel_basis(intmat.hstack([intmat.from_columns(vcols, k),
+                                              intmat.from_columns(lam, k)]))
+    gens = set()
+    for jc in range(kern.cols):
+        a = 1
+        for gen, e, order in zip(ug_n.generators, kern.col(jc), ug_n.orders):
+            a = a * pow(gen, e % order, n) % n
+        gens.add(a)
+    return sorted(gens - {1})
+
+
+def _restricted_smith_w2(h, r, cap=realz.STABILIZATION_CAP):
+    """w_2 of the fixed field as the W-group computation run on the trivial
+    rank-1 module, Frobenii restricted to the unit preimage of h."""
+    out = 1
+    for p in realz._candidate_primes(r.modulus, (2, 3)):
+        n = r.modulus * (8 if p == 2 else p * p)
+        gens = _restricted_unit_generators(n, r.modulus, r.unit_preimage(h))
+        stacked = intmat.from_rows([[pow(a, 2, p ** cap) - 1] for a in gens], 1)
+        vs = intmat.smith_valuations(stacked, p, cap) or [cap]
+        assert max(vs) < cap, (r.modulus, p)
+        out *= p ** sum(vs)
+    return out
+
+
+def test_w2_matches_the_restricted_smith_route_and_brute_force():
+    """The closed form agrees with the restricted-generator Smith route on
+    every class of _w2_cases, and with the congruence search of oracle_w2
+    where that search is cheap."""
+    for g, r in _w2_cases():
+        for h in subgroup_classes(g):
+            w2 = w2_of_subfield(h, r)
+            assert w2 == _restricted_smith_w2(h, r), (r.modulus, h.elements)
+            if w2 * r.modulus <= 3000:
+                assert w2 == oracle_w2(r.modulus, r.unit_preimage(h), w2), \
+                    (r.modulus, h.elements)
 
 
 def _depth_loop_part(x, r, p, twist, side, cap=30, allowed=None):
@@ -341,7 +407,7 @@ def _depth_loop_part(x, r, p, twist, side, cap=30, allowed=None):
     for k in range(1, cap + 1):
         pk = p ** k
         n = f * pk
-        gens = (realz._restricted_unit_generators(n, f, allowed)
+        gens = (_restricted_unit_generators(n, f, allowed)
                 if allowed is not None else unit_group(n).generators)
         mats = [intmat.from_rows([[c % pk for c in row] for row in
                                   (pow(a, twist, pk) * x.action[r.pi(a)] - ident).data], rank)
@@ -362,8 +428,8 @@ def _depth_loop_part(x, r, p, twist, side, cap=30, allowed=None):
 
 
 def test_one_smith_form_matches_the_depth_loop():
-    """Parts and depths of W, the coinvariants and w_2 of every subgroup class
-    agree with the depth loop on the fixtures and on rungs C3 .. C30."""
+    """Parts and depths of W and the coinvariants, and w_2 of every subgroup
+    class, agree with the depth loop on the fixtures and on rungs C3 .. C30."""
     from torusbt.catalog import fixture
     cases = []
     for name in ("gm_q", "res_sqrt5", "normone_5", "res_sqrt2", "dual_normone_v4"):
@@ -386,9 +452,9 @@ def test_one_smith_form_matches_the_depth_loop():
             assert realz._stable_part(*args) == _depth_loop_part(*args), (r.modulus, p)
         one = lat.trivial_lattice(r.group)
         for h in subgroup_classes(r.group):
-            for p in realz._candidate_primes(r.modulus, (2, 3)):
-                args = (one, r, p, 2, "invariants", cap, r.unit_preimage(h))
-                assert realz._stable_part(*args) == _depth_loop_part(*args), (r.modulus, p)
+            loop = prod(_depth_loop_part(one, r, p, 2, "invariants", cap, r.unit_preimage(h))[0]
+                        for p in realz._candidate_primes(r.modulus, (2, 3)))
+            assert w2_of_subfield(h, r) == loop, (r.modulus, h.elements)
 
 
 def test_stabilization_cap_boundary(r1):
