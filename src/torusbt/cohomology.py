@@ -1,15 +1,15 @@
 """Group cohomology of finite groups acting on lattices.
 
-H^1(H, X) is one lattice quotient: |H| kills it, so it is read off
-X/|H|X with a kernel of size (#generators * rank) x ((#generators + 1)
-* rank) instead of a cocycle system over all of H.
+H^1 and the real place are closed forms in smith_valuations, the
+elimination mod p^e the W-group uses: |H| kills H^1, and an involution
+is determined by its trace and rank_F2(sigma - 1). Tate H^0 and the
+invariant lattices come from the integer Hermite form.
 
-The same module hosts the flasque/invertible classification, the
+The same module hosts the flasque/invertible classification and the
 constructive flasque resolution 0 -> Q -> P -> X -> 0 with P a direct
-sum of coset lattices Z[G/H], and the order-2 decomposition used for
-the real place. The resolution works on orbits of vectors: a summand
-(Z[G/H], w) has Stab(w) = H, so G/H is the orbit Gw and the images of
-its K-invariants are the sums of the K-orbits inside Gw.
+sum of coset lattices Z[G/H]. The resolution works on orbits of
+vectors: a summand (Z[G/H], w) has Stab(w) = H, so G/H is the orbit Gw
+and the images of its K-invariants are the sums of the K-orbits in Gw.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import intmat
-from .exact import FinAbGroup
+from .exact import FinAbGroup, from_elementary_divisors
 from .errors import InconsistentRank, InvariantViolation, ShapeMismatch
 from .groups import (FiniteGroup, SubgroupClass, coset_action, is_metacyclic,
                      spanning_generators, subgroup_classes, subgroup_elements,
@@ -32,31 +32,31 @@ from .units import factorize
 
 
 def h1(h, x: GLattice) -> FinAbGroup:
-    """H^1(H, X) as one lattice quotient L / (X^H + nX), n = |H|.
+    """H^1(H, X) = (+)_{p^e || n} (+)_i Z/p^min(v_p(d_i), e), n = |H|, over
+    the nonzero Smith entries d_i of S, the stacked s - 1 over generators s
+    of H.
 
-    Proof: n kills H^1(H, X) (Brown, Cohomology of Groups, III.10), so the
-    long exact sequence of 0 -> X -n-> X -> X/nX -> 0 gives
-    H^1 = (X/nX)^H / image(X^H), where (X/nX)^H = L/nX and
-    L = {v : (s - 1) v in nX for each generator s of H}.
-
-    Always a finite group for a lattice module; a nonzero free rank
+    Proof: n kills H^1 (Brown, Cohomology of Groups, III.10), so the long
+    exact sequence of 0 -> X -n-> X -> X/nX -> 0 gives
+    H^1 = ker(S mod n) / image(X^H). With S = U D V, ker(S mod n) is the
+    sum of the annihilators Z/gcd(d_i, n) in Z/n over all d_i, and X^H
+    fills the Z/n of the z = rank X^H = sum_{h in H} tr rho(h) / n zero
+    d_i. Mod p^e those read as valuation e, so the p-part is
+    smith_valuations(S, p, e) with z entries e dropped; fewer than z
     raises InvariantViolation.
     """
     elems = subgroup_elements(x.group, h)
-    gens = subgroup_generators(x.group, h)
-    if not gens:
-        return FinAbGroup()
     n, r = len(elems), x.rank
+    z = sum(x.action[a][i, i] for a in elems for i in range(r)) // n
     ident = intmat.identity(r)
-    stacked = intmat.vstack([x.action[s] - ident for s in gens])
-    big = intmat.kernel_basis(intmat.hstack(
-        [stacked, -n * intmat.identity(stacked.rows)]))
-    lat = IntMatrix(r, big.cols, big.data[:r])
-    fixed = intmat.kernel_basis(stacked)
-    out = intmat.lattice_quotient(lat, intmat.hstack([fixed, n * ident]))
-    if out.free_rank:
-        raise InvariantViolation("H^1 of a lattice must be finite")
-    return out
+    stacked = intmat.vstack([x.action[s] - ident for s in subgroup_generators(x.group, h)])
+    divisors = []
+    for p, e in factorize(n):
+        vals = intmat.smith_valuations(stacked, p, e)
+        if vals.count(e) < z:
+            raise InvariantViolation(f"rank X^H = {z} but {p}-adic Smith valuations {vals}")
+        divisors += [p ** v for v in vals[:len(vals) - z]]
+    return from_elementary_divisors(divisors)
 
 
 def tate_h0(h, x: GLattice) -> FinAbGroup:
@@ -371,9 +371,13 @@ def _sum_profiles(profiles) -> Counter:
     return out
 
 
+# Iso coefficients on a Hom_G basis, and the most combinations per pair.
+COEFF_BOUND = 2
+COMBO_BUDGET = 60000
+
+
 def search_invertibility_certificate(
-        q: GLattice, rank_bound: int = 4, coeff_bound: int = 2,
-        combo_budget: int = 60000,
+        q: GLattice, rank_bound: int = 4,
         pair_budget: int = 200) -> InvertibilityCertificate | None:
     """Bounded search for a stably-permutation witness of Q.
 
@@ -433,10 +437,10 @@ def search_invertibility_certificate(
                 target = direct_sum(*(perm[cid] for cid in target_spec))
                 basis = _hom_basis(source, target)
                 d = len(basis)
-                if d == 0 or (2 * coeff_bound + 1) ** d > combo_budget:
+                if d == 0 or (2 * COEFF_BOUND + 1) ** d > COMBO_BUDGET:
                     continue
                 for coeffs in itertools.product(
-                        range(-coeff_bound, coeff_bound + 1), repeat=d):
+                        range(-COEFF_BOUND, COEFF_BOUND + 1), repeat=d):
                     if all(c == 0 for c in coeffs):
                         continue
                     m = intmat.zeros(target.rank, source.rank)
@@ -450,8 +454,7 @@ def search_invertibility_certificate(
     return None
 
 
-def check_motivic_interpretation(x: GLattice,
-                                 cert: InvertibilityCertificate | None = None):
+def check_motivic_interpretation(x: GLattice):
     """Sufficient-condition check: 'YesMetaCyclic', 'YesInvertibleCertificate',
     or 'Unknown' (never a 'no'; only sufficient conditions are known).
 
@@ -460,8 +463,6 @@ def check_motivic_interpretation(x: GLattice,
     if is_metacyclic(x.group):
         return "YesMetaCyclic", None, None
     res = flasque_resolution(x)
-    if cert is not None and verify_invertibility(res.q_lattice, cert):
-        return "YesInvertibleCertificate", cert, res
     found = search_invertibility_certificate(res.q_lattice)
     if found is not None:
         return "YesInvertibleCertificate", found, res
@@ -469,11 +470,15 @@ def check_motivic_interpretation(x: GLattice,
 
 
 def real_decomposition(x: GLattice, conj: int):
-    """Multiplicities (a, b, c) of Z, Z^-, Z[C2] under the involution conj.
+    """Multiplicities (a, b, c) of Z, Z^-, Z[C2] under the involution conj,
+    and the real-place torsion (Z/2)^a.
 
-    a = dim_F2 Tate-H^0, b = dim_F2 H^1 of the two-element group {e, conj}
-    acting through the lattice; c fills up the rank. Also returns the
-    real-place torsion (Z/2)^a.
+    Every C2-lattice is Z^a (+) Z_-^b (+) Z[C2]^c (Diederichsen-Reiner), and
+    sigma - 1 is 0, -2 and [[-1, 1], [1, -1]] on the three, so
+    c = rank_F2(sigma - 1), the number of zeros in
+    smith_valuations(sigma - 1, 2, 1); then a - b = tr sigma and
+    a + b + 2c = rank. A c that leaves a or b negative or fractional
+    raises InconsistentRank.
     """
     g = x.group
     if not 0 <= conj < g.order:
@@ -481,18 +486,10 @@ def real_decomposition(x: GLattice, conj: int):
     if g.op(conj, conj) != g.identity:
         raise ShapeMismatch("conj must square to the identity")
     sigma = x.action[conj]
-    ident = intmat.identity(x.rank)
-    fixed = intmat.kernel_basis(sigma - ident)
-    h0 = intmat.lattice_quotient(fixed, sigma + ident)
-    anti = intmat.kernel_basis(sigma + ident)
-    h1c = intmat.lattice_quotient(anti, sigma - ident)
-    for grp in (h0, h1c):
-        if grp.free_rank or any(d != 2 for d in grp.invariant_factors):
-            raise InvariantViolation(f"non-elementary 2-group {grp} from an involution")
-    a = len(h0.invariant_factors)
-    b = len(h1c.invariant_factors)
-    if (x.rank - a - b) % 2 != 0 or x.rank - a - b < 0:
-        raise InconsistentRank(f"rank {x.rank} with (a,b) = {(a, b)}")
-    c = (x.rank - a - b) // 2
-    torsion = FinAbGroup((2,) * a) if a else FinAbGroup()
-    return a, b, c, torsion
+    c = intmat.smith_valuations(sigma - intmat.identity(x.rank), 2, 1).count(0)
+    trace = sum(sigma[i, i] for i in range(x.rank))
+    twice_a, twice_b = x.rank - 2 * c + trace, x.rank - 2 * c - trace
+    if twice_a % 2 or min(twice_a, twice_b) < 0:
+        raise InconsistentRank(f"rank {x.rank} and trace {trace} with c = {c}")
+    a, b = twice_a // 2, twice_b // 2
+    return a, b, c, FinAbGroup((2,) * a)

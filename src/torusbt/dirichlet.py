@@ -31,7 +31,7 @@ from math import gcd
 
 from .cyclotomic import CyclotomicNumber, mul_mod_phi, phi_degree, reduce_mod_phi
 from .errors import (InvariantViolation, MultiplicityNotInteger,
-                     NonAbelianRealization, NotRational, NotTotallyReal)
+                     NonAbelianRealization, NotRational, NotTotallyReal, ShapeMismatch)
 from .exact import lcm
 from .units import UnitGroupStructure, euler_phi, factorize, unit_group, units_mod
 
@@ -49,7 +49,7 @@ class DirichletCharacter:
     def __post_init__(self):
         units = unit_group(self.modulus)
         if len(self.exponents) != len(units.generators):
-            raise ValueError("one exponent per canonical generator required")
+            raise ShapeMismatch("one exponent per canonical generator required")
         m = 1
         for k, n in zip(self.exponents, units.orders):
             m = lcm(m, n // gcd(n, k))

@@ -120,12 +120,14 @@ def sign_lattice(group: FiniteGroup, signs: dict[int, int] | None = None) -> GLa
     """Rank-1 lattice with action +-1; signs maps each element to its sign.
 
     With signs omitted this needs |G| <= 2: the nonidentity element acts
-    by -1.
+    by -1. A signs that misses an element raises ShapeMismatch.
     """
     if signs is None:
         if group.order > 2:
             raise NotHomomorphism("default sign lattice needs |G| <= 2")
         signs = {a: (1 if a == group.identity else -1) for a in range(group.order)}
+    if any(a not in signs for a in range(group.order)):
+        raise ShapeMismatch(f"signs must give a sign for each of the {group.order} elements")
     mats = tuple(intmat.from_rows([[signs[a]]]) for a in range(group.order))
     lat = GLattice(group, 1, mats)
     validate(lat)
@@ -135,7 +137,7 @@ def sign_lattice(group: FiniteGroup, signs: dict[int, int] | None = None) -> GLa
 def direct_sum(*lats: GLattice) -> GLattice:
     """lats[0] (+) ... (+) lats[-1], one block_diag per group element."""
     if not lats:
-        raise ValueError("empty direct sum needs an explicit group")
+        raise ShapeMismatch("empty direct sum needs an explicit group")
     g = lats[0].group
     if any(x.group is not g and x.group != g for x in lats):
         raise GroupMismatch("direct_sum over different groups")

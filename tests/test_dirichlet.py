@@ -8,13 +8,19 @@ import pytest
 
 from conftest import oracle_bernoulli_numbers
 from torusbt import lattices as lat
-from torusbt.dirichlet import (L_minus_one, artin_L_minus_one, bernoulli2_chi,
-                               characters_mod, conductor_primitive,
+from torusbt.dirichlet import (DirichletCharacter, L_minus_one, artin_L_minus_one,
+                               bernoulli2_chi, characters_mod, conductor_primitive,
                                zeta_minus_one)
-from torusbt.errors import NotTotallyReal
+from torusbt.errors import NotTotallyReal, ShapeMismatch
 from torusbt.groups import subgroup_classes
 from torusbt.realization import realization_from_images
 from torusbt.units import euler_phi, unit_group
+
+
+def test_character_with_wrong_exponent_count_is_typed_error():
+    # (Z/5)* is cyclic: one canonical generator, so one exponent.
+    with pytest.raises(ShapeMismatch, match="one exponent per canonical generator"):
+        DirichletCharacter(5, (1, 2))
 
 
 def test_characters_mod_1():

@@ -87,6 +87,13 @@ def test_direct_sum_group_mismatch(c2, s3):
         lat.direct_sum(lat.trivial_lattice(c2), lat.trivial_lattice(s3))
 
 
+def test_sign_lattice_and_direct_sum_argument_errors_are_typed(v4):
+    with pytest.raises(ShapeMismatch, match="each of the 4 elements"):
+        lat.sign_lattice(v4, {0: 1, 1: -1, 2: 1})
+    with pytest.raises(ShapeMismatch, match="empty direct sum"):
+        lat.direct_sum()
+
+
 def test_dual_involution_and_fixed_points(c2, s3):
     zm = lat.sign_lattice(c2)
     assert lat.dual(zm).action == zm.action
