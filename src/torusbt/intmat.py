@@ -1,20 +1,24 @@
 """Arbitrary-precision integer matrices and their normal forms.
 
-Everything here is exact: entries are Python ints, and two eliminations
-do all the work. The column Hermite form gives ranks, unimodularity
-(the form is I) and |det| (the product of its diagonal), and, applied
-to [A; I], both the kernel of A and a unimodular transform for exact
-solves. smith_valuations reads the p-adic valuations of the Smith
-diagonal by elimination mod p^k. A cokernel takes its free rank and
-torsion order from Hermite forms and its p-parts from smith_valuations,
-so no integer Smith form is ever built. Matrices are immutable
-(tuple-of-row-tuples) so they can be shared freely across threads.
+Everything here is exact: entries are Python ints. A product adds the
+rows of the right factor picked by the nonzero entries of the left, in
+O(nnz(left) * cols). The forward gcd pass of the column Hermite form
+leaves pivots that the reduction above them never touches, so
+unimodularity (n pivots, all 1) and |det| (their product) read them
+alone. The full form, applied to [A; I], gives the kernel of A and a
+unimodular transform for exact solves. smith_valuations reads the
+p-adic valuations of the Smith diagonal by elimination mod p^k. A
+cokernel takes its free rank and torsion order from Hermite forms and
+its p-parts from smith_valuations, so no integer Smith form is ever
+built. Matrices are immutable tuples of row tuples, shared freely
+across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import mul
 
 from .exact import FinAbGroup, from_elementary_divisors
 from .errors import ShapeMismatch
@@ -72,18 +76,20 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ShapeMismatch(f"matmul {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        cols = list(zip(*other.data)) if other.data else [()] * other.cols
-        out = tuple(
-            tuple(sum(a * b for a, b in zip(r, c)) for c in cols)
-            for r in self.data)
-        if self.rows and other.cols == 0:
-            out = tuple(() for _ in range(self.rows))
-        return IntMatrix(self.rows, other.cols, out)
+        zero = (0,) * other.cols
+        out = []
+        for r in self.data:
+            acc = zero
+            for a, row in zip(r, other.data):
+                if a:
+                    acc = [x + a * y for x, y in zip(acc, row)]
+            out.append(tuple(acc))
+        return IntMatrix(self.rows, other.cols, tuple(out))
 
     def apply(self, vec: tuple[int, ...]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise ShapeMismatch("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(r, vec)) for r in self.data)
+        return tuple(sum(map(mul, r, vec)) for r in self.data)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, tuple(zip(*self.data)) if self.data
@@ -161,8 +167,9 @@ def block_diag(mats: list[IntMatrix]) -> IntMatrix:
 
 
 def from_columns(cols: list[tuple[int, ...]], rows: int) -> IntMatrix:
-    return IntMatrix(rows, len(cols),
-                     tuple(tuple(c[i] for c in cols) for i in range(rows)))
+    if any(len(c) != rows for c in cols):
+        raise ShapeMismatch(f"columns do not all have length {rows}")
+    return IntMatrix(rows, len(cols), tuple(zip(*cols)) or ((),) * rows)
 
 
 def smith_valuations(mat: IntMatrix, p: int, k: int) -> list[int]:
@@ -197,20 +204,14 @@ def smith_valuations(mat: IntMatrix, p: int, k: int) -> list[int]:
     return out + [k] * (min(mat.rows, mat.cols) - len(out))
 
 
-def hnf_columns(mat: IntMatrix) -> IntMatrix:
-    """Column-style Hermite normal form of the column lattice of mat.
-
-    Zero columns are dropped; pivots (first nonzero entry of each column,
-    scanning top-down) are positive and strictly lower with each later
-    column; earlier columns' entries in a pivot row are reduced into
-    [0, pivot). The result is the canonical basis of the column span.
-    """
-    # Work on the transpose with row operations; transpose back at the end.
+def _echelon(mat: IntMatrix) -> tuple[list[list[int]], list[int]]:
+    """The forward gcd pass of hnf_columns: the columns of mat as rows m,
+    the first len(piv) in echelon form with pivots m[k][piv[k]] > 0."""
     m = [list(c) for c in zip(*mat.data)] if mat.data else []
     nrows = len(m)              # original columns
-    ncols = mat.rows
-    pivot_row = 0
-    for j in range(ncols):
+    piv = []
+    for j in range(mat.rows):
+        pivot_row = len(piv)
         if pivot_row >= nrows:
             break
         # gcd-reduce all entries of column j below pivot_row into one row
@@ -229,29 +230,44 @@ def hnf_columns(mat: IntMatrix) -> IntMatrix:
                 m[pivot_row], m[i] = m[i], m[pivot_row]
         if m[pivot_row][j] < 0:
             m[pivot_row] = [-x for x in m[pivot_row]]
-        # Reduce rows above the pivot.
-        p = m[pivot_row][j]
-        for i in range(pivot_row):
-            q = m[i][j] // p
+        piv.append(j)
+    return m, piv
+
+
+def hnf_columns(mat: IntMatrix) -> IntMatrix:
+    """Column-style Hermite normal form of the column lattice of mat.
+
+    Zero columns are dropped; pivots (first nonzero entry of each column,
+    scanning top-down) are positive and strictly lower with each later
+    column; earlier columns' entries in a pivot row are reduced into
+    [0, pivot). The result is the canonical basis of the column span.
+    """
+    m, piv = _echelon(mat)
+    for k, j in enumerate(piv):
+        for i in range(k):
+            q = m[i][j] // m[k][j]
             if q:
-                m[i] = [x - q * y for x, y in zip(m[i], m[pivot_row])]
-        pivot_row += 1
-    kept = [r for r in m[:pivot_row]]
-    return from_columns([tuple(r) for r in kept], mat.rows)
+                m[i] = [x - q * y for x, y in zip(m[i], m[k])]
+    return from_columns(m[:len(piv)], mat.rows)
+
+
+def _diagonal(mat: IntMatrix) -> list[int]:
+    """The Hermite diagonal of mat: its echelon pivots."""
+    m, piv = _echelon(mat)
+    return [m[k][j] for k, j in enumerate(piv)]
 
 
 def is_unimodular(mat: IntMatrix) -> bool:
-    """True iff mat is square and its columns span Z^rows: Hermite form I."""
-    return mat.rows == mat.cols and hnf_columns(mat).is_identity()
+    """True iff mat is square and its echelon pivots are n ones."""
+    return mat.rows == mat.cols and _diagonal(mat) == [1] * mat.rows
 
 
 def abs_det(mat: IntMatrix) -> int:
-    """|det| of a square matrix: the product of its Hermite diagonal, or 0
-    when the Hermite form drops a column."""
+    """|det| of a square matrix: the product of n echelon pivots, 0 if fewer."""
     if mat.rows != mat.cols:
         raise ShapeMismatch("determinant of non-square matrix")
-    h = hnf_columns(mat)
-    return prod(h[k, k] for k in range(h.cols)) if h.cols == mat.cols else 0
+    d = _diagonal(mat)
+    return prod(d) if len(d) == mat.cols else 0
 
 
 def _hermite(mat: IntMatrix):
@@ -316,8 +332,7 @@ def cokernel_structure(mat: IntMatrix) -> FinAbGroup:
     basis ([[2**89 - 1], [1]] has cokernel Z and pivot 2**89 - 1).
     """
     h = hnf_columns(mat)
-    t = hnf_columns(h.transpose())
-    order = prod(t[k, k] for k in range(h.cols))
+    order = prod(_diagonal(h.transpose()))
     return from_elementary_divisors(
         [p ** v for p, e in factorize(order) for v in smith_valuations(h, p, e)],
         mat.rows - h.cols)

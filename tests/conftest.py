@@ -8,9 +8,13 @@ diagonals by the integer Smith elimination and determinants by the
 Bareiss elimination that intmat no longer carries.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,18 @@ from torusbt import lattices as lat
 from torusbt.errors import NotUnimodular, ShapeMismatch
 from torusbt.exact import FinAbGroup, from_elementary_divisors
 from torusbt.groups import cyclic_group, group_from_generators, subgroup_classes
+
+
+def run_fresh(script, timeout):
+    """stdout of script in a fresh interpreter on this checkout's src."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
 
 
 # ---------------------------------------------------------------- groups

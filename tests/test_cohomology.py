@@ -1,15 +1,11 @@
 import itertools
-import os
 import random
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
 from conftest import (catalog_pool, fin_ab, left_cosets, oracle_h1_bar, oracle_h1_cyclic,
-                      small_groups, random_lattice, sign_lattice_v4)
+                      run_fresh, small_groups, random_lattice, sign_lattice_v4)
 from torusbt import cohomology as coh
 from torusbt import intmat
 from torusbt import lattices as lat
@@ -543,23 +539,11 @@ print(q.rank, sum(not grp.is_trivial for grp in groups), time.perf_counter() - s
 """
 
 
-def _run_fresh(script, timeout):
-    """stdout of script in a fresh interpreter on this checkout's src."""
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
-                          capture_output=True, text=True, timeout=timeout)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    return proc.stdout
-
-
 def test_h1_on_every_class_of_the_s4_dual_q_is_fast():
     """The rank-49 dual of the flasque Q of S4 norm-one: the D4 class made
     one Hermite elimination of a 343x196 matrix run for minutes. Fresh
     process, the resolution built untimed."""
-    rank, witnesses, seconds = _run_fresh(S4_DUAL_Q_H1, timeout=60).split()[-3:]
+    rank, witnesses, seconds = run_fresh(S4_DUAL_Q_H1, timeout=60).split()[-3:]
     assert (rank, witnesses) == ("49", "5")
     assert float(seconds) < 1.0
 
@@ -887,6 +871,6 @@ def test_c2_cubed_norm_one_motivic_check_is_fast():
     """Q(sqrt2, sqrt3, sqrt5): the certificate search on the C2^3 norm-one
     Q ends in Unknown within its default budgets. Run in a fresh process,
     so that no memo is warm, with the lattice built untimed."""
-    verdict, seconds = _run_fresh(C2_CUBED_NORM_ONE, timeout=120).split()[-2:]
+    verdict, seconds = run_fresh(C2_CUBED_NORM_ONE, timeout=120).split()[-2:]
     assert verdict == "Unknown"
     assert float(seconds) < 1.5

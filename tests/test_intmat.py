@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -9,8 +9,9 @@ from conftest import det, oracle_cokernel, random_unimodular, snf_diagonal
 from torusbt import intmat
 from torusbt.errors import ShapeMismatch
 from torusbt.exact import FinAbGroup
-from torusbt.intmat import (abs_det, cokernel_structure, from_rows, hnf_columns,
-                            identity, is_unimodular, kernel_basis, solve_exact, zeros)
+from torusbt.intmat import (IntMatrix, abs_det, cokernel_structure, from_columns, from_rows,
+                            hnf_columns, identity, is_unimodular, kernel_basis, solve_exact,
+                            zeros)
 
 
 def _minor_gcd(m, k):
@@ -202,6 +203,18 @@ def test_matmul_and_empty_dims():
     assert abs_det(zeros(0, 0)) == 1 and is_unimodular(zeros(0, 0))
 
 
+@pytest.mark.parametrize("cols", [[(1, 2, 3)], [(1, 2), (3,)]], ids=["too-long", "too-short"])
+def test_from_columns_rejects_a_column_of_the_wrong_length(cols):
+    with pytest.raises(ShapeMismatch, match="length 2"):
+        from_columns(cols, 2)
+
+
+def test_from_columns_shapes():
+    assert from_columns([(1, 2), (3, 4), (5, 6)], 2).data == ((1, 3, 5), (2, 4, 6))
+    assert from_columns([], 3) == zeros(3, 0)
+    assert from_columns([(), ()], 0) == zeros(0, 2)
+
+
 def test_block_and_stack_helpers():
     a = identity(2)
     b = from_rows([[5]])
@@ -375,3 +388,101 @@ def test_abs_det_and_is_unimodular_reject_non_square():
     assert not is_unimodular(m.transpose())
     with pytest.raises(ShapeMismatch):
         abs_det(m)
+
+
+# ------------------------------------------ the dense kernels they replaced
+
+def _dense_matmul(a, b):
+    """Reference: every entry as the dot product of a row and a column."""
+    cols = list(zip(*b.data)) if b.data else [()] * b.cols
+    out = tuple(tuple(sum(x * y for x, y in zip(r, c)) for c in cols) for r in a.data)
+    if a.rows and b.cols == 0:
+        out = tuple(() for _ in range(a.rows))
+    return IntMatrix(a.rows, b.cols, out)
+
+
+def _dense_apply(a, vec):
+    return tuple(sum(x * y for x, y in zip(r, vec)) for r in a.data)
+
+
+def _interleaved_hnf(mat):
+    """Reference: the column Hermite form with the rows above each pivot
+    reduced as soon as that pivot is found."""
+    m = [list(c) for c in zip(*mat.data)] if mat.data else []
+    nrows = len(m)
+    pivot_row = 0
+    for j in range(mat.rows):
+        if pivot_row >= nrows:
+            break
+        nz = [i for i in range(pivot_row, nrows) if m[i][j] != 0]
+        if not nz:
+            continue
+        i0 = nz[0]
+        m[pivot_row], m[i0] = m[i0], m[pivot_row]
+        for i in range(pivot_row + 1, nrows):
+            while m[i][j] != 0:
+                q = m[pivot_row][j] // m[i][j]
+                m[pivot_row] = [x - q * y for x, y in zip(m[pivot_row], m[i])]
+                if m[pivot_row][j] == 0:
+                    m[pivot_row], m[i] = m[i], m[pivot_row]
+                    break
+                m[pivot_row], m[i] = m[i], m[pivot_row]
+        if m[pivot_row][j] < 0:
+            m[pivot_row] = [-x for x in m[pivot_row]]
+        p = m[pivot_row][j]
+        for i in range(pivot_row):
+            q = m[i][j] // p
+            if q:
+                m[i] = [x - q * y for x, y in zip(m[i], m[pivot_row])]
+        pivot_row += 1
+    return IntMatrix(mat.rows, pivot_row,
+                     tuple(tuple(r[i] for r in m[:pivot_row]) for i in range(mat.rows)))
+
+
+def _sparse(rng, rows, cols, density, bound):
+    return from_rows([[rng.choice((-1, 1)) * rng.randint(1, bound)
+                       if rng.random() < density else 0
+                       for _ in range(cols)] for _ in range(rows)], cols)
+
+
+def _signed_permutation(rng, n):
+    perm = rng.sample(range(n), n)
+    return from_rows([[rng.choice((-1, 1)) if j == perm[i] else 0 for j in range(n)]
+                      for i in range(n)], n)
+
+
+def _product_pool(seed):
+    """Factor pairs of every shape k x l @ l x m with k, l, m in 0..7
+    (so k x 0 @ 0 x m and 0 x k @ k x m too), at densities 0, about 10%
+    and 100%, with entries below 10 or beyond 2**64; then signed
+    permutation matrices on either side."""
+    rng = random.Random(seed)
+    for (k, l, m), density in product(product(range(8), repeat=3), (0, 0.1, 1)):
+        bound = rng.choice((9, 2 ** 70))
+        yield _sparse(rng, k, l, density, bound), _sparse(rng, l, m, density, bound)
+    for n in range(8):
+        p, a = _signed_permutation(rng, n), _sparse(rng, n, n, 1, 2 ** 70)
+        yield p, a
+        yield a, p
+        yield p, _signed_permutation(rng, n)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_products_match_the_dense_kernels(seed):
+    rng = random.Random(7000 + seed)
+    for a, b in _product_pool(7000 + seed):
+        assert a @ b == _dense_matmul(a, b), (a, b)
+        vec = tuple(rng.randint(-2 ** 70, 2 ** 70) for _ in range(a.cols))
+        assert a.apply(vec) == _dense_apply(a, vec), (a, vec)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_hermite_form_matches_the_interleaved_reduction(seed):
+    for a, b in _product_pool(7000 + seed):
+        for mat in (a, b, a @ b):
+            h = hnf_columns(mat)
+            assert h == _interleaved_hnf(mat), mat
+            m, piv = intmat._echelon(mat)
+            assert len(piv) == h.cols
+            assert [next(i for i in range(h.rows) if h[i, k]) for k in range(h.cols)] == piv
+            assert [m[k][j] for k, j in enumerate(piv)] == [h[j, k] for k, j in enumerate(piv)]

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import (catalog_pool, conjugate_lattice, det, left_cosets, random_lattice,
-                      random_unimodular, small_groups)
+                      random_unimodular, run_fresh, small_groups)
 from torusbt import intmat
 from torusbt import lattices as lat
 from torusbt.errors import (GroupMismatch, NotHomomorphism, NotUnimodular,
@@ -352,3 +352,23 @@ def test_parsing_res_manifest_checks_generators_only(monkeypatch):
     s = len(spanning_generators(man.group))
     assert man.group.order == n and s == 1
     assert len(calls) <= s * n + n
+
+
+C96_NORM_ONE = """
+import time
+from torusbt.groups import cyclic_group
+from torusbt.lattices import norm_one_lattice
+g = cyclic_group(96)
+start = time.perf_counter()
+x = norm_one_lattice(g)
+print(x.rank, time.perf_counter() - start)
+"""
+
+
+def test_norm_one_c96_builds_and_validates_fast():
+    """The 96 rank-95 matrices of the C96 norm-one lattice, built and
+    validated (one product and one unimodularity check per element) in a
+    fresh process, the group built untimed."""
+    rank, seconds = run_fresh(C96_NORM_ONE, timeout=60).split()
+    assert rank == "95"
+    assert float(seconds) < 1.5
