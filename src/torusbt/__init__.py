@@ -15,10 +15,9 @@ from .intmat import IntMatrix, cokernel_structure, kernel_basis, solve_exact
 from .groups import (FiniteGroup, SubgroupClass, conjugacy_classes, cyclic_group,
                      group_from_generators, group_from_table, is_metacyclic,
                      subgroup_classes)
-from .lattices import (GLattice, direct_sum, dual, from_generator_matrices,
-                       invariants_and_coinvariants, lattice_character,
-                       norm_one_lattice, permutation_lattice, restrict,
-                       sign_lattice, trivial_lattice, validate)
+from .lattices import (GLattice, coinvariants, direct_sum, dual, from_generator_matrices,
+                       lattice_character, norm_one_lattice, permutation_lattice,
+                       restrict, sign_lattice, trivial_lattice, validate)
 from .cohomology import (FlasqueResolution, InvertibilityCertificate,
                          check_motivic_interpretation, flasque_resolution, h1,
                          is_flasque, real_decomposition,

@@ -1,9 +1,9 @@
 """Group cohomology of finite groups acting on lattices.
 
-H^1 and the real place are closed forms in smith_valuations, the
-elimination mod p^e the W-group uses: |H| kills H^1, and an involution
-is determined by its trace and rank_F2(sigma - 1). Tate H^0 and the
-invariant lattices come from the integer Hermite form.
+H^1, Tate H^0 and the real place are closed forms in smith_valuations,
+the elimination mod p^e the W-group uses: |H| kills H^1 and Tate H^0,
+and an involution is determined by its trace and rank_F2(sigma - 1).
+Only the invariant lattices X^H come from the integer Hermite form.
 
 The same module hosts the flasque/invertible classification and the
 constructive flasque resolution 0 -> Q -> P -> X -> 0 with P a direct
@@ -31,42 +31,53 @@ from .lattices import (GLattice, direct_sum, invariant_basis, lattice_character,
 from .units import factorize
 
 
+def _smith_torsion(mat: IntMatrix, n: int, drop: int) -> FinAbGroup:
+    """(+)_{p^e || n} (+)_i Z/p^min(v_p(d_i), e) over the Smith entries d_i
+    of mat but `drop` zero ones, which read as valuation e: the p-part is
+    smith_valuations(mat, p, e) with `drop` entries e dropped, and fewer
+    than `drop` raises InvariantViolation."""
+    divisors = []
+    for p, e in factorize(n):
+        vals = intmat.smith_valuations(mat, p, e)
+        if vals.count(e) < drop:
+            raise InvariantViolation(f"{drop} zero Smith entries expected, {p}-adic {vals}")
+        divisors += [p ** v for v in vals[:len(vals) - drop]]
+    return from_elementary_divisors(divisors)
+
+
 def h1(h, x: GLattice) -> FinAbGroup:
-    """H^1(H, X) = (+)_{p^e || n} (+)_i Z/p^min(v_p(d_i), e), n = |H|, over
-    the nonzero Smith entries d_i of S, the stacked s - 1 over generators s
-    of H.
+    """H^1(H, X) = _smith_torsion(S, n, z), n = |H|, z = rank X^H, S the
+    stacked s - 1 over generators s of H.
 
     Proof: n kills H^1 (Brown, Cohomology of Groups, III.10), so the long
     exact sequence of 0 -> X -n-> X -> X/nX -> 0 gives
     H^1 = ker(S mod n) / image(X^H). With S = U D V, ker(S mod n) is the
-    sum of the annihilators Z/gcd(d_i, n) in Z/n over all d_i, and X^H
-    fills the Z/n of the z = rank X^H = sum_{h in H} tr rho(h) / n zero
-    d_i. Mod p^e those read as valuation e, so the p-part is
-    smith_valuations(S, p, e) with z entries e dropped; fewer than z
-    raises InvariantViolation.
+    sum of the annihilators Z/gcd(d_i, n) in Z/n over the Smith entries
+    d_i of S, and X^H fills the Z/n of the z = sum_{h in H} tr rho(h) / n
+    zero d_i.
     """
     elems = subgroup_elements(x.group, h)
-    n, r = len(elems), x.rank
-    z = sum(x.action[a][i, i] for a in elems for i in range(r)) // n
-    ident = intmat.identity(r)
+    z = sum(x.action[a][i, i] for a in elems for i in range(x.rank)) // len(elems)
+    ident = intmat.identity(x.rank)
     stacked = intmat.vstack([x.action[s] - ident for s in subgroup_generators(x.group, h)])
-    divisors = []
-    for p, e in factorize(n):
-        vals = intmat.smith_valuations(stacked, p, e)
-        if vals.count(e) < z:
-            raise InvariantViolation(f"rank X^H = {z} but {p}-adic Smith valuations {vals}")
-        divisors += [p ** v for v in vals[:len(vals) - z]]
-    return from_elementary_divisors(divisors)
+    return _smith_torsion(stacked, len(elems), z)
 
 
 def tate_h0(h, x: GLattice) -> FinAbGroup:
-    """Tate H^0(H, X) = X^H / N_H X."""
-    fixed = invariant_basis(x, h)
+    """Tate H^0(H, X) = X^H / NX = _smith_torsion(N, n, r - z), n = |H|,
+    r = rank X, z = rank X^H, N = N_H = sum_{a in H} rho(a).
+
+    Proof: N^2 = nN, so N/n projects onto X^H (x) Q and rank N = z =
+    tr N / n. X^H is saturated in X and holds NX with full rank, so
+    X^H / NX is exactly the torsion of coker N, (+) Z/d_i over the
+    nonzero Smith entries d_i of N. n kills Tate cohomology (Brown, VI.5),
+    so each such d_i divides n; the r - z zero d_i are dropped. X^H itself
+    is never built.
+    """
     norm = norm_element_matrix(x, h)
-    out = intmat.lattice_quotient(fixed, norm)
-    if out.free_rank:
-        raise InvariantViolation("Tate H^0 of a lattice must be finite")
-    return out
+    n = len(subgroup_elements(x.group, h))
+    z = sum(norm[i, i] for i in range(x.rank)) // n
+    return _smith_torsion(norm, n, x.rank - z)
 
 
 def is_flasque(x: GLattice):
@@ -371,14 +382,15 @@ def _sum_profiles(profiles) -> Counter:
     return out
 
 
-# Iso coefficients on a Hom_G basis, and the most combinations per pair.
+# Iso coefficients on a Hom_G basis, and the most combinations per pair;
+# the most complement rank, and the most character-matched pairs.
 COEFF_BOUND = 2
 COMBO_BUDGET = 60000
+RANK_BOUND = 4
+PAIR_BUDGET = 200
 
 
-def search_invertibility_certificate(
-        q: GLattice, rank_bound: int = 4,
-        pair_budget: int = 200) -> InvertibilityCertificate | None:
+def search_invertibility_certificate(q: GLattice) -> InvertibilityCertificate | None:
     """Bounded search for a stably-permutation witness of Q.
 
     Complements are themselves drawn from permutation lattices (which is
@@ -396,8 +408,9 @@ def search_invertibility_certificate(
     Targets are walked in enumeration order, but only those whose
     character is a bucket key: _matched_multisets cuts a branch as soon as
     its partial character exceeds each key in some entry. Each target is
-    paired with its bucket's complements in enumeration order; pair_budget
-    counts these character-matched pairs.
+    paired with its bucket's complements in enumeration order; PAIR_BUDGET
+    counts these character-matched pairs, and complements reach rank
+    RANK_BOUND.
     """
     g = q.group
     classes = subgroup_classes(g)
@@ -417,7 +430,7 @@ def search_invertibility_certificate(
         return profiles[cid]
 
     pairs_examined = 0
-    for target_rank in range(q.rank, q.rank + rank_bound + 1):
+    for target_rank in range(q.rank, q.rank + RANK_BOUND + 1):
         buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for comp_spec in _multisets_with_rank(classes, target_rank - q.rank):
             key = tuple(map(sum, zip(chi_q, *(chi_perm[cid] for cid in comp_spec))))
@@ -426,7 +439,7 @@ def search_invertibility_certificate(
                                                      buckets):
             for comp_spec in buckets[chi_t]:
                 pairs_examined += 1
-                if pairs_examined > pair_budget:
+                if pairs_examined > PAIR_BUDGET:
                     return None
                 if _sum_profiles(map(profile, (None,) + comp_spec)) != \
                         _sum_profiles(map(profile, target_spec)):

@@ -49,7 +49,7 @@ def _poly_divmod_int(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, ascending, cached."""
     if n < 1:
-        raise ValueError("order must be >= 1")
+        raise ShapeMismatch(f"order must be >= 1, got {n}")
     phi = _PHI_CACHE.get(n)
     if phi is not None:
         return phi

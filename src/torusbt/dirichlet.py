@@ -50,6 +50,8 @@ class DirichletCharacter:
         units = unit_group(self.modulus)
         if len(self.exponents) != len(units.generators):
             raise ShapeMismatch("one exponent per canonical generator required")
+        if not all(isinstance(k, int) for k in self.exponents):
+            raise ShapeMismatch(f"exponents must be integers, got {self.exponents!r}")
         m = 1
         for k, n in zip(self.exponents, units.orders):
             m = lcm(m, n // gcd(n, k))

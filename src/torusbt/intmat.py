@@ -337,15 +337,3 @@ def cokernel_structure(mat: IntMatrix) -> FinAbGroup:
         [p ** v for p, e in factorize(order) for v in smith_valuations(h, p, e)],
         mat.rows - h.cols)
 
-
-def lattice_quotient(basis: IntMatrix, sub_gens: IntMatrix) -> FinAbGroup:
-    """Structure of (lattice with given basis columns) / (span of sub_gens columns).
-
-    Requires every sub_gens column to be an integer combination of the
-    basis columns (true whenever basis is saturated and the columns lie
-    in its rational span, the situation for all cohomology quotients here).
-    """
-    y = solve_exact(basis, sub_gens)
-    if y is None:
-        raise ShapeMismatch("sublattice generators outside the lattice")
-    return cokernel_structure(y)

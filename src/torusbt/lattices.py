@@ -180,10 +180,6 @@ def coinvariants(x: GLattice, h):
     return intmat.cokernel_structure(stacked)
 
 
-def invariants_and_coinvariants(x: GLattice, h):
-    return invariant_basis(x, h), coinvariants(x, h)
-
-
 def norm_element_matrix(x: GLattice, h) -> IntMatrix:
     """N_H = sum of action(a) over a in H."""
     elems = subgroup_elements(x.group, h)

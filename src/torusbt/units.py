@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, prod
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, ShapeMismatch
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -101,7 +101,7 @@ class UnitGroupStructure:
 @lru_cache(maxsize=None)
 def unit_group(n: int) -> UnitGroupStructure:
     if n < 1:
-        raise ValueError("modulus must be positive")
+        raise ShapeMismatch(f"modulus must be positive, got {n}")
     if n == 1:
         return UnitGroupStructure(1, (), ())
     parts: list[tuple[int, int, int]] = []    # (generator mod p^e, order, p^e)

@@ -4,8 +4,9 @@ Oracles here must stay independent of the code paths they check:
 cosets as sorted element tuples, w2 by direct congruence search,
 Bernoulli numbers by the binomial recurrence, H^1 from the all-elements
 cocycle complex, cyclic H^1 from ker(norm)/im(sigma - 1), Smith
-diagonals by the integer Smith elimination and determinants by the
-Bareiss elimination that intmat no longer carries.
+diagonals by the integer Smith elimination, determinants by the
+Bareiss elimination and Hermite lattice quotients by the
+lattice_quotient that intmat no longer carries.
 """
 
 import os
@@ -340,6 +341,19 @@ def oracle_bernoulli_numbers(n: int) -> list[Fraction]:
     return bs
 
 
+def lattice_quotient(basis: intmat.IntMatrix, sub_gens: intmat.IntMatrix) -> FinAbGroup:
+    """Structure of (lattice with given basis columns) / (span of sub_gens columns).
+
+    Requires every sub_gens column to be an integer combination of the
+    basis columns (true whenever basis is saturated and the columns lie
+    in its rational span, the situation for all cohomology quotients here).
+    """
+    y = intmat.solve_exact(basis, sub_gens)
+    if y is None:
+        raise ShapeMismatch("sublattice generators outside the lattice")
+    return intmat.cokernel_structure(y)
+
+
 def oracle_h1_cyclic(x, sigma: int) -> FinAbGroup:
     """H^1(<sigma>, X) = ker(N)/im(sigma - 1) by a direct kernel/quotient."""
     g = x.group
@@ -351,7 +365,7 @@ def oracle_h1_cyclic(x, sigma: int) -> FinAbGroup:
         a = g.op(a, sigma)
     ker = intmat.kernel_basis(n)
     ident = intmat.identity(x.rank)
-    return intmat.lattice_quotient(ker, x.action[sigma] - ident)
+    return lattice_quotient(ker, x.action[sigma] - ident)
 
 
 def oracle_h1_bar(x, elements) -> FinAbGroup:
@@ -377,7 +391,7 @@ def oracle_h1_bar(x, elements) -> FinAbGroup:
     cocycles = intmat.kernel_basis(constraints)
     ident = intmat.identity(n)
     cobound = intmat.vstack([x.action[h] - ident for h in elems])
-    return intmat.lattice_quotient(cocycles, cobound)
+    return lattice_quotient(cocycles, cobound)
 
 
 def fin_ab(*factors, free=0) -> FinAbGroup:

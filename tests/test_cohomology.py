@@ -4,8 +4,9 @@ import time
 
 import pytest
 
-from conftest import (catalog_pool, fin_ab, left_cosets, oracle_h1_bar, oracle_h1_cyclic,
-                      run_fresh, small_groups, random_lattice, sign_lattice_v4)
+from conftest import (catalog_pool, fin_ab, lattice_quotient, left_cosets, oracle_h1_bar,
+                      oracle_h1_cyclic, run_fresh, small_groups, random_lattice,
+                      sign_lattice_v4)
 from torusbt import cohomology as coh
 from torusbt import intmat
 from torusbt import lattices as lat
@@ -405,7 +406,7 @@ def _cayley_h1(h, x):
                                    else intmat.zeros(0, n * len(gens)))
     ident = intmat.identity(n)
     cobound = intmat.vstack([x.action[s] - ident for s in gens])
-    return intmat.lattice_quotient(cocycles, cobound)
+    return lattice_quotient(cocycles, cobound)
 
 
 def test_h1_matches_cayley_relator_cocycles(c2, s3, v4, d4, a4):
@@ -471,7 +472,7 @@ def _hermite_h1(h, x):
     stacked = intmat.vstack([x.action[s] - ident for s in gens])
     big = intmat.kernel_basis(intmat.hstack([stacked, -n * intmat.identity(stacked.rows)]))
     lattice = intmat.IntMatrix(r, big.cols, big.data[:r])
-    return intmat.lattice_quotient(
+    return lattice_quotient(
         lattice, intmat.hstack([intmat.kernel_basis(stacked), n * ident]))
 
 
@@ -479,8 +480,8 @@ def _hermite_real_decomposition(x, conj):
     """(a, b, c) with a = dim Tate H^0 and b = dim H^1 of {e, conj}, each a
     Hermite quotient, and c the rest of the rank."""
     sigma, ident = x.action[conj], intmat.identity(x.rank)
-    h0 = intmat.lattice_quotient(intmat.kernel_basis(sigma - ident), sigma + ident)
-    h1c = intmat.lattice_quotient(intmat.kernel_basis(sigma + ident), sigma - ident)
+    h0 = lattice_quotient(intmat.kernel_basis(sigma - ident), sigma + ident)
+    h1c = lattice_quotient(intmat.kernel_basis(sigma + ident), sigma - ident)
     assert set(h0.invariant_factors + h1c.invariant_factors) <= {2}
     a, b = len(h0.invariant_factors), len(h1c.invariant_factors)
     return a, b, (x.rank - a - b) // 2
@@ -524,6 +525,55 @@ def test_real_decomposition_closed_form_matches_the_hermite_quotients(closed_for
                 assert torsion == from_elementary_divisors([2] * a)
                 pairs += 1
     assert pairs > 750
+
+
+def _hermite_tate_h0(h, x):
+    """Tate H^0 as the quotient X^H / N X with X^H the Hermite kernel basis
+    of the stacked s - 1: the route of tate_h0 before its closed form."""
+    out = lattice_quotient(lat.invariant_basis(x, h), lat.norm_element_matrix(x, h))
+    assert out.free_rank == 0
+    return out
+
+
+def test_tate_h0_closed_form_matches_the_hermite_quotient(closed_form_cases, monkeypatch):
+    """Same values as the Hermite route, with that route patched to raise:
+    tate_h0 reads the Smith valuations of the norm alone, neither X^H nor
+    an exact solve."""
+    cases = [(cls, x) for x in closed_form_cases for cls in subgroup_classes(x.group)]
+    expected = [_hermite_tate_h0(cls, x) for cls, x in cases]
+
+    def hermite(*args):
+        raise AssertionError("Hermite route taken")
+    for module, name in ((intmat, "kernel_basis"), (intmat, "solve_exact"),
+                         (coh, "invariant_basis")):
+        monkeypatch.setattr(module, name, hermite)
+    for (cls, x), want in zip(cases, expected):
+        assert coh.tate_h0(cls, x) == want, (x.group.name, x.rank, cls.elements)
+    assert len(cases) > 1000 and sum(not grp.is_trivial for grp in expected) > 450
+
+
+def test_tate_h0_on_the_s4_norm_one_q_matches_the_hermite_quotient():
+    """The rank-49 flasque Q of S4 norm-one, on all 11 classes."""
+    s4 = group_from_generators([[1, 0, 2, 3], [1, 2, 3, 0]], name="S4")
+    q = coh.flasque_resolution(lat.norm_one_lattice(s4)).q_lattice
+    assert q.rank == 49
+    classes = subgroup_classes(s4)
+    got = [coh.tate_h0(cls, q) for cls in classes]
+    assert got == [_hermite_tate_h0(cls, q) for cls in classes]
+    assert sum(not grp.is_trivial for grp in got) == 10
+
+
+def test_tate_h0_is_self_dual(closed_form_cases):
+    """Tate duality for lattices: Tate H^0(H, X^dual) is the Pontryagin
+    dual of Tate H^0(H, X), so the two are isomorphic (Brown, VI.7)."""
+    nontrivial = 0
+    for x in closed_form_cases:
+        y = lat.dual(x)
+        for cls in subgroup_classes(x.group):
+            got = coh.tate_h0(cls, x)
+            assert coh.tate_h0(cls, y) == got, (x.group.name, x.rank, cls.elements)
+            nontrivial += not got.is_trivial
+    assert nontrivial > 450
 
 
 S4_DUAL_Q_H1 = """
@@ -584,10 +634,12 @@ def _no_full_valuations(mat, p, k):
     # Z over S3 has rank X^H = 1, so one valuation must be full.
     (intmat, "smith_valuations", _no_full_valuations,
      lambda s3: coh.h1(subgroup_classes(s3)[-1], lat.trivial_lattice(s3)),
-     InvariantViolation, "rank X\\^H = 1 but 2-adic"),
-    (intmat, "lattice_quotient", lambda a, b: FinAbGroup((), 1),
-     lambda s3: coh.tate_h0(subgroup_classes(s3)[-1], lat.trivial_lattice(s3)),
-     InvariantViolation, "Tate H\\^0 of a lattice must be finite"),
+     InvariantViolation, "1 zero Smith entries expected, 2-adic"),
+    # The rank-5 norm-one lattice of S3 has X^S3 = 0, so N = 0 and all
+    # five valuations must be full.
+    (intmat, "smith_valuations", _no_full_valuations,
+     lambda s3: coh.tate_h0(subgroup_classes(s3)[-1], lat.norm_one_lattice(s3)),
+     InvariantViolation, "5 zero Smith entries expected, 2-adic"),
     # c = 1 on a rank-1 lattice leaves b = -1.
     (intmat, "smith_valuations", _no_full_valuations,
      lambda s3: coh.real_decomposition(lat.trivial_lattice(s3), 1),
@@ -770,7 +822,7 @@ def _search_with_profiles(monkeypatch, search):
 
 def test_certificate_search_matches_pair_by_pair_oracle(c2, s3, v4, d4, a4, monkeypatch):
     """Same certificate, and the same pairs examined in the same order up
-    to the same pair_budget cut."""
+    to the same PAIR_BUDGET cut."""
     pool = catalog_pool(c2, s3, v4)
     cases = []
     for g in (s3, d4, a4, v4):
@@ -791,9 +843,10 @@ def test_certificate_search_matches_pair_by_pair_oracle(c2, s3, v4, d4, a4, monk
     cases.append((q, classes, 6, 30))               # cut among those pairs
     found = matched = 0
     for q, classes, rank_bound, pair_budget in cases:
+        monkeypatch.setattr(coh, "RANK_BOUND", rank_bound)
+        monkeypatch.setattr(coh, "PAIR_BUDGET", pair_budget)
         new, new_pairs = _search_with_profiles(
-            monkeypatch, lambda: coh.search_invertibility_certificate(
-                q, rank_bound=rank_bound, pair_budget=pair_budget))
+            monkeypatch, lambda: coh.search_invertibility_certificate(q))
         old_pairs = []
         old = _oracle_search(q, classes, rank_bound, pair_budget, old_pairs)
         assert (new and new.to_json()) == (old and old.to_json()), (q.group.name, q.rank)

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import oracle_bernoulli_numbers
 from torusbt import lattices as lat
+from torusbt.cyclotomic import cyclotomic_polynomial
 from torusbt.dirichlet import (DirichletCharacter, L_minus_one, artin_L_minus_one,
                                bernoulli2_chi, characters_mod, conductor_primitive,
                                zeta_minus_one)
@@ -21,6 +22,21 @@ def test_character_with_wrong_exponent_count_is_typed_error():
     # (Z/5)* is cyclic: one canonical generator, so one exponent.
     with pytest.raises(ShapeMismatch, match="one exponent per canonical generator"):
         DirichletCharacter(5, (1, 2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: characters_mod(0), "modulus must be positive"),
+    (lambda: DirichletCharacter(0, ()), "modulus must be positive"),
+    (lambda: unit_group(-3), "modulus must be positive"),
+    (lambda: cyclotomic_polynomial(0), "order must be >= 1"),
+    (lambda: DirichletCharacter(5, (1.5,)), "exponents must be integers"),
+], ids=["characters_mod(0)", "DirichletCharacter(0)", "unit_group(-3)",
+        "cyclotomic_polynomial(0)", "float exponent"])
+def test_bad_api_arguments_are_typed_errors(call, message):
+    """Each was a raw ValueError or TypeError."""
+    with pytest.raises(ShapeMismatch, match=message):
+        call()
+    assert unit_group.cache_info().maxsize is None      # still the lru_cache
 
 
 def test_characters_mod_1():

@@ -127,17 +127,17 @@ def test_restrict_coset_lattice_to_c3_is_regular(s3):
 
 def test_invariants_coinvariants_examples(c2):
     zm = lat.sign_lattice(c2)
-    basis, co = lat.invariants_and_coinvariants(zm, (0, 1))
+    basis, co = lat.invariant_basis(zm, (0, 1)), lat.coinvariants(zm, (0, 1))
     assert basis.cols == 0
     assert co == FinAbGroup((2,))
 
     zreg = lat.permutation_lattice(c2, (0,))
-    basis, co = lat.invariants_and_coinvariants(zreg, (0, 1))
+    basis, co = lat.invariant_basis(zreg, (0, 1)), lat.coinvariants(zreg, (0, 1))
     assert basis.cols == 1 and tuple(basis.col(0)) == (1, 1)
     assert co == FinAbGroup((), 1)
 
     z = lat.trivial_lattice(c2)
-    basis, co = lat.invariants_and_coinvariants(z, (0, 1))
+    basis, co = lat.invariant_basis(z, (0, 1)), lat.coinvariants(z, (0, 1))
     assert basis.cols == 1
     assert co == FinAbGroup((), 1)
 
@@ -149,7 +149,7 @@ def test_invariant_rank_equals_coinvariant_free_rank(c2, s3, v4):
         for _ in range(4):
             x = random_lattice(pool[key], rng, max_rank=4)
             for cls in subgroup_classes(g):
-                basis, co = lat.invariants_and_coinvariants(x, cls)
+                basis, co = lat.invariant_basis(x, cls), lat.coinvariants(x, cls)
                 assert basis.cols == co.free_rank
 
 

@@ -4,9 +4,9 @@
 still rested on one would silently stop being checked. No check in the
 library is an ``assert``: those on the Dirichlet path, in ``cyclotomic``,
 ``realization``, ``validate``, ``flasque_resolution``, ``generating_set``,
-``induction``, the exact solver, ``check-shapiro`` and the manifest's
-options check are typed errors or explicit checks; this runs their tests
-with asserts off.
+``induction``, ``exact``, the exact solver, ``check-shapiro`` and the
+manifest's options check are typed errors or explicit checks; this runs
+their tests with asserts off.
 """
 
 import os
@@ -39,7 +39,8 @@ def test_lattice_and_cohomology_suites_pass_under_python_O():
 
 
 def test_intmat_and_groups_suites_pass_under_python_O():
-    _passes_under_python_O("tests/test_intmat.py", "tests/test_groups.py")
+    _passes_under_python_O("tests/test_intmat.py", "tests/test_groups.py",
+                           "tests/test_exact.py")
 
 
 def test_engine_and_manifest_suites_pass_under_python_O():
