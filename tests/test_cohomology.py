@@ -637,9 +637,11 @@ def _no_full_valuations(mat, p, k):
      InvariantViolation, "1 zero Smith entries expected, 2-adic"),
     # The rank-5 norm-one lattice of S3 has X^S3 = 0, so N = 0 and all
     # five valuations must be full.
-    (intmat, "smith_valuations", _no_full_valuations,
-     lambda s3: coh.tate_h0(subgroup_classes(s3)[-1], lat.norm_one_lattice(s3)),
-     InvariantViolation, "5 zero Smith entries expected, 2-adic"),
+    pytest.param(
+        intmat, "smith_valuations", _no_full_valuations,
+        lambda s3: coh.tate_h0(subgroup_classes(s3)[-1], lat.norm_one_lattice(s3)),
+        InvariantViolation, "5 zero Smith entries expected, 2-adic",
+        id="tate_h0-norm_one_lattice"),
     # c = 1 on a rank-1 lattice leaves b = -1.
     (intmat, "smith_valuations", _no_full_valuations,
      lambda s3: coh.real_decomposition(lat.trivial_lattice(s3), 1),
