@@ -26,7 +26,7 @@ from .groups import (FiniteGroup, SubgroupClass, coset_action, is_metacyclic,
                      subgroup_generators)
 from .induction import permutation_character_table
 from .intmat import IntMatrix
-from .lattices import (GLattice, direct_sum, invariant_basis, lattice_character,
+from .lattices import (GLattice, direct_sum, dual, invariant_basis, lattice_character,
                        norm_element_matrix, permutation_lattice, validate, zero_lattice)
 from .units import factorize
 
@@ -82,11 +82,8 @@ def tate_h0(h, x: GLattice) -> FinAbGroup:
 
 def is_flasque(x: GLattice):
     """True iff H^1(H, X) = 0 for every subgroup class; else the witnesses."""
-    witnesses = []
-    for cls in subgroup_classes(x.group):
-        grp = h1(cls, x)
-        if not grp.is_trivial:
-            witnesses.append((cls, grp))
+    witnesses = [(cls, grp) for cls in subgroup_classes(x.group)
+                 if not (grp := h1(cls, x)).is_trivial]
     return (not witnesses), witnesses
 
 
@@ -157,11 +154,11 @@ def flasque_resolution(x: GLattice) -> FlasqueResolution:
     for cls in classes if x.rank else []:
         kelems = cls.elements
         have = [c for _, _, orbit in summands for c in _orbit_sums(x, kelems, orbit)]
+        hit = intmat.span_test(intmat.from_columns(have, x.rank))
         basis = invariant_basis(x, cls)
         for j in range(basis.cols):
             v = basis.col(j)
-            mat = intmat.from_columns(have, x.rank)
-            if intmat.solve_exact(mat, intmat.from_columns([v], x.rank)) is None:
+            if not hit(v):
                 images = [m.apply(v) for m in x.action]
                 stab = [a for a in range(g.order) if images[a] == v]
                 for u in range(g.order):
@@ -174,6 +171,7 @@ def flasque_resolution(x: GLattice) -> FlasqueResolution:
                 orbit = tuple(dict.fromkeys(images[g.op(a, uinv)] for a in range(g.order)))
                 summands.append((cid, images[uinv], orbit))
                 have.extend(_orbit_sums(x, kelems, orbit))
+                hit = intmat.span_test(intmat.from_columns(have, x.rank))
 
     p_parts = [permutation_lattice(g, classes[cid]) for cid, _, _ in summands]
     p_lat = direct_sum(*p_parts) if p_parts else zero_lattice(g)
@@ -469,13 +467,18 @@ def search_invertibility_certificate(q: GLattice) -> InvertibilityCertificate | 
 
 def check_motivic_interpretation(x: GLattice):
     """Sufficient-condition check: 'YesMetaCyclic', 'YesInvertibleCertificate',
-    or 'Unknown' (never a 'no'; only sufficient conditions are known).
+    or 'Unknown': no certificate within budget, or a proven obstruction.
+    Q (+) C ~ T with C, T permutation lattices (self-dual, H^1 = 0 by
+    Shapiro) forces H^1(H, Q^dual) = 0, so the search is skipped when
+    dual(Q) is not flasque.
 
     Returns (verdict, certificate or None, resolution or None).
     """
     if is_metacyclic(x.group):
         return "YesMetaCyclic", None, None
     res = flasque_resolution(x)
+    if not is_flasque(dual(res.q_lattice))[0]:
+        return "Unknown", None, res
     found = search_invertibility_certificate(res.q_lattice)
     if found is not None:
         return "YesInvertibleCertificate", found, res

@@ -34,7 +34,7 @@ class NotSurjective(TorusBTError):
 
 
 class ShapeMismatch(TorusBTError):
-    """Matrix dimensions inconsistent with the declared shapes, or a non-int entry."""
+    """A bad argument: wrong matrix dimensions, a non-int entry, or a value out of range."""
 
 
 class InconsistentRank(TorusBTError):

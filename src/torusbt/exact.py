@@ -12,13 +12,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm  # noqa: F401  (re-exported: character orders, induction)
 
+from .errors import ShapeMismatch
 from .units import factorize
 
 
 def integer_nth_root(m: int, n: int) -> int | None:
     """Exact n-th root of a nonnegative integer, or None if not a perfect power."""
     if m < 0 or n < 1:
-        raise ValueError("need m >= 0 and n >= 1")
+        raise ShapeMismatch("need m >= 0 and n >= 1")
     if m in (0, 1) or n == 1:
         return m
     # Integer Newton iteration from 2^ceil(bits/n) >= m^(1/n): the iterates
@@ -41,9 +42,9 @@ def rational_nth_root(x: Fraction, n: int) -> Fraction | None:
     """
     x = Fraction(x)
     if x <= 0:
-        raise ValueError("rational_nth_root needs x > 0")
+        raise ShapeMismatch("rational_nth_root needs x > 0")
     if n < 1:
-        raise ValueError("rational_nth_root needs n >= 1")
+        raise ShapeMismatch("rational_nth_root needs n >= 1")
     num = integer_nth_root(x.numerator, n)
     if num is None:
         return None
@@ -87,12 +88,12 @@ class FinAbGroup:
     def __post_init__(self):
         for d in self.invariant_factors:
             if d < 2:
-                raise ValueError(f"invariant factor {d} < 2")
+                raise ShapeMismatch(f"invariant factor {d} < 2")
         for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
             if b % a != 0:
-                raise ValueError(f"broken divisibility chain {self.invariant_factors}")
+                raise ShapeMismatch(f"broken divisibility chain {self.invariant_factors}")
         if self.free_rank < 0:
-            raise ValueError("negative free rank")
+            raise ShapeMismatch("negative free rank")
 
     @property
     def is_trivial(self) -> bool:
@@ -100,7 +101,7 @@ class FinAbGroup:
 
     def order(self) -> int:
         if self.free_rank:
-            raise ValueError("infinite group has no order")
+            raise ShapeMismatch("infinite group has no order")
         n = 1
         for d in self.invariant_factors:
             n *= d

@@ -4,14 +4,14 @@ Everything here is exact: entries are Python ints. A product adds the
 rows of the right factor picked by the nonzero entries of the left, in
 O(nnz(left) * cols). The forward gcd pass of the column Hermite form
 leaves pivots that the reduction above them never touches, so
-unimodularity (n pivots, all 1) and |det| (their product) read them
-alone. The full form, applied to [A; I], gives the kernel of A and a
-unimodular transform for exact solves. smith_valuations reads the
-p-adic valuations of the Smith diagonal by elimination mod p^k. A
-cokernel takes its free rank and torsion order from Hermite forms and
-its p-parts from smith_valuations, so no integer Smith form is ever
-built. Matrices are immutable tuples of row tuples, shared freely
-across threads.
+unimodularity (n pivots, all 1), |det| (their product) and span
+membership (a reduction along them) read them alone. The full form,
+applied to [A; I], gives the kernel of A and a unimodular transform
+for exact solves. smith_valuations reads the p-adic valuations of the
+Smith diagonal by elimination mod p^k. A cokernel takes its free rank
+and torsion order from Hermite forms and its p-parts from
+smith_valuations, so no integer Smith form is ever built. Matrices are
+immutable tuples of row tuples, shared freely across threads.
 """
 
 from __future__ import annotations
@@ -111,9 +111,7 @@ def from_rows(rows: list[list[int]] | list[tuple[int, ...]], cols: int | None = 
     """Matrix with these rows; an entry that is not an int raises ShapeMismatch."""
     nrows = len(rows)
     if nrows == 0:
-        if cols is None:
-            cols = 0
-        return IntMatrix(0, cols, ())
+        return IntMatrix(0, cols or 0, ())
     ncols = len(rows[0]) if cols is None else cols
     data = tuple(tuple(r) for r in rows)
     if not all(type(a) is int for r in data for a in r):
@@ -234,6 +232,24 @@ def _echelon(mat: IntMatrix) -> tuple[list[list[int]], list[int]]:
     return m, piv
 
 
+def span_test(mat: IntMatrix):
+    """Predicate: is vec in the column span of mat over Z? vec is reduced
+    along the rows of one _echelon(mat); every pivot must divide its entry."""
+    m, piv = _echelon(mat)
+
+    def contains(vec: tuple[int, ...]) -> bool:
+        if len(vec) != mat.rows:
+            raise ShapeMismatch("vector length mismatch")
+        res = list(vec)
+        for k, j in enumerate(piv):
+            q, rem = divmod(res[j], m[k][j])
+            if rem:
+                return False
+            res = [a - q * b for a, b in zip(res, m[k])]
+        return not any(res)
+    return contains
+
+
 def hnf_columns(mat: IntMatrix) -> IntMatrix:
     """Column-style Hermite normal form of the column lattice of mat.
 
@@ -317,8 +333,7 @@ def solve_exact(mat: IntMatrix, rhs: IntMatrix) -> IntMatrix | None:
         if any(res):
             return None
         ys.append(y)
-    return IntMatrix(mat.cols, rhs.cols, tuple(
-        tuple(sum(a * b for a, b in zip(row[:r], y)) for y in ys) for row in t))
+    return IntMatrix(mat.cols, r, tuple(row[:r] for row in t)) @ from_columns(ys, r)
 
 
 def cokernel_structure(mat: IntMatrix) -> FinAbGroup:

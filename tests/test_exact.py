@@ -1,6 +1,7 @@
 import pytest
 from fractions import Fraction
 
+from torusbt.errors import ShapeMismatch
 from torusbt.exact import (FinAbGroup, from_elementary_divisors, integer_nth_root,
                            odd_part, rational_nth_root, two_power_ratio)
 
@@ -18,7 +19,7 @@ def test_nth_root_irrational_is_none():
 
 
 def test_nth_root_rejects_nonpositive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ShapeMismatch):
         rational_nth_root(Fraction(-4), 2)
 
 
@@ -30,10 +31,22 @@ def test_nth_root_roundtrip(num, den, n):
 
 
 def test_finab_invariant_chain_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ShapeMismatch):
         FinAbGroup((4, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ShapeMismatch):
         FinAbGroup((1,))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: integer_nth_root(-1, 2), lambda: integer_nth_root(4, 0),
+    lambda: rational_nth_root(Fraction(0), 2), lambda: rational_nth_root(Fraction(4), 0),
+    lambda: FinAbGroup((2,), -1), lambda: FinAbGroup((), 1).order(),
+], ids=["negative-m", "zero-n", "zero-x", "rational-zero-n", "negative-free-rank",
+        "infinite-order"])
+def test_bad_arguments_are_typed_errors(call):
+    """Each was a raw ValueError."""
+    with pytest.raises(ShapeMismatch):
+        call()
 
 
 def test_finab_order_and_exponent():

@@ -354,6 +354,38 @@ def test_hermite_kernel_and_solve_match_the_smith_transforms(seed):
             assert a @ x == rhs
 
 
+
+@pytest.mark.parametrize("seed", range(10))
+def test_span_test_matches_solve_exact(seed):
+    """span_test against solve_exact(...) is None on the rank-deficient,
+    non-saturated systems of _random_system, one predicate per matrix."""
+    rng = random.Random(8000 + seed)
+    for _ in range(60):
+        a, rhs = _random_system(rng)
+        hit = intmat.span_test(a)
+        for j in range(rhs.cols):
+            v = rhs.col(j)
+            assert hit(v) == (solve_exact(a, from_columns([v], a.rows)) is not None), (a, v)
+
+
+def test_span_test_edge_cases():
+    empty = intmat.span_test(zeros(3, 0))
+    assert empty((0, 0, 0)) and not empty((0, 1, 0))
+    two = intmat.span_test(from_rows([[2]]))            # 2Z: pivot 2 rejects odd entries
+    assert [two((a,)) for a in (-4, -3, -1, 0, 1, 2, 5, 6)] == \
+        [True, False, False, True, False, True, False, True]
+    # Rank 1 in Z^2, the second column twice the first, not saturated.
+    line = intmat.span_test(from_rows([[2, 4], [6, 12]]))
+    assert line((4, 12)) and line((-2, -6))
+    assert not line((1, 3)) and not line((2, 7)) and not line((0, 6))
+    # An entry between pivots that no later row can clear.
+    skew = intmat.span_test(from_columns([(1, 0, 0), (0, 0, 1)], 3))
+    assert skew((5, 0, -2)) and not skew((0, 1, 0))
+    with pytest.raises(ShapeMismatch):
+        two((1, 2))
+    with pytest.raises(ShapeMismatch):
+        empty((0, 0))
+
 def _random_square(rng):
     """A singular product, a unimodular matrix or plain small entries,
     in any size from 0 x 0 to 7 x 7."""
