@@ -80,10 +80,16 @@ def tate_h0(h, x: GLattice) -> FinAbGroup:
     return _smith_torsion(norm, n, x.rank - z)
 
 
+def _h1_witnesses(x: GLattice):
+    """(class, H^1(class, X)) for each subgroup class with nonzero H^1,
+    lazily in class order, so a caller wanting one stops at the first."""
+    return ((cls, grp) for cls in subgroup_classes(x.group)
+            if not (grp := h1(cls, x)).is_trivial)
+
+
 def is_flasque(x: GLattice):
     """True iff H^1(H, X) = 0 for every subgroup class; else the witnesses."""
-    witnesses = [(cls, grp) for cls in subgroup_classes(x.group)
-                 if not (grp := h1(cls, x)).is_trivial]
+    witnesses = list(_h1_witnesses(x))
     return (not witnesses), witnesses
 
 
@@ -210,8 +216,8 @@ def flasque_resolution(x: GLattice) -> FlasqueResolution:
             raise InvariantViolation(f"surjection not equivariant at element {s}")
         if p_lat.action[s] @ inclusion != inclusion @ q_lat.action[s]:
             raise InvariantViolation(f"inclusion not equivariant at element {s}")
-    ok, wit = is_flasque(q_lat)
-    if not ok:
+    wit = next(_h1_witnesses(q_lat), None)
+    if wit is not None:
         raise InvariantViolation(f"kernel is not flasque: {wit}")
     return res
 
@@ -396,7 +402,10 @@ def search_invertibility_certificate(q: GLattice) -> InvertibilityCertificate | 
     combinations of a Hom_G basis. Candidate pairs are pruned by the
     cheap necessary conditions first (equal characters, equal Tate-H^0
     profiles on every subgroup class). Sound but incomplete: None just
-    means 'not found within budget'.
+    means 'not found within budget'. Known gap: the norm-one Q of S3 and
+    of D5 gets None, although every Sylow subgroup is cyclic there and
+    Endo-Miyata make Q invertible; check_motivic_interpretation answers
+    both YesMetaCyclic before any search.
 
     Tate H^0 is additive over direct sums (Brown, III.8), so a side's
     profile is the sum of one memoised profile per summand: Q's from
@@ -469,15 +478,15 @@ def check_motivic_interpretation(x: GLattice):
     """Sufficient-condition check: 'YesMetaCyclic', 'YesInvertibleCertificate',
     or 'Unknown': no certificate within budget, or a proven obstruction.
     Q (+) C ~ T with C, T permutation lattices (self-dual, H^1 = 0 by
-    Shapiro) forces H^1(H, Q^dual) = 0, so the search is skipped when
-    dual(Q) is not flasque.
+    Shapiro) forces H^1(H, Q^dual) = 0, so the search is skipped at the
+    first class with a nonzero H^1(H, Q^dual).
 
     Returns (verdict, certificate or None, resolution or None).
     """
     if is_metacyclic(x.group):
         return "YesMetaCyclic", None, None
     res = flasque_resolution(x)
-    if not is_flasque(dual(res.q_lattice))[0]:
+    if next(_h1_witnesses(dual(res.q_lattice)), None) is not None:
         return "Unknown", None, res
     found = search_invertibility_certificate(res.q_lattice)
     if found is not None:

@@ -16,9 +16,13 @@ Dedekind zeta values of the abelian fixed fields and the Artin L-value
 of a lattice are assembled from these, with conjugate characters
 grouped into Galois orbits. An orbit's product is taken in
 Z[zeta_order] over one integer denominator and certified rational
-before anything is multiplied together. The traces of a lattice are
-rational, so conjugate characters share one multiplicity; it is read
-off once per orbit from the Ramanujan sums of the character values.
+before anything is multiplied together; it is memoised for the life of
+the process under the orbit's least member (modulus and exponent
+tuple), so the lattices of one realization, the fixed fields and the
+induction cross-check evaluate each orbit once. The traces of a
+lattice are rational, so conjugate characters share one multiplicity;
+it is read off once per orbit from the Ramanujan sums of the character
+values.
 """
 
 from __future__ import annotations
@@ -177,17 +181,24 @@ def galois_orbits(chars: list[DirichletCharacter]) -> list[list[DirichletCharact
 
 
 def _orbit_L_product(orbit: list[DirichletCharacter]) -> Fraction:
-    """Rational product of L(chi*, -1) over one Galois orbit.
+    """Rational product of L(chi*, -1) over one Galois orbit, read from
+    the memo of its least member."""
+    return _orbit_norm(min(orbit, key=lambda chi: chi.exponents))
+
+
+@lru_cache(maxsize=4096)
+def _orbit_norm(chi: DirichletCharacter) -> Fraction:
+    """Rational product of L(chi^k, -1) over k coprime to the order m.
 
     Each conjugate is primitivized and evaluated on its own;
     conductor_primitive keeps the order, so every value lies in
     Z[zeta_m] over its own denominator -12f.
     """
-    m = orbit[0].order
+    m = chi.order
     num = [1] + [0] * (phi_degree(m) - 1)
     den = 1
-    for chi in orbit:
-        v, d = _bernoulli2_integers(conductor_primitive(chi)[1])
+    for k in units_mod(m):
+        v, d = _bernoulli2_integers(conductor_primitive(chi.power(k))[1])
         num = mul_mod_phi(m, num, v)
         den *= -2 * d
     if any(num[1:]):

@@ -8,15 +8,18 @@ unimodularity (n pivots, all 1), |det| (their product) and span
 membership (a reduction along them) read them alone. The full form,
 applied to [A; I], gives the kernel of A and a unimodular transform
 for exact solves. smith_valuations reads the p-adic valuations of the
-Smith diagonal by elimination mod p^k. A cokernel takes its free rank
-and torsion order from Hermite forms and its p-parts from
-smith_valuations, so no integer Smith form is ever built. Matrices are
-immutable tuples of row tuples, shared freely across threads.
+Smith diagonal by elimination mod p^k on sparse rows, each pivot from
+the shortest row holding an entry of least valuation. A cokernel takes
+its free rank and torsion order from Hermite forms and its p-parts
+from smith_valuations, so no integer Smith form is ever built.
+Matrices are immutable tuples of row tuples, shared freely across
+threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import prod
 from operator import mul
 
@@ -173,31 +176,58 @@ def from_columns(cols: list[tuple[int, ...]], rows: int) -> IntMatrix:
 def smith_valuations(mat: IntMatrix, p: int, k: int) -> list[int]:
     """min(v_p(d_i), k) for the Smith diagonal d_1 | d_2 | ... of mat.
 
-    Gaussian elimination over Z/p^k, where every ideal is a power of p.
-    Every live entry stays divisible by p^v, v the last pivot valuation;
-    a pivot of valuation exactly v divides its column, so row operations
-    clear it, and the column operations that would clear its row touch
-    no other row, so its row and column are dropped. Entries stay below
-    p^k.
+    Gaussian elimination over Z/p^k, where every ideal is a power of p,
+    on sparse rows {column: entry mod p^k}; empty rows are dropped. Every
+    live entry stays divisible by p^v, v the last pivot valuation. The
+    pivot is an entry of valuation exactly v in the shortest row holding
+    one (a heap by length). It divides its column, so row operations over
+    its row's entries clear it from the rows holding that column, and the
+    column operations that would clear its row touch no other row, so its
+    row and column are dropped. The sorted valuations do not depend on
+    the pivot order.
     """
     pk = p ** k
-    rows = [[a % pk for a in r] for r in mat.data]
-    live = list(range(mat.cols))
-    out, v = [], 0
-    while rows and live and v < k:
-        pv = p ** (v + 1)
-        hit = next(((i, j) for i, r in enumerate(rows) for j in live if r[j] % pv), None)
-        if hit is None:
+    rows, cols = {}, {}                     # cols[j] holds every row id that has held j
+    for i, row in enumerate(mat.data):
+        r = {j: b for j, a in enumerate(row) if a and (b := a % pk)}
+        if r:
+            rows[i] = r
+            for j in r:
+                cols.setdefault(j, set()).add(i)
+    out, v, heap = [], -1, []
+    while rows:
+        if not heap:                        # every row was seen without valuation v
             v += 1
+            if v == k:
+                break
+            pv, pnext = p ** v, p ** (v + 1)
+            heap = [(len(r), i) for i, r in rows.items()]
+            heapify(heap)
+        n, i = heappop(heap)
+        r = rows.get(i)
+        if r is None or len(r) != n:        # stale: pivoted, emptied or reduced since
             continue
-        i, j = hit
-        piv = rows.pop(i)
-        inv = pow(piv[j] // p ** v, -1, pk)
-        for r in rows:
-            q = r[j] // p ** v * inv % pk
-            if q:
-                r[:] = [(a - q * b) % pk for a, b in zip(r, piv)]
-        live.remove(j)
+        j = next((c for c, a in r.items() if a % pnext), None)
+        if j is None:
+            continue
+        del rows[i]
+        inv = pow(r.pop(j) // pv, -1, pk)
+        piv = [(c, a * inv % pk) for c, a in r.items()]
+        for i2 in cols.pop(j):
+            r2 = rows.get(i2)
+            if r2 is None or j not in r2:
+                continue
+            q = r2.pop(j) // pv
+            for c, b in piv:
+                if a := (r2.get(c, 0) - q * b) % pk:
+                    r2[c] = a
+                    cols[c].add(i2)
+                else:
+                    r2.pop(c, None)
+            if r2:
+                heappush(heap, (len(r2), i2))
+            else:
+                del rows[i2]
         out.append(v)
     return out + [k] * (min(mat.rows, mat.cols) - len(out))
 

@@ -142,12 +142,16 @@ def _stable_part(x: GLattice, r: AbelianRealization, p: int, twist: int,
         raise StabilizationBoundExceeded(f"cap = {cap!r} is not a positive integer depth")
     pk = p ** cap
     n = r.modulus * (8 if p == 2 else p * p)
-    ident = intmat.identity(x.rank)
-    blocks = [pow(a, twist, pk) * x.action[r.pi(a)] - ident
-              for a in unit_group(n).generators]
-    if side == "coinvariants":
-        blocks = [b.transpose() for b in blocks]
-    stacked = intmat.vstack(blocks)
+    rows = []
+    for a in unit_group(n).generators:
+        c, m = pow(a, twist, pk), x.action[r.pi(a)].data
+        if side == "coinvariants":
+            m = zip(*m)
+        for i, row in enumerate(m):
+            row = [c * e for e in row]
+            row[i] -= 1
+            rows.append(tuple(row))
+    stacked = intmat.IntMatrix(len(rows), x.rank, tuple(rows))
     vs = intmat.smith_valuations(stacked, p, cap)
     vs += [cap] * (x.rank - len(vs))
     depth = max(1, max(vs, default=0))

@@ -4,9 +4,10 @@ Oracles here must stay independent of the code paths they check:
 cosets as sorted element tuples, w2 by direct congruence search,
 Bernoulli numbers by the binomial recurrence, H^1 from the all-elements
 cocycle complex, cyclic H^1 from ker(norm)/im(sigma - 1), Smith
-diagonals by the integer Smith elimination, determinants by the
-Bareiss elimination and Hermite lattice quotients by the
-lattice_quotient that intmat no longer carries.
+diagonals by the integer Smith elimination, p-adic Smith valuations by
+the dense elimination mod p^k, determinants by the Bareiss elimination
+and Hermite lattice quotients by the lattice_quotient that intmat no
+longer carries.
 """
 
 import os
@@ -290,6 +291,38 @@ def _snf_inplace(a: list[list[int]], rows: int, cols: int) -> None:
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
         t += 1
+
+
+def dense_smith_valuations(mat: intmat.IntMatrix, p: int, k: int) -> list[int]:
+    """min(v_p(d_i), k) for the Smith diagonal d_1 | d_2 | ... of mat.
+
+    Gaussian elimination over Z/p^k, where every ideal is a power of p.
+    Every live entry stays divisible by p^v, v the last pivot valuation;
+    a pivot of valuation exactly v divides its column, so row operations
+    clear it, and the column operations that would clear its row touch
+    no other row, so its row and column are dropped. Entries stay below
+    p^k.
+    """
+    pk = p ** k
+    rows = [[a % pk for a in r] for r in mat.data]
+    live = list(range(mat.cols))
+    out, v = [], 0
+    while rows and live and v < k:
+        pv = p ** (v + 1)
+        hit = next(((i, j) for i, r in enumerate(rows) for j in live if r[j] % pv), None)
+        if hit is None:
+            v += 1
+            continue
+        i, j = hit
+        piv = rows.pop(i)
+        inv = pow(piv[j] // p ** v, -1, pk)
+        for r in rows:
+            q = r[j] // p ** v * inv % pk
+            if q:
+                r[:] = [(a - q * b) % pk for a, b in zip(r, piv)]
+        live.remove(j)
+        out.append(v)
+    return out + [k] * (min(mat.rows, mat.cols) - len(out))
 
 
 def det(mat: intmat.IntMatrix) -> int:

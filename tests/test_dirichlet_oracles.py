@@ -21,10 +21,10 @@ from torusbt import intmat
 from torusbt import lattices as lat
 from torusbt.catalog import all_fixtures
 from torusbt.cyclotomic import CyclotomicNumber, cyclotomic_polynomial, reduce_mod_phi
-from torusbt.dirichlet import (L_minus_one, _orbit_L_product, _ramanujan_sum,
-                               bernoulli2_chi, character_multiplicities, characters_mod,
-                               characters_trivial_on, conductor_primitive, galois_orbits,
-                               zeta_minus_one)
+from torusbt.dirichlet import (L_minus_one, _orbit_L_product, _orbit_norm,
+                               _ramanujan_sum, bernoulli2_chi, character_multiplicities,
+                               characters_mod, characters_trivial_on, conductor_primitive,
+                               galois_orbits, zeta_minus_one)
 from torusbt.errors import InvariantViolation
 from torusbt.realization import realization_from_images
 from torusbt.units import UnitGroupStructure, euler_phi, unit_group, units_mod
@@ -252,10 +252,19 @@ def per_character_multiplicities(x, r) -> dict:
 
 
 def test_orbit_products_match_fraction_arithmetic():
+    """Every orbit mod f <= 60, as galois_orbits lists it, reversed and
+    rotated: the memoised product equals the Fraction one, the first
+    call evaluates the orbit and both reorderings are cache hits."""
+    _orbit_norm.cache_clear()
     checked = 0
     for f in range(1, 61):
         for orbit in galois_orbits(characters_mod(f)):
-            assert _orbit_L_product(orbit) == fraction_orbit_product(orbit), \
+            expected = fraction_orbit_product(orbit)
+            before = _orbit_norm.cache_info()
+            for order in (orbit, orbit[::-1], orbit[1:] + orbit[:1]):
+                assert _orbit_L_product(order) == expected, (f, orbit[0].exponents)
+            after = _orbit_norm.cache_info()
+            assert (after.misses - before.misses, after.hits - before.hits) == (1, 2), \
                 (f, orbit[0].exponents)
             checked += len(orbit)
     assert checked == sum(euler_phi(f) for f in range(1, 61))

@@ -5,13 +5,17 @@ from math import gcd
 
 import pytest
 
-from conftest import det, oracle_cokernel, random_unimodular, snf_diagonal
-from torusbt import intmat
+from conftest import (dense_smith_valuations, det, oracle_cokernel, random_unimodular,
+                      snf_diagonal)
+from torusbt import intmat, lattices
 from torusbt.errors import ShapeMismatch
 from torusbt.exact import FinAbGroup
+from torusbt.groups import cyclic_group
 from torusbt.intmat import (IntMatrix, abs_det, cokernel_structure, from_columns, from_rows,
                             hnf_columns, identity, is_unimodular, kernel_basis, solve_exact,
                             zeros)
+from torusbt.realization import realization_from_images, w_group_order
+from torusbt.units import primitive_root_mod_prime
 
 
 def _minor_gcd(m, k):
@@ -94,6 +98,55 @@ def test_smith_valuations_match_the_integer_smith_form(seed):
                     for _ in range(cols)] for _ in range(rows)], cols)
     expected = [_valuation(d, p, k) for d in snf_diagonal(m)]
     assert intmat.smith_valuations(m, p, k) == expected
+
+
+def _padic_pool(seed):
+    """(matrix, p, k) for every shape 0..8 x 0..8 at densities 0, about
+    10% and 100%, each with every p in {2, 3, 5, 97} and k in {1, 2, 30}.
+    Nonzero entries are +-p^e u, e <= 4, with u below 10 or beyond 2**64,
+    so high valuations and wide entries both occur."""
+    rng = random.Random(seed)
+    for (rows, cols), density in product(product(range(9), repeat=2), (0, 0.1, 1)):
+        for p, k in product((2, 3, 5, 97), (1, 2, 30)):
+            bound = rng.choice((9, 2 ** 70))
+            yield from_rows([[rng.choice((-1, 1)) * p ** rng.randint(0, 4)
+                              * rng.randint(1, bound) if rng.random() < density else 0
+                              for _ in range(cols)] for _ in range(rows)], cols), p, k
+
+
+def test_smith_valuations_match_the_dense_elimination():
+    """The sparse elimination against the dense one it replaced, and
+    against the integer Smith form up to 5 x 5."""
+    checked = 0
+    for m, p, k in _padic_pool(2500):
+        vals = intmat.smith_valuations(m, p, k)
+        assert vals == dense_smith_valuations(m, p, k), (m, p, k)
+        if m.rows <= 5 and m.cols <= 5:
+            assert vals == [_valuation(d, p, k) for d in snf_diagonal(m)], (m, p, k)
+            checked += 1
+    assert checked == 36 * 3 * 12
+
+
+@pytest.mark.parametrize("f", [7, 13, 17, 29, 37, 59, 61, 97])
+def test_smith_valuations_on_the_ladder_w_group_matrices(f, monkeypatch):
+    """The stacked a^2 rho(a) - 1 that w_group_order feeds to the
+    elimination at p = 2, 3 and f, cap 30, on the regular, norm-one and
+    dual norm-one lattices of Res Q(zeta_f)^+ (C3 .. C48), against the
+    dense elimination."""
+    g = cyclic_group((f - 1) // 2)
+    r = realization_from_images(g, f, {primitive_root_mod_prime(f): 1})
+    norm_one = lattices.norm_one_lattice(g)
+    fed = []
+    sparse = intmat.smith_valuations
+    monkeypatch.setattr(intmat, "smith_valuations",
+                        lambda m, p, k: fed.append((m, p, k)) or sparse(m, p, k))
+    for x in (lattices.permutation_lattice(g, (g.identity,)), norm_one,
+              lattices.dual(norm_one)):
+        w_group_order(x, r)
+    assert sorted({(p, k) for _, p, k in fed}) == [(2, 30), (3, 30), (f, 30)]
+    assert len(fed) == 9
+    for m, p, k in fed:
+        assert sparse(m, p, k) == dense_smith_valuations(m, p, k), (f, p, m.rows)
 
 
 def test_smith_valuations_examples():
