@@ -30,8 +30,7 @@ from .dirichlet import (DirichletCharacter, L_minus_one, artin_L_minus_one,
 from .units import UnitGroupStructure, unit_group
 from .realization import (AbelianRealization, WGroupResult,
                           global_coinvariants_order, local_point_count,
-                          realization_from_images, validate_realization,
-                          w2_of_subfield, w_group_order)
+                          realization_from_images, w2_of_subfield, w_group_order)
 from .engine import (BTCReport, btc_predict, isogeny_invariance_check,
                      local_table, ono_l_value, shapiro_suite,
                      weil_restriction_check)

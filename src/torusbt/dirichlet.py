@@ -15,14 +15,13 @@ the Artin L-value computed.
 Dedekind zeta values of the abelian fixed fields and the Artin L-value
 of a lattice are assembled from these, with conjugate characters
 grouped into Galois orbits. An orbit's product is taken in
-Z[zeta_order] over one integer denominator and certified rational
-before anything is multiplied together; it is memoised for the life of
-the process under the orbit's least member (modulus and exponent
-tuple), so the lattices of one realization, the fixed fields and the
-induction cross-check evaluate each orbit once. The traces of a
-lattice are rational, so conjugate characters share one multiplicity;
-it is read off once per orbit from the Ramanujan sums of the character
-values.
+Z[zeta_order] over one integer denominator and certified rational;
+it is memoised for the life of the process under the orbit's least
+member (modulus and exponent tuple). Each realization builds one
+character table (the orbits, with the Ramanujan sums of their values on
+each element) and memoises zeta_M(-1) per fixed field. The traces of a
+lattice are rational, so conjugate characters share one multiplicity:
+the traces dotted with the orbit's row of that table.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from .cyclotomic import CyclotomicNumber, mul_mod_phi, phi_degree, reduce_mod_ph
 from .errors import (InvariantViolation, MultiplicityNotInteger,
                      NonAbelianRealization, NotRational, NotTotallyReal, ShapeMismatch)
 from .exact import lcm
+from .groups import memoised, subgroup_elements
 from .units import UnitGroupStructure, euler_phi, factorize, unit_group, units_mod
 
 
@@ -245,13 +245,24 @@ def zeta_minus_one(h, realization) -> Fraction:
 
     The product runs over all characters of G trivial on H, i.e. the
     characters mod f trivial on the unit preimage of H; each one is
-    primitivized before evaluation so every Euler factor is right.
+    primitivized before evaluation so every Euler factor is right. The
+    value is memoised on the realization under H's checked element tuple.
     """
-    chars = characters_trivial_on(realization.modulus, realization.unit_preimage(h))
-    total = Fraction(1)
-    for orbit in galois_orbits(chars):
-        total *= _orbit_L_product(orbit)
-    return total
+    elems = subgroup_elements(realization.group, h)
+    memo = _zeta_values(realization)
+    if elems not in memo:
+        chars = characters_trivial_on(realization.modulus, realization.unit_preimage(elems))
+        total = Fraction(1)
+        for orbit in galois_orbits(chars):
+            total *= _orbit_L_product(orbit)
+        memo[elems] = total
+    return memo[elems]
+
+
+@memoised
+def _zeta_values(realization) -> dict:
+    """zeta_minus_one of the realization by subgroup element tuple (a memo that grows)."""
+    return {}
 
 
 def _ramanujan_sum(m: int, e: int) -> int:
@@ -264,6 +275,22 @@ def _ramanujan_sum(m: int, e: int) -> int:
     return (-1) ** len(ps) * (euler_phi(m) // euler_phi(q))
 
 
+@memoised
+def _character_table(realization) -> list[tuple[list[DirichletCharacter], int, tuple]]:
+    """(orbit, phi(m)|G|, (c_m(e_chi(a)) for a in G)) per Galois orbit, chi its first member."""
+    g = realization.group
+    reps = {a: u for u, a in realization.pi_table}      # chi(u) depends on pi(u) only
+    if len(reps) != g.order:
+        raise NonAbelianRealization("realization does not cover the group")
+    table = []
+    for orbit in galois_orbits(characters_trivial_on(
+            realization.modulus, realization.unit_preimage((g.identity,)))):
+        chi, m = orbit[0], orbit[0].order
+        table.append((orbit, euler_phi(m) * g.order, tuple(
+            _ramanujan_sum(m, chi.value_exponent(reps[a])) for a in range(g.order))))
+    return table
+
+
 def character_multiplicities(x, realization) -> list[tuple[list[DirichletCharacter], int]]:
     """Multiplicity of the characters of each Galois orbit of G inside the
     lattice representation, as (orbit, multiplicity) pairs.
@@ -272,32 +299,20 @@ def character_multiplicities(x, realization) -> list[tuple[list[DirichletCharact
     so the phi(m) conjugates of chi (order m) share m_chi, and summing
     over the orbit turns each zeta_m^e into the Ramanujan sum
     c_m(e) = mu(q) phi(m) / phi(q), q = m / gcd(e, m):
-    phi(m) |G| m_chi = sum_g tr rho(g) c_m(e_g). The quotient is certified
-    to be a nonnegative integer.
+    phi(m) |G| m_chi = sum_g tr rho(g) c_m(e_g), the traces dotted with a
+    row of _character_table. The quotient is certified to be a nonnegative integer.
     """
-    g = x.group
-    if not g.is_abelian():
+    if not x.group.is_abelian():
         raise NonAbelianRealization("character multiplicities need an abelian group")
-    f = realization.modulus
-    kernel = {u for u in units_mod(f) if realization.pi(u) == g.identity}
-    chars = characters_trivial_on(f, kernel)
-    # One unit representative per group element.
-    reps: dict[int, int] = {}
-    for u in units_mod(f):
-        reps.setdefault(realization.pi(u), u)
-    if len(reps) != g.order:
+    if x.group.order != realization.group.order:
         raise NonAbelianRealization("realization does not cover the group")
-    traces = {a: sum(x.action[a].data[i][i] for i in range(x.rank))
-              for a in range(g.order)}
+    traces = [sum(m.data[i][i] for i in range(x.rank)) for m in x.action]
     out = []
-    for orbit in galois_orbits(chars):
-        chi, m = orbit[0], orbit[0].order
-        total = sum(traces[a] * _ramanujan_sum(m, chi.value_exponent(reps[a]))
-                    for a in range(g.order))
-        mult, rem = divmod(total, euler_phi(m) * g.order)
+    for orbit, den, row in _character_table(realization):
+        total = sum(t * c for t, c in zip(traces, row))
+        mult, rem = divmod(total, den)
         if rem or mult < 0:
-            raise MultiplicityNotInteger(
-                f"multiplicity {Fraction(total, euler_phi(m) * g.order)} of {chi}")
+            raise MultiplicityNotInteger(f"multiplicity {Fraction(total, den)} of {orbit[0]}")
         out.append((orbit, mult))
     return out
 

@@ -24,7 +24,7 @@ from .realization import AbelianRealization
 
 
 def lattice_id(x: GLattice) -> str:
-    payload = json.dumps([m.tolist() for m in x.action], separators=(",", ":"))
+    payload = json.dumps([m.data for m in x.action], separators=(",", ":"))
     return "lat-" + hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 

@@ -24,7 +24,7 @@ SUBGROUP_COUNT_BOUND = 5000
 
 
 def memoised(build):
-    """build(g), computed on the first call for each group g and kept on it."""
+    """build(g), computed on the first call for each group (or realization) g and kept on it."""
     @wraps(build)
     def cached(g):
         if build.__qualname__ not in g._memo:

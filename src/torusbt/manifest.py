@@ -33,6 +33,7 @@ Manifests are INI-flavored text::
 Values are Python literals; long arrays may continue on indented lines.
 Reports are JSON with exact rationals as "num/den" strings; identical
 inputs are served from the cache byte-identically except the timestamp.
+Cache files are compact JSON; the indented files of older versions still load.
 """
 
 from __future__ import annotations
@@ -354,11 +355,25 @@ def _run_command(cmd: str, man: Manifest) -> dict:
     raise ManifestError(f"unknown command {cmd!r}", field="command")
 
 
-def _cache_key(man: Manifest) -> str:
-    payload = {"schema": SCHEMA_VERSION, "inputs": _inputs_json(man),
-               "commands": list(man.commands)}
+def _cache_key(inputs: dict, commands: tuple[str, ...]) -> str:
+    payload = {"schema": SCHEMA_VERSION, "inputs": inputs, "commands": list(commands)}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _write_cache(cache_dir: str, path: str, text: str) -> None:
+    """Write text to path through a temp file; an OSError leaves none behind."""
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if tmp is not None:
+            os.remove(tmp)
+        raise ManifestError(f"cannot write the cache: {exc}",
+                            field="options.cache_dir") from None
 
 
 def run_manifest(man: Manifest, cache_dir: str | None = None) -> tuple[dict, bool]:
@@ -367,15 +382,18 @@ def run_manifest(man: Manifest, cache_dir: str | None = None) -> tuple[dict, boo
     Per-command failures are embedded in the report without aborting the
     other commands. When a cache directory is configured, the report
     body is reused byte-for-byte on identical inputs (only the timestamp
-    differs).
+    differs). A cache directory that cannot be made or written raises.
     """
     cache_dir = cache_dir or man.options.get("cache_dir")
-    key = _cache_key(man)
-    body = None
-    hit = False
-    cache_path = None
+    inputs = _inputs_json(man)
+    key = _cache_key(inputs, man.commands)
+    body, hit, cache_path = None, False, None
     if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
+        try:
+            os.makedirs(cache_dir, exist_ok=True)
+        except OSError as exc:
+            raise ManifestError(f"cannot create the cache directory: {exc}",
+                                field="options.cache_dir") from None
         cache_path = os.path.join(cache_dir, key + ".json")
         if os.path.exists(cache_path):
             try:
@@ -397,14 +415,12 @@ def run_manifest(man: Manifest, cache_dir: str | None = None) -> tuple[dict, boo
         body = {
             "schema_version": SCHEMA_VERSION,
             "cache_key": key,
-            "inputs": _inputs_json(man),
+            "inputs": inputs,
             "commands": results,
         }
         if cache_path:
-            fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(body, fh, indent=2, sort_keys=True)
-            os.replace(tmp, cache_path)
+            _write_cache(cache_dir, cache_path,
+                         json.dumps(body, sort_keys=True, separators=(",", ":")))
 
     report = dict(body)
     report["generated_at"] = datetime.datetime.now(datetime.timezone.utc) \

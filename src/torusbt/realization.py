@@ -11,7 +11,7 @@ a subfield M = L^H is its classical closed form (w2_of_subfield) instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, prod
 
 from . import intmat
@@ -31,6 +31,8 @@ class AbelianRealization:
     images: tuple[tuple[int, int], ...]       # the (unit, element) pairs supplied
     pi_table: tuple[tuple[int, int], ...]     # unit -> element, all units mod f
     totally_real: bool
+    # Values of dirichlet's @memoised tables, set on first use.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_table", dict(self.pi_table))
@@ -98,18 +100,6 @@ def realization_from_images(group: FiniteGroup, modulus: int,
     return AbelianRealization(
         group, modulus, tuple(sorted(norm_images.items())),
         tuple(sorted(table.items())), totally_real)
-
-
-def validate_realization(r: AbelianRealization, group: FiniteGroup) -> dict:
-    """Re-run the construction checks; returns {'ok': True, 'totally_real': ...}.
-
-    NotTotallyReal is deliberately not an exception here: the engine
-    proceeds and marks the conjecture's hypothesis unmet.
-    """
-    rebuilt = realization_from_images(group, r.modulus, dict(r.images))
-    if rebuilt.pi_table != r.pi_table:
-        raise NotHomomorphism("realization table inconsistent with images")
-    return {"ok": True, "totally_real": r.totally_real}
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ cocycle complex, cyclic H^1 from ker(norm)/im(sigma - 1), Smith
 diagonals by the integer Smith elimination, p-adic Smith valuations by
 the dense elimination mod p^k, determinants by the Bareiss elimination
 and Hermite lattice quotients by the lattice_quotient that intmat no
-longer carries.
+longer carries. Character multiplicities by the per-lattice loop that
+the realization's character table replaced.
 """
 
 import os
@@ -22,9 +23,13 @@ import pytest
 
 from torusbt import intmat
 from torusbt import lattices as lat
-from torusbt.errors import NotUnimodular, ShapeMismatch
+from torusbt.dirichlet import (DirichletCharacter, _ramanujan_sum, characters_trivial_on,
+                               galois_orbits)
+from torusbt.errors import (MultiplicityNotInteger, NonAbelianRealization, NotUnimodular,
+                            ShapeMismatch)
 from torusbt.exact import FinAbGroup, from_elementary_divisors
 from torusbt.groups import cyclic_group, group_from_generators, subgroup_classes
+from torusbt.units import euler_phi, units_mod
 
 
 def run_fresh(script, timeout):
@@ -429,3 +434,43 @@ def oracle_h1_bar(x, elements) -> FinAbGroup:
 
 def fin_ab(*factors, free=0) -> FinAbGroup:
     return FinAbGroup(tuple(factors), free)
+
+
+# ---------------------------------------------------------------- characters
+
+def loop_character_multiplicities(x, realization) -> list[tuple[list[DirichletCharacter], int]]:
+    """Multiplicity of the characters of each Galois orbit of G inside the
+    lattice representation, as (orbit, multiplicity) pairs.
+
+    m_chi = (1/|G|) sum_g conj(chi)(g) tr rho(g). The traces are rational,
+    so the phi(m) conjugates of chi (order m) share m_chi, and summing
+    over the orbit turns each zeta_m^e into the Ramanujan sum
+    c_m(e) = mu(q) phi(m) / phi(q), q = m / gcd(e, m):
+    phi(m) |G| m_chi = sum_g tr rho(g) c_m(e_g). The quotient is certified
+    to be a nonnegative integer.
+    """
+    g = x.group
+    if not g.is_abelian():
+        raise NonAbelianRealization("character multiplicities need an abelian group")
+    f = realization.modulus
+    kernel = {u for u in units_mod(f) if realization.pi(u) == g.identity}
+    chars = characters_trivial_on(f, kernel)
+    # One unit representative per group element.
+    reps: dict[int, int] = {}
+    for u in units_mod(f):
+        reps.setdefault(realization.pi(u), u)
+    if len(reps) != g.order:
+        raise NonAbelianRealization("realization does not cover the group")
+    traces = {a: sum(x.action[a].data[i][i] for i in range(x.rank))
+              for a in range(g.order)}
+    out = []
+    for orbit in galois_orbits(chars):
+        chi, m = orbit[0], orbit[0].order
+        total = sum(traces[a] * _ramanujan_sum(m, chi.value_exponent(reps[a]))
+                    for a in range(g.order))
+        mult, rem = divmod(total, euler_phi(m) * g.order)
+        if rem or mult < 0:
+            raise MultiplicityNotInteger(
+                f"multiplicity {Fraction(total, euler_phi(m) * g.order)} of {chi}")
+        out.append((orbit, mult))
+    return out

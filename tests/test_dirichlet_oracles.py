@@ -16,19 +16,25 @@ from math import gcd, isqrt, lcm, prod
 
 import pytest
 
+from conftest import loop_character_multiplicities
 from test_realization import RUNG_PRIMES, _rung
-from torusbt import intmat
+from torusbt import dirichlet, intmat
 from torusbt import lattices as lat
 from torusbt.catalog import all_fixtures
 from torusbt.cyclotomic import CyclotomicNumber, cyclotomic_polynomial, reduce_mod_phi
 from torusbt.dirichlet import (L_minus_one, _orbit_L_product, _orbit_norm,
-                               _ramanujan_sum, bernoulli2_chi, character_multiplicities,
+                               _ramanujan_sum, artin_L_minus_one, bernoulli2_chi,
+                               character_multiplicities,
                                characters_mod, characters_trivial_on, conductor_primitive,
                                galois_orbits, zeta_minus_one)
-from torusbt.errors import InvariantViolation
-from torusbt.realization import realization_from_images
+from torusbt.errors import (InvariantViolation, MultiplicityNotInteger,
+                            NonAbelianRealization, NotSubgroup)
+from torusbt.groups import cyclic_group, group_from_generators, subgroup_classes
+from torusbt.realization import AbelianRealization, realization_from_images
 from torusbt.units import UnitGroupStructure, euler_phi, unit_group, units_mod
 
+
+MULTIQUADRATIC_DISCS = ((8, 5), (8, 12), (5, 13), (8, 12, 5))
 
 # ---------------------------------------------------------------- oracles
 
@@ -281,9 +287,10 @@ def test_ramanujan_sum_is_the_orbit_sum_of_a_root_of_unity():
             assert _ramanujan_sum(m, e) == reduced[0], (m, e)
 
 
-def test_multiplicities_match_per_character_sums():
-    """On the abelian fixtures and the regular, norm-one, dual norm-one and
-    sum-d lattices of the rungs Res Q(zeta_p)^+ up to C30."""
+def _rung_cases() -> list:
+    """(lattice, realization) for the abelian fixtures and the regular,
+    norm-one, dual norm-one and every sum-d lattice of the rungs
+    Res Q(zeta_p)^+ up to C30."""
     cases = [(fx.lattice, fx.realization) for fx in all_fixtures()
              if fx.realization is not None]
     for p in RUNG_PRIMES:
@@ -299,10 +306,129 @@ def test_multiplicities_match_per_character_sums():
                 summand = lat.permutation_lattice(g, tuple(range(0, n, d)))
                 cases.append((lat.GLattice(g, n, tuple(
                     intmat.block_diag([mat] * (n // d)) for mat in summand.action)), r))
-    for x, r in cases:
+    return cases
+
+
+def multiquadratic_realization(discs: tuple[int, ...]):
+    """Q(sqrt d : d in discs) over C2^k, f = lcm |d|: a unit goes to the
+    product of the generators i with (d_i / u) = -1."""
+    k = len(discs)
+    g = group_from_generators([[x ^ (1 << i) for x in range(2 ** k)] for i in range(k)],
+                              name=f"C2^{k}")
+    f = lcm(*discs)
+
+    def element(u: int) -> int:
+        e = g.identity
+        for i, d in enumerate(discs):
+            if kronecker(d, u) == -1:
+                e = g.op(e, g.generators[i])
+        return e
+    return realization_from_images(g, f, {u: element(u) for u in units_mod(f)})
+
+
+def test_multiplicities_match_per_character_sums():
+    """On the abelian fixtures and the regular, norm-one, dual norm-one and
+    sum-d lattices of the rungs Res Q(zeta_p)^+ up to C30."""
+    for x, r in _rung_cases():
         expected = per_character_multiplicities(x, r)
         got = character_multiplicities(x, r)
         assert [orbit for orbit, _ in got] == galois_orbits(list(expected))
         for orbit, mult in got:
             for chi in orbit:
                 assert expected[chi] == mult, (r.modulus, x.rank, str(chi))
+
+
+def test_character_table_matches_the_per_lattice_loop():
+    """The once-per-realization table gives the orbits and multiplicities of
+    the loop it replaced (conftest), on the rung cases and the regular,
+    norm-one and dual norm-one lattices of the C2^2 and C2^3 fields."""
+    cases = _rung_cases()
+    for discs in MULTIQUADRATIC_DISCS:
+        r = multiquadratic_realization(discs)
+        g = r.group
+        norm_one = lat.norm_one_lattice(g)
+        cases += [(lat.permutation_lattice(g, (g.identity,)), r), (norm_one, r),
+                  (lat.dual(norm_one), r)]
+    assert len(cases) > 100
+    for x, r in cases:
+        assert character_multiplicities(x, r) == loop_character_multiplicities(x, r), \
+            (r.modulus, x.rank)
+
+
+def test_character_table_is_built_once_per_realization(monkeypatch):
+    """Four lattices over one realization list the characters once; an equal
+    realization built separately lists them again."""
+    calls = []
+    real = dirichlet.characters_trivial_on
+    monkeypatch.setattr(dirichlet, "characters_trivial_on",
+                        lambda *args: calls.append(args) or real(*args))
+    g, r = _rung(37)                                 # C18
+    norm_one = lat.norm_one_lattice(g)
+    lattices = [lat.permutation_lattice(g, (g.identity,)), norm_one, lat.dual(norm_one),
+                lat.permutation_lattice(g, tuple(range(0, 18, 3)))]
+    for x in lattices:
+        assert character_multiplicities(x, r) == loop_character_multiplicities(x, r)
+    assert len(calls) == 1
+    artin_L_minus_one(lattices[0], r)
+    assert len(calls) == 1
+    character_multiplicities(lattices[0], _rung(37)[1])
+    assert len(calls) == 2
+
+
+def test_character_table_keeps_its_typed_errors(c2):
+    """A trace vector that is no character fails the integrality check, and a
+    realization or lattice group that the units do not cover is refused."""
+    r5 = realization_from_images(c2, 5, {2: 1})
+    fake = lat.GLattice(c2, 1, (intmat.from_rows([[1]]), intmat.from_rows([[0]])))
+    for multiplicities in (character_multiplicities, loop_character_multiplicities):
+        with pytest.raises(MultiplicityNotInteger, match="multiplicity 1/2"):
+            multiplicities(fake, r5)
+    flat = AbelianRealization(c2, 5, ((2, 0),), tuple((u, 0) for u in range(1, 5)), True)
+    c4 = cyclic_group(4)
+    for x, r in ((lat.trivial_lattice(c2), flat), (lat.trivial_lattice(c4), r5)):
+        for multiplicities in (character_multiplicities, loop_character_multiplicities):
+            with pytest.raises(NonAbelianRealization, match="does not cover the group"):
+                multiplicities(x, r)
+
+
+def _zeta_fresh(h, r) -> Fraction:
+    """zeta_minus_one as computed before the memo: the orbit products over
+    the characters trivial on the unit preimage of h."""
+    chars = characters_trivial_on(r.modulus, r.unit_preimage(h))
+    return prod((_orbit_L_product(orbit) for orbit in galois_orbits(chars)),
+                start=Fraction(1))
+
+
+def test_zeta_memo_matches_a_fresh_computation(monkeypatch):
+    """On every subgroup class of the rungs C3 .. C30 the memoised value is
+    the fresh one, and a second call evaluates no orbit product."""
+    calls = []
+    real = dirichlet._orbit_L_product
+    monkeypatch.setattr(dirichlet, "_orbit_L_product",
+                        lambda orbit: calls.append(orbit) or real(orbit))
+    for p in RUNG_PRIMES:
+        if p > 61:
+            break
+        g, r = _rung(p)
+        for h in subgroup_classes(g):
+            first = zeta_minus_one(h, r)
+            count = len(calls)
+            assert zeta_minus_one(h, r) == first == _zeta_fresh(h, r), (p, h.elements)
+            assert zeta_minus_one(h.elements, r) == first
+            assert len(calls) == count, (p, h.elements)
+
+
+def test_zeta_memo_keeps_the_subgroup_check_and_its_instance():
+    """Non-subgroups still raise once the memo is warm, and an equal
+    realization built separately starts with an empty memo of its own."""
+    g, r = _rung(13)                                 # C6
+    for h in subgroup_classes(g):
+        zeta_minus_one(h, r)
+    for bad in ((0, 1), (0, 6), (1,)):
+        with pytest.raises(NotSubgroup):
+            zeta_minus_one(bad, r)
+    twin = _rung(13)[1]
+    assert twin == r and twin._memo == {}
+    assert zeta_minus_one((0, 2, 4), twin) == zeta_minus_one((0, 2, 4), r)
+    assert list(dirichlet._zeta_values(twin)) == [(0, 2, 4)]
+    assert len(dirichlet._zeta_values(r)) == len(subgroup_classes(g)) == 4

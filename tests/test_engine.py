@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -7,13 +9,15 @@ from pathlib import Path
 
 import pytest
 
+from conftest import catalog_pool
 from torusbt import lattices as lat
 from torusbt.catalog import FIXTURE_NAMES, all_fixtures, fixture
-from torusbt.engine import (btc_predict, isogeny_invariance_check, local_table,
+from torusbt.engine import (btc_predict, isogeny_invariance_check, lattice_id, local_table,
                             ono_l_value, shapiro_suite, weil_restriction_check)
 from torusbt.errors import CharacterMismatch, NotSubgroup
 from torusbt.exact import odd_part
 from torusbt.groups import subgroup_classes
+from torusbt.intmat import from_rows
 from torusbt.dirichlet import artin_L_minus_one
 
 
@@ -254,3 +258,19 @@ def test_cyclic_predict_past_the_enumeration_bound_is_fast(n, kind):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert float(proc.stdout.split()[-1]) < 2.0
+
+
+def _tolist_lattice_id(x) -> str:
+    """lattice_id as first defined: the action table as nested lists."""
+    payload = json.dumps([[list(r) for r in m.data] for m in x.action], separators=(",", ":"))
+    return "lat-" + hashlib.sha256(payload.encode()).hexdigest()[:12]
+
+
+def test_lattice_id_bytes_are_those_of_the_list_encoding(c2, s3, v4):
+    """Tuples encode as JSON arrays, so the id is unchanged: on the catalog
+    pool, a rank-0 lattice, and an involution with entries beyond 2**64."""
+    pool = [x for xs in catalog_pool(c2, s3, v4).values() for x in xs]
+    big = lat.from_generator_matrices(c2, 2, [from_rows([[1, 2**70 + 3], [0, -1]])])
+    cases = pool + [lat.zero_lattice(s3), big, lat.dual(big)]
+    for x in cases:
+        assert lattice_id(x) == _tolist_lattice_id(x), x

@@ -343,3 +343,65 @@ def test_commands_without_subgroups_run_past_the_enumeration_bound():
     assert out["wgroup"]["w_total"] == 24
     assert out["local-table"]["local_table"]
     assert out["predict"] == btc_predict(man.lattice, man.realization).to_json()
+
+
+def _without_timestamp(report: dict) -> dict:
+    return {k: v for k, v in report.items() if k != "generated_at"}
+
+
+def test_cache_file_is_compact_json_of_the_body(tmp_path):
+    """A miss writes the body on one line, and the hit serves it back."""
+    miss, hit1 = run_manifest(parse_manifest(NORMONE), cache_dir=str(tmp_path))
+    (path,) = tmp_path.glob("*.json")
+    text = path.read_text()
+    assert json.loads(text) == _without_timestamp(miss)
+    assert text == json.dumps(_without_timestamp(miss), sort_keys=True, separators=(",", ":"))
+    hit, hit2 = run_manifest(parse_manifest(NORMONE), cache_dir=str(tmp_path))
+    assert (hit1, hit2) == (False, True)
+    assert _without_timestamp(hit) == _without_timestamp(miss)
+
+
+def test_indented_cache_file_of_older_versions_is_a_hit(tmp_path):
+    man = parse_manifest(NORMONE)
+    man.commands = ("predict", "lvalue", "wgroup", "check-shapiro")
+    miss, _ = run_manifest(man, cache_dir=str(tmp_path))
+    (path,) = tmp_path.glob("*.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_without_timestamp(miss), fh, indent=2, sort_keys=True)
+    report, hit = run_manifest(man, cache_dir=str(tmp_path))
+    assert hit
+    assert _without_timestamp(report) == _without_timestamp(miss)
+    assert "\n  " in path.read_text()                # served, not rewritten
+
+
+@pytest.mark.parametrize("layout", ["file", "under-a-file"])
+def test_unusable_cache_directory_is_a_manifest_error(tmp_path, capsys, layout):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    cache = blocker if layout == "file" else blocker / "cache"
+    with pytest.raises(ManifestError) as info:
+        run_manifest(parse_manifest(NORMONE), cache_dir=str(cache))
+    assert info.value.field == "options.cache_dir"
+    with pytest.raises(ManifestError, match="options.cache_dir"):
+        run_manifest(parse_manifest(NORMONE + f"[options]\ncache_dir = {str(cache)!r}\n"))
+    mpath = tmp_path / "man.ini"
+    mpath.write_text(NORMONE)
+    capsys.readouterr()
+    assert cli_main(["predict", str(mpath), "--cache-dir", str(cache)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("torusbt: cannot create the cache directory")
+    assert "Traceback" not in err
+
+
+def test_failed_cache_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", dst)
+    monkeypatch.setattr("torusbt.manifest.os.replace", refuse)
+    with pytest.raises(ManifestError, match="cannot write the cache") as info:
+        run_manifest(parse_manifest(NORMONE), cache_dir=str(tmp_path))
+    assert info.value.field == "options.cache_dir"
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    _, hit = run_manifest(parse_manifest(NORMONE), cache_dir=str(tmp_path))
+    assert not hit and len(list(tmp_path.glob("*.json"))) == 1

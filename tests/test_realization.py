@@ -14,7 +14,7 @@ from torusbt.engine import btc_predict
 from torusbt.groups import cyclic_group, group_from_table, subgroup_classes
 from torusbt.realization import (WGroupResult, global_coinvariants_order, is_prime,
                                  local_point_count, realization_from_images,
-                                 validate_realization, w2_of_subfield, w_group_order)
+                                 w2_of_subfield, w_group_order)
 from torusbt.units import primitive_root_mod_prime, unit_group, units_mod
 
 
@@ -40,7 +40,7 @@ def r1():
 
 
 def test_realization_f5_totally_real(c2, r5):
-    assert validate_realization(r5, c2) == {"ok": True, "totally_real": True}
+    assert realization_from_images(c2, 5, dict(r5.images)) == r5 and r5.totally_real
     # pi(-1) = pi(4) = sigma^2 = e
     assert r5.pi(4) == c2.identity
     assert r5.pi(2) == 1
