@@ -11,13 +11,13 @@ real-place decompositions, and good-reduction local point counts.
 
 from .exact import FinAbGroup, odd_part, rational_nth_root
 from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial
-from .intmat import IntMatrix, cokernel_structure, kernel_basis, solve_exact
+from .intmat import IntMatrix, cokernel_structure, kernel_basis
 from .groups import (FiniteGroup, SubgroupClass, conjugacy_classes, cyclic_group,
                      group_from_generators, group_from_table, is_metacyclic,
                      subgroup_classes)
-from .lattices import (GLattice, coinvariants, direct_sum, dual, from_generator_matrices,
+from .lattices import (GLattice, direct_sum, dual, from_generator_matrices,
                        lattice_character, norm_one_lattice, permutation_lattice,
-                       restrict, sign_lattice, trivial_lattice, validate)
+                       sign_lattice, trivial_lattice, validate)
 from .cohomology import (FlasqueResolution, InvertibilityCertificate,
                          check_motivic_interpretation, flasque_resolution, h1,
                          is_flasque, real_decomposition,
@@ -34,7 +34,7 @@ from .realization import (AbelianRealization, WGroupResult,
 from .engine import (BTCReport, btc_predict, isogeny_invariance_check,
                      local_table, ono_l_value, shapiro_suite,
                      weil_restriction_check)
-from .catalog import FIXTURE_NAMES, Fixture, all_fixtures, fixture
+from .catalog import FIXTURE_NAMES, Fixture, fixture
 from .manifest import Manifest, load_manifest, parse_manifest, run_manifest
 
 __version__ = "0.1.0"

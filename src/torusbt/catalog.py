@@ -97,7 +97,3 @@ def fixture(name: str) -> Fixture:
         return _BUILDERS[name]()
     except KeyError:
         raise KeyError(f"unknown fixture {name!r}; have {', '.join(FIXTURE_NAMES)}")
-
-
-def all_fixtures() -> list[Fixture]:
-    return [fixture(n) for n in FIXTURE_NAMES]

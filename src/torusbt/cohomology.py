@@ -26,8 +26,9 @@ from .groups import (FiniteGroup, SubgroupClass, coset_action, is_metacyclic,
                      subgroup_generators)
 from .induction import permutation_character_table
 from .intmat import IntMatrix
-from .lattices import (GLattice, direct_sum, dual, invariant_basis, lattice_character,
-                       norm_element_matrix, permutation_lattice, validate, zero_lattice)
+from .lattices import (GLattice, direct_sum, dual, from_generator_matrices, invariant_basis,
+                       lattice_character, norm_element_matrix, permutation_lattice,
+                       zero_lattice)
 from .units import factorize
 
 
@@ -145,12 +146,16 @@ def flasque_resolution(x: GLattice) -> FlasqueResolution:
     cosets, so their images in X^K are the sums of the K-orbits inside
     Gw (_orbit_sums).
 
-    X must be a G-lattice. The postconditions (exactness over Z,
-    equivariance of P -> X and of Q -> P, flasqueness of Q) raise
-    InvariantViolation. Equivariance is checked on spanning_generators(G)
-    only: P, Q and X are G-actions, so f P(s) = X(s) f for the generators
-    s gives f P(a) = X(a) f for every product a of them, and likewise for
-    the inclusion.
+    Q(s) is solved for s in spanning_generators(G) only: its columns are
+    the span_coordinates of P(s) @ inclusion along the HNF kernel basis.
+    from_generator_matrices expands it, and its check Q(sa) = Q(s)Q(a)
+    makes Q a G-action. X must be a G-lattice. A column outside the
+    kernel and the postconditions (exactness over Z, equivariance of
+    P -> X and of Q -> P, flasqueness of Q) raise InvariantViolation.
+    Equivariance is checked on spanning_generators(G) only: P, Q and X
+    are G-actions, so f P(s) = X(s) f for the generators s gives
+    f P(a) = X(a) f for every product a of them, and likewise for the
+    inclusion.
     """
     g = x.group
     classes = subgroup_classes(g)
@@ -160,11 +165,11 @@ def flasque_resolution(x: GLattice) -> FlasqueResolution:
     for cls in classes if x.rank else []:
         kelems = cls.elements
         have = [c for _, _, orbit in summands for c in _orbit_sums(x, kelems, orbit)]
-        hit = intmat.span_test(intmat.from_columns(have, x.rank))
+        hit = intmat.span_coordinates(intmat.from_columns(have, x.rank))
         basis = invariant_basis(x, cls)
         for j in range(basis.cols):
             v = basis.col(j)
-            if not hit(v):
+            if hit(v) is None:
                 images = [m.apply(v) for m in x.action]
                 stab = [a for a in range(g.order) if images[a] == v]
                 for u in range(g.order):
@@ -177,7 +182,7 @@ def flasque_resolution(x: GLattice) -> FlasqueResolution:
                 orbit = tuple(dict.fromkeys(images[g.op(a, uinv)] for a in range(g.order)))
                 summands.append((cid, images[uinv], orbit))
                 have.extend(_orbit_sums(x, kelems, orbit))
-                hit = intmat.span_test(intmat.from_columns(have, x.rank))
+                hit = intmat.span_coordinates(intmat.from_columns(have, x.rank))
 
     p_parts = [permutation_lattice(g, classes[cid]) for cid, _, _ in summands]
     p_lat = direct_sum(*p_parts) if p_parts else zero_lattice(g)
@@ -186,17 +191,14 @@ def flasque_resolution(x: GLattice) -> FlasqueResolution:
 
     inclusion = intmat.kernel_basis(surjection)
     q_rank = inclusion.cols
-    # One solve for all elements: inclusion has full column rank, so each
-    # q_rank-column block of the solution is that element's unique action.
-    sol = intmat.solve_exact(inclusion, intmat.hstack(
-        [p_lat.action[a] @ inclusion for a in range(g.order)]))
-    if sol is None:
-        raise InvariantViolation("kernel not preserved by the action")
-    q_lat = GLattice(g, q_rank, tuple(
-        IntMatrix(q_rank, q_rank, tuple(row[a * q_rank:(a + 1) * q_rank]
-                                        for row in sol.data))
-        for a in range(g.order)))
-    validate(q_lat)
+    coordinates = intmat.span_coordinates(inclusion)
+    q_gens = {}
+    for s in spanning_generators(g):
+        cols = [coordinates(c) for c in zip(*(p_lat.action[s] @ inclusion).data)]
+        if None in cols:
+            raise InvariantViolation("kernel not preserved by the action")
+        q_gens[s] = intmat.from_columns(cols, q_rank)
+    q_lat = from_generator_matrices(g, q_rank, q_gens)
 
     res = FlasqueResolution(
         p_spec=tuple(cid for cid, _, _ in summands),

@@ -14,7 +14,7 @@ class NotSubgroup(TorusBTError):
 
 
 class GroupTooLarge(TorusBTError):
-    """Group order exceeds the configured subgroup-enumeration bound."""
+    """A group past a configured bound: its closure or its subgroup enumeration."""
 
 
 class GroupMismatch(TorusBTError):

@@ -19,6 +19,8 @@ from .errors import GroupTooLarge, NonPermutation, NotHomomorphism, NotSubgroup
 from .units import factorize
 
 SUBGROUP_ENUM_BOUND = 48
+# Budget of group_from_generators: its multiplication table has n^2 entries.
+GROUP_ORDER_BOUND = 256
 # Budget of the enumeration itself: C2^6 has 2825 subgroups, C2^8 417199.
 SUBGROUP_COUNT_BOUND = 5000
 
@@ -156,7 +158,8 @@ def group_from_generators(perms: list, name: str = "G") -> FiniteGroup:
 
     Each permutation is a sequence p with p[i] = image of point i. The
     empty list yields the trivial group. Anything but a list of integer
-    sequences raises NonPermutation.
+    sequences raises NonPermutation, a closure past GROUP_ORDER_BOUND
+    elements GroupTooLarge.
     """
     if not _int_rows(perms):
         raise NonPermutation(f"generators must be lists of point indices, got {perms!r}")
@@ -180,6 +183,8 @@ def group_from_generators(perms: list, name: str = "G") -> FiniteGroup:
             for p in gens:
                 r = _compose(p, q)
                 if r not in elems:
+                    if len(elems) == GROUP_ORDER_BOUND:
+                        raise GroupTooLarge(f"closure past {GROUP_ORDER_BOUND} elements")
                     elems.add(r)
                     new.append(r)
         frontier = new
@@ -341,16 +346,6 @@ def spanning_generators(g: FiniteGroup) -> list[int]:
     g.generators does not.
     """
     return generating_set(g, g.generators + tuple(range(g.order)))
-
-
-def subgroup_as_group(g: FiniteGroup, h) -> tuple[FiniteGroup, list[int]]:
-    """The subgroup as its own FiniteGroup plus the embedding index list."""
-    elems = list(subgroup_elements(g, h))
-    pos = {a: i for i, a in enumerate(elems)}
-    mul = [[pos[g.op(a, b)] for b in elems] for a in elems]
-    gens = [pos[a] for a in subgroup_generators(g, h)]
-    sub = group_from_table(mul, name=f"{g.name}|sub", generators=gens)
-    return sub, elems
 
 
 def is_metacyclic(g: FiniteGroup) -> bool:

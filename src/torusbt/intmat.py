@@ -4,16 +4,17 @@ Everything here is exact: entries are Python ints. A product adds the
 rows of the right factor picked by the nonzero entries of the left, in
 O(nnz(left) * cols). The forward gcd pass of the column Hermite form
 leaves pivots that the reduction above them never touches, so
-unimodularity (n pivots, all 1), |det| (their product) and span
-membership (a reduction along them) read them alone. The full form,
-applied to [A; I], gives the kernel of A and a unimodular transform
-for exact solves. smith_valuations reads the p-adic valuations of the
-Smith diagonal by elimination mod p^k on sparse rows, each pivot from
-the shortest row holding an entry of least valuation. A cokernel takes
-its free rank and torsion order from Hermite forms and its p-parts
-from smith_valuations, so no integer Smith form is ever built.
-Matrices are immutable tuples of row tuples, shared freely across
-threads.
+unimodularity (n pivots, all 1), |det| (their product), and span
+membership with coordinates (a forward substitution along them) read
+that one pass alone. The reduction above the pivots runs only where
+its result is read: on the whole form for hnf_columns, and on the rows
+of [A; I] whose pivots lie in I for the kernel of A. smith_valuations
+reads the p-adic valuations of the Smith diagonal by elimination mod
+p^k on sparse rows, each pivot from the shortest row holding an entry
+of least valuation. A cokernel takes its free rank and torsion order
+from Hermite forms and its p-parts from smith_valuations, so no
+integer Smith form is ever built. Matrices are immutable tuples of row
+tuples, shared freely across threads.
 """
 
 from __future__ import annotations
@@ -142,17 +143,6 @@ def vstack(mats: list[IntMatrix]) -> IntMatrix:
     return IntMatrix(sum(m.rows for m in mats), cols, data)
 
 
-def hstack(mats: list[IntMatrix]) -> IntMatrix:
-    mats = [m for m in mats]
-    if not mats:
-        return IntMatrix(0, 0, ())
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
-        raise ShapeMismatch("hstack row mismatch")
-    data = tuple(tuple(a for m in mats for a in m.data[i]) for i in range(rows))
-    return IntMatrix(rows, sum(m.cols for m in mats), data)
-
-
 def block_diag(mats: list[IntMatrix]) -> IntMatrix:
     rows = sum(m.rows for m in mats)
     cols = sum(m.cols for m in mats)
@@ -262,22 +252,38 @@ def _echelon(mat: IntMatrix) -> tuple[list[list[int]], list[int]]:
     return m, piv
 
 
-def span_test(mat: IntMatrix):
-    """Predicate: is vec in the column span of mat over Z? vec is reduced
-    along the rows of one _echelon(mat); every pivot must divide its entry."""
+def span_coordinates(mat: IntMatrix):
+    """vec -> its coordinates along the rows of one _echelon(mat), or None
+    when vec is not in the column span of mat over Z. The coordinates
+    come by forward substitution; every pivot must divide its entry. A
+    matrix in column Hermite form (hnf_columns, kernel_basis) is its own
+    echelon form, so on one the coordinates are along its columns."""
     m, piv = _echelon(mat)
 
-    def contains(vec: tuple[int, ...]) -> bool:
+    def coordinates(vec: tuple[int, ...]) -> list[int] | None:
         if len(vec) != mat.rows:
             raise ShapeMismatch("vector length mismatch")
-        res = list(vec)
+        res, out = list(vec), []
         for k, j in enumerate(piv):
             q, rem = divmod(res[j], m[k][j])
             if rem:
-                return False
-            res = [a - q * b for a, b in zip(res, m[k])]
-        return not any(res)
-    return contains
+                return None
+            out.append(q)
+            if q:
+                res = [a - q * b for a, b in zip(res, m[k])]
+        return None if any(res) else out
+    return coordinates
+
+
+def _reduce_above(m: list[list[int]], piv: list[int], start: int = 0) -> None:
+    """Reduce, in place, the entries of echelon rows start.. at the pivot
+    of each later row into [0, pivot); earlier rows stay as they are."""
+    for k in range(start, len(piv)):
+        j = piv[k]
+        for i in range(start, k):
+            q = m[i][j] // m[k][j]
+            if q:
+                m[i] = [x - q * y for x, y in zip(m[i], m[k])]
 
 
 def hnf_columns(mat: IntMatrix) -> IntMatrix:
@@ -289,11 +295,7 @@ def hnf_columns(mat: IntMatrix) -> IntMatrix:
     [0, pivot). The result is the canonical basis of the column span.
     """
     m, piv = _echelon(mat)
-    for k, j in enumerate(piv):
-        for i in range(k):
-            q = m[i][j] // m[k][j]
-            if q:
-                m[i] = [x - q * y for x, y in zip(m[i], m[k])]
+    _reduce_above(m, piv)
     return from_columns(m[:len(piv)], mat.rows)
 
 
@@ -316,54 +318,19 @@ def abs_det(mat: IntMatrix) -> int:
     return prod(d) if len(d) == mat.cols else 0
 
 
-def _hermite(mat: IntMatrix):
-    """Column Hermite form [mat @ T; T] of [mat; I] as (top rows, T rows, rank).
-
-    T is unimodular; the first rank columns of mat @ T are in echelon form
-    and the rest are zero, so T's last columns are the canonical HNF basis
-    of the kernel (Cohen, A Course in Computational Algebraic Number
-    Theory, §2.4).
-    """
-    h = hnf_columns(vstack([mat, identity(mat.cols)]))
-    top, t = h.data[:mat.rows], h.data[mat.rows:]
-    r = sum(1 for j in range(mat.cols) if any(row[j] for row in top))
-    return top, t, r
-
-
 def kernel_basis(mat: IntMatrix) -> IntMatrix:
     """Canonical (HNF-reduced) basis of {x : mat @ x = 0}, as columns.
 
-    The kernel of an integer matrix is a saturated sublattice, so this
-    basis generates every integer solution.
+    The column Hermite form of [mat; I] is [mat @ T; T] with T unimodular
+    and the last columns of mat @ T zero, so T's last columns are the
+    canonical HNF basis of the kernel, a saturated lattice (Cohen, A Course
+    in Computational Algebraic Number Theory, §2.4). A row is reduced only
+    by the rows after it, so only the rows with pivots in I are reduced.
     """
-    _, t, r = _hermite(mat)
-    return IntMatrix(mat.cols, mat.cols - r, tuple(row[r:] for row in t))
-
-
-def solve_exact(mat: IntMatrix, rhs: IntMatrix) -> IntMatrix | None:
-    """Solve mat @ X = rhs over the integers; None when no solution exists.
-
-    Each column is forward-substituted along the pivots of mat @ T (a
-    remainder stays in the residual) and mapped back by T; when mat has
-    full column rank the solution is unique.
-    """
-    if rhs.rows != mat.rows:
-        raise ShapeMismatch("solve_exact shape mismatch")
-    top, t, r = _hermite(mat)
-    pivots = [next(i for i, row in enumerate(top) if row[k]) for k in range(r)]
-    ys = []
-    for j in range(rhs.cols):
-        res = list(rhs.col(j))
-        y = []
-        for k, p in enumerate(pivots):
-            q = res[p] // top[p][k]
-            y.append(q)
-            if q:
-                res = [a - q * row[k] for a, row in zip(res, top)]
-        if any(res):
-            return None
-        ys.append(y)
-    return IntMatrix(mat.cols, r, tuple(row[:r] for row in t)) @ from_columns(ys, r)
+    m, piv = _echelon(vstack([mat, identity(mat.cols)]))
+    r = sum(1 for j in piv if j < mat.rows)
+    _reduce_above(m, piv, r)
+    return from_columns([row[mat.rows:] for row in m[r:]], mat.cols)
 
 
 def cokernel_structure(mat: IntMatrix) -> FinAbGroup:

@@ -19,7 +19,7 @@ from . import intmat
 from .intmat import IntMatrix
 from .errors import GroupMismatch, NotHomomorphism, NotUnimodular, ShapeMismatch
 from .groups import (FiniteGroup, conjugacy_classes, coset_action, spanning_generators,
-                     subgroup_as_group, subgroup_elements, subgroup_generators)
+                     subgroup_elements, subgroup_generators)
 
 
 @dataclass(frozen=True)
@@ -152,16 +152,6 @@ def dual(x: GLattice) -> GLattice:
     return GLattice(g, x.rank, mats)
 
 
-def restrict(x: GLattice, h) -> tuple[GLattice, list[int]]:
-    """The same module over the subgroup H, as a lattice over H's own group.
-
-    Returns (lattice over H, embedding of H's indices into G's).
-    """
-    sub, embed = subgroup_as_group(x.group, h)
-    mats = tuple(x.action[embed[a]] for a in range(sub.order))
-    return GLattice(sub, x.rank, mats), embed
-
-
 def invariant_basis(x: GLattice, h) -> IntMatrix:
     """HNF basis (columns) of the fixed sublattice X^H."""
     gens = subgroup_generators(x.group, h)
@@ -169,15 +159,6 @@ def invariant_basis(x: GLattice, h) -> IntMatrix:
         return intmat.identity(x.rank)
     stacked = intmat.vstack([x.action[s] - intmat.identity(x.rank) for s in gens])
     return intmat.kernel_basis(stacked)
-
-
-def coinvariants(x: GLattice, h):
-    """X_H = X / span{(g-1)X : g in H} as a FinAbGroup."""
-    gens = subgroup_generators(x.group, h)
-    if not gens:
-        return intmat.cokernel_structure(intmat.zeros(x.rank, 0))
-    stacked = intmat.hstack([x.action[s] - intmat.identity(x.rank) for s in gens])
-    return intmat.cokernel_structure(stacked)
 
 
 def norm_element_matrix(x: GLattice, h) -> IntMatrix:

@@ -143,7 +143,6 @@ def _stable_part(x: GLattice, r: AbelianRealization, p: int, twist: int,
             rows.append(tuple(row))
     stacked = intmat.IntMatrix(len(rows), x.rank, tuple(rows))
     vs = intmat.smith_valuations(stacked, p, cap)
-    vs += [cap] * (x.rank - len(vs))
     depth = max(1, max(vs, default=0))
     if depth >= cap:
         raise StabilizationBoundExceeded(

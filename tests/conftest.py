@@ -8,7 +8,10 @@ diagonals by the integer Smith elimination, p-adic Smith valuations by
 the dense elimination mod p^k, determinants by the Bareiss elimination
 and Hermite lattice quotients by the lattice_quotient that intmat no
 longer carries. Character multiplicities by the per-lattice loop that
-the realization's character table replaced.
+the realization's character table replaced. Exact solves by the full
+Hermite form of [A; I] (solve_exact, once intmat's), which reduces every
+row where intmat.kernel_basis and span_coordinates reduce only what they
+read.
 """
 
 import os
@@ -163,7 +166,7 @@ def random_unimodular(n: int, rng: random.Random, shears: int = 6) -> intmat.Int
 
 def conjugate_lattice(x, u: intmat.IntMatrix):
     """Base change by a unimodular u: action -> u^{-1} action u (same lattice, new basis)."""
-    uinv = intmat.solve_exact(u, intmat.identity(u.rows))
+    uinv = solve_exact(u, intmat.identity(u.rows))
     if uinv is None:
         raise NotUnimodular("base change matrix is not invertible over Z")
     mats = tuple(uinv @ m @ u for m in x.action)
@@ -357,6 +360,45 @@ def det(mat: intmat.IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def hstack(mats: list[intmat.IntMatrix]) -> intmat.IntMatrix:
+    """The matrices side by side; all need the same number of rows."""
+    rows = mats[0].rows
+    assert all(m.rows == rows for m in mats)
+    return intmat.from_rows([[a for m in mats for a in m.data[i]] for i in range(rows)],
+                            sum(m.cols for m in mats))
+
+
+def solve_exact(mat: intmat.IntMatrix, rhs: intmat.IntMatrix) -> intmat.IntMatrix | None:
+    """Solve mat @ X = rhs over the integers; None when no solution exists.
+
+    hnf_columns([mat; I]) = [mat @ T; T] with T unimodular and the first
+    r columns of mat @ T in echelon form, the rest zero. Each column of
+    rhs is forward-substituted along those pivots (a remainder stays in
+    the residual) and mapped back by T's first r columns; when mat has
+    full column rank the solution is unique.
+    """
+    if rhs.rows != mat.rows:
+        raise ShapeMismatch("solve_exact shape mismatch")
+    h = intmat.hnf_columns(intmat.vstack([mat, intmat.identity(mat.cols)]))
+    top, t = h.data[:mat.rows], h.data[mat.rows:]
+    r = sum(1 for j in range(mat.cols) if any(row[j] for row in top))
+    pivots = [next(i for i, row in enumerate(top) if row[k]) for k in range(r)]
+    ys = []
+    for j in range(rhs.cols):
+        res = list(rhs.col(j))
+        y = []
+        for k, p in enumerate(pivots):
+            q = res[p] // top[p][k]
+            y.append(q)
+            if q:
+                res = [a - q * row[k] for a, row in zip(res, top)]
+        if any(res):
+            return None
+        ys.append(y)
+    return (intmat.IntMatrix(mat.cols, r, tuple(row[:r] for row in t))
+            @ intmat.from_columns(ys, r))
+
+
 def snf_diagonal(mat: intmat.IntMatrix) -> list[int]:
     a = [list(r) for r in mat.data]
     _snf_inplace(a, mat.rows, mat.cols)
@@ -386,7 +428,7 @@ def lattice_quotient(basis: intmat.IntMatrix, sub_gens: intmat.IntMatrix) -> Fin
     basis columns (true whenever basis is saturated and the columns lie
     in its rational span, the situation for all cohomology quotients here).
     """
-    y = intmat.solve_exact(basis, sub_gens)
+    y = solve_exact(basis, sub_gens)
     if y is None:
         raise ShapeMismatch("sublattice generators outside the lattice")
     return intmat.cokernel_structure(y)

@@ -15,7 +15,7 @@ from conftest import (oracle_bernoulli_numbers, oracle_h1_cyclic, oracle_w2,
                       quaternion_generators, sign_lattice_v4)
 from torusbt import cohomology as coh
 from torusbt import lattices as lat
-from torusbt.catalog import all_fixtures, fixture
+from torusbt.catalog import FIXTURE_NAMES, fixture
 from torusbt.dirichlet import bernoulli2_chi, characters_mod, conductor_primitive
 from torusbt.engine import btc_predict, isogeny_invariance_check, ono_l_value, shapiro_suite
 from torusbt.exact import odd_part
@@ -215,7 +215,7 @@ def test_criterion_6_cohomology_oracle():
 
 @criterion_guard(7, "flasque resolution postcondition")
 def test_criterion_7_flasque_resolution_postcondition():
-    for f in all_fixtures():
+    for f in map(fixture, FIXTURE_NAMES):
         x = f.lattice
         assert x.rank <= 6 and x.group.order <= 24
         res = coh.flasque_resolution(x)      # postconditions asserted inside
@@ -251,7 +251,7 @@ def test_criterion_8_metacyclic_classifier():
 
 @criterion_guard(9, "artin/ono identities")
 def test_criterion_9_artin_ono_identities():
-    for f in all_fixtures():
+    for f in map(fixture, FIXTURE_NAMES):
         g = f.lattice.group
         cols = permutation_character_table(g)
         m, p_spec, q_spec, _ = ono_decomposition(f.lattice)
@@ -285,7 +285,7 @@ def test_criterion_10_real_place_tables():
 @criterion_guard(11, "candidate-prime completeness")
 def test_criterion_11_candidate_prime_completeness():
     count = 0
-    for f in all_fixtures():
+    for f in map(fixture, FIXTURE_NAMES):
         if f.realization is None:
             continue
         w_group_order(f.lattice, f.realization, debug=True)   # asserts internally

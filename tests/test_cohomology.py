@@ -4,9 +4,9 @@ import time
 
 import pytest
 
-from conftest import (catalog_pool, fin_ab, lattice_quotient, left_cosets, oracle_h1_bar,
-                      oracle_h1_cyclic, run_fresh, small_groups, random_lattice,
-                      sign_lattice_v4)
+from conftest import (catalog_pool, fin_ab, hstack, lattice_quotient, left_cosets,
+                      oracle_h1_bar, oracle_h1_cyclic, run_fresh, small_groups,
+                      random_lattice, sign_lattice_v4, solve_exact)
 from torusbt import cohomology as coh
 from torusbt import intmat
 from torusbt import lattices as lat
@@ -189,8 +189,8 @@ def _coset_walk_resolution(x):
         basis = lat.invariant_basis(x, cls)
         for j in range(basis.cols):
             v = basis.col(j)
-            if intmat.solve_exact(intmat.from_columns(have, x.rank),
-                                  intmat.from_columns([v], x.rank)) is not None:
+            if solve_exact(intmat.from_columns(have, x.rank),
+                           intmat.from_columns([v], x.rank)) is not None:
                 continue
             stab = {a for a in range(g.order) if x.action[a].apply(v) == v}
             cid, u = next((c.class_id, u) for c in classes if c.order == len(stab)
@@ -205,7 +205,7 @@ def _coset_walk_resolution(x):
     inclusion = intmat.kernel_basis(surjection)
     parts = [lat.permutation_lattice(g, classes[cid]) for cid, _ in summands]
     p_lat = lat.direct_sum(*parts) if parts else lat.zero_lattice(g)
-    q_action = tuple(intmat.solve_exact(inclusion, p_lat.action[a] @ inclusion)
+    q_action = tuple(solve_exact(inclusion, p_lat.action[a] @ inclusion)
                      for a in range(g.order))
     return (tuple(cid for cid, _ in summands), tuple(w for _, w in summands),
             surjection, inclusion, q_action)
@@ -234,6 +234,21 @@ def test_orbit_resolution_matches_the_coset_walk(c2, s3, v4, d4, a4):
         assert got == _coset_walk_resolution(x), (x.group.name, x.rank)
         count += 1
     assert count == 3 * 19 + 3 * 60
+
+
+def test_q_action_matches_the_per_element_solve():
+    """Q solved on spanning_generators and expanded equals the solve of
+    inclusion @ Q(a) = P(a) @ inclusion for every element a on the rank-49
+    Q of C2^4 and S4 norm-one (the pool is checked through the coset walk
+    above)."""
+    for perms in ([[x ^ (1 << i) for x in range(16)] for i in range(4)],
+                  [[1, 0, 2, 3], [1, 2, 3, 0]]):
+        g = group_from_generators(perms)
+        res = coh.flasque_resolution(lat.norm_one_lattice(g))
+        p_lat, inclusion = res.p_lattice, res.inclusion
+        assert res.q_lattice.rank == 49
+        assert res.q_lattice.action == tuple(
+            solve_exact(inclusion, p_lat.action[a] @ inclusion) for a in range(g.order))
 
 
 def test_orbit_sums_span_the_image_of_the_coset_invariants(c2, s3, v4, d4, a4):
@@ -530,7 +545,7 @@ def _cayley_h1(h, x):
             else:
                 prefix = g.op(prefix, g.inv(gens[si]))
                 coeff[si] = coeff[si] - x.action[prefix]
-        blocks.append(intmat.hstack(coeff))
+        blocks.append(hstack(coeff))
     cocycles = intmat.kernel_basis(intmat.vstack(blocks) if blocks
                                    else intmat.zeros(0, n * len(gens)))
     ident = intmat.identity(n)
@@ -599,10 +614,10 @@ def _hermite_h1(h, x):
     n, r = len(subgroup_elements(x.group, h)), x.rank
     ident = intmat.identity(r)
     stacked = intmat.vstack([x.action[s] - ident for s in gens])
-    big = intmat.kernel_basis(intmat.hstack([stacked, -n * intmat.identity(stacked.rows)]))
+    big = intmat.kernel_basis(hstack([stacked, -n * intmat.identity(stacked.rows)]))
     lattice = intmat.IntMatrix(r, big.cols, big.data[:r])
     return lattice_quotient(
-        lattice, intmat.hstack([intmat.kernel_basis(stacked), n * ident]))
+        lattice, hstack([intmat.kernel_basis(stacked), n * ident]))
 
 
 def _hermite_real_decomposition(x, conj):
@@ -673,7 +688,7 @@ def test_tate_h0_closed_form_matches_the_hermite_quotient(closed_form_cases, mon
 
     def hermite(*args):
         raise AssertionError("Hermite route taken")
-    for module, name in ((intmat, "kernel_basis"), (intmat, "solve_exact"),
+    for module, name in ((intmat, "kernel_basis"), (intmat, "span_coordinates"),
                          (coh, "invariant_basis")):
         monkeypatch.setattr(module, name, hermite)
     for (cls, x), want in zip(cases, expected):
@@ -739,13 +754,26 @@ def test_flasque_postconditions_are_typed_errors(c2, v4, monkeypatch):
     with pytest.raises(InvariantViolation, match="not flasque"):
         coh.flasque_resolution(x)
     monkeypatch.undo()
-    # Q's action solved as identity blocks: Q -> P stops being equivariant.
-    # The summands are picked by span_test, so this is the only solve.
-    def identity_blocks(mat, rhs):
-        return intmat.hstack([intmat.identity(mat.cols)] * (rhs.cols // mat.cols))
-    monkeypatch.setattr(intmat, "solve_exact", identity_blocks)
+    # Q's generator matrices expanded as identity blocks: Q -> P stops
+    # being equivariant.
+    monkeypatch.setattr(coh, "from_generator_matrices",
+                        lambda g, rank, gen_mats: lat.trivial_lattice(g, rank))
     with pytest.raises(InvariantViolation, match="inclusion not equivariant"):
         coh.flasque_resolution(lat.norm_one_lattice(v4))
+
+
+def test_a_kernel_the_action_leaves_is_a_typed_error(s3, monkeypatch):
+    """Every kernel basis cut to at most its first column: on S3 norm-one
+    the line the inclusion spans in P is not G-stable, so a column of P(s) @ inclusion has no
+    coordinates along it."""
+    kernel_basis = intmat.kernel_basis
+
+    def first_column(mat):
+        k = kernel_basis(mat)
+        return intmat.IntMatrix(k.rows, min(k.cols, 1), tuple(row[:1] for row in k.data))
+    monkeypatch.setattr(intmat, "kernel_basis", first_column)
+    with pytest.raises(InvariantViolation, match="kernel not preserved by the action"):
+        coh.flasque_resolution(lat.norm_one_lattice(s3))
 
 
 # ------------------------------------------- typed invariants under -O
@@ -782,10 +810,9 @@ def test_cohomology_invariants_are_typed_errors(s3, monkeypatch, module, name, f
 @pytest.mark.parametrize("elems", [(0, 1, 2), (1,), (0, 99)], ids=str)
 @pytest.mark.parametrize("call", [
     lambda h, x: coh.h1(h, x), lambda h, x: coh.tate_h0(h, x),
-    lambda h, x: lat.invariant_basis(x, h), lambda h, x: lat.coinvariants(x, h),
-    lambda h, x: lat.permutation_lattice(x.group, h), lambda h, x: lat.restrict(x, h),
-], ids=["h1", "tate_h0", "invariant_basis", "coinvariants", "permutation_lattice",
-        "restrict"])
+    lambda h, x: lat.invariant_basis(x, h),
+    lambda h, x: lat.permutation_lattice(x.group, h),
+], ids=["h1", "tate_h0", "invariant_basis", "permutation_lattice"])
 def test_non_subgroup_tuples_are_typed_errors(s3, call, elems):
     # (0, 1, 2) is not closed in S3, (1,) lacks the identity, 99 is out of range.
     with pytest.raises(NotSubgroup):

@@ -20,7 +20,7 @@ from conftest import loop_character_multiplicities
 from test_realization import RUNG_PRIMES, _rung
 from torusbt import dirichlet, intmat
 from torusbt import lattices as lat
-from torusbt.catalog import all_fixtures
+from torusbt.catalog import FIXTURE_NAMES, fixture
 from torusbt.cyclotomic import CyclotomicNumber, cyclotomic_polynomial, reduce_mod_phi
 from torusbt.dirichlet import (L_minus_one, _orbit_L_product, _orbit_norm,
                                _ramanujan_sum, artin_L_minus_one, bernoulli2_chi,
@@ -291,7 +291,7 @@ def _rung_cases() -> list:
     """(lattice, realization) for the abelian fixtures and the regular,
     norm-one, dual norm-one and every sum-d lattice of the rungs
     Res Q(zeta_p)^+ up to C30."""
-    cases = [(fx.lattice, fx.realization) for fx in all_fixtures()
+    cases = [(fx.lattice, fx.realization) for fx in map(fixture, FIXTURE_NAMES)
              if fx.realization is not None]
     for p in RUNG_PRIMES:
         if p > 61:

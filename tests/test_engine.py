@@ -11,7 +11,7 @@ import pytest
 
 from conftest import catalog_pool
 from torusbt import lattices as lat
-from torusbt.catalog import FIXTURE_NAMES, all_fixtures, fixture
+from torusbt.catalog import FIXTURE_NAMES, fixture
 from torusbt.engine import (btc_predict, isogeny_invariance_check, lattice_id, local_table,
                             ono_l_value, shapiro_suite, weil_restriction_check)
 from torusbt.errors import CharacterMismatch, NotSubgroup
@@ -154,7 +154,7 @@ def test_weil_restriction_of_a_non_subgroup_is_a_typed_error():
 
 
 def test_ono_cross_check_all_catalog():
-    for f in all_fixtures():
+    for f in map(fixture, FIXTURE_NAMES):
         if f.realization is None or not f.realization.totally_real:
             continue
         root, ident, warn = ono_l_value(f.lattice, f.realization)

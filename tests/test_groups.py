@@ -8,8 +8,8 @@ from conftest import left_cosets, quaternion_generators, small_groups
 from torusbt.errors import GroupTooLarge, NonPermutation, NotHomomorphism, NotSubgroup
 from torusbt.groups import (FiniteGroup, all_subgroups, conjugacy_classes, coset_action,
                             cyclic_group, generating_set, group_from_generators,
-                            group_from_table, is_metacyclic, subgroup_as_group,
-                            subgroup_classes, subgroup_elements)
+                            group_from_table, is_metacyclic, subgroup_classes,
+                            subgroup_elements)
 from torusbt.engine import btc_predict
 from torusbt.induction import permutation_character_table
 from torusbt.lattices import norm_one_lattice
@@ -228,14 +228,6 @@ def test_coset_action_is_the_action_on_sorted_cosets(s3, d4, a4):
                     assert perms[g.op(a, b)] == tuple(perms[a][i] for i in perms[b])
     with pytest.raises(NotSubgroup):
         coset_action(s3, (1, 2))
-
-
-def test_subgroup_as_group(s3):
-    cls = subgroup_classes(s3)
-    sub, embed = subgroup_as_group(s3, cls[2])
-    assert sub.order == 3
-    assert sorted(embed) == list(cls[2].elements)
-    sub.validate()
 
 
 def test_element_orders(s3):

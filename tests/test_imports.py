@@ -7,7 +7,8 @@ its imports are the package's public API.
 
 A function or non-dunder method counts as used when its name is
 referenced (as a name or an attribute) somewhere in src/ outside its own
-body, anywhere in demos/, or when ``__init__.py`` imports it.
+body, or anywhere in demos/. A re-export in ``__init__.py`` alone does
+not count: a public helper that nothing calls is still unused.
 """
 
 import ast
@@ -73,8 +74,6 @@ def unused_helpers(src: Path, demos: Path) -> list[str]:
             refs.setdefault(name, []).append((path, line))
     outside = {name for p in sorted(demos.glob("*.py"))
                for name, _ in _references(ast.parse(p.read_text(encoding="utf-8")))}
-    outside |= {alias.asname or alias.name for node in ast.walk(trees[src / "__init__.py"])
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
     unused = []
     for path, tree in trees.items():
         for qual, name, first, last in _definitions(tree):
@@ -94,15 +93,16 @@ def test_unused_helper_scan_flags_self_references_only(tmp_path):
     src, demos = tmp_path / "src", tmp_path / "demos"
     src.mkdir()
     demos.mkdir()
-    (src / "__init__.py").write_text("from .mod import used\n")
+    (src / "__init__.py").write_text("from .mod import exported, used\n")
     (src / "mod.py").write_text(
         "def used():\n    return helper() + K().method()\n\n"
         "def helper():\n    return 1\n\n"
         "def dead(n):\n    return dead(n - 1)\n\n"
+        "def exported():\n    return 3\n\n"
         "def shown():\n    return 2\n\n"
         "class K:\n"
         "    def __init__(self):\n        pass\n\n"
         "    def method(self):\n        return 1\n\n"
         "    def dead_method(self):\n        return self.dead_method()\n")
-    (demos / "demo.py").write_text("from mod import shown\nprint(shown())\n")
-    assert unused_helpers(src, demos) == ["mod.dead", "mod.K.dead_method"]
+    (demos / "demo.py").write_text("from mod import shown, used\nprint(shown(), used())\n")
+    assert unused_helpers(src, demos) == ["mod.dead", "mod.exported", "mod.K.dead_method"]

@@ -6,14 +6,13 @@ from math import gcd
 import pytest
 
 from conftest import (dense_smith_valuations, det, oracle_cokernel, random_unimodular,
-                      snf_diagonal)
+                      snf_diagonal, solve_exact)
 from torusbt import intmat, lattices
 from torusbt.errors import ShapeMismatch
 from torusbt.exact import FinAbGroup
 from torusbt.groups import cyclic_group
 from torusbt.intmat import (IntMatrix, abs_det, cokernel_structure, from_columns, from_rows,
-                            hnf_columns, identity, is_unimodular, kernel_basis, solve_exact,
-                            zeros)
+                            hnf_columns, identity, is_unimodular, kernel_basis, zeros)
 from torusbt.realization import realization_from_images, w_group_order
 from torusbt.units import primitive_root_mod_prime
 
@@ -274,14 +273,14 @@ def test_block_and_stack_helpers():
     bd = intmat.block_diag([a, b])
     assert bd.data == ((1, 0, 0), (0, 1, 0), (0, 0, 5))
     assert intmat.vstack([a, zeros(1, 2)]).rows == 3
-    assert intmat.hstack([a, zeros(2, 1)]).cols == 3
 
 
 # ------------------------------------- the Smith-transform reference solver
 
 def _snf_with_transforms(mat):
     """Reference: (U, D, V) with U @ mat @ V = D, by the Smith elimination
-    that once drove kernel_basis and solve_exact (min-|pivot| choice)."""
+    that once drove kernel_basis and the solve_exact oracle (min-|pivot|
+    choice)."""
     rows, cols = mat.rows, mat.cols
     a = [list(r) for r in mat.data]
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
@@ -408,32 +407,73 @@ def test_hermite_kernel_and_solve_match_the_smith_transforms(seed):
 
 
 
+def _full_hermite_kernel(a):
+    """The last columns of T in hnf_columns([a; I]) = [a @ T; T]: the
+    kernel as it was read before kernel_basis reduced only those rows."""
+    h = hnf_columns(intmat.vstack([a, identity(a.cols)]))
+    r = sum(1 for j in range(h.cols) if any(h[i, j] for i in range(a.rows)))
+    return IntMatrix(a.cols, a.cols - r, tuple(row[r:] for row in h.data[a.rows:]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_basis_matches_the_full_hermite_tail(seed):
+    rng = random.Random(8500 + seed)
+    for _ in range(120):
+        a, _ = _random_system(rng)
+        assert kernel_basis(a) == _full_hermite_kernel(a), a
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_span_test_matches_solve_exact(seed):
-    """span_test against solve_exact(...) is None on the rank-deficient,
-    non-saturated systems of _random_system, one predicate per matrix."""
+    """span_coordinates is None exactly when the solve_exact oracle finds
+    no solution, on the rank-deficient, non-saturated systems of
+    _random_system, one coordinate map per matrix. The coordinates are
+    along the echelon rows: through the hnf_columns of the matrix they
+    give vec back."""
     rng = random.Random(8000 + seed)
     for _ in range(60):
         a, rhs = _random_system(rng)
-        hit = intmat.span_test(a)
+        coordinates = intmat.span_coordinates(a)
+        h = hnf_columns(a)
+        h_coordinates = intmat.span_coordinates(h)
         for j in range(rhs.cols):
             v = rhs.col(j)
-            assert hit(v) == (solve_exact(a, from_columns([v], a.rows)) is not None), (a, v)
+            c = coordinates(v)
+            assert (c is None) == (solve_exact(a, from_columns([v], a.rows)) is None), (a, v)
+            assert (c is None) == (h_coordinates(v) is None)
+            if c is not None:
+                assert h.apply(tuple(h_coordinates(v))) == v
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_span_coordinates_on_a_hermite_form_are_its_column_coordinates(seed):
+    """On an HNF H (from hnf_columns or kernel_basis) the coordinates of
+    H @ c are c, and _echelon leaves H as it is."""
+    rng = random.Random(8600 + seed)
+    for _ in range(60):
+        a, _ = _random_system(rng)
+        for h in (hnf_columns(a), kernel_basis(a)):
+            m, piv = intmat._echelon(h)
+            assert from_columns(m[:len(piv)], h.rows) == h
+            coordinates = intmat.span_coordinates(h)
+            for _ in range(3):
+                c = [rng.randint(-9, 9) for _ in range(h.cols)]
+                assert coordinates(h.apply(tuple(c))) == c, (h, c)
 
 
 def test_span_test_edge_cases():
-    empty = intmat.span_test(zeros(3, 0))
-    assert empty((0, 0, 0)) and not empty((0, 1, 0))
-    two = intmat.span_test(from_rows([[2]]))            # 2Z: pivot 2 rejects odd entries
+    empty = intmat.span_coordinates(zeros(3, 0))
+    assert empty((0, 0, 0)) == [] and empty((0, 1, 0)) is None
+    two = intmat.span_coordinates(from_rows([[2]]))     # 2Z: pivot 2 rejects odd entries
     assert [two((a,)) for a in (-4, -3, -1, 0, 1, 2, 5, 6)] == \
-        [True, False, False, True, False, True, False, True]
+        [[-2], None, None, [0], None, [1], None, [3]]
     # Rank 1 in Z^2, the second column twice the first, not saturated.
-    line = intmat.span_test(from_rows([[2, 4], [6, 12]]))
-    assert line((4, 12)) and line((-2, -6))
-    assert not line((1, 3)) and not line((2, 7)) and not line((0, 6))
+    line = intmat.span_coordinates(from_rows([[2, 4], [6, 12]]))
+    assert line((4, 12)) == [2] and line((-2, -6)) == [-1]
+    assert line((1, 3)) is None and line((2, 7)) is None and line((0, 6)) is None
     # An entry between pivots that no later row can clear.
-    skew = intmat.span_test(from_columns([(1, 0, 0), (0, 0, 1)], 3))
-    assert skew((5, 0, -2)) and not skew((0, 1, 0))
+    skew = intmat.span_coordinates(from_columns([(1, 0, 0), (0, 0, 1)], 3))
+    assert skew((5, 0, -2)) == [5, -2] and skew((0, 1, 0)) is None
     with pytest.raises(ShapeMismatch):
         two((1, 2))
     with pytest.raises(ShapeMismatch):

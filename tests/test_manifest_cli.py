@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 
@@ -298,6 +299,29 @@ def test_cli_overrides_are_checked_like_options(tmp_path, capsys, flags):
     mpath.write_text(NORMONE)
     assert cli_main(["predict", str(mpath), *flags]) == 2
     assert "must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_a_symmetric_group_past_the_order_bound_fails_fast(n):
+    """S7 (order 5040) took 48 s to close and tabulate, and every command
+    then refused it; S8 does not fit in memory. The closure stops at
+    GROUP_ORDER_BOUND elements."""
+    cycle = [(i + 1) % n for i in range(n)]
+    swap = [1, 0] + list(range(2, n))
+    text = (f"[group]\ngenerators = [{cycle}, {swap}]\n"
+            "[lattice]\nrank = 1\naction.g0 = [[1]]\naction.g1 = [[1]]\n")
+    start = time.perf_counter()
+    with pytest.raises(ManifestError, match="closure past 256 elements") as err:
+        parse_manifest(text)
+    assert time.perf_counter() - start < 2.0
+    assert err.value.field == "group.generators"
+    assert groups.GROUP_ORDER_BOUND == 256
+
+
+def test_a_200_cycle_parses_under_the_order_bound():
+    text = (f"[group]\ngenerators = [{[(i + 1) % 200 for i in range(200)]}]\n"
+            "[lattice]\nrank = 1\naction.g0 = [[1]]\n")
+    assert parse_manifest(text).group.order == 200
 
 
 def test_wrong_size_action_matrix_is_manifest_error():

@@ -4,7 +4,7 @@
 still rested on one would silently stop being checked. No check in the
 library is an ``assert``: those on the Dirichlet path, in ``cyclotomic``,
 ``realization``, ``validate``, ``flasque_resolution``, ``generating_set``,
-``induction``, ``exact``, the exact solver, ``check-shapiro`` and the
+``induction``, ``exact``, ``span_coordinates``, ``check-shapiro`` and the
 manifest's options check are typed errors or explicit checks; this runs
 their tests with asserts off.
 """

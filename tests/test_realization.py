@@ -3,7 +3,7 @@ from math import gcd, prod
 
 import pytest
 
-from conftest import det, left_cosets, oracle_w2, snf_diagonal
+from conftest import det, hstack, left_cosets, oracle_w2, snf_diagonal
 from torusbt import intmat
 from torusbt import lattices as lat
 from torusbt import realization as realz
@@ -359,7 +359,7 @@ def _restricted_unit_generators(n, f, allowed):
     vcols = [logs[a % f] for a in ug_n.generators]
     lam = [tuple(ug_f.orders[i] if i == j else 0 for i in range(k)) for j in range(k)]
     lam += [logs[u] for u in sorted(allowed)]
-    kern = intmat.kernel_basis(intmat.hstack([intmat.from_columns(vcols, k),
+    kern = intmat.kernel_basis(hstack([intmat.from_columns(vcols, k),
                                               intmat.from_columns(lam, k)]))
     gens = set()
     for jc in range(kern.cols):
@@ -415,7 +415,7 @@ def _depth_loop_part(x, r, p, twist, side, cap=30, allowed=None):
         if side == "invariants":
             stacked = intmat.vstack(mats) if mats else intmat.zeros(0, rank)
         else:
-            stacked = intmat.hstack(mats) if mats else intmat.zeros(rank, 0)
+            stacked = hstack(mats) if mats else intmat.zeros(rank, 0)
         ds = snf_diagonal(stacked)
         ds += [0] * (rank - len(ds))
         order = 1
