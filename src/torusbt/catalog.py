@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intmat, lattices
+from .errors import UnknownFixture
 from .groups import FiniteGroup, cyclic_group, group_from_generators
 from .lattices import GLattice
 from .realization import AbelianRealization, realization_from_images
@@ -93,7 +94,6 @@ FIXTURE_NAMES = tuple(_BUILDERS)
 
 
 def fixture(name: str) -> Fixture:
-    try:
-        return _BUILDERS[name]()
-    except KeyError:
-        raise KeyError(f"unknown fixture {name!r}; have {', '.join(FIXTURE_NAMES)}")
+    if name not in _BUILDERS:
+        raise UnknownFixture(f"unknown fixture {name!r}; have {', '.join(FIXTURE_NAMES)}")
+    return _BUILDERS[name]()

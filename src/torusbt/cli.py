@@ -42,6 +42,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError:
         print(f"torusbt: no such manifest: {args.manifest}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"torusbt: cannot read the manifest: {exc}", file=sys.stderr)
+        return 2
     except ManifestError as exc:
         print(f"torusbt: manifest error: {exc}", file=sys.stderr)
         return 2
@@ -58,8 +61,12 @@ def main(argv: list[str] | None = None) -> int:
 
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.json_out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"torusbt: cannot write the report: {exc}", file=sys.stderr)
+            return 1
         print(f"torusbt: report written to {args.json_out}", file=sys.stderr)
     else:
         print(text)

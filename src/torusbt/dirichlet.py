@@ -14,10 +14,12 @@ the Artin L-value computed.
 
 Dedekind zeta values of the abelian fixed fields and the Artin L-value
 of a lattice are assembled from these, with conjugate characters
-grouped into Galois orbits. An orbit's product is taken in
-Z[zeta_order] over one integer denominator and certified rational;
-it is memoised for the life of the process under the orbit's least
-member (modulus and exponent tuple). Each realization builds one
+grouped into Galois orbits. An orbit evaluates B_{2,chi} once, and
+B_{2,chi^k} = sigma_k(B_{2,chi}) (Washington, Introduction to Cyclotomic
+Fields, 4.1) gives the other members by moving exponents. Their product
+is taken in Z[zeta_order] over one integer denominator and certified
+rational; it is memoised for the life of the process under the orbit's
+least member (modulus and exponent tuple). Each realization builds one
 character table (the orbits, with the Ramanujan sums of their values on
 each element) and memoises zeta_M(-1) per fixed field. The traces of a
 lattice are rational, so conjugate characters share one multiplicity:
@@ -190,17 +192,22 @@ def _orbit_L_product(orbit: list[DirichletCharacter]) -> Fraction:
 def _orbit_norm(chi: DirichletCharacter) -> Fraction:
     """Rational product of L(chi^k, -1) over k coprime to the order m.
 
-    Each conjugate is primitivized and evaluated on its own;
-    conductor_primitive keeps the order, so every value lies in
-    Z[zeta_m] over its own denominator -12f.
+    B_{2,chi} is evaluated once, for the primitive character inducing
+    chi; B_{2,chi^k} = sigma_k(B_{2,chi}) with sigma_k: zeta_m -> zeta_m^k
+    (powers of chi share its conductor and order), so each conjugate is
+    that reduced vector with exponent j moved to jk mod m, reduced again.
+    Every value lies in Z[zeta_m] over the one denominator -12f.
     """
     m = chi.order
+    v, d = _bernoulli2_integers(conductor_primitive(chi)[1])
     num = [1] + [0] * (phi_degree(m) - 1)
-    den = 1
-    for k in units_mod(m):
-        v, d = _bernoulli2_integers(conductor_primitive(chi.power(k))[1])
-        num = mul_mod_phi(m, num, v)
-        den *= -2 * d
+    ks = units_mod(m)
+    for k in ks:
+        conj = [0] * m
+        for j, c in enumerate(v):
+            conj[j * k % m] += c
+        num = mul_mod_phi(m, num, reduce_mod_phi(m, conj))
+    den = (-2 * d) ** len(ks)
     if any(num[1:]):
         prod = CyclotomicNumber.from_integers(m, num, den)
         raise NotRational(f"orbit product of conjugate L-values not rational: {prod}")

@@ -24,7 +24,20 @@ from .realization import AbelianRealization
 
 
 def lattice_id(x: GLattice) -> str:
-    payload = json.dumps([m.data for m in x.action], separators=(",", ":"))
+    """The id "lat-<12 hex digits of SHA-256>" of the compact JSON of the
+    action table, assembled row by row: each distinct row is encoded once
+    (permutation, norm-one and block-sum tables repeat a few rows n^2
+    times), as the repr of a list of ints with its spaces dropped.
+    """
+    encoded: dict[tuple[int, ...], str] = {}
+
+    def row(r: tuple[int, ...]) -> str:
+        text = encoded.get(r)
+        if text is None:
+            text = encoded[r] = repr(list(r)).replace(" ", "")
+        return text
+
+    payload = "[" + ",".join("[" + ",".join(map(row, m.data)) + "]" for m in x.action) + "]"
     return "lat-" + hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 

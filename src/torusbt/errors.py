@@ -14,7 +14,8 @@ class NotSubgroup(TorusBTError):
 
 
 class GroupTooLarge(TorusBTError):
-    """A group past a configured bound: its closure or its subgroup enumeration."""
+    """A group past a configured bound: its closure, its subgroup enumeration,
+    or the units (Z/f)* of a realization."""
 
 
 class GroupMismatch(TorusBTError):
@@ -75,6 +76,10 @@ class BadReduction(TorusBTError):
 
 class CharacterMismatch(TorusBTError):
     """Isogeny check on lattices with different characters."""
+
+
+class UnknownFixture(TorusBTError):
+    """A fixture name that the catalog does not hold."""
 
 
 class ManifestError(TorusBTError):

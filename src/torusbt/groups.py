@@ -21,6 +21,9 @@ from .units import factorize
 SUBGROUP_ENUM_BOUND = 48
 # Budget of group_from_generators: its multiplication table has n^2 entries.
 GROUP_ORDER_BOUND = 256
+# Budget of realization_from_images: it walks every unit mod f, and the
+# character table of the realization runs over all phi(f) characters.
+MODULUS_BOUND = 10_000
 # Budget of the enumeration itself: C2^6 has 2825 subgroups, C2^8 417199.
 SUBGROUP_COUNT_BOUND = 5000
 

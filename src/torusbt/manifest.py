@@ -189,7 +189,7 @@ def parse_manifest(text: str) -> Manifest:
         name = raw.strip().strip("'\"")
         try:
             fx = catalog.fixture(name)
-        except KeyError as exc:
+        except TorusBTError as exc:
             raise ManifestError(str(exc), line=ln, field="fixture.name")
         man.fixture_name = name
         man.group, man.lattice, man.realization = fx.group, fx.lattice, fx.realization
@@ -270,8 +270,13 @@ def parse_manifest(text: str) -> Manifest:
 
 
 def load_manifest(path: str) -> Manifest:
+    """parse_manifest of the file's text; text that is not UTF-8 is a ManifestError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_manifest(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ManifestError(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_manifest(text)
 
 
 def _inputs_json(man: Manifest) -> dict:

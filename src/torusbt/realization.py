@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from math import gcd, prod
 
 from . import intmat
-from .errors import (BadReduction, InvariantViolation, NotHomomorphism,
+from .errors import (BadReduction, GroupTooLarge, InvariantViolation, NotHomomorphism,
                      NotSurjective, StabilizationBoundExceeded)
-from .groups import FiniteGroup, subgroup_elements
+from .groups import MODULUS_BOUND, FiniteGroup, subgroup_elements
 from .lattices import GLattice
 from .units import factorize, unit_group, units_mod
 
@@ -58,10 +58,13 @@ def realization_from_images(group: FiniteGroup, modulus: int,
 
     Propagation is breadth-first multiplication, so any relation
     violation surfaces as a conflict; the supplied units must generate
-    the whole unit group and their images must generate G.
+    the whole unit group and their images must generate G. A modulus
+    past groups.MODULUS_BOUND raises GroupTooLarge before any walk.
     """
     if modulus < 1:
         raise NotHomomorphism("modulus must be >= 1")
+    if modulus > MODULUS_BOUND:
+        raise GroupTooLarge(f"modulus {modulus} past {MODULUS_BOUND}")
     if not group.is_abelian():
         raise NotHomomorphism("abelian realization needs an abelian group")
     norm_images = {}

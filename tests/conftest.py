@@ -8,10 +8,12 @@ diagonals by the integer Smith elimination, p-adic Smith valuations by
 the dense elimination mod p^k, determinants by the Bareiss elimination
 and Hermite lattice quotients by the lattice_quotient that intmat no
 longer carries. Character multiplicities by the per-lattice loop that
-the realization's character table replaced. Exact solves by the full
-Hermite form of [A; I] (solve_exact, once intmat's), which reduces every
-row where intmat.kernel_basis and span_coordinates reduce only what they
-read.
+the realization's character table replaced. Galois-orbit norms by the
+product of the conjugates, each primitivized and evaluated on its own,
+that _orbit_norm replaced with one evaluation and its conjugates. Exact
+solves by the full Hermite form of [A; I] (solve_exact, once intmat's),
+which reduces every row where intmat.kernel_basis and span_coordinates
+reduce only what they read.
 """
 
 import os
@@ -26,10 +28,11 @@ import pytest
 
 from torusbt import intmat
 from torusbt import lattices as lat
-from torusbt.dirichlet import (DirichletCharacter, _ramanujan_sum, characters_trivial_on,
-                               galois_orbits)
-from torusbt.errors import (MultiplicityNotInteger, NonAbelianRealization, NotUnimodular,
-                            ShapeMismatch)
+from torusbt.cyclotomic import mul_mod_phi, phi_degree
+from torusbt.dirichlet import (DirichletCharacter, _bernoulli2_integers, _ramanujan_sum,
+                               characters_trivial_on, conductor_primitive, galois_orbits)
+from torusbt.errors import (MultiplicityNotInteger, NonAbelianRealization, NotRational,
+                            NotUnimodular, ShapeMismatch)
 from torusbt.exact import FinAbGroup, from_elementary_divisors
 from torusbt.groups import cyclic_group, group_from_generators, subgroup_classes
 from torusbt.units import euler_phi, units_mod
@@ -516,3 +519,22 @@ def loop_character_multiplicities(x, realization) -> list[tuple[list[DirichletCh
                 f"multiplicity {Fraction(total, euler_phi(m) * g.order)} of {chi}")
         out.append((orbit, mult))
     return out
+
+
+def conjugate_orbit_norm(chi: DirichletCharacter) -> Fraction:
+    """Rational product of L(chi^k, -1) over k coprime to the order m.
+
+    Each conjugate is primitivized and evaluated on its own;
+    conductor_primitive keeps the order, so every value lies in
+    Z[zeta_m] over its own denominator -12f.
+    """
+    m = chi.order
+    num = [1] + [0] * (phi_degree(m) - 1)
+    den = 1
+    for k in units_mod(m):
+        v, d = _bernoulli2_integers(conductor_primitive(chi.power(k))[1])
+        num = mul_mod_phi(m, num, v)
+        den *= -2 * d
+    if any(num[1:]):
+        raise NotRational(f"orbit product of conjugate L-values not rational: {num}/{den}")
+    return Fraction(num[0], den)

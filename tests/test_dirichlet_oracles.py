@@ -16,13 +16,13 @@ from math import gcd, isqrt, lcm, prod
 
 import pytest
 
-from conftest import loop_character_multiplicities
+from conftest import conjugate_orbit_norm, loop_character_multiplicities
 from test_realization import RUNG_PRIMES, _rung
 from torusbt import dirichlet, intmat
 from torusbt import lattices as lat
 from torusbt.catalog import FIXTURE_NAMES, fixture
 from torusbt.cyclotomic import CyclotomicNumber, cyclotomic_polynomial, reduce_mod_phi
-from torusbt.dirichlet import (L_minus_one, _orbit_L_product, _orbit_norm,
+from torusbt.dirichlet import (L_minus_one, _bernoulli2_integers, _orbit_L_product, _orbit_norm,
                                _ramanujan_sum, artin_L_minus_one, bernoulli2_chi,
                                character_multiplicities,
                                characters_mod, characters_trivial_on, conductor_primitive,
@@ -274,6 +274,33 @@ def test_orbit_products_match_fraction_arithmetic():
                 (f, orbit[0].exponents)
             checked += len(orbit)
     assert checked == sum(euler_phi(f) for f in range(1, 61))
+
+
+def test_orbit_norm_matches_the_conjugate_by_conjugate_product():
+    """Every Galois orbit mod f <= 200: one B_{2,chi} carried to its
+    conjugates by sigma_k gives the product of the conjugates evaluated
+    one by one."""
+    checked = 0
+    for f in range(1, 201):
+        for orbit in galois_orbits(characters_mod(f)):
+            chi = min(orbit, key=lambda c: c.exponents)
+            assert _orbit_norm(chi) == conjugate_orbit_norm(chi), (f, chi.exponents)
+            checked += len(orbit)
+    assert checked == sum(euler_phi(f) for f in range(1, 201))
+
+
+@pytest.mark.parametrize("f", [1, 5, 40, 97, 120, 193])
+def test_orbit_norm_evaluates_one_bernoulli_vector_per_orbit(f):
+    """With both memos empty, the orbits mod f miss _bernoulli2_integers
+    once each: distinct characters mod f have distinct primitive ones,
+    and no conjugate is evaluated."""
+    _orbit_norm.cache_clear()
+    _bernoulli2_integers.cache_clear()
+    orbits = galois_orbits(characters_mod(f))
+    for orbit in orbits:
+        _orbit_L_product(orbit)
+    assert _orbit_norm.cache_info().misses == len(orbits)
+    assert _bernoulli2_integers.cache_info().misses == len(orbits)
 
 
 def test_ramanujan_sum_is_the_orbit_sum_of_a_root_of_unity():

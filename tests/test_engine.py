@@ -16,8 +16,8 @@ from torusbt.engine import (btc_predict, isogeny_invariance_check, lattice_id, l
                             ono_l_value, shapiro_suite, weil_restriction_check)
 from torusbt.errors import CharacterMismatch, NotSubgroup
 from torusbt.exact import odd_part
-from torusbt.groups import subgroup_classes
-from torusbt.intmat import from_rows
+from torusbt.groups import cyclic_group, subgroup_classes
+from torusbt.intmat import block_diag, from_rows
 from torusbt.dirichlet import artin_L_minus_one
 
 
@@ -266,11 +266,31 @@ def _tolist_lattice_id(x) -> str:
     return "lat-" + hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
+def _ladder_shaped(n: int) -> list:
+    """The lattices a cyclic ladder rung builds over C_n: regular, norm-one,
+    its dual, and block sums of Z[G/H] and of the norm-one lattice."""
+    g = cyclic_group(n)
+    regular = lat.permutation_lattice(g, (g.identity,))
+    norm_one = lat.norm_one_lattice(g)
+    out = [regular, norm_one, lat.dual(norm_one), lat.direct_sum(regular, norm_one)]
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        summand = lat.permutation_lattice(g, tuple(range(0, n, d)))
+        out.append(lat.GLattice(g, n, tuple(block_diag([m] * (n // d))
+                                             for m in summand.action)))
+    return out
+
+
 def test_lattice_id_bytes_are_those_of_the_list_encoding(c2, s3, v4):
-    """Tuples encode as JSON arrays, so the id is unchanged: on the catalog
-    pool, a rank-0 lattice, and an involution with entries beyond 2**64."""
+    """Rows are encoded once each and joined, with the bytes of the JSON of
+    the whole table as nested lists: on the catalog pool, a rank-0 lattice,
+    an involution with entries beyond 2**64, the ladder-shaped lattices of
+    C1, C2, C7 and C12, and a trivial lattice whose elements share one
+    matrix object."""
     pool = [x for xs in catalog_pool(c2, s3, v4).values() for x in xs]
     big = lat.from_generator_matrices(c2, 2, [from_rows([[1, 2**70 + 3], [0, -1]])])
-    cases = pool + [lat.zero_lattice(s3), big, lat.dual(big)]
+    shared = lat.trivial_lattice(cyclic_group(12), 3)
+    assert len({id(m) for m in shared.action}) == 1
+    ladder = [x for n in (1, 2, 7, 12) for x in _ladder_shaped(n)]
+    cases = pool + [lat.zero_lattice(s3), big, lat.dual(big), shared] + ladder
     for x in cases:
         assert lattice_id(x) == _tolist_lattice_id(x), x

@@ -4,11 +4,14 @@ import time
 
 import pytest
 
+from test_dirichlet_oracles import multiquadratic_realization
 from torusbt import groups
+from torusbt.catalog import fixture
 from torusbt.cli import main as cli_main
 from torusbt.engine import btc_predict
-from torusbt.errors import ManifestError
-from torusbt.manifest import parse_manifest, run_manifest
+from torusbt.errors import ManifestError, UnknownFixture
+from torusbt.groups import MODULUS_BOUND
+from torusbt.manifest import load_manifest, parse_manifest, run_manifest
 
 NORMONE = """
 # norm-one torus of Q(sqrt5)
@@ -91,8 +94,12 @@ def test_unknown_command_is_parse_error():
 
 
 def test_unknown_fixture():
-    with pytest.raises(ManifestError):
+    with pytest.raises(ManifestError) as err:
         parse_manifest("[fixture]\nname = not_a_fixture\n")
+    assert str(err.value).startswith("unknown fixture 'not_a_fixture'; have gm_q, ")
+    assert err.value.field == "fixture.name"
+    with pytest.raises(UnknownFixture, match="^unknown fixture 'nope'; have gm_q, "):
+        fixture("nope")
 
 
 def test_group_section_cannot_move_a_fixture_onto_another_group():
@@ -181,6 +188,36 @@ def test_cli_manifest_error_exit_code(tmp_path, capsys):
     mpath.write_text("[group]\n")
     assert cli_main(["predict", str(mpath)]) == 2
     assert cli_main(["predict", str(tmp_path / "missing.ini")]) == 2
+
+
+def _one_line_error(capsys, prefix: str) -> None:
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(prefix), err
+    assert "Traceback" not in err
+
+
+def test_cli_manifest_that_is_a_directory(tmp_path, capsys):
+    assert cli_main(["predict", str(tmp_path)]) == 2
+    _one_line_error(capsys, "torusbt: cannot read the manifest: ")
+
+
+def test_cli_manifest_that_is_not_utf8(tmp_path, capsys):
+    mpath = tmp_path / "man.ini"
+    mpath.write_bytes(b"[fixture]\nname = gm_q \xff\n")
+    assert cli_main(["predict", str(mpath)]) == 2
+    _one_line_error(capsys, "torusbt: manifest error: not UTF-8 text (invalid start byte")
+    with pytest.raises(ManifestError, match="not UTF-8 text"):
+        load_manifest(str(mpath))
+
+
+def test_cli_report_into_a_missing_directory(tmp_path, capsys):
+    mpath = tmp_path / "man.ini"
+    mpath.write_text("[fixture]\nname = gm_q\n")
+    out_json = tmp_path / "missing" / "report.json"
+    assert cli_main(["predict", str(mpath), "--json", str(out_json)]) == 1
+    _one_line_error(capsys, "torusbt: cannot write the report: ")
+    assert not out_json.parent.exists()
 
 
 def test_cli_debug_oracles_flag(tmp_path):
@@ -322,6 +359,28 @@ def test_a_200_cycle_parses_under_the_order_bound():
     text = (f"[group]\ngenerators = [{[(i + 1) % 200 for i in range(200)]}]\n"
             "[lattice]\nrank = 1\naction.g0 = [[1]]\n")
     assert parse_manifest(text).group.order == 200
+
+
+def test_a_modulus_past_the_bound_fails_fast():
+    """Walking the units mod 1000000007 reached 672 MB before any check;
+    the modulus is refused up front."""
+    start = time.perf_counter()
+    with pytest.raises(ManifestError, match=f"modulus 1000000007 past {MODULUS_BOUND}") as err:
+        parse_manifest(NORMONE.replace("modulus = 5", "modulus = 1000000007"))
+    assert time.perf_counter() - start < 1.0
+    assert err.value.field == "realization"
+
+
+def test_the_f840_field_parses_under_the_modulus_bound():
+    """Q(sqrt2, sqrt3, sqrt5, sqrt7) over C2^4 at f = 840, with every unit's image."""
+    r = multiquadratic_realization((8, 12, 5, 28))
+    perms = [[x ^ (1 << i) for x in range(16)] for i in range(4)]   # as r.group is built
+    actions = "".join(f"action.g{i} = [[1]]\n" for i in range(4))
+    text = (f"[group]\ngenerators = {perms}\n[lattice]\nrank = 1\n{actions}"
+            f"[realization]\nmodulus = 840\nimages = {dict(r.images)}\n")
+    man = parse_manifest(text)
+    assert man.realization.modulus == 840 < MODULUS_BOUND
+    assert man.realization.pi_table == r.pi_table
 
 
 def test_wrong_size_action_matrix_is_manifest_error():
