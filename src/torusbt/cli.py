@@ -23,8 +23,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reuse reports for identical inputs from this directory")
     p.add_argument("--prime-cap", dest="prime_cap", type=int,
                    help="largest prime for local point-count tables")
-    p.add_argument("--stab-cap", dest="stab_cap", type=int,
-                   help="maximum stabilization depth per prime")
     p.add_argument("--debug-oracles", action="store_true",
                    help="run the extra candidate-prime check")
     return p
@@ -32,8 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {"prime_cap": args.prime_cap, "stab_cap": args.stab_cap,
-                 "debug_oracles": args.debug_oracles or None}
+    overrides = {"prime_cap": args.prime_cap, "debug_oracles": args.debug_oracles or None}
     try:
         man = load_manifest(args.manifest)
         for key, value in overrides.items():

@@ -508,8 +508,8 @@ def real_decomposition(x: GLattice, conj: int):
     raises InconsistentRank.
     """
     g = x.group
-    if not 0 <= conj < g.order:
-        raise ShapeMismatch(f"conj = {conj} is not an element of a group of order {g.order}")
+    if type(conj) is not int or not 0 <= conj < g.order:
+        raise ShapeMismatch(f"conj = {conj!r} is not an element of a group of order {g.order}")
     if g.op(conj, conj) != g.identity:
         raise ShapeMismatch("conj must square to the identity")
     sigma = x.action[conj]

@@ -39,6 +39,7 @@ from .errors import (InvariantViolation, MultiplicityNotInteger,
                      NonAbelianRealization, NotRational, NotTotallyReal, ShapeMismatch)
 from .exact import lcm
 from .groups import memoised, subgroup_elements
+from .realization import check_same_group
 from .units import UnitGroupStructure, euler_phi, factorize, unit_group, units_mod
 
 
@@ -313,6 +314,7 @@ def character_multiplicities(x, realization) -> list[tuple[list[DirichletCharact
         raise NonAbelianRealization("character multiplicities need an abelian group")
     if x.group.order != realization.group.order:
         raise NonAbelianRealization("realization does not cover the group")
+    check_same_group(x, realization)
     traces = [sum(m.data[i][i] for i in range(x.rank)) for m in x.action]
     out = []
     for orbit, den, row in _character_table(realization):

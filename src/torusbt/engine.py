@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import cohomology, dirichlet, induction, lattices, realization as realz
-from .errors import CharacterMismatch, TorusBTError
+from .errors import CharacterMismatch, ShapeMismatch, TorusBTError
 from .exact import odd_part, rational_nth_root, two_power_ratio
 from .groups import SubgroupClass, subgroup_classes
 from .lattices import GLattice
@@ -119,10 +119,12 @@ def ono_l_value(x: GLattice, r: AbelianRealization):
 
 
 def btc_predict(x: GLattice, r: AbelianRealization | None,
-                stab_cap: int = realz.STABILIZATION_CAP,
                 debug: bool = False) -> BTCReport:
     """Full prediction report; degrades to symbolic output when the
-    realization is missing, non-abelian, or not totally real."""
+    realization is missing, non-abelian, or not totally real. A realization
+    over another group raises GroupMismatch."""
+    if r is not None:
+        realz.check_same_group(x, r)
     warnings: list[str] = []
     verdict, found_cert, _res = cohomology.check_motivic_interpretation(x)
     certs = None if found_cert is None else found_cert.to_json()
@@ -149,7 +151,7 @@ def btc_predict(x: GLattice, r: AbelianRealization | None,
         return report
 
     lv = dirichlet.artin_L_minus_one(x, r)
-    wres = realz.w_group_order(x, r, cap=stab_cap, debug=debug)
+    wres = realz.w_group_order(x, r, debug=debug)
     report.l_value = lv
     report.l_value_abs = abs(lv)
     report.w_order = wres.total
@@ -189,13 +191,14 @@ def isogeny_invariance_check(x1: GLattice, x2: GLattice,
     }
 
 
-def weil_restriction_check(h, r: AbelianRealization,
-                           stab_cap: int = realz.STABILIZATION_CAP) -> dict:
+def weil_restriction_check(h, r: AbelianRealization) -> dict:
     """Prediction through Z[G/H] must equal the classical Birch-Tate
     prediction |zeta_M(-1)| * w_2(M) for the fixed field M, exactly. w_2(M)
-    is a closed form that shares no code with the W-group's _stable_part."""
+    is a closed form; the W-group's _stable_part uses w_2(L) only to set
+    its precision, so an understated w_2 raises there and can never make
+    the Smith route return w_2's value."""
     lat = lattices.permutation_lattice(r.group, h)
-    via_lattice = btc_predict(lat, r, stab_cap=stab_cap).predicted_kt_order
+    via_lattice = btc_predict(lat, r).predicted_kt_order
     zeta = dirichlet.zeta_minus_one(h, r)
     w2 = realz.w2_of_subfield(h, r)
     classical = abs(zeta) * w2
@@ -207,16 +210,18 @@ def weil_restriction_check(h, r: AbelianRealization,
     }
 
 
-def shapiro_suite(r: AbelianRealization, stab_cap: int = realz.STABILIZATION_CAP) -> dict:
+def shapiro_suite(r: AbelianRealization) -> dict:
     rows = []
     for cls in subgroup_classes(r.group):
-        row = weil_restriction_check(cls, r, stab_cap=stab_cap)
+        row = weil_restriction_check(cls, r)
         row["subgroup_id"] = cls.class_id
         rows.append(row)
     return {"instances": rows, "pass": all(row["equal"] for row in rows)}
 
 
 def local_table(x: GLattice, r: AbelianRealization, prime_cap: int = 50) -> list[dict]:
+    if type(prime_cap) is not int:
+        raise ShapeMismatch(f"prime_cap = {prime_cap!r} is not an integer")
     out = []
     for ell in range(2, prime_cap + 1):
         if not realz.is_prime(ell):

@@ -19,7 +19,7 @@ class GroupTooLarge(TorusBTError):
 
 
 class GroupMismatch(TorusBTError):
-    """Two lattices live over different groups."""
+    """Two lattices, or a lattice and a realization, live over different groups."""
 
 
 class NotUnimodular(TorusBTError):
@@ -64,10 +64,6 @@ class NotTotallyReal(TorusBTError):
 
 class MultiplicityNotInteger(TorusBTError):
     """A character multiplicity came out non-integral or negative."""
-
-
-class StabilizationBoundExceeded(TorusBTError):
-    """A p-part failed to stabilize within the configured depth."""
 
 
 class BadReduction(TorusBTError):

@@ -156,6 +156,31 @@ def group_from_table(table, name: str = "G", generators=None) -> FiniteGroup:
     return g
 
 
+def walk_generators(start, start_image, gens: dict, step, image_step,
+                    bound: int | None = None) -> dict:
+    """Breadth-first extension from generators: {key: image} over the keys
+    reached from start, b = step(s, a) getting image_step(gens[s], image of a).
+    Two images of one key raise NotHomomorphism, a walk past bound keys
+    GroupTooLarge; whether it reached all it should is the caller's check."""
+    table = {start: start_image}
+    frontier = [start]
+    while frontier:
+        new = []
+        for a in frontier:
+            image = table[a]
+            for s, image_s in gens.items():
+                b, image_b = step(s, a), image_step(image_s, image)
+                if b not in table:
+                    if len(table) == bound:
+                        raise GroupTooLarge(f"closure past {bound} elements")
+                    table[b] = image_b
+                    new.append(b)
+                elif table[b] != image_b:
+                    raise NotHomomorphism(f"inconsistent images at {b!r}")
+        frontier = new
+    return table
+
+
 def group_from_generators(perms: list, name: str = "G") -> FiniteGroup:
     """Close a list of permutations (images form) under composition.
 
@@ -177,20 +202,8 @@ def group_from_generators(perms: list, name: str = "G") -> FiniteGroup:
         gens.append(p)
     if npoints is None:
         npoints = 1
-    ident = tuple(range(npoints))
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for q in frontier:
-            for p in gens:
-                r = _compose(p, q)
-                if r not in elems:
-                    if len(elems) == GROUP_ORDER_BOUND:
-                        raise GroupTooLarge(f"closure past {GROUP_ORDER_BOUND} elements")
-                    elems.add(r)
-                    new.append(r)
-        frontier = new
+    elems = walk_generators(tuple(range(npoints)), None, dict.fromkeys(gens), _compose,
+                            lambda s, a: None, GROUP_ORDER_BOUND)
     ordered = sorted(elems)
     index = {p: i for i, p in enumerate(ordered)}
     mul = [[index[_compose(a, b)] for b in ordered] for a in ordered]
@@ -217,18 +230,9 @@ def conjugacy_classes(g: FiniteGroup) -> list[list[int]]:
 
 
 def _closure(g: FiniteGroup, seed) -> frozenset:
-    elems = set(seed) | {g.identity}
-    frontier = list(elems)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in list(elems):
-                for c in (g.op(a, b), g.op(b, a)):
-                    if c not in elems:
-                        elems.add(c)
-                        new.append(c)
-        frontier = new
-    return frozenset(elems)
+    """The subgroup generated by seed: the walk from the identity over it."""
+    return frozenset(walk_generators(g.identity, None, dict.fromkeys(seed), g.op,
+                                     lambda s, a: None))
 
 
 def all_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:

@@ -19,7 +19,7 @@ from . import intmat
 from .intmat import IntMatrix
 from .errors import GroupMismatch, NotHomomorphism, NotUnimodular, ShapeMismatch
 from .groups import (FiniteGroup, conjugacy_classes, coset_action, spanning_generators,
-                     subgroup_elements, subgroup_generators)
+                     subgroup_elements, subgroup_generators, walk_generators)
 
 
 @dataclass(frozen=True)
@@ -59,39 +59,32 @@ def validate(x: GLattice) -> None:
 
 def from_generator_matrices(group: FiniteGroup, rank: int,
                             gen_mats: dict[int, IntMatrix] | list[IntMatrix]) -> GLattice:
-    """Expand matrices given on group.generators to the whole group by BFS.
+    """Expand matrices given on group.generators to the whole group.
 
-    The BFS starts from M(e) = I, checks M(s*a) == M(s)M(a) for every
-    given s and every element a it reaches, and fails unless the given
-    elements reach all of G. That is the generating-set check of
-    validate, so the expanded table is a G-action without a second pass.
-    Wrong-sized matrices raise ShapeMismatch, a failed check
+    The walk (groups.walk_generators) starts from M(e) = I, checks
+    M(s*a) == M(s)M(a) for every given s and every element a it reaches,
+    and fails unless the given elements reach all of G. That is the
+    generating-set check of validate, so the expanded table is a G-action
+    without a second pass. Anything but IntMatrix values on int keys, and
+    wrong-sized matrices, raise ShapeMismatch, a failed check
     NotHomomorphism.
     """
     if isinstance(gen_mats, (list, tuple)):
         if len(gen_mats) != len(group.generators):
             raise NotHomomorphism("need one matrix per group generator")
         gen_mats = dict(zip(group.generators, gen_mats))
+    if not (type(rank) is int and isinstance(gen_mats, dict) and all(
+            type(s) is int and isinstance(ms, IntMatrix) for s, ms in gen_mats.items())):
+        raise ShapeMismatch(f"need an int rank and IntMatrix values on element indices, "
+                            f"got {rank!r}, {gen_mats!r:.80}")
     for s, ms in gen_mats.items():
         if not (0 <= s < group.order):
             raise NotHomomorphism(f"no element {s} in the group")
         if (ms.rows, ms.cols) != (rank, rank):
             raise ShapeMismatch(f"matrix of element {s} is {ms.rows}x{ms.cols}, "
                                 f"need {rank}x{rank}")
-    known: dict[int, IntMatrix] = {group.identity: intmat.identity(rank)}
-    frontier = [group.identity]
-    while frontier:
-        new = []
-        for a in frontier:
-            for s, ms in gen_mats.items():
-                b = group.op(s, a)
-                mb = ms @ known[a]
-                if b not in known:
-                    known[b] = mb
-                    new.append(b)
-                elif known[b] != mb:
-                    raise NotHomomorphism(f"inconsistent action at element {b}")
-        frontier = new
+    known = walk_generators(group.identity, intmat.identity(rank), gen_mats, group.op,
+                            IntMatrix.__matmul__)
     if len(known) != group.order:
         raise NotHomomorphism("generator matrices do not reach the whole group "
                               "(generators do not generate G?)")

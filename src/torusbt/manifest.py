@@ -25,7 +25,6 @@ Manifests are INI-flavored text::
 
     [options]
     prime_cap = 50
-    stab_cap = 30
     debug_oracles = False
     cache_dir = '/tmp/torusbt-cache'
     conj = 0                    # involution for real-decompose without realization
@@ -116,7 +115,6 @@ def _is_int(value) -> bool:
 
 # The [options] keys: predicate and what it demands.
 _OPTION_TYPES = {
-    "stab_cap": (lambda v: _is_int(v) and v > 0, "a positive integer"),
     "prime_cap": (lambda v: _is_int(v) and v > 0, "a positive integer"),
     "conj": (_is_int, "an integer"),
     "debug_oracles": (lambda v: isinstance(v, bool), "True or False"),
@@ -309,20 +307,19 @@ def _require_realization(man: Manifest, cmd: str) -> AbelianRealization:
 
 def _run_command(cmd: str, man: Manifest) -> dict:
     x, r = man.lattice, man.realization
-    stab_cap = man.options.get("stab_cap", realz.STABILIZATION_CAP)
     prime_cap = man.options.get("prime_cap", 50)
     debug = man.options.get("debug_oracles", False)
 
     if cmd == "predict":
-        return engine.btc_predict(x, r, stab_cap=stab_cap, debug=debug).to_json()
+        return engine.btc_predict(x, r, debug=debug).to_json()
     if cmd == "lvalue":
         lv, table = artin_L_minus_one(x, _require_realization(man, cmd),
                                       with_table=True)
         return {"l_value": str(lv), "l_value_abs": str(abs(lv)), "characters": table}
     if cmd == "wgroup":
         r = _require_realization(man, cmd)
-        wres = realz.w_group_order(x, r, cap=stab_cap, debug=debug)
-        m = realz.global_coinvariants_order(x, r, cap=stab_cap)
+        wres = realz.w_group_order(x, r, debug=debug)
+        m = realz.global_coinvariants_order(x, r)
         out = wres.to_json()
         return {"w_total": out["total"], "w_breakdown": out["breakdown"], "m_global": m}
     if cmd == "resolve":
@@ -355,8 +352,7 @@ def _run_command(cmd: str, man: Manifest) -> dict:
         return engine.isogeny_invariance_check(
             x, man.lattice2, _require_realization(man, cmd))
     if cmd == "check-shapiro":
-        return engine.shapiro_suite(_require_realization(man, cmd),
-                                    stab_cap=stab_cap)
+        return engine.shapiro_suite(_require_realization(man, cmd))
     raise ManifestError(f"unknown command {cmd!r}", field="command")
 
 

@@ -3,10 +3,11 @@
 A realization presents the splitting field L inside Q(mu_f) as a
 surjection pi: (Z/f)* -> G. The absolute Galois group then acts on
 X (x) Z_p(j) through sigma_a |-> a^j * rho(pi(a mod f)). For each
-candidate prime p, one Smith form over Z/p^cap of the stacked
-a^j rho(a) - 1, a running over generators of (Z/f p^2)* (of (Z/8f)*
-for p = 2), gives the p-part of the W-group / coinvariant orders; w_2 of
-a subfield M = L^H is its classical closed form (w2_of_subfield) instead.
+candidate prime p, one Smith form of the stacked a^j rho(a) - 1, a
+running over generators of (Z/f p^2)* (of (Z/8f)* for p = 2), gives the
+p-part of the W-group / coinvariant orders. It is read mod p^cap with
+cap = v_p(w_2(L)) + 1, which no valuation reaches; w_2 of a subfield
+M = L^H is its classical closed form (w2_of_subfield).
 """
 
 from __future__ import annotations
@@ -15,13 +16,11 @@ from dataclasses import dataclass, field
 from math import gcd, prod
 
 from . import intmat
-from .errors import (BadReduction, GroupTooLarge, InvariantViolation, NotHomomorphism,
-                     NotSurjective, StabilizationBoundExceeded)
-from .groups import MODULUS_BOUND, FiniteGroup, subgroup_elements
+from .errors import (BadReduction, GroupMismatch, GroupTooLarge, InvariantViolation,
+                     NotHomomorphism, NotSurjective, ShapeMismatch)
+from .groups import MODULUS_BOUND, FiniteGroup, subgroup_elements, walk_generators
 from .lattices import GLattice
 from .units import factorize, unit_group, units_mod
-
-STABILIZATION_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -56,11 +55,16 @@ def realization_from_images(group: FiniteGroup, modulus: int,
                             images: dict[int, int]) -> AbelianRealization:
     """Extend images of some generating units to all of (Z/f)* and validate.
 
-    Propagation is breadth-first multiplication, so any relation
-    violation surfaces as a conflict; the supplied units must generate
-    the whole unit group and their images must generate G. A modulus
-    past groups.MODULUS_BOUND raises GroupTooLarge before any walk.
+    Propagation is groups.walk_generators, so any relation violation
+    surfaces as a conflict; the supplied units must generate the whole
+    unit group and their images must generate G. A modulus past
+    groups.MODULUS_BOUND raises GroupTooLarge before any walk, a non-int
+    ShapeMismatch.
     """
+    if not (type(modulus) is int and isinstance(images, dict) and all(
+            type(u) is int and type(e) is int for u, e in images.items())):
+        raise ShapeMismatch(f"need an int modulus and int unit -> int element images, "
+                            f"got {modulus!r}, {images!r:.80}")
     if modulus < 1:
         raise NotHomomorphism("modulus must be >= 1")
     if modulus > MODULUS_BOUND:
@@ -77,22 +81,8 @@ def realization_from_images(group: FiniteGroup, modulus: int,
         if norm_images.get(u, e) != e:
             raise NotHomomorphism(f"conflicting images for unit {u}")
         norm_images[u] = e
-    table = {1: group.identity}
-    frontier = [1]
-    while frontier:
-        new = []
-        for a in frontier:
-            for u, e in norm_images.items():
-                b = (a * u) % modulus if modulus > 1 else 1
-                img = group.op(table[a], e)
-                if b in table:
-                    if table[b] != img:
-                        raise NotHomomorphism(
-                            f"images are inconsistent at unit {b}")
-                else:
-                    table[b] = img
-                    new.append(b)
-        frontier = new
+    table = walk_generators(1, group.identity, norm_images,
+                            lambda u, a: a * u % modulus if modulus > 1 else 1, group.op)
     units = units_mod(modulus)
     if len(table) != len(units):
         raise NotHomomorphism("supplied units do not generate (Z/f)*")
@@ -103,6 +93,13 @@ def realization_from_images(group: FiniteGroup, modulus: int,
     return AbelianRealization(
         group, modulus, tuple(sorted(norm_images.items())),
         tuple(sorted(table.items())), totally_real)
+
+
+def check_same_group(x: GLattice, r: AbelianRealization) -> None:
+    """GroupMismatch unless x and r share one multiplication table, as
+    r's element numbers index x.action."""
+    if x.group.mul != r.group.mul:
+        raise GroupMismatch(f"lattice over {x.group.name}, realization over {r.group.name}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +114,7 @@ class WGroupResult:
 
 
 def _stable_part(x: GLattice, r: AbelianRealization, p: int, twist: int,
-                 side: str, cap: int) -> tuple[int, int]:
+                 side: str, min_cap: int = 1) -> tuple[int, int]:
     """(p-part, depth) of the twisted invariants or coinvariants.
 
     The action factors through Gal(Q(mu_{f p^inf})/Q), and the kernel of
@@ -126,13 +123,19 @@ def _stable_part(x: GLattice, r: AbelianRealization, p: int, twist: int,
     generate it topologically, and the part is p^(sum v_i) for the
     p-adic valuations v_i of the Smith diagonal of the stacked
     a^twist rho(a) - 1 (its transposed blocks on the coinvariants
-    side); the depth is max(1, max v_i). Valuations are read at
-    precision p^cap, so one that reaches cap, a zero d_i (an infinite
-    group) included, raises; so does a cap below 1, which no depth
-    meets.
+    side); the depth is max(1, max v_i).
+
+    Over G_L the lattice is trivial, so the invariants lie in
+    (Z/p^v)^rank, v = v_p(w_2(L)), and the twist-1 coinvariants are a
+    quotient of (Z/p^v_p(w_1(L)))^rank with w_1(L) | w_2(L). No d_i is 0
+    (each block is nonsingular: a >= 2 and rho(a) has finite order). So
+    every v_i is below cap = v + 1 (min_cap if larger), the precision
+    p^cap they are read at, and a valuation that reaches cap is a bug.
     """
-    if type(cap) is not int or cap < 1:
-        raise StabilizationBoundExceeded(f"cap = {cap!r} is not a positive integer depth")
+    w2, cap = w2_of_subfield((r.group.identity,), r), 1
+    while w2 % p ** cap == 0:
+        cap += 1
+    cap = max(cap, min_cap)
     pk = p ** cap
     n = r.modulus * (8 if p == 2 else p * p)
     rows = []
@@ -146,11 +149,9 @@ def _stable_part(x: GLattice, r: AbelianRealization, p: int, twist: int,
             rows.append(tuple(row))
     stacked = intmat.IntMatrix(len(rows), x.rank, tuple(rows))
     vs = intmat.smith_valuations(stacked, p, cap)
-    depth = max(1, max(vs, default=0))
-    if depth >= cap:
-        raise StabilizationBoundExceeded(
-            f"p = {p} did not stabilize within depth {cap}")
-    return p ** sum(vs), depth
+    if cap in vs:
+        raise InvariantViolation(f"p = {p}: a Smith valuation reaches the w_2 bound {cap}")
+    return p ** sum(vs), max(1, max(vs, default=0))
 
 
 def _candidate_primes(f: int, extra: tuple[int, ...]) -> list[int]:
@@ -169,8 +170,7 @@ def _next_primes_outside(candidates: list[int], count: int = 3) -> list[int]:
     return out
 
 
-def w_group_order(x: GLattice, r: AbelianRealization,
-                  cap: int = STABILIZATION_CAP, debug: bool = False) -> WGroupResult:
+def w_group_order(x: GLattice, r: AbelianRealization, debug: bool = False) -> WGroupResult:
     """|W^T(Q)| = |H^0(Q, X (x) Q/Z(2))| with per-prime breakdown.
 
     Candidate primes are {2, 3} and the divisors of f: away from the
@@ -178,20 +178,21 @@ def w_group_order(x: GLattice, r: AbelianRealization,
     anything mod p only for p <= 3. With debug, the three smallest
     primes outside that set are checked to contribute nothing.
     """
+    check_same_group(x, r)
     ps = _candidate_primes(r.modulus, (2, 3))
-    parts = tuple((p, *_stable_part(x, r, p, 2, "invariants", cap)) for p in ps)
-    if debug:
+    parts = tuple((p, *_stable_part(x, r, p, 2, "invariants")) for p in ps)
+    if debug:                   # read at p^2: a nontrivial part fails here, not at the bound
         for p in _next_primes_outside(ps):
-            if _stable_part(x, r, p, 2, "invariants", cap)[0] != 1:
+            if _stable_part(x, r, p, 2, "invariants", min_cap=2)[0] != 1:
                 raise InvariantViolation(f"candidate-prime completeness fails at p = {p}")
     return WGroupResult(prod(part for _, part, _ in parts), parts)
 
 
-def global_coinvariants_order(x: GLattice, r: AbelianRealization,
-                              cap: int = STABILIZATION_CAP) -> int:
+def global_coinvariants_order(x: GLattice, r: AbelianRealization) -> int:
     """Order m of the twist-1 Tate-module coinvariants (the global term
     of the localization sequence); candidate primes {2} and divisors of f."""
-    return prod(_stable_part(x, r, p, 1, "coinvariants", cap)[0]
+    check_same_group(x, r)
+    return prod(_stable_part(x, r, p, 1, "coinvariants")[0]
                 for p in _candidate_primes(r.modulus, (2,)))
 
 
@@ -218,6 +219,7 @@ def is_prime(n: int) -> bool:
 
 def local_point_count(x: GLattice, r: AbelianRealization, ell: int) -> int:
     """#T_v(F_ell) = |det(ell * rho(Frob_ell) - 1)| at a good prime ell."""
+    check_same_group(x, r)
     if not is_prime(ell):
         raise BadReduction(f"{ell} is not prime")
     if r.modulus % ell == 0 and r.modulus > 1:

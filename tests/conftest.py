@@ -13,7 +13,9 @@ product of the conjugates, each primitivized and evaluated on its own,
 that _orbit_norm replaced with one evaluation and its conjugates. Exact
 solves by the full Hermite form of [A; I] (solve_exact, once intmat's),
 which reduces every row where intmat.kernel_basis and span_coordinates
-reduce only what they read.
+reduce only what they read. W-group parts and depths by the fixed
+precision p^30 that realization._stable_part used before it read its
+precision off w_2(L) (cap30_stable_part).
 """
 
 import os
@@ -35,7 +37,7 @@ from torusbt.errors import (MultiplicityNotInteger, NonAbelianRealization, NotRa
                             NotUnimodular, ShapeMismatch)
 from torusbt.exact import FinAbGroup, from_elementary_divisors
 from torusbt.groups import cyclic_group, group_from_generators, subgroup_classes
-from torusbt.units import euler_phi, units_mod
+from torusbt.units import euler_phi, unit_group, units_mod
 
 
 def run_fresh(script, timeout):
@@ -334,6 +336,24 @@ def dense_smith_valuations(mat: intmat.IntMatrix, p: int, k: int) -> list[int]:
         live.remove(j)
         out.append(v)
     return out + [k] * (min(mat.rows, mat.cols) - len(out))
+
+
+def cap30_stable_part(x, r, p: int, twist: int, side: str) -> tuple[int, int]:
+    """(p-part, depth) by the W-group route as it ran at the fixed precision
+    p^30, before realization._stable_part read its own off w_2(L): the same
+    stacked a^twist rho(a) - 1, valuations from smith_valuations(., p, 30)."""
+    pk = p ** 30
+    rows = []
+    for a in unit_group(r.modulus * (8 if p == 2 else p * p)).generators:
+        c, m = pow(a, twist, pk), x.action[r.pi(a)].data
+        if side == "coinvariants":
+            m = list(zip(*m))
+        for i, row in enumerate(m):
+            rows.append(tuple(c * e - (i == j) for j, e in enumerate(row)))
+    vs = intmat.smith_valuations(intmat.IntMatrix(len(rows), x.rank, tuple(rows)), p, 30)
+    depth = max(1, max(vs, default=0))
+    assert depth < 30, (r.modulus, p)
+    return p ** sum(vs), depth
 
 
 def det(mat: intmat.IntMatrix) -> int:

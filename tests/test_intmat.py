@@ -129,9 +129,9 @@ def test_smith_valuations_match_the_dense_elimination():
 @pytest.mark.parametrize("f", [7, 13, 17, 29, 37, 59, 61, 97])
 def test_smith_valuations_on_the_ladder_w_group_matrices(f, monkeypatch):
     """The stacked a^2 rho(a) - 1 that w_group_order feeds to the
-    elimination at p = 2, 3 and f, cap 30, on the regular, norm-one and
-    dual norm-one lattices of Res Q(zeta_f)^+ (C3 .. C48), against the
-    dense elimination."""
+    elimination at p = 2, 3 and f, on the regular, norm-one and dual
+    norm-one lattices of Res Q(zeta_f)^+ (C3 .. C48), against the dense
+    elimination. w_2(Q(zeta_f)^+) = 24f sets the precisions 2^4, 3^2, f^2."""
     g = cyclic_group((f - 1) // 2)
     r = realization_from_images(g, f, {primitive_root_mod_prime(f): 1})
     norm_one = lattices.norm_one_lattice(g)
@@ -142,7 +142,7 @@ def test_smith_valuations_on_the_ladder_w_group_matrices(f, monkeypatch):
     for x in (lattices.permutation_lattice(g, (g.identity,)), norm_one,
               lattices.dual(norm_one)):
         w_group_order(x, r)
-    assert sorted({(p, k) for _, p, k in fed}) == [(2, 30), (3, 30), (f, 30)]
+    assert sorted({(p, k) for _, p, k in fed}) == [(2, 4), (3, 2), (f, 2)]
     assert len(fed) == 9
     for m, p, k in fed:
         assert sparse(m, p, k) == dense_smith_valuations(m, p, k), (f, p, m.rows)

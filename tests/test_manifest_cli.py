@@ -279,6 +279,7 @@ def test_corrupt_cache_file_is_a_miss_and_rewritten(tmp_path, corrupt):
 
 @pytest.mark.parametrize("key, raw", [
     ("stab_cap", "'a'"), ("stab_cap", "2.7"), ("stab_cap", "True"), ("stab_cap", "0"),
+    ("stab_cap", "30"),             # the precision now comes from w_2(L)
     ("prime_cap", "'a'"), ("prime_cap", "-3"), ("prime_cap", "False"),
     ("conj", "'x'"), ("conj", "1.0"), ("conj", "True"),
     ("debug_oracles", "'no'"), ("debug_oracles", "0"),
@@ -291,24 +292,24 @@ def test_badly_typed_option_is_manifest_error(key, raw):
 
 
 def test_typed_options_pass_through():
-    man = parse_manifest(NORMONE + "\n[options]\nstab_cap = 30\nprime_cap = 20\n"
+    man = parse_manifest(NORMONE + "\n[options]\nprime_cap = 20\n"
                          "conj = 1\ndebug_oracles = False\ncache_dir = 'c'\n")
-    assert man.options == {"stab_cap": 30, "prime_cap": 20, "conj": 1,
+    assert man.options == {"prime_cap": 20, "conj": 1,
                            "debug_oracles": False, "cache_dir": "c"}
 
 
 def test_unknown_option_is_manifest_error(tmp_path, capsys):
-    """A misspelt key (stab_cpa for stab_cap) was accepted, ignored, and
+    """A misspelt key (prime_cpa for prime_cap) was accepted, ignored, and
     written into the report's inputs and cache key."""
-    text = "[fixture]\nname = res_sqrt5\n\n[options]\nstab_cpa = 1\n"
+    text = "[fixture]\nname = res_sqrt5\n\n[options]\nprime_cpa = 1\n"
     with pytest.raises(ManifestError) as err:
         parse_manifest(text)
-    assert err.value.field == "options.stab_cpa"
-    assert "stab_cap" in str(err.value)
+    assert err.value.field == "options.prime_cpa"
+    assert "prime_cap" in str(err.value)
     mpath = tmp_path / "man.ini"
     mpath.write_text(text)
     assert cli_main(["predict", str(mpath)]) == 2
-    assert "unknown option 'stab_cpa'" in capsys.readouterr().err
+    assert "unknown option 'prime_cpa'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("old, new, field", [
@@ -329,8 +330,7 @@ def test_badly_typed_group_or_matrix_is_manifest_error(old, new, field):
     assert err.value.field == field
 
 
-@pytest.mark.parametrize("flags", [["--stab-cap", "-1"], ["--stab-cap", "0"],
-                                   ["--prime-cap", "0"]])
+@pytest.mark.parametrize("flags", [["--prime-cap", "-1"], ["--prime-cap", "0"]])
 def test_cli_overrides_are_checked_like_options(tmp_path, capsys, flags):
     mpath = tmp_path / "man.ini"
     mpath.write_text(NORMONE)
@@ -488,3 +488,20 @@ def test_failed_cache_write_leaves_no_temp_file(tmp_path, monkeypatch):
     monkeypatch.undo()
     _, hit = run_manifest(parse_manifest(NORMONE), cache_dir=str(tmp_path))
     assert not hit and len(list(tmp_path.glob("*.json"))) == 1
+
+
+def test_readme_names_exactly_the_options_and_flags():
+    """README's [options] block lists the keys of manifest._OPTION_TYPES,
+    and its command-line synopsis the optional flags of the parser: a knob
+    that goes cannot linger in the docs, nor a new one go undocumented."""
+    from pathlib import Path
+
+    from torusbt.cli import build_parser
+    from torusbt.manifest import _OPTION_TYPES
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n[options]\n", 1)[1].split("```", 1)[0]
+    assert sorted(line.split("=")[0].strip() for line in block.splitlines()) == \
+        sorted(_OPTION_TYPES)
+    synopsis = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    flags = {s for a in build_parser()._actions for s in a.option_strings} - {"-h", "--help"}
+    assert set(re.findall(r"--[a-z-]+", synopsis)) == flags

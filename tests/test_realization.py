@@ -7,10 +7,11 @@ from conftest import det, hstack, left_cosets, oracle_w2, snf_diagonal
 from torusbt import intmat
 from torusbt import lattices as lat
 from torusbt import realization as realz
-from torusbt.dirichlet import zeta_minus_one
-from torusbt.errors import (BadReduction, InvariantViolation, NotHomomorphism,
-                            NotSubgroup, NotSurjective, StabilizationBoundExceeded)
-from torusbt.engine import btc_predict
+from torusbt.cohomology import real_decomposition
+from torusbt.dirichlet import artin_L_minus_one, zeta_minus_one
+from torusbt.errors import (BadReduction, GroupMismatch, InvariantViolation, NotHomomorphism,
+                            NotSubgroup, NotSurjective, ShapeMismatch)
+from torusbt.engine import btc_predict, local_table
 from torusbt.groups import cyclic_group, group_from_table, subgroup_classes
 from torusbt.realization import (WGroupResult, global_coinvariants_order, is_prime,
                                  local_point_count, realization_from_images,
@@ -144,22 +145,6 @@ def test_w_group_debug_mode_runs(c2, r5):
     assert res.total == 10
 
 
-def test_stabilization_bound_error(c2, r5):
-    with pytest.raises(StabilizationBoundExceeded):
-        w_group_order(lat.trivial_lattice(c2), r5, cap=2)
-
-
-@pytest.mark.parametrize("cap", [0, -1, 2.5])
-def test_stabilization_cap_below_one_is_a_typed_error(c2, r5, cap):
-    x = lat.trivial_lattice(c2)
-    with pytest.raises(StabilizationBoundExceeded, match="not a positive integer"):
-        w_group_order(x, r5, cap=cap)
-    with pytest.raises(StabilizationBoundExceeded):
-        global_coinvariants_order(x, r5, cap=cap)
-    with pytest.raises(StabilizationBoundExceeded):
-        btc_predict(x, r5, stab_cap=cap)
-
-
 @pytest.mark.parametrize("h", [(0, 5), (5,), (0, 1, 2)], ids=str)
 def test_raw_non_subgroup_tuples_are_typed_errors(r5, h):
     """Over C2, 5 and 2 are out of range: before, zeta_minus_one((0, 5), r5)
@@ -260,6 +245,16 @@ def test_local_counts_permutation_orbit_oracle(v4, r40):
             assert local_point_count(x, r40, ell) == expected
 
 
+def test_stabilization_bound_error(c2, r5, monkeypatch):
+    """The coinvariants side of the bound: (Z_2(1))_{G_Q} = Z/2 is read at
+    2^(v_2(w_2) + 1), so an odd w_2 makes its valuation 1 a bug."""
+    x = lat.trivial_lattice(c2)
+    assert global_coinvariants_order(x, r5) == 2
+    monkeypatch.setattr(realz, "w2_of_subfield", lambda h, r: 15)
+    with pytest.raises(InvariantViolation, match="p = 2: .* reaches the w_2 bound 1"):
+        global_coinvariants_order(x, r5)
+
+
 def test_candidate_prime_completeness_debug(c2, v4, r5, r40):
     """Debug mode asserts the three smallest primes outside the candidate
     set contribute trivially; run it on catalog W computations."""
@@ -273,6 +268,37 @@ def test_candidate_prime_debug_check_is_a_typed_error(c2, r5, monkeypatch):
     monkeypatch.setattr(intmat, "smith_valuations", lambda mat, p, k: [1] * mat.cols)
     with pytest.raises(InvariantViolation, match="candidate-prime completeness"):
         w_group_order(lat.permutation_lattice(c2, (0,)), r5, debug=True)
+
+
+def test_lattice_and_realization_over_different_groups(v4, r40):
+    """A C4 lattice under the V4 realization of conductor 40: each entry
+    point read the C4 table with V4's element numbers (btc_predict gave
+    112/5). The manifest refuses the pair too."""
+    x = lat.permutation_lattice(cyclic_group(4), (0,))
+    for call in (lambda: btc_predict(x, r40), lambda: w_group_order(x, r40),
+                 lambda: global_coinvariants_order(x, r40),
+                 lambda: local_point_count(x, r40, 3), lambda: artin_L_minus_one(x, r40)):
+        with pytest.raises(GroupMismatch, match="lattice over C4, realization over V4"):
+            call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, r: lat.from_generator_matrices(g, 1, [[[1]], [[1]]]),
+    lambda g, r: lat.from_generator_matrices(g, 1, {"a": intmat.identity(1)}),
+    lambda g, r: lat.from_generator_matrices(g, "1", [intmat.identity(1)] * 2),
+    lambda g, r: realization_from_images(g, 5, {"2": 1}),
+    lambda g, r: realization_from_images(g, "5", {2: 1}),
+    lambda g, r: realization_from_images(g, 5, {2: True}),
+    lambda g, r: realization_from_images(g, 5, [(2, 1)]),
+    lambda g, r: real_decomposition(lat.trivial_lattice(g), "a"),
+    lambda g, r: local_table(lat.trivial_lattice(r.group), r, prime_cap="x"),
+], ids=["matrix-lists", "str-element", "str-rank", "str-unit", "str-modulus",
+        "bool-image", "image-pairs", "str-conj", "str-prime-cap"])
+def test_badly_typed_api_arguments_are_shape_mismatch(v4, r40, call):
+    """Each was a raw AttributeError or TypeError, or (True as an image)
+    accepted and written to JSON as true."""
+    with pytest.raises(ShapeMismatch):
+        call(v4, r40)
 
 
 def test_is_prime_matches_a_sieve():
@@ -370,7 +396,7 @@ def _restricted_unit_generators(n, f, allowed):
     return sorted(gens - {1})
 
 
-def _restricted_smith_w2(h, r, cap=realz.STABILIZATION_CAP):
+def _restricted_smith_w2(h, r, cap=30):
     """w_2 of the fixed field as the W-group computation run on the trivial
     rank-1 module, Frobenii restricted to the unit preimage of h."""
     out = 1
@@ -424,7 +450,7 @@ def _depth_loop_part(x, r, p, twist, side, cap=30, allowed=None):
         if order == prev:
             return order, k - 1
         prev = order
-    raise StabilizationBoundExceeded(f"p = {p}")
+    raise AssertionError(f"p = {p} did not stabilize within depth {cap}")
 
 
 def test_one_smith_form_matches_the_depth_loop():
@@ -443,28 +469,28 @@ def test_one_smith_form_matches_the_depth_loop():
         if g.order <= 12:               # the loop's Smith forms grow past this
             cases.append((lat.norm_one_lattice(g), r))
     for x, r in cases:
-        cap = realz.STABILIZATION_CAP
         for p in realz._candidate_primes(r.modulus, (2, 3)):
-            args = (x, r, p, 2, "invariants", cap)
+            args = (x, r, p, 2, "invariants")
             assert realz._stable_part(*args) == _depth_loop_part(*args), (r.modulus, p)
         for p in realz._candidate_primes(r.modulus, (2,)):
-            args = (x, r, p, 1, "coinvariants", cap)
+            args = (x, r, p, 1, "coinvariants")
             assert realz._stable_part(*args) == _depth_loop_part(*args), (r.modulus, p)
         one = lat.trivial_lattice(r.group)
         for h in subgroup_classes(r.group):
-            loop = prod(_depth_loop_part(one, r, p, 2, "invariants", cap, r.unit_preimage(h))[0]
+            loop = prod(_depth_loop_part(one, r, p, 2, "invariants", 30, r.unit_preimage(h))[0]
                         for p in realz._candidate_primes(r.modulus, (2, 3)))
             assert w2_of_subfield(h, r) == loop, (r.modulus, h.elements)
 
 
-def test_stabilization_cap_boundary(r1):
-    """gm_q has depth 3 at p = 2 (w_2(Q) = 24): the cap is the first depth
-    that is not allowed."""
+def test_stabilization_cap_boundary(r1, monkeypatch):
+    """gm_q has depth 3 at p = 2 (w_2(Q) = 24), read at 2^4. A w_2 of 12
+    would put the bound at 2^3, which that depth reaches: a bug, not a
+    user error."""
     x = lat.trivial_lattice(r1.group)
-    with pytest.raises(StabilizationBoundExceeded):
-        w_group_order(x, r1, cap=3)
-    res = w_group_order(x, r1, cap=4)
-    assert _breakdown(res)[2] == {"part": 8, "depth": 3}
+    assert _breakdown(w_group_order(x, r1))[2] == {"part": 8, "depth": 3}
+    monkeypatch.setattr(realz, "w2_of_subfield", lambda h, r: 12)
+    with pytest.raises(InvariantViolation, match="reaches the w_2 bound 3"):
+        w_group_order(x, r1)
 
 
 def test_norm_one_predictions_at_c20_and_c29():

@@ -1,0 +1,71 @@
+"""The W-group's precision read off w_2(L) against the fixed precision p^30.
+
+realization._stable_part reads its Smith valuations mod p^cap with
+cap = v_p(w_2(L)) + 1. Over G_L the lattice is trivial, so the twist-2
+invariants lie in (Z/p^v_p(w_2(L)))^rank and the twist-1 coinvariants
+are a quotient of (Z/p^v_p(w_1(L)))^rank: no valuation reaches cap. The
+pool below checks that the parts and depths are those of the p^30 route
+of conftest.cap30_stable_part, on both sides, at every candidate prime and
+at the three smallest primes outside the candidate set.
+"""
+
+import random
+
+from conftest import cap30_stable_part
+from test_dirichlet_oracles import multiquadratic_realization
+from test_realization import RUNG_PRIMES, _rung
+from torusbt import lattices as lat
+from torusbt import realization as realz
+from torusbt.catalog import FIXTURE_NAMES, fixture
+from torusbt.groups import cyclic_group, subgroup_classes
+from torusbt.realization import realization_from_images
+from torusbt.units import primitive_root_mod_prime_power
+
+# Rungs Res Q(zeta_p)^+ past C48, up to C96 (p = 193).
+LONG_RUNG_PRIMES = (101, 109, 127, 139, 157, 181, 193)
+# Real and imaginary multiquadratic fields, by discriminants.
+MULTIQUADRATIC = ((8, 5), (8, 12), (5, 13), (8, 12, 5), (8, 12, 5, 28),
+                  (-4, 5), (-3, 8), (-4, 12, 5), (-8, -3, 5))
+
+
+def _lattices(g, rng):
+    """Regular, norm-one, dual norm-one, and a drawn sum of two coset lattices."""
+    norm_one = lat.norm_one_lattice(g)
+    classes = subgroup_classes(g)
+    drawn = lat.direct_sum(*(lat.permutation_lattice(g, rng.choice(classes))
+                             for _ in range(2)))
+    return [lat.permutation_lattice(g, (g.identity,)), norm_one, lat.dual(norm_one), drawn]
+
+
+def _cyclic_subfields(m):
+    """Every cyclic subfield of Q(zeta_m): C_d for each d | phi(m), a primitive
+    root going to 1; the odd-order ones are totally real, the others are not."""
+    p = 13 if m == 13 else {5: 5, 7: 7, 9: 3}[m]
+    root = primitive_root_mod_prime_power(p, 2 if m == 9 else 1)
+    phi = 6 if m == 9 else m - 1
+    return [realization_from_images(cyclic_group(d), m, {root: 1 % d})
+            for d in range(1, phi + 1) if phi % d == 0]
+
+
+def _pool():
+    rng = random.Random(24)
+    pairs = [(fx.lattice, fx.realization) for fx in map(fixture, FIXTURE_NAMES)
+             if fx.realization is not None]
+    realizations = [_rung(p)[1] for p in RUNG_PRIMES + list(LONG_RUNG_PRIMES)]
+    realizations += [multiquadratic_realization(discs) for discs in MULTIQUADRATIC]
+    realizations += [r for m in (5, 7, 9, 13) for r in _cyclic_subfields(m)]
+    for r in realizations:
+        pairs += [(x, r) for x in _lattices(r.group, rng)]
+    return pairs
+
+
+def test_w2_precision_matches_the_fixed_precision_on_the_pool():
+    pairs = _pool()
+    assert len(pairs) > 150
+    assert sum(not r.totally_real for _, r in pairs) >= 40
+    for x, r in pairs:
+        for twist, side, extra in ((2, "invariants", (2, 3)), (1, "coinvariants", (2,))):
+            ps = realz._candidate_primes(r.modulus, extra)
+            for p in ps + realz._next_primes_outside(ps):
+                assert realz._stable_part(x, r, p, twist, side) == \
+                    cap30_stable_part(x, r, p, twist, side), (r.modulus, x.rank, p, side)
