@@ -330,7 +330,8 @@ def test_badly_typed_group_or_matrix_is_manifest_error(old, new, field):
     assert err.value.field == field
 
 
-@pytest.mark.parametrize("flags", [["--prime-cap", "-1"], ["--prime-cap", "0"]])
+@pytest.mark.parametrize("flags", [["--prime-cap", "-1"], ["--prime-cap", "-50"],
+                                   ["--prime-cap", "0"]])
 def test_cli_overrides_are_checked_like_options(tmp_path, capsys, flags):
     mpath = tmp_path / "man.ini"
     mpath.write_text(NORMONE)
