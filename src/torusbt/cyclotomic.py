@@ -48,8 +48,8 @@ def _poly_divmod_int(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[
 
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, ascending, cached."""
-    if n < 1:
-        raise ShapeMismatch(f"order must be >= 1, got {n}")
+    if type(n) is not int or n < 1:
+        raise ShapeMismatch(f"order must be >= 1 and an int, got {n!r}")
     phi = _PHI_CACHE.get(n)
     if phi is not None:
         return phi

@@ -16,8 +16,10 @@ Dedekind zeta values of the abelian fixed fields and the Artin L-value
 of a lattice are assembled from these, with conjugate characters
 grouped into Galois orbits. An orbit evaluates B_{2,chi} once, and
 B_{2,chi^k} = sigma_k(B_{2,chi}) (Washington, Introduction to Cyclotomic
-Fields, 4.1) gives the other members by moving exponents. Their product
-is taken in Z[zeta_order] over one integer denominator and certified
+Fields, 4.1) gives the other members by moving exponents. Their product,
+the norm from Q(zeta_order), is taken in Z[zeta_order] over one integer
+denominator by doubling along each cyclic factor of (Z/order)*, so it
+costs O(log order) products rather than phi(order), and certified
 rational; it is memoised for the life of the process under the orbit's
 least member (modulus and exponent tuple). Each realization builds one
 character table (the orbits, with the Ramanujan sums of their values on
@@ -34,7 +36,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd
 
-from .cyclotomic import CyclotomicNumber, mul_mod_phi, phi_degree, reduce_mod_phi
+from .cyclotomic import CyclotomicNumber, mul_mod_phi, reduce_mod_phi
 from .errors import (InvariantViolation, MultiplicityNotInteger,
                      NonAbelianRealization, NotRational, NotTotallyReal, ShapeMismatch)
 from .exact import lcm
@@ -189,26 +191,39 @@ def _orbit_L_product(orbit: list[DirichletCharacter]) -> Fraction:
     return _orbit_norm(min(orbit, key=lambda chi: chi.exponents))
 
 
+def _conjugate(m: int, v: list[int], k: int) -> list[int]:
+    """sigma_k(v), zeta_m -> zeta_m^k, on a reduced vector of Z[zeta_m]."""
+    out = [0] * m
+    for j, c in enumerate(v):
+        out[j * k % m] += c
+    return reduce_mod_phi(m, out)
+
+
 @lru_cache(maxsize=4096)
 def _orbit_norm(chi: DirichletCharacter) -> Fraction:
     """Rational product of L(chi^k, -1) over k coprime to the order m.
 
     B_{2,chi} is evaluated once, for the primitive character inducing
     chi; B_{2,chi^k} = sigma_k(B_{2,chi}) with sigma_k: zeta_m -> zeta_m^k
-    (powers of chi share its conductor and order), so each conjugate is
-    that reduced vector with exponent j moved to jk mod m, reduced again.
-    Every value lies in Z[zeta_m] over the one denominator -12f.
+    (powers of chi share its conductor and order), and every value lies
+    in Z[zeta_m] over the one denominator -12f. The norm is taken along
+    the cyclic factors <g> (order n) of (Z/m)*, one after the other: with
+    T(j) = prod_{i<j} sigma_{g^i}(B), T(2j) = T(j) sigma_{g^j}(T(j)) and
+    T(j+1) = B sigma_g(T(j)) reach T(n) in at most 2 log2(n) products.
     """
     m = chi.order
     v, d = _bernoulli2_integers(conductor_primitive(chi)[1])
-    num = [1] + [0] * (phi_degree(m) - 1)
-    ks = units_mod(m)
-    for k in ks:
-        conj = [0] * m
-        for j, c in enumerate(v):
-            conj[j * k % m] += c
-        num = mul_mod_phi(m, num, reduce_mod_phi(m, conj))
-    den = (-2 * d) ** len(ks)
+    num = list(v)
+    units = unit_group(m)
+    for g, n in zip(units.generators, units.orders):
+        base, j = num, 1
+        for bit in bin(n)[3:]:
+            num = mul_mod_phi(m, num, _conjugate(m, num, pow(g, j, m)))
+            j *= 2
+            if bit == "1":
+                num = mul_mod_phi(m, base, _conjugate(m, num, g))
+                j += 1
+    den = (-2 * d) ** euler_phi(m)
     if any(num[1:]):
         prod = CyclotomicNumber.from_integers(m, num, den)
         raise NotRational(f"orbit product of conjugate L-values not rational: {prod}")
@@ -331,6 +346,7 @@ def artin_L_minus_one(x, realization, with_table: bool = False):
     totally real realization; the product of L(chi*,-1)^{m_chi} grouped
     by Galois orbit. Raises if a hypothesis fails; never returns 0.
     """
+    check_same_group(x, realization)
     if not realization.totally_real:
         raise NotTotallyReal("Artin L-value at -1 needs pi(-1) = identity")
     mults = character_multiplicities(x, realization)

@@ -195,8 +195,11 @@ def weil_restriction_check(h, r: AbelianRealization) -> dict:
     """Prediction through Z[G/H] must equal the classical Birch-Tate
     prediction |zeta_M(-1)| * w_2(M) for the fixed field M, exactly. w_2(M)
     is a closed form; the W-group's _stable_part uses w_2(L) only to set
-    its precision, so an understated w_2 raises there and can never make
-    the Smith route return w_2's value."""
+    its precision cap, so an understated w_2 raises there and can never
+    make the Smith route return w_2's value. A scalar block (c - 1) I,
+    t = v_p(c - 1), lowers the precision to min(cap, t): with cap <= t the
+    read is at cap and still raises, and with t < cap every valuation is
+    at most t, so the read is exact whatever cap is."""
     lat = lattices.permutation_lattice(r.group, h)
     via_lattice = btc_predict(lat, r).predicted_kt_order
     zeta = dirichlet.zeta_minus_one(h, r)

@@ -104,8 +104,8 @@ class IntMatrix:
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and all(
-            self.data[i][j] == (1 if i == j else 0)
-            for i in range(self.rows) for j in range(self.cols))
+            row[i] == 1 and not any(row[:i]) and not any(row[i + 1:])
+            for i, row in enumerate(self.data))
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(a) for a in r) for r in self.data) + "]"

@@ -128,11 +128,14 @@ def sign_lattice(group: FiniteGroup, signs: dict[int, int] | None = None) -> GLa
 
 
 def direct_sum(*lats: GLattice) -> GLattice:
-    """lats[0] (+) ... (+) lats[-1], one block_diag per group element."""
+    """lats[0] (+) ... (+) lats[-1], one block_diag per group element.
+
+    The groups must share one multiplication table (names and generator
+    tuples may differ), as realization.check_same_group asks."""
     if not lats:
         raise ShapeMismatch("empty direct sum needs an explicit group")
     g = lats[0].group
-    if any(x.group is not g and x.group != g for x in lats):
+    if any(x.group is not g and x.group.mul != g.mul for x in lats):
         raise GroupMismatch("direct_sum over different groups")
     mats = tuple(intmat.block_diag([x.action[a] for x in lats]) for a in range(g.order))
     return GLattice(g, sum(x.rank for x in lats), mats)

@@ -6,8 +6,9 @@ X (x) Z_p(j) through sigma_a |-> a^j * rho(pi(a mod f)). For each
 candidate prime p, one Smith form of the stacked a^j rho(a) - 1, a
 running over generators of (Z/f p^2)* (of (Z/8f)* for p = 2), gives the
 p-part of the W-group / coinvariant orders. It is read mod p^cap with
-cap = v_p(w_2(L)) + 1, which no valuation reaches; w_2 of a subfield
-M = L^H is its classical closed form (w2_of_subfield).
+cap = v_p(w_2(L)) + 1, which no valuation reaches, lowered to p^t by
+each generator that acts as a scalar c with t = v_p(c - 1); w_2 of a
+subfield M = L^H is its classical closed form (w2_of_subfield).
 """
 
 from __future__ import annotations
@@ -97,7 +98,11 @@ def realization_from_images(group: FiniteGroup, modulus: int,
 
 def check_same_group(x: GLattice, r: AbelianRealization) -> None:
     """GroupMismatch unless x and r share one multiplication table, as
-    r's element numbers index x.action."""
+    r's element numbers index x.action; ShapeMismatch unless x is a
+    GLattice and r an AbelianRealization."""
+    if not (isinstance(x, GLattice) and isinstance(r, AbelianRealization)):
+        raise ShapeMismatch(f"need a GLattice and an AbelianRealization, "
+                            f"got {type(x).__name__}, {type(r).__name__}")
     if x.group.mul != r.group.mul:
         raise GroupMismatch(f"lattice over {x.group.name}, realization over {r.group.name}")
 
@@ -114,7 +119,7 @@ class WGroupResult:
 
 
 def _stable_part(x: GLattice, r: AbelianRealization, p: int, twist: int,
-                 side: str, min_cap: int = 1) -> tuple[int, int]:
+                 side: str, oracle: bool = False) -> tuple[int, int]:
     """(p-part, depth) of the twisted invariants or coinvariants.
 
     The action factors through Gal(Q(mu_{f p^inf})/Q), and the kernel of
@@ -129,26 +134,42 @@ def _stable_part(x: GLattice, r: AbelianRealization, p: int, twist: int,
     (Z/p^v)^rank, v = v_p(w_2(L)), and the twist-1 coinvariants are a
     quotient of (Z/p^v_p(w_1(L)))^rank with w_1(L) | w_2(L). No d_i is 0
     (each block is nonsingular: a >= 2 and rho(a) has finite order). So
-    every v_i is below cap = v + 1 (min_cap if larger), the precision
-    p^cap they are read at, and a valuation that reaches cap is a bug.
+    every v_i is below cap = v + 1, and a valuation that reaches cap is
+    a bug.
+
+    A generator with rho(a) = I gives the scalar block (c - 1) I,
+    c = a^twist, and over Z_p the rows of [A; (c - 1) I] span
+    rowspace(A) + p^t Z_p^rank, t = v_p(c - 1): the valuations are
+    min(v_i(A), t). So scalar blocks are dropped and the rest is read at
+    p^k, k = min(cap, t) (the CRT generators of the p-part for p = 2, 3
+    are such blocks); k = 0 leaves nothing to eliminate. With oracle the
+    full stack is read at p^max(cap, 2), so a nontrivial part fails the
+    candidate-prime completeness check rather than the cap.
     """
     w2, cap = w2_of_subfield((r.group.identity,), r), 1
     while w2 % p ** cap == 0:
         cap += 1
-    cap = max(cap, min_cap)
-    pk = p ** cap
-    n = r.modulus * (8 if p == 2 else p * p)
+    if oracle:
+        cap = max(cap, 2)
+    pk, k = p ** cap, cap
     rows = []
-    for a in unit_group(n).generators:
-        c, m = pow(a, twist, pk), x.action[r.pi(a)].data
-        if side == "coinvariants":
-            m = zip(*m)
+    for a in unit_group(r.modulus * (8 if p == 2 else p * p)).generators:
+        c, m = pow(a, twist, pk), x.action[r.pi(a)]
+        if not oracle and m.is_identity():
+            t = 0
+            while t < k and (c - 1) % p ** (t + 1) == 0:
+                t += 1
+            k = t
+            continue
+        m = m.data if side == "invariants" else zip(*m.data)
         for i, row in enumerate(m):
             row = [c * e for e in row]
             row[i] -= 1
             rows.append(tuple(row))
-    stacked = intmat.IntMatrix(len(rows), x.rank, tuple(rows))
-    vs = intmat.smith_valuations(stacked, p, cap)
+    if k == 0:
+        return 1, 1
+    vs = intmat.smith_valuations(intmat.IntMatrix(len(rows), x.rank, tuple(rows)), p, k)
+    vs += [k] * (x.rank - len(vs))
     if cap in vs:
         raise InvariantViolation(f"p = {p}: a Smith valuation reaches the w_2 bound {cap}")
     return p ** sum(vs), max(1, max(vs, default=0))
@@ -181,9 +202,9 @@ def w_group_order(x: GLattice, r: AbelianRealization, debug: bool = False) -> WG
     check_same_group(x, r)
     ps = _candidate_primes(r.modulus, (2, 3))
     parts = tuple((p, *_stable_part(x, r, p, 2, "invariants")) for p in ps)
-    if debug:                   # read at p^2: a nontrivial part fails here, not at the bound
+    if debug:                   # the unfolded stack at p^2: a nontrivial part fails here
         for p in _next_primes_outside(ps):
-            if _stable_part(x, r, p, 2, "invariants", min_cap=2)[0] != 1:
+            if _stable_part(x, r, p, 2, "invariants", oracle=True)[0] != 1:
                 raise InvariantViolation(f"candidate-prime completeness fails at p = {p}")
     return WGroupResult(prod(part for _, part, _ in parts), parts)
 
@@ -220,6 +241,8 @@ def is_prime(n: int) -> bool:
 def local_point_count(x: GLattice, r: AbelianRealization, ell: int) -> int:
     """#T_v(F_ell) = |det(ell * rho(Frob_ell) - 1)| at a good prime ell."""
     check_same_group(x, r)
+    if type(ell) is not int:
+        raise ShapeMismatch(f"ell = {ell!r} is not an integer")
     if not is_prime(ell):
         raise BadReduction(f"{ell} is not prime")
     if r.modulus % ell == 0 and r.modulus > 1:

@@ -98,10 +98,10 @@ class UnitGroupStructure:
         return self._logs
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def unit_group(n: int) -> UnitGroupStructure:
-    if n < 1:
-        raise ShapeMismatch(f"modulus must be positive, got {n}")
+    if type(n) is not int or n < 1:
+        raise ShapeMismatch(f"modulus must be positive and an int, got {n!r}")
     if n == 1:
         return UnitGroupStructure(1, (), ())
     parts: list[tuple[int, int, int]] = []    # (generator mod p^e, order, p^e)

@@ -303,6 +303,27 @@ def test_orbit_norm_evaluates_one_bernoulli_vector_per_orbit(f):
     assert _bernoulli2_integers.cache_info().misses == len(orbits)
 
 
+@pytest.mark.parametrize("f", [97, 193])
+def test_orbit_norm_takes_logarithmically_many_products(f, monkeypatch):
+    """The norm is taken by doubling along each cyclic factor <g_i> (order
+    n_i) of (Z/m)*: at most 2 (bit length of n_i - 1) products per factor,
+    where the product of the conjugates one by one takes phi(m)."""
+    calls = []
+    mul = dirichlet.mul_mod_phi
+    monkeypatch.setattr(dirichlet, "mul_mod_phi",
+                        lambda m, a, b: calls.append(m) or mul(m, a, b))
+    _orbit_norm.cache_clear()
+    below_phi = 0
+    for orbit in galois_orbits(characters_mod(f)):
+        m = orbit[0].order
+        bound = 2 * sum(n.bit_length() - 1 for n in unit_group(m).orders)
+        calls.clear()
+        _orbit_L_product(orbit)
+        assert len(calls) <= bound, (f, m, len(calls))
+        below_phi += bound < euler_phi(m)
+    assert below_phi >= 3
+
+
 def test_ramanujan_sum_is_the_orbit_sum_of_a_root_of_unity():
     for m in range(1, 61):
         for e in range(m):

@@ -131,7 +131,11 @@ def test_smith_valuations_on_the_ladder_w_group_matrices(f, monkeypatch):
     """The stacked a^2 rho(a) - 1 that w_group_order feeds to the
     elimination at p = 2, 3 and f, on the regular, norm-one and dual
     norm-one lattices of Res Q(zeta_f)^+ (C3 .. C48), against the dense
-    elimination. w_2(Q(zeta_f)^+) = 24f sets the precisions 2^4, 3^2, f^2."""
+    elimination. w_2(Q(zeta_f)^+) = 24f sets the caps 2^4, 3^2, f^2. The
+    CRT generators of the 2- and 3-parts are 1 mod f, so they act as the
+    scalars c = a^2 and are folded into the precision p^v_p(c - 1): 2^3
+    (from a = 5 mod 8) and 3^1. Only the (Z/f)* generator's block is fed
+    at p = 2 and 3, and the whole cyclic (Z/f^3)* stack at p = f."""
     g = cyclic_group((f - 1) // 2)
     r = realization_from_images(g, f, {primitive_root_mod_prime(f): 1})
     norm_one = lattices.norm_one_lattice(g)
@@ -142,8 +146,9 @@ def test_smith_valuations_on_the_ladder_w_group_matrices(f, monkeypatch):
     for x in (lattices.permutation_lattice(g, (g.identity,)), norm_one,
               lattices.dual(norm_one)):
         w_group_order(x, r)
-    assert sorted({(p, k) for _, p, k in fed}) == [(2, 4), (3, 2), (f, 2)]
+    assert sorted({(p, k) for _, p, k in fed}) == [(2, 3), (3, 1), (f, 2)]
     assert len(fed) == 9
+    assert all(m.rows == m.cols for m, _, _ in fed)
     for m, p, k in fed:
         assert sparse(m, p, k) == dense_smith_valuations(m, p, k), (f, p, m.rows)
 

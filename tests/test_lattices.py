@@ -9,8 +9,8 @@ from torusbt import intmat
 from torusbt import lattices as lat
 from torusbt.errors import (GroupMismatch, NotHomomorphism, NotUnimodular,
                             ShapeMismatch)
-from torusbt.groups import (cyclic_group, group_from_table, spanning_generators,
-                            subgroup_classes, subgroup_generators)
+from torusbt.groups import (cyclic_group, group_from_generators, group_from_table,
+                            spanning_generators, subgroup_classes, subgroup_generators)
 from torusbt.manifest import parse_manifest
 
 
@@ -84,6 +84,20 @@ def test_sign_lattice_character(c2):
 def test_direct_sum_group_mismatch(c2, s3):
     with pytest.raises(GroupMismatch):
         lat.direct_sum(lat.trivial_lattice(c2), lat.trivial_lattice(s3))
+
+
+def test_direct_sum_compares_multiplication_tables(v4):
+    """C2 from cyclic_group and from a permutation generator differ in name
+    and generator tuple only: before, the sum raised GroupMismatch. Tables
+    that differ, C4 against V4, are still refused."""
+    c2 = cyclic_group(2)
+    other = group_from_generators([[1, 0]])
+    assert other != c2 and other.mul == c2.mul
+    s = lat.direct_sum(lat.trivial_lattice(c2), lat.sign_lattice(other))
+    assert s.group is c2 and s.rank == 2
+    assert lat.lattice_character(s) == (2, 0)
+    with pytest.raises(GroupMismatch):
+        lat.direct_sum(lat.trivial_lattice(cyclic_group(4)), lat.trivial_lattice(v4))
 
 
 def test_sign_lattice_and_direct_sum_argument_errors_are_typed(v4):

@@ -8,7 +8,8 @@ from torusbt import intmat
 from torusbt import lattices as lat
 from torusbt import realization as realz
 from torusbt.cohomology import real_decomposition
-from torusbt.dirichlet import artin_L_minus_one, zeta_minus_one
+from torusbt.cyclotomic import cyclotomic_polynomial
+from torusbt.dirichlet import artin_L_minus_one, characters_mod, zeta_minus_one
 from torusbt.errors import (BadReduction, GroupMismatch, InvariantViolation, NotHomomorphism,
                             NotSubgroup, NotSurjective, ShapeMismatch)
 from torusbt.engine import btc_predict, local_table
@@ -292,11 +293,27 @@ def test_lattice_and_realization_over_different_groups(v4, r40):
     lambda g, r: realization_from_images(g, 5, [(2, 1)]),
     lambda g, r: real_decomposition(lat.trivial_lattice(g), "a"),
     lambda g, r: local_table(lat.trivial_lattice(r.group), r, prime_cap="x"),
+    lambda g, r: w_group_order(lat.trivial_lattice(g), None),
+    lambda g, r: w_group_order("x", r),
+    lambda g, r: artin_L_minus_one(lat.trivial_lattice(g), None),
+    lambda g, r: artin_L_minus_one("x", r),
+    lambda g, r: local_point_count(lat.trivial_lattice(g), r, "3"),
+    lambda g, r: local_point_count(lat.trivial_lattice(g), r, 3.0),
+    lambda g, r: unit_group("5"),
+    lambda g, r: characters_mod("5"),
+    lambda g, r: cyclotomic_polynomial(2.0),
+    lambda g, r: cyclotomic_polynomial("a"),
 ], ids=["matrix-lists", "str-element", "str-rank", "str-unit", "str-modulus",
-        "bool-image", "image-pairs", "str-conj", "str-prime-cap"])
+        "bool-image", "image-pairs", "str-conj", "str-prime-cap",
+        "wgroup-none-realization", "wgroup-str-lattice", "lvalue-none-realization",
+        "lvalue-str-lattice", "str-ell", "float-ell", "str-unit-group-modulus",
+        "str-character-modulus", "float-cyclotomic-order", "str-cyclotomic-order"])
 def test_badly_typed_api_arguments_are_shape_mismatch(v4, r40, call):
     """Each was a raw AttributeError or TypeError, or (True as an image)
-    accepted and written to JSON as true."""
+    accepted and written to JSON as true. unit_group and cyclotomic_polynomial
+    are cached, so 2.0 or "5" must not reach a cached 2 or 5."""
+    unit_group(5)
+    cyclotomic_polynomial(2)
     with pytest.raises(ShapeMismatch):
         call(v4, r40)
 

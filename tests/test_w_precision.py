@@ -3,10 +3,12 @@
 realization._stable_part reads its Smith valuations mod p^cap with
 cap = v_p(w_2(L)) + 1. Over G_L the lattice is trivial, so the twist-2
 invariants lie in (Z/p^v_p(w_2(L)))^rank and the twist-1 coinvariants
-are a quotient of (Z/p^v_p(w_1(L)))^rank: no valuation reaches cap. The
-pool below checks that the parts and depths are those of the p^30 route
-of conftest.cap30_stable_part, on both sides, at every candidate prime and
-at the three smallest primes outside the candidate set.
+are a quotient of (Z/p^v_p(w_1(L)))^rank: no valuation reaches cap. A
+generator acting as the scalar c lowers that precision to p^v_p(c - 1)
+and drops out of the stack. The pool below checks that the parts and
+depths are those of the unfolded p^30 route of conftest.cap30_stable_part,
+on both sides, at every candidate prime and at the three smallest primes
+outside the candidate set.
 """
 
 import random
@@ -29,12 +31,17 @@ MULTIQUADRATIC = ((8, 5), (8, 12), (5, 13), (8, 12, 5), (8, 12, 5, 28),
 
 
 def _lattices(g, rng):
-    """Regular, norm-one, dual norm-one, and a drawn sum of two coset lattices."""
+    """Regular, norm-one, dual norm-one, a drawn sum of two coset lattices,
+    the rank-2 trivial lattice and Z[G/H] with [G:H] = 2 where G has such
+    an H. On the last two some a != e has rho(a) = I, so its unit
+    generators are folded whatever the draw."""
     norm_one = lat.norm_one_lattice(g)
     classes = subgroup_classes(g)
     drawn = lat.direct_sum(*(lat.permutation_lattice(g, rng.choice(classes))
                              for _ in range(2)))
-    return [lat.permutation_lattice(g, (g.identity,)), norm_one, lat.dual(norm_one), drawn]
+    halves = [h for h in classes if h.index == 2][:1]
+    return [lat.permutation_lattice(g, (g.identity,)), norm_one, lat.dual(norm_one), drawn,
+            lat.trivial_lattice(g, 2)] + [lat.permutation_lattice(g, h) for h in halves]
 
 
 def _cyclic_subfields(m):
