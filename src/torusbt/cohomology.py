@@ -3,13 +3,15 @@
 H^1, Tate H^0 and the real place are closed forms in smith_valuations,
 the elimination mod p^e the W-group uses: |H| kills H^1 and Tate H^0,
 and an involution is determined by its trace and rank_F2(sigma - 1).
-Only the invariant lattices X^H come from the integer Hermite form.
+Only X^H comes from the integer Hermite form; all three stack the rows
+of rho(s) - I with lattices.minus_identity_stack.
 
 The same module hosts the flasque/invertible classification and the
 constructive flasque resolution 0 -> Q -> P -> X -> 0 with P a direct
 sum of coset lattices Z[G/H]. The resolution works on orbits of
 vectors: a summand (Z[G/H], w) has Stab(w) = H, so G/H is the orbit Gw
-and the images of its K-invariants are the sums of the K-orbits in Gw.
+and the images of its K-invariants are the sums of the K-orbits in Gw,
+K-orbits on cosets read off coset_action(G, H).
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .groups import (FiniteGroup, SubgroupClass, coset_action, is_metacyclic,
 from .induction import permutation_character_table
 from .intmat import IntMatrix
 from .lattices import (GLattice, direct_sum, dual, from_generator_matrices, invariant_basis,
-                       lattice_character, norm_element_matrix, permutation_lattice,
-                       zero_lattice)
+                       lattice_character, minus_identity_stack, norm_element_matrix,
+                       permutation_lattice, zero_lattice)
 from .units import factorize
 
 
@@ -48,7 +50,7 @@ def _smith_torsion(mat: IntMatrix, n: int, drop: int) -> FinAbGroup:
 
 def h1(h, x: GLattice) -> FinAbGroup:
     """H^1(H, X) = _smith_torsion(S, n, z), n = |H|, z = rank X^H, S the
-    stacked s - 1 over generators s of H.
+    stacked s - 1 over generators s of H (minus_identity_stack).
 
     Proof: n kills H^1 (Brown, Cohomology of Groups, III.10), so the long
     exact sequence of 0 -> X -n-> X -> X/nX -> 0 gives
@@ -59,8 +61,7 @@ def h1(h, x: GLattice) -> FinAbGroup:
     """
     elems = subgroup_elements(x.group, h)
     z = sum(x.action[a][i, i] for a in elems for i in range(x.rank)) // len(elems)
-    ident = intmat.identity(x.rank)
-    stacked = intmat.vstack([x.action[s] - ident for s in subgroup_generators(x.group, h)])
+    stacked = minus_identity_stack(x, subgroup_generators(x.group, h))
     return _smith_torsion(stacked, len(elems), z)
 
 
@@ -115,15 +116,16 @@ class FlasqueResolution:
         }
 
 
-def _orbit_sums(x: GLattice, kelems: tuple[int, ...], orbit) -> list[tuple[int, ...]]:
-    """Sums of the K-orbits inside the G-orbit `orbit`, a tuple of vectors,
-    in the order of each K-orbit's first vector."""
+def _orbit_sums(perms, kelems: tuple[int, ...], orbit) -> list[tuple[int, ...]]:
+    """Sums of the K-orbits inside the G-orbit `orbit` = (x_i w), listed in
+    the coset order of perms = coset_action(G, Stab(w)): k x_i w = (k x_i) w,
+    so K-orbits on cosets give them, in the order of each one's first."""
     seen, cols = set(), []
-    for vec in orbit:
-        if vec not in seen:
-            korbit = {x.action[k].apply(vec) for k in kelems}
+    for i in range(len(orbit)):
+        if i not in seen:
+            korbit = {perms[k][i] for k in kelems}
             seen |= korbit
-            cols.append(tuple(map(sum, zip(*korbit))))
+            cols.append(tuple(map(sum, zip(*(orbit[j] for j in korbit)))))
     return cols
 
 
@@ -144,7 +146,7 @@ def flasque_resolution(x: GLattice) -> FlasqueResolution:
     a G-bijection from G/H onto Gw, listed in coset_action order (least
     element first). The K-invariants of Z[G/H] are K-orbit sums of
     cosets, so their images in X^K are the sums of the K-orbits inside
-    Gw (_orbit_sums).
+    Gw, read off the summand's kept coset_action(G, H) (_orbit_sums).
 
     Q(s) is solved for s in spanning_generators(G) only: its columns are
     the span_coordinates of P(s) @ inclusion along the HNF kernel basis.
@@ -161,10 +163,10 @@ def flasque_resolution(x: GLattice) -> FlasqueResolution:
     classes = subgroup_classes(g)
     class_of = {cls.elements: cls.class_id for cls in classes}
 
-    summands: list[tuple[int, tuple[int, ...], tuple]] = []     # (class id, w, Gw)
+    summands: list[tuple[int, tuple[int, ...], tuple, tuple]] = []  # (class id, w, Gw, G/H)
     for cls in classes if x.rank else []:
         kelems = cls.elements
-        have = [c for _, _, orbit in summands for c in _orbit_sums(x, kelems, orbit)]
+        have = [c for *_, orbit, perms in summands for c in _orbit_sums(perms, kelems, orbit)]
         hit = intmat.span_coordinates(intmat.from_columns(have, x.rank))
         basis = invariant_basis(x, cls)
         for j in range(basis.cols):
@@ -180,14 +182,15 @@ def flasque_resolution(x: GLattice) -> FlasqueResolution:
                     raise ShapeMismatch("subgroup not matched to any class")
                 uinv = g.inv(u)
                 orbit = tuple(dict.fromkeys(images[g.op(a, uinv)] for a in range(g.order)))
-                summands.append((cid, images[uinv], orbit))
-                have.extend(_orbit_sums(x, kelems, orbit))
+                perms = coset_action(g, classes[cid])
+                summands.append((cid, images[uinv], orbit, perms))
+                have.extend(_orbit_sums(perms, kelems, orbit))
                 hit = intmat.span_coordinates(intmat.from_columns(have, x.rank))
 
-    p_parts = [permutation_lattice(g, classes[cid]) for cid, _, _ in summands]
+    p_parts = [permutation_lattice(g, classes[cid]) for cid, _, _, _ in summands]
     p_lat = direct_sum(*p_parts) if p_parts else zero_lattice(g)
     surjection = intmat.from_columns(
-        [vec for _, _, orbit in summands for vec in orbit], x.rank)
+        [vec for _, _, orbit, _ in summands for vec in orbit], x.rank)
 
     inclusion = intmat.kernel_basis(surjection)
     q_rank = inclusion.cols
@@ -201,8 +204,8 @@ def flasque_resolution(x: GLattice) -> FlasqueResolution:
     q_lat = from_generator_matrices(g, q_rank, q_gens)
 
     res = FlasqueResolution(
-        p_spec=tuple(cid for cid, _, _ in summands),
-        p_generators=tuple(w for _, w, _ in summands),
+        p_spec=tuple(cid for cid, _, _, _ in summands),
+        p_generators=tuple(w for _, w, _, _ in summands),
         p_lattice=p_lat, surjection=surjection,
         q_lattice=q_lat, inclusion=inclusion)
 
@@ -270,9 +273,8 @@ def _hom_basis(source: GLattice, target: GLattice) -> list[IntMatrix]:
     s, t = source.rank, target.rank
     if s == 0 or t == 0:
         return []
-    gens = list(g.generators) or []
     rows = []
-    for a in gens:
+    for a in g.generators:
         ms, mt = source.action[a], target.action[a]
         for i in range(t):
             for j in range(s):
@@ -282,14 +284,9 @@ def _hom_basis(source: GLattice, target: GLattice) -> list[IntMatrix]:
                 for k in range(t):
                     row[k * s + j] -= mt.data[i][k]
                 rows.append(row)
-    mat = intmat.from_rows(rows, t * s) if rows else intmat.zeros(0, t * s)
-    basis = intmat.kernel_basis(mat)
-    out = []
-    for jc in range(basis.cols):
-        flat = basis.col(jc)
-        out.append(intmat.from_rows(
-            [list(flat[i * s:(i + 1) * s]) for i in range(t)], s))
-    return out
+    basis = intmat.kernel_basis(intmat.from_rows(rows, t * s))
+    return [intmat.from_rows([flat[i * s:(i + 1) * s] for i in range(t)], s)
+            for flat in map(basis.col, range(basis.cols))]
 
 
 def _multisets_with_rank(classes, total: int):
@@ -513,7 +510,7 @@ def real_decomposition(x: GLattice, conj: int):
     if g.op(conj, conj) != g.identity:
         raise ShapeMismatch("conj must square to the identity")
     sigma = x.action[conj]
-    c = intmat.smith_valuations(sigma - intmat.identity(x.rank), 2, 1).count(0)
+    c = intmat.smith_valuations(minus_identity_stack(x, (conj,)), 2, 1).count(0)
     trace = sum(sigma[i, i] for i in range(x.rank))
     twice_a, twice_b = x.rank - 2 * c + trace, x.rank - 2 * c - trace
     if twice_a % 2 or min(twice_a, twice_b) < 0:

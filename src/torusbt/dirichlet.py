@@ -41,7 +41,7 @@ from .errors import (InvariantViolation, MultiplicityNotInteger,
                      NonAbelianRealization, NotRational, NotTotallyReal, ShapeMismatch)
 from .exact import lcm
 from .groups import memoised, subgroup_elements
-from .realization import check_same_group
+from .realization import check_same_group, check_types
 from .units import UnitGroupStructure, euler_phi, factorize, unit_group, units_mod
 
 
@@ -59,7 +59,7 @@ class DirichletCharacter:
         units = unit_group(self.modulus)
         if len(self.exponents) != len(units.generators):
             raise ShapeMismatch("one exponent per canonical generator required")
-        if not all(isinstance(k, int) for k in self.exponents):
+        if not all(type(k) is int for k in self.exponents):
             raise ShapeMismatch(f"exponents must be integers, got {self.exponents!r}")
         m = 1
         for k, n in zip(self.exponents, units.orders):
@@ -271,6 +271,7 @@ def zeta_minus_one(h, realization) -> Fraction:
     primitivized before evaluation so every Euler factor is right. The
     value is memoised on the realization under H's checked element tuple.
     """
+    check_types(realization)
     elems = subgroup_elements(realization.group, h)
     memo = _zeta_values(realization)
     if elems not in memo:
@@ -325,6 +326,7 @@ def character_multiplicities(x, realization) -> list[tuple[list[DirichletCharact
     phi(m) |G| m_chi = sum_g tr rho(g) c_m(e_g), the traces dotted with a
     row of _character_table. The quotient is certified to be a nonnegative integer.
     """
+    check_types(realization, x)
     if not x.group.is_abelian():
         raise NonAbelianRealization("character multiplicities need an abelian group")
     if x.group.order != realization.group.order:

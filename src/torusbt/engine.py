@@ -200,6 +200,7 @@ def weil_restriction_check(h, r: AbelianRealization) -> dict:
     t = v_p(c - 1), lowers the precision to min(cap, t): with cap <= t the
     read is at cap and still raises, and with t < cap every valuation is
     at most t, so the read is exact whatever cap is."""
+    realz.check_types(r)
     lat = lattices.permutation_lattice(r.group, h)
     via_lattice = btc_predict(lat, r).predicted_kt_order
     zeta = dirichlet.zeta_minus_one(h, r)
@@ -225,6 +226,7 @@ def shapiro_suite(r: AbelianRealization) -> dict:
 def local_table(x: GLattice, r: AbelianRealization, prime_cap: int = 50) -> list[dict]:
     if type(prime_cap) is not int:
         raise ShapeMismatch(f"prime_cap = {prime_cap!r} is not an integer")
+    realz.check_same_group(x, r)
     out = []
     for ell in range(2, prime_cap + 1):
         if not realz.is_prime(ell):

@@ -355,6 +355,7 @@ def spanning_generators(g: FiniteGroup) -> list[int]:
     return generating_set(g, g.generators + tuple(range(g.order)))
 
 
+@memoised
 def is_metacyclic(g: FiniteGroup) -> bool:
     """True iff every Sylow subgroup is cyclic.
 

@@ -8,13 +8,13 @@ unimodularity (n pivots, all 1), |det| (their product), and span
 membership with coordinates (a forward substitution along them) read
 that one pass alone. The reduction above the pivots runs only where
 its result is read: on the whole form for hnf_columns, and on the rows
-of [A; I] whose pivots lie in I for the kernel of A. smith_valuations
-reads the p-adic valuations of the Smith diagonal by elimination mod
-p^k on sparse rows, each pivot from the shortest row holding an entry
-of least valuation. A cokernel takes its free rank and torsion order
-from Hermite forms and its p-parts from smith_valuations, so no
-integer Smith form is ever built. Matrices are immutable tuples of row
-tuples, shared freely across threads.
+of [A; I] (built as [column j of A | e_j]) whose pivots lie in I for
+the kernel of A. smith_valuations reads the p-adic valuations of the
+Smith diagonal by elimination mod p^k on sparse rows, each pivot from
+the shortest row holding an entry of least valuation. A cokernel takes
+its free rank and torsion order from Hermite forms and its p-parts from
+smith_valuations, so no integer Smith form is ever built. Matrices are
+immutable tuples of row tuples, shared freely across threads.
 """
 
 from __future__ import annotations
@@ -64,10 +64,6 @@ class IntMatrix:
         return IntMatrix(self.rows, self.cols, tuple(
             tuple(a - b for a, b in zip(ra, rb))
             for ra, rb in zip(self.data, other.data)))
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(-a for a in r) for r in self.data))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -132,29 +128,13 @@ def zeros(rows: int, cols: int) -> IntMatrix:
     return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
 
-def vstack(mats: list[IntMatrix]) -> IntMatrix:
-    mats = [m for m in mats]
-    if not mats:
-        return IntMatrix(0, 0, ())
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise ShapeMismatch("vstack column mismatch")
-    data = tuple(r for m in mats for r in m.data)
-    return IntMatrix(sum(m.rows for m in mats), cols, data)
-
-
 def block_diag(mats: list[IntMatrix]) -> IntMatrix:
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = [[0] * cols for _ in range(rows)]
-    i0 = j0 = 0
+    """Each row of each block padded with zeros to its columns."""
+    cols, rows, j0 = sum(m.cols for m in mats), [], 0
     for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                out[i0 + i][j0 + j] = m.data[i][j]
-        i0 += m.rows
+        rows += [(0,) * j0 + r + (0,) * (cols - j0 - m.cols) for r in m.data]
         j0 += m.cols
-    return from_rows(out, cols)
+    return IntMatrix(len(rows), cols, tuple(rows))
 
 
 def from_columns(cols: list[tuple[int, ...]], rows: int) -> IntMatrix:
@@ -226,9 +206,15 @@ def _echelon(mat: IntMatrix) -> tuple[list[list[int]], list[int]]:
     """The forward gcd pass of hnf_columns: the columns of mat as rows m,
     the first len(piv) in echelon form with pivots m[k][piv[k]] > 0."""
     m = [list(c) for c in zip(*mat.data)] if mat.data else []
-    nrows = len(m)              # original columns
+    return m, _forward_pass(m, mat.rows)
+
+
+def _forward_pass(m: list[list[int]], width: int) -> list[int]:
+    """Bring the rows m to echelon form on their first width entries, in
+    place; the pivot positions."""
+    nrows = len(m)
     piv = []
-    for j in range(mat.rows):
+    for j in range(width):
         pivot_row = len(piv)
         if pivot_row >= nrows:
             break
@@ -249,7 +235,7 @@ def _echelon(mat: IntMatrix) -> tuple[list[list[int]], list[int]]:
         if m[pivot_row][j] < 0:
             m[pivot_row] = [-x for x in m[pivot_row]]
         piv.append(j)
-    return m, piv
+    return piv
 
 
 def span_coordinates(mat: IntMatrix):
@@ -324,10 +310,13 @@ def kernel_basis(mat: IntMatrix) -> IntMatrix:
     The column Hermite form of [mat; I] is [mat @ T; T] with T unimodular
     and the last columns of mat @ T zero, so T's last columns are the
     canonical HNF basis of the kernel, a saturated lattice (Cohen, A Course
-    in Computational Algebraic Number Theory, §2.4). A row is reduced only
-    by the rows after it, so only the rows with pivots in I are reduced.
+    in Computational Algebraic Number Theory, §2.4). Its rows [column j | e_j]
+    are built directly. A row is reduced only by the rows after it, so only
+    the rows with pivots in I are reduced.
     """
-    m, piv = _echelon(vstack([mat, identity(mat.cols)]))
+    n = mat.cols
+    m = [[*c, *(0,) * j, 1, *(0,) * (n - j - 1)] for j, c in enumerate(mat.transpose().data)]
+    piv = _forward_pass(m, mat.rows + n)
     r = sum(1 for j in piv if j < mat.rows)
     _reduce_above(m, piv, r)
     return from_columns([row[mat.rows:] for row in m[r:]], mat.cols)

@@ -148,22 +148,22 @@ def dual(x: GLattice) -> GLattice:
     return GLattice(g, x.rank, mats)
 
 
+def minus_identity_stack(x: GLattice, elems) -> IntMatrix:
+    """rho(s) - I stacked over s in elems: the rows, 1 off each diagonal entry."""
+    rows = tuple((*row[:i], row[i] - 1, *row[i + 1:]) for s in elems
+                 for i, row in enumerate(x.action[s].data))
+    return IntMatrix(len(rows), x.rank, rows)
+
+
 def invariant_basis(x: GLattice, h) -> IntMatrix:
-    """HNF basis (columns) of the fixed sublattice X^H."""
-    gens = subgroup_generators(x.group, h)
-    if not gens:
-        return intmat.identity(x.rank)
-    stacked = intmat.vstack([x.action[s] - intmat.identity(x.rank) for s in gens])
-    return intmat.kernel_basis(stacked)
+    """HNF basis (columns) of X^H, the kernel of minus_identity_stack."""
+    return intmat.kernel_basis(minus_identity_stack(x, subgroup_generators(x.group, h)))
 
 
 def norm_element_matrix(x: GLattice, h) -> IntMatrix:
     """N_H = sum of action(a) over a in H."""
-    elems = subgroup_elements(x.group, h)
-    out = intmat.zeros(x.rank, x.rank)
-    for a in elems:
-        out = out + x.action[a]
-    return out
+    mats = [x.action[a].data for a in subgroup_elements(x.group, h)]
+    return IntMatrix(x.rank, x.rank, tuple(tuple(map(sum, zip(*rows))) for rows in zip(*mats)))
 
 
 def lattice_character(x: GLattice) -> tuple[int, ...]:

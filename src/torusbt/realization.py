@@ -96,13 +96,19 @@ def realization_from_images(group: FiniteGroup, modulus: int,
         tuple(sorted(table.items())), totally_real)
 
 
+def check_types(r, *lattices) -> None:
+    """ShapeMismatch unless r is an AbelianRealization and lattices GLattices."""
+    if not (isinstance(r, AbelianRealization)
+            and all(isinstance(x, GLattice) for x in lattices)):
+        raise ShapeMismatch(f"need an AbelianRealization and GLattices, got "
+                            f"{[type(a).__name__ for a in (r, *lattices)]}")
+
+
 def check_same_group(x: GLattice, r: AbelianRealization) -> None:
     """GroupMismatch unless x and r share one multiplication table, as
     r's element numbers index x.action; ShapeMismatch unless x is a
-    GLattice and r an AbelianRealization."""
-    if not (isinstance(x, GLattice) and isinstance(r, AbelianRealization)):
-        raise ShapeMismatch(f"need a GLattice and an AbelianRealization, "
-                            f"got {type(x).__name__}, {type(r).__name__}")
+    GLattice and r an AbelianRealization (check_types)."""
+    check_types(r, x)
     if x.group.mul != r.group.mul:
         raise GroupMismatch(f"lattice over {x.group.name}, realization over {r.group.name}")
 
@@ -225,6 +231,7 @@ def w2_of_subfield(h, r: AbelianRealization) -> int:
     fixes Q(zeta_{2^(m-1)})^+. Q(zeta_m)^+ = Q for m = 2, 3, 4; past
     those, M in Q(mu_f) holds Q(zeta_m)^+ exactly when m | f and the
     unit preimage of H is +-1 mod m."""
+    check_types(r)
     units, out = r.unit_preimage(h), 2
     for q in _candidate_primes(r.modulus, (2, 3)):
         m = {2: 4, 3: 3}.get(q, 1)

@@ -15,7 +15,11 @@ solves by the full Hermite form of [A; I] (solve_exact, once intmat's),
 which reduces every row where intmat.kernel_basis and span_coordinates
 reduce only what they read. W-group parts and depths by the fixed
 precision p^30 that realization._stable_part used before it read its
-precision off w_2(L) (cap30_stable_part).
+precision off w_2(L) (cap30_stable_part). H^1, X^H and the K-orbit
+sums of the flasque resolution by the dense routes that h1,
+invariant_basis and _orbit_sums replaced: rho(s) - I from the identity
+matrix and a subtraction, the kernel from the stacked [A; I], and each
+K-orbit by applying rho(k) to each vector (dense_*).
 """
 
 import os
@@ -30,13 +34,15 @@ import pytest
 
 from torusbt import intmat
 from torusbt import lattices as lat
+from torusbt.cohomology import _smith_torsion
 from torusbt.cyclotomic import mul_mod_phi, phi_degree
 from torusbt.dirichlet import (DirichletCharacter, _bernoulli2_integers, _ramanujan_sum,
                                characters_trivial_on, conductor_primitive, galois_orbits)
 from torusbt.errors import (MultiplicityNotInteger, NonAbelianRealization, NotRational,
                             NotUnimodular, ShapeMismatch)
 from torusbt.exact import FinAbGroup, from_elementary_divisors
-from torusbt.groups import cyclic_group, group_from_generators, subgroup_classes
+from torusbt.groups import (cyclic_group, group_from_generators, subgroup_classes,
+                            subgroup_elements, subgroup_generators)
 from torusbt.units import euler_phi, unit_group, units_mod
 
 
@@ -383,6 +389,15 @@ def det(mat: intmat.IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def vstack(mats: list[intmat.IntMatrix]) -> intmat.IntMatrix:
+    """The matrices one above the other; all need the same number of
+    columns, and no matrices give the 0x0 matrix."""
+    cols = mats[0].cols if mats else 0
+    assert all(m.cols == cols for m in mats)
+    return intmat.IntMatrix(sum(m.rows for m in mats), cols,
+                            tuple(r for m in mats for r in m.data))
+
+
 def hstack(mats: list[intmat.IntMatrix]) -> intmat.IntMatrix:
     """The matrices side by side; all need the same number of rows."""
     rows = mats[0].rows
@@ -402,7 +417,7 @@ def solve_exact(mat: intmat.IntMatrix, rhs: intmat.IntMatrix) -> intmat.IntMatri
     """
     if rhs.rows != mat.rows:
         raise ShapeMismatch("solve_exact shape mismatch")
-    h = intmat.hnf_columns(intmat.vstack([mat, intmat.identity(mat.cols)]))
+    h = intmat.hnf_columns(vstack([mat, intmat.identity(mat.cols)]))
     top, t = h.data[:mat.rows], h.data[mat.rows:]
     r = sum(1 for j in range(mat.cols) if any(row[j] for row in top))
     pivots = [next(i for i, row in enumerate(top) if row[k]) for k in range(r)]
@@ -493,12 +508,58 @@ def oracle_h1_bar(x, elements) -> FinAbGroup:
     constraints = intmat.from_rows(rows, n * k) if rows else intmat.zeros(0, n * k)
     cocycles = intmat.kernel_basis(constraints)
     ident = intmat.identity(n)
-    cobound = intmat.vstack([x.action[h] - ident for h in elems])
+    cobound = vstack([x.action[h] - ident for h in elems])
     return lattice_quotient(cocycles, cobound)
 
 
 def fin_ab(*factors, free=0) -> FinAbGroup:
     return FinAbGroup(tuple(factors), free)
+
+
+# ------------------------------------------- dense routes of the resolution
+
+def _dense_minus_identity(x, elems) -> intmat.IntMatrix:
+    """The stacked rho(s) - I over s in elems, from intmat.identity,
+    IntMatrix subtraction and vstack."""
+    ident = intmat.identity(x.rank)
+    return vstack([x.action[s] - ident for s in elems])
+
+
+def dense_kernel_basis(mat: intmat.IntMatrix) -> intmat.IntMatrix:
+    """kernel_basis by the echelon pass of the stacked matrix [mat; I]."""
+    m, piv = intmat._echelon(vstack([mat, intmat.identity(mat.cols)]))
+    r = sum(1 for j in piv if j < mat.rows)
+    intmat._reduce_above(m, piv, r)
+    return intmat.from_columns([row[mat.rows:] for row in m[r:]], mat.cols)
+
+
+def dense_invariant_basis(x, h) -> intmat.IntMatrix:
+    """lattices.invariant_basis through the dense rows: the identity for
+    a trivial H."""
+    gens = subgroup_generators(x.group, h)
+    if not gens:
+        return intmat.identity(x.rank)
+    return dense_kernel_basis(_dense_minus_identity(x, gens))
+
+
+def dense_h1(h, x) -> FinAbGroup:
+    """cohomology.h1 through the dense rows."""
+    elems = subgroup_elements(x.group, h)
+    z = sum(x.action[a][i, i] for a in elems for i in range(x.rank)) // len(elems)
+    stacked = _dense_minus_identity(x, subgroup_generators(x.group, h))
+    return _smith_torsion(stacked, len(elems), z)
+
+
+def dense_orbit_sums(x, kelems, orbit) -> list[tuple[int, ...]]:
+    """cohomology._orbit_sums by applying rho(k) to each vector of the
+    G-orbit: sums of its K-orbits, in the order of each one's first vector."""
+    seen, cols = set(), []
+    for vec in orbit:
+        if vec not in seen:
+            korbit = {x.action[k].apply(vec) for k in kelems}
+            seen |= korbit
+            cols.append(tuple(map(sum, zip(*korbit))))
+    return cols
 
 
 # ---------------------------------------------------------------- characters

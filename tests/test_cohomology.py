@@ -1,18 +1,20 @@
 import itertools
 import random
+import sys
 import time
 
 import pytest
 
-from conftest import (catalog_pool, fin_ab, hstack, lattice_quotient, left_cosets,
-                      oracle_h1_bar, oracle_h1_cyclic, run_fresh, small_groups,
-                      random_lattice, sign_lattice_v4, solve_exact)
+from conftest import (catalog_pool, dense_h1, dense_invariant_basis, dense_orbit_sums,
+                      fin_ab, hstack, lattice_quotient, left_cosets, oracle_h1_bar,
+                      oracle_h1_cyclic, run_fresh, small_groups, random_lattice,
+                      sign_lattice_v4, solve_exact, vstack)
 from torusbt import cohomology as coh
 from torusbt import intmat
 from torusbt import lattices as lat
 from torusbt.errors import InconsistentRank, InvariantViolation, NotSubgroup, ShapeMismatch
 from torusbt.exact import FinAbGroup, from_elementary_divisors
-from torusbt.groups import (cyclic_group, generating_set, group_from_generators,
+from torusbt.groups import (coset_action, cyclic_group, generating_set, group_from_generators,
                             subgroup_classes, subgroup_elements, subgroup_generators)
 from torusbt.induction import permutation_character_table
 from torusbt.units import factorize
@@ -266,13 +268,76 @@ def test_orbit_sums_span_the_image_of_the_coset_invariants(c2, s3, v4, d4, a4):
                 row[start:start + perm.rank] for row in res.surjection.data))
             start += perm.rank
             orbit = tuple(block.col(j) for j in range(block.cols))
+            perms = coset_action(g, classes[cid])
             for k in classes:
-                sums = coh._orbit_sums(x, k.elements, orbit)
+                sums = coh._orbit_sums(perms, k.elements, orbit)
                 image = block @ lat.invariant_basis(perm, k)
                 assert intmat.hnf_columns(intmat.from_columns(sums, x.rank)) == \
                     intmat.hnf_columns(image), (g.name, cid, k.class_id)
                 checked += 1
     assert checked > 400
+
+
+def _multiquadratic_lattices():
+    """Regular, norm-one and dual norm-one lattices of C2^2 and C2^3, the
+    groups of the biquadratic and triquadratic fields."""
+    for k in (2, 3):
+        g = group_from_generators([[x ^ (1 << i) for x in range(2 ** k)] for i in range(k)],
+                                  name=f"C2^{k}")
+        norm_one = lat.norm_one_lattice(g)
+        yield from (lat.permutation_lattice(g, (g.identity,)), norm_one, lat.dual(norm_one))
+
+
+def test_row_and_index_routes_match_the_dense_routes(c2, s3, v4, d4, a4):
+    """h1 and invariant_basis on every class, and _orbit_sums on every
+    summand of the resolution and every class K, equal the dense routes
+    they replaced (conftest dense_*)."""
+    checked = 0
+    for x in itertools.chain(_resolution_cases(c2, s3, v4, d4, a4, 60),
+                             _multiquadratic_lattices()):
+        g = x.group
+        classes = subgroup_classes(g)
+        for k in classes:
+            assert coh.h1(k, x) == dense_h1(k, x), (g.name, k.class_id)
+            assert lat.invariant_basis(x, k) == dense_invariant_basis(x, k), \
+                (g.name, k.class_id)
+        res = coh.flasque_resolution(x)
+        start = 0
+        for cid in res.p_spec:
+            perms = coset_action(g, classes[cid])
+            orbit = tuple(res.surjection.col(j) for j in range(start, start + len(perms[0])))
+            start += len(orbit)
+            for k in classes:
+                assert coh._orbit_sums(perms, k.elements, orbit) == \
+                    dense_orbit_sums(x, k.elements, orbit), (g.name, cid, k.class_id)
+                checked += 1
+    assert checked > 400
+
+
+def test_flasque_resolution_builds_no_dense_rows(monkeypatch):
+    """On the C2^3 norm-one lattice, _orbit_sums makes no IntMatrix.apply
+    call and h1 and invariant_basis make no intmat.identity call. The
+    calls that remain elsewhere (the stabilizer of a new generator, the
+    expansion of Q) show that the counters see every call."""
+    g = group_from_generators([[x ^ (1 << i) for x in range(8)] for i in range(3)])
+    x = lat.norm_one_lattice(g)
+    callers = {"apply": [], "identity": []}
+
+    def record(kind):
+        frame, names = sys._getframe(2), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        callers[kind].append(names)
+
+    apply, identity = intmat.IntMatrix.apply, intmat.identity
+    monkeypatch.setattr(intmat.IntMatrix, "apply",
+                        lambda m, vec: record("apply") or apply(m, vec))
+    monkeypatch.setattr(intmat, "identity", lambda n: record("identity") or identity(n))
+    coh.flasque_resolution(x)
+    assert callers["apply"] and callers["identity"]
+    assert not any("_orbit_sums" in names for names in callers["apply"])
+    assert not any({"h1", "invariant_basis"} & names for names in callers["identity"])
 
 
 def test_verify_invertibility_trivial_cases(c2, s3):
@@ -546,10 +611,10 @@ def _cayley_h1(h, x):
                 prefix = g.op(prefix, g.inv(gens[si]))
                 coeff[si] = coeff[si] - x.action[prefix]
         blocks.append(hstack(coeff))
-    cocycles = intmat.kernel_basis(intmat.vstack(blocks) if blocks
+    cocycles = intmat.kernel_basis(vstack(blocks) if blocks
                                    else intmat.zeros(0, n * len(gens)))
     ident = intmat.identity(n)
-    cobound = intmat.vstack([x.action[s] - ident for s in gens])
+    cobound = vstack([x.action[s] - ident for s in gens])
     return lattice_quotient(cocycles, cobound)
 
 
@@ -613,7 +678,7 @@ def _hermite_h1(h, x):
         return FinAbGroup()
     n, r = len(subgroup_elements(x.group, h)), x.rank
     ident = intmat.identity(r)
-    stacked = intmat.vstack([x.action[s] - ident for s in gens])
+    stacked = vstack([x.action[s] - ident for s in gens])
     big = intmat.kernel_basis(hstack([stacked, -n * intmat.identity(stacked.rows)]))
     lattice = intmat.IntMatrix(r, big.cols, big.data[:r])
     return lattice_quotient(

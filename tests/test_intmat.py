@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from conftest import (dense_smith_valuations, det, oracle_cokernel, random_unimodular,
-                      snf_diagonal, solve_exact)
+                      snf_diagonal, solve_exact, vstack)
 from torusbt import intmat, lattices
 from torusbt.errors import ShapeMismatch
 from torusbt.exact import FinAbGroup
@@ -277,7 +277,8 @@ def test_block_and_stack_helpers():
     b = from_rows([[5]])
     bd = intmat.block_diag([a, b])
     assert bd.data == ((1, 0, 0), (0, 1, 0), (0, 0, 5))
-    assert intmat.vstack([a, zeros(1, 2)]).rows == 3
+    assert intmat.block_diag([]) == zeros(0, 0)
+    assert intmat.block_diag([zeros(1, 0), b, zeros(0, 2)]).data == ((0, 0, 0), (5, 0, 0))
 
 
 # ------------------------------------- the Smith-transform reference solver
@@ -415,7 +416,7 @@ def test_hermite_kernel_and_solve_match_the_smith_transforms(seed):
 def _full_hermite_kernel(a):
     """The last columns of T in hnf_columns([a; I]) = [a @ T; T]: the
     kernel as it was read before kernel_basis reduced only those rows."""
-    h = hnf_columns(intmat.vstack([a, identity(a.cols)]))
+    h = hnf_columns(vstack([a, identity(a.cols)]))
     r = sum(1 for j in range(h.cols) if any(h[i, j] for i in range(a.rows)))
     return IntMatrix(a.cols, a.cols - r, tuple(row[r:] for row in h.data[a.rows:]))
 

@@ -4,9 +4,11 @@
 still rested on one would silently stop being checked. No check in the
 library is an ``assert``: those on the Dirichlet path, in ``cyclotomic``,
 ``realization``, ``validate``, ``flasque_resolution``, ``generating_set``,
-``induction``, ``exact``, ``span_coordinates``, ``check-shapiro`` and the
-manifest's options check are typed errors or explicit checks; this runs
-their tests with asserts off.
+``induction``, ``exact``, ``span_coordinates``, ``kernel_basis``,
+``check-shapiro`` and the manifest's options check are typed errors or
+explicit checks; this runs their tests with asserts off. The intmat suite
+runs once more with the lattice and cohomology suites, whose kernels and
+Smith valuations it checks.
 """
 
 import os
@@ -34,8 +36,8 @@ def test_dirichlet_suite_passes_under_python_O():
 
 
 def test_lattice_and_cohomology_suites_pass_under_python_O():
-    _passes_under_python_O("tests/test_lattices.py", "tests/test_cohomology.py",
-                           "tests/test_induction.py")
+    _passes_under_python_O("tests/test_intmat.py", "tests/test_lattices.py",
+                           "tests/test_cohomology.py", "tests/test_induction.py")
 
 
 def test_intmat_and_groups_suites_pass_under_python_O():

@@ -3,16 +3,17 @@ from math import gcd, prod
 
 import pytest
 
-from conftest import det, hstack, left_cosets, oracle_w2, snf_diagonal
+from conftest import det, hstack, left_cosets, oracle_w2, snf_diagonal, vstack
 from torusbt import intmat
 from torusbt import lattices as lat
 from torusbt import realization as realz
 from torusbt.cohomology import real_decomposition
 from torusbt.cyclotomic import cyclotomic_polynomial
-from torusbt.dirichlet import artin_L_minus_one, characters_mod, zeta_minus_one
+from torusbt.dirichlet import (DirichletCharacter, artin_L_minus_one, character_multiplicities,
+                               characters_mod, zeta_minus_one)
 from torusbt.errors import (BadReduction, GroupMismatch, InvariantViolation, NotHomomorphism,
                             NotSubgroup, NotSurjective, ShapeMismatch)
-from torusbt.engine import btc_predict, local_table
+from torusbt.engine import btc_predict, local_table, weil_restriction_check
 from torusbt.groups import cyclic_group, group_from_table, subgroup_classes
 from torusbt.realization import (WGroupResult, global_coinvariants_order, is_prime,
                                  local_point_count, realization_from_images,
@@ -303,15 +304,24 @@ def test_lattice_and_realization_over_different_groups(v4, r40):
     lambda g, r: characters_mod("5"),
     lambda g, r: cyclotomic_polynomial(2.0),
     lambda g, r: cyclotomic_polynomial("a"),
+    lambda g, r: zeta_minus_one((0,), None),
+    lambda g, r: character_multiplicities("x", r),
+    lambda g, r: realz.w2_of_subfield((0,), None),
+    lambda g, r: weil_restriction_check((0,), None),
+    lambda g, r: local_table(lat.trivial_lattice(g), None),
+    lambda g, r: DirichletCharacter(5, (True,)),
 ], ids=["matrix-lists", "str-element", "str-rank", "str-unit", "str-modulus",
         "bool-image", "image-pairs", "str-conj", "str-prime-cap",
         "wgroup-none-realization", "wgroup-str-lattice", "lvalue-none-realization",
         "lvalue-str-lattice", "str-ell", "float-ell", "str-unit-group-modulus",
-        "str-character-modulus", "float-cyclotomic-order", "str-cyclotomic-order"])
+        "str-character-modulus", "float-cyclotomic-order", "str-cyclotomic-order",
+        "zeta-none-realization", "multiplicities-str-lattice", "w2-none-realization",
+        "weil-none-realization", "local-table-none-realization", "bool-exponent"])
 def test_badly_typed_api_arguments_are_shape_mismatch(v4, r40, call):
-    """Each was a raw AttributeError or TypeError, or (True as an image)
-    accepted and written to JSON as true. unit_group and cyclotomic_polynomial
-    are cached, so 2.0 or "5" must not reach a cached 2 or 5."""
+    """Each was a raw AttributeError or TypeError, or (True as an image or
+    exponent) accepted and written to JSON as true. unit_group and
+    cyclotomic_polynomial are cached, so 2.0 or "5" must not reach a
+    cached 2 or 5."""
     unit_group(5)
     cyclotomic_polynomial(2)
     with pytest.raises(ShapeMismatch):
@@ -456,7 +466,7 @@ def _depth_loop_part(x, r, p, twist, side, cap=30, allowed=None):
                                   (pow(a, twist, pk) * x.action[r.pi(a)] - ident).data], rank)
                 for a in gens]
         if side == "invariants":
-            stacked = intmat.vstack(mats) if mats else intmat.zeros(0, rank)
+            stacked = vstack(mats) if mats else intmat.zeros(0, rank)
         else:
             stacked = hstack(mats) if mats else intmat.zeros(rank, 0)
         ds = snf_diagonal(stacked)
