@@ -28,9 +28,9 @@ from .groups import (FiniteGroup, SubgroupClass, coset_action, is_metacyclic,
                      subgroup_generators)
 from .induction import permutation_character_table
 from .intmat import IntMatrix
-from .lattices import (GLattice, direct_sum, dual, from_generator_matrices, invariant_basis,
-                       lattice_character, minus_identity_stack, norm_element_matrix,
-                       permutation_lattice, zero_lattice)
+from .lattices import (GLattice, check_lattices, direct_sum, dual, from_generator_matrices,
+                       invariant_basis, lattice_character, minus_identity_stack,
+                       norm_element_matrix, permutation_lattice, zero_lattice)
 from .units import factorize
 
 
@@ -151,7 +151,7 @@ def flasque_resolution(x: GLattice) -> FlasqueResolution:
     Q(s) is solved for s in spanning_generators(G) only: its columns are
     the span_coordinates of P(s) @ inclusion along the HNF kernel basis.
     from_generator_matrices expands it, and its check Q(sa) = Q(s)Q(a)
-    makes Q a G-action. X must be a G-lattice. A column outside the
+    makes Q a G-action. X must be a GLattice (ShapeMismatch). A column outside the
     kernel and the postconditions (exactness over Z, equivariance of
     P -> X and of Q -> P, flasqueness of Q) raise InvariantViolation.
     Equivariance is checked on spanning_generators(G) only: P, Q and X
@@ -159,6 +159,7 @@ def flasque_resolution(x: GLattice) -> FlasqueResolution:
     f P(a) = X(a) f for every product a of them, and likewise for the
     inclusion.
     """
+    check_lattices(x)
     g = x.group
     classes = subgroup_classes(g)
     class_of = {cls.elements: cls.class_id for cls in classes}
@@ -482,6 +483,7 @@ def check_motivic_interpretation(x: GLattice):
 
     Returns (verdict, certificate or None, resolution or None).
     """
+    check_lattices(x)
     if is_metacyclic(x.group):
         return "YesMetaCyclic", None, None
     res = flasque_resolution(x)
@@ -504,6 +506,7 @@ def real_decomposition(x: GLattice, conj: int):
     a + b + 2c = rank. A c that leaves a or b negative or fractional
     raises InconsistentRank.
     """
+    check_lattices(x)
     g = x.group
     if type(conj) is not int or not 0 <= conj < g.order:
         raise ShapeMismatch(f"conj = {conj!r} is not an element of a group of order {g.order}")

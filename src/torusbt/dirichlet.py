@@ -9,8 +9,7 @@ evaluated for the primitive character inducing chi. The sum is taken in
 integers: for each value exponent e, S_j,e = sum of a^j over the a with
 chi(a) = zeta^e, and 6f B_{2,chi} = sum_e zeta^e (6 S2_e - 6f S1_e + f^2 S0_e)
 is an integer vector reduced mod Phi_order. That vector is memoised per
-primitive character, so the zeta values of the fixed fields reuse what
-the Artin L-value computed.
+primitive character.
 
 Dedekind zeta values of the abelian fixed fields and the Artin L-value
 of a lattice are assembled from these, with conjugate characters
@@ -21,11 +20,13 @@ the norm from Q(zeta_order), is taken in Z[zeta_order] over one integer
 denominator by doubling along each cyclic factor of (Z/order)*, so it
 costs O(log order) products rather than phi(order), and certified
 rational; it is memoised for the life of the process under the orbit's
-least member (modulus and exponent tuple). Each realization builds one
-character table (the orbits, with the Ramanujan sums of their values on
-each element) and memoises zeta_M(-1) per fixed field. The traces of a
+least member, its first. Each realization builds one character table
+(the orbits, with the Ramanujan sums of their values on each element),
+and it is the only place that enumerates characters. The traces of a
 lattice are rational, so conjugate characters share one multiplicity:
-the traces dotted with the orbit's row of that table.
+the traces dotted with the orbit's row of that table. zeta_M(-1) of a
+fixed field M = L^H is the product of the orbit norms whose row reads
+phi(order) on all of H.
 """
 
 from __future__ import annotations
@@ -168,7 +169,10 @@ def L_minus_one(chi: DirichletCharacter) -> CyclotomicNumber:
 
 
 def galois_orbits(chars: list[DirichletCharacter]) -> list[list[DirichletCharacter]]:
-    """Partition into orbits under chi -> chi^k, k coprime to the order."""
+    """Partition into orbits under chi -> chi^k, k coprime to the order.
+    Each orbit opens at its first member in chars: on a Galois-closed list in
+    lexicographic exponent order (characters_mod, characters_trivial_on) its
+    least member, the key of _orbit_norm's memo."""
     seen: set[tuple[int, ...]] = set()
     orbits = []
     for chi in chars:
@@ -183,12 +187,6 @@ def galois_orbits(chars: list[DirichletCharacter]) -> list[list[DirichletCharact
                 orbit.append(conj)
         orbits.append(orbit)
     return orbits
-
-
-def _orbit_L_product(orbit: list[DirichletCharacter]) -> Fraction:
-    """Rational product of L(chi*, -1) over one Galois orbit, read from
-    the memo of its least member."""
-    return _orbit_norm(min(orbit, key=lambda chi: chi.exponents))
 
 
 def _conjugate(m: int, v: list[int], k: int) -> list[int]:
@@ -266,27 +264,20 @@ def characters_trivial_on(f: int, kernel_units: set[int]) -> list[DirichletChara
 def zeta_minus_one(h, realization) -> Fraction:
     """zeta_M(-1) for the fixed field M of the subgroup H <= G = Gal(L/Q).
 
-    The product runs over all characters of G trivial on H, i.e. the
-    characters mod f trivial on the unit preimage of H; each one is
-    primitivized before evaluation so every Euler factor is right. The
-    value is memoised on the realization under H's checked element tuple.
+    zeta_M is the product of L(s, chi) over the characters of G trivial on
+    H (Washington, Thm 4.3), each primitivized so every Euler factor is
+    right. chi of order m is 1 at a iff c_m(e_chi(a)) = phi(m), i.e. m | e_chi(a):
+    the orbits trivial on H are the rows of _character_table that repeat
+    their identity entry phi(m) on all of H.
     """
     check_types(realization)
     elems = subgroup_elements(realization.group, h)
-    memo = _zeta_values(realization)
-    if elems not in memo:
-        chars = characters_trivial_on(realization.modulus, realization.unit_preimage(elems))
-        total = Fraction(1)
-        for orbit in galois_orbits(chars):
-            total *= _orbit_L_product(orbit)
-        memo[elems] = total
-    return memo[elems]
-
-
-@memoised
-def _zeta_values(realization) -> dict:
-    """zeta_minus_one of the realization by subgroup element tuple (a memo that grows)."""
-    return {}
+    e = realization.group.identity
+    total = Fraction(1)
+    for orbit, _, row in _character_table(realization):
+        if all(row[a] == row[e] for a in elems):
+            total *= _orbit_norm(orbit[0])
+    return total
 
 
 def _ramanujan_sum(m: int, e: int) -> int:
@@ -301,7 +292,8 @@ def _ramanujan_sum(m: int, e: int) -> int:
 
 @memoised
 def _character_table(realization) -> list[tuple[list[DirichletCharacter], int, tuple]]:
-    """(orbit, phi(m)|G|, (c_m(e_chi(a)) for a in G)) per Galois orbit, chi its first member."""
+    """(orbit, phi(m)|G|, (c_m(e_chi(a)) for a in G)) per Galois orbit of
+    the characters of G, chi = orbit[0] its least member (galois_orbits)."""
     g = realization.group
     reps = {a: u for u, a in realization.pi_table}      # chi(u) depends on pi(u) only
     if len(reps) != g.order:
@@ -365,7 +357,7 @@ def artin_L_minus_one(x, realization, with_table: bool = False):
                               "value": _value_json(L_minus_one(prim))})
         if mult == 0:
             continue
-        total *= _orbit_L_product(orbit) ** mult
+        total *= _orbit_norm(orbit[0]) ** mult
     if total == 0:
         raise InvariantViolation("L-value vanished despite a totally real splitting")
     return (total, table) if with_table else total

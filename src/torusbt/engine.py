@@ -113,6 +113,7 @@ def ono_l_value(x: GLattice, r: AbelianRealization):
     """|L(X,-1)| recovered from the induction identity:
     the m-th root of prod_H |zeta_{M_H}(-1)|^{a_H}. Returns
     (root or None, identity json, warnings)."""
+    realz.check_same_group(x, r)
     m, p_spec, q_spec, dec = induction.ono_decomposition(x)
     root, warnings = _ono_root(m, p_spec, q_spec, r)
     return root, dec.to_json(), warnings
@@ -177,6 +178,7 @@ def btc_predict(x: GLattice, r: AbelianRealization | None,
 def isogeny_invariance_check(x1: GLattice, x2: GLattice,
                              r: AbelianRealization) -> dict:
     """Predicted values of character-equal lattices must agree up to 2-powers."""
+    realz.check_types(r, x1, x2)
     if lattices.lattice_character(x1) != lattices.lattice_character(x2):
         raise CharacterMismatch("lattices have different characters, not isogenous")
     p1 = btc_predict(x1, r).predicted_kt_order
@@ -215,6 +217,7 @@ def weil_restriction_check(h, r: AbelianRealization) -> dict:
 
 
 def shapiro_suite(r: AbelianRealization) -> dict:
+    realz.check_types(r)
     rows = []
     for cls in subgroup_classes(r.group):
         row = weil_restriction_check(cls, r)
@@ -224,8 +227,8 @@ def shapiro_suite(r: AbelianRealization) -> dict:
 
 
 def local_table(x: GLattice, r: AbelianRealization, prime_cap: int = 50) -> list[dict]:
-    if type(prime_cap) is not int:
-        raise ShapeMismatch(f"prime_cap = {prime_cap!r} is not an integer")
+    if type(prime_cap) is not int or prime_cap < 1:
+        raise ShapeMismatch(f"prime_cap = {prime_cap!r} is not a positive integer")
     realz.check_same_group(x, r)
     out = []
     for ell in range(2, prime_cap + 1):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm  # noqa: F401  (re-exported: character orders, induction)
+from math import lcm, prod  # noqa: F401  (lcm re-exported: character orders, induction)
 
 from .errors import ShapeMismatch
 from .units import factorize
@@ -102,10 +102,7 @@ class FinAbGroup:
     def order(self) -> int:
         if self.free_rank:
             raise ShapeMismatch("infinite group has no order")
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return prod(self.invariant_factors)
 
     def to_json(self) -> dict:
         return {"invariant_factors": list(self.invariant_factors),

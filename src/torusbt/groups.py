@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import wraps
 
-from .errors import GroupTooLarge, NonPermutation, NotHomomorphism, NotSubgroup
+from .errors import GroupTooLarge, NonPermutation, NotHomomorphism, NotSubgroup, ShapeMismatch
 from .units import factorize
 
 SUBGROUP_ENUM_BOUND = 48
-# Budget of group_from_generators: its multiplication table has n^2 entries.
+# Budget of group_from_generators and cyclic_group: a multiplication table has n^2 entries.
 GROUP_ORDER_BOUND = 256
 # Budget of realization_from_images: it walks every unit mod f, and the
 # character table of the realization runs over all phi(f) characters.
@@ -301,9 +301,13 @@ def subgroup_elements(g: FiniteGroup, h) -> tuple[int, ...]:
 
     Either must be a subgroup of g, a class of another group too:
     generating_set raises NotSubgroup when the elements are out of range
-    or not closed. Each element set passes that check once per group.
+    or not closed, and so does an h that is no set of elements (None, or
+    a mix of types). Each element set passes that check once per group.
     """
-    elems = h.elements if isinstance(h, SubgroupClass) else tuple(sorted(set(h)))
+    try:
+        elems = h.elements if isinstance(h, SubgroupClass) else tuple(sorted(set(h)))
+    except TypeError:
+        raise NotSubgroup(f"{h!r:.80} is not a tuple of element indices") from None
     if elems not in _checked_subgroups(g) or any(type(a) is not int for a in elems):
         _checked_subgroups(g)[elems] = generating_set(g, elems)
     return elems
@@ -380,5 +384,11 @@ def coset_action(g: FiniteGroup, h) -> tuple[tuple[int, ...], ...]:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
+    """C_n, element k the k-fold rotation. A non-int n raises ShapeMismatch,
+    and an n past GROUP_ORDER_BOUND GroupTooLarge before its n^2 table is built."""
+    if type(n) is not int:
+        raise ShapeMismatch(f"n = {n!r} is not an integer")
+    if n > GROUP_ORDER_BOUND:
+        raise GroupTooLarge(f"C{n} past {GROUP_ORDER_BOUND} elements")
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     return group_from_table(table, name=f"C{n}", generators=(() if n == 1 else (1,)))

@@ -32,6 +32,12 @@ class GLattice:
         return f"GLattice(rank={self.rank} over {self.group.name})"
 
 
+def check_lattices(*lattices) -> None:
+    """ShapeMismatch unless every argument is a GLattice."""
+    if not all(isinstance(x, GLattice) for x in lattices):
+        raise ShapeMismatch(f"need GLattices, got {[type(x).__name__ for x in lattices]}")
+
+
 def validate(x: GLattice) -> None:
     """Check that x.action is a unimodular action of x.group.
 
@@ -178,28 +184,20 @@ def lattice_character(x: GLattice) -> tuple[int, ...]:
 
 
 def norm_one_lattice(group: FiniteGroup) -> GLattice:
-    """Cocharacter lattice of the norm-one torus ker[Res Gm -> Gm]:
-    the augmentation sublattice of Z[G], basis [g]-[e] for g != e."""
+    """Cocharacter lattice of the norm-one torus ker[Res Gm -> Gm]: the
+    augmentation sublattice of Z[G], basis [a]-[e] for a != e, on which s in
+    spanning_generators(G) acts by [sa]-[s]; from_generator_matrices expands it."""
     nonid = [a for a in range(group.order) if a != group.identity]
     pos = {a: i for i, a in enumerate(nonid)}
     n = len(nonid)
-
-    def basis_vec(a: int) -> list[int]:
-        # [a] - [e] in coordinates; [e] contributes nothing, identity -> 0
-        v = [0] * n
-        if a != group.identity:
-            v[pos[a]] = 1
-        return v
-
-    mats = []
-    for g in range(group.order):
+    mats = {}
+    for s in spanning_generators(group):
         cols = []
         for a in nonid:
-            # g.([a]-[e]) = [ga]-[g] = ([ga]-[e]) - ([g]-[e])
-            v = basis_vec(group.op(g, a))
-            w = basis_vec(g)
-            cols.append(tuple(vi - wi for vi, wi in zip(v, w)))
-        mats.append(intmat.from_columns(cols, n))
-    lat = GLattice(group, n, tuple(mats))
-    validate(lat)
-    return lat
+            col = [0] * n
+            if (sa := group.op(s, a)) != group.identity:
+                col[pos[sa]] = 1
+            col[pos[s]] -= 1
+            cols.append(col)
+        mats[s] = intmat.from_columns(cols, n)
+    return from_generator_matrices(group, n, mats)

@@ -20,7 +20,7 @@ from . import intmat
 from .errors import (BadReduction, GroupMismatch, GroupTooLarge, InvariantViolation,
                      NotHomomorphism, NotSurjective, ShapeMismatch)
 from .groups import MODULUS_BOUND, FiniteGroup, subgroup_elements, walk_generators
-from .lattices import GLattice
+from .lattices import GLattice, check_lattices
 from .units import factorize, unit_group, units_mod
 
 
@@ -98,10 +98,9 @@ def realization_from_images(group: FiniteGroup, modulus: int,
 
 def check_types(r, *lattices) -> None:
     """ShapeMismatch unless r is an AbelianRealization and lattices GLattices."""
-    if not (isinstance(r, AbelianRealization)
-            and all(isinstance(x, GLattice) for x in lattices)):
-        raise ShapeMismatch(f"need an AbelianRealization and GLattices, got "
-                            f"{[type(a).__name__ for a in (r, *lattices)]}")
+    if not isinstance(r, AbelianRealization):
+        raise ShapeMismatch(f"need an AbelianRealization, got {type(r).__name__}")
+    check_lattices(*lattices)
 
 
 def check_same_group(x: GLattice, r: AbelianRealization) -> None:

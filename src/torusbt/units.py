@@ -117,15 +117,8 @@ def unit_group(n: int) -> UnitGroupStructure:
                 parts.append((5, 2 ** (e - 2), q))
         else:
             parts.append((primitive_root_mod_prime_power(p, e), (p - 1) * p ** (e - 1), q))
-    gens, orders = [], []
-    for g, order, q in parts:
-        lifted = g % q
-        rest = n // q
-        if rest > 1:
-            lifted = crt_pair(g % q, q, 1, rest)
-        gens.append(lifted)
-        orders.append(order)
-    return UnitGroupStructure(n, tuple(gens), tuple(orders))
+    return UnitGroupStructure(n, tuple(crt_pair(g % q, q, 1, n // q) for g, _, q in parts),
+                              tuple(order for _, order, _ in parts))
 
 
 def units_mod(n: int) -> list[int]:

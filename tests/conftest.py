@@ -19,7 +19,9 @@ precision off w_2(L) (cap30_stable_part). H^1, X^H and the K-orbit
 sums of the flasque resolution by the dense routes that h1,
 invariant_basis and _orbit_sums replaced: rho(s) - I from the identity
 matrix and a subtraction, the kernel from the stacked [A; I], and each
-K-orbit by applying rho(k) to each vector (dense_*).
+K-orbit by applying rho(k) to each vector (dense_*). The norm-one
+lattice by the element-by-element build that norm_one_lattice replaced
+with its generators, validated afterwards (element_norm_one_lattice).
 """
 
 import os
@@ -154,6 +156,29 @@ def catalog_pool(c2, s3, v4):
                lat.permutation_lattice(v4, v4_cls[1]),
                lat.dual(lat.norm_one_lattice(v4))],
     }
+
+
+def element_norm_one_lattice(group):
+    """Norm-one lattice with a matrix built for every element g,
+    g([a]-[e]) = ([ga]-[e]) - ([g]-[e]), then validated."""
+    nonid = [a for a in range(group.order) if a != group.identity]
+    pos = {a: i for i, a in enumerate(nonid)}
+    n = len(nonid)
+
+    def basis_vec(a: int) -> list[int]:
+        v = [0] * n
+        if a != group.identity:
+            v[pos[a]] = 1
+        return v
+
+    mats = []
+    for g in range(group.order):
+        cols = [tuple(x - y for x, y in zip(basis_vec(group.op(g, a)), basis_vec(g)))
+                for a in nonid]
+        mats.append(intmat.from_columns(cols, n))
+    x = lat.GLattice(group, n, tuple(mats))
+    lat.validate(x)
+    return x
 
 
 def random_unimodular(n: int, rng: random.Random, shears: int = 6) -> intmat.IntMatrix:

@@ -22,7 +22,7 @@ from torusbt import dirichlet, intmat
 from torusbt import lattices as lat
 from torusbt.catalog import FIXTURE_NAMES, fixture
 from torusbt.cyclotomic import CyclotomicNumber, cyclotomic_polynomial, reduce_mod_phi
-from torusbt.dirichlet import (L_minus_one, _bernoulli2_integers, _orbit_L_product, _orbit_norm,
+from torusbt.dirichlet import (L_minus_one, _bernoulli2_integers, _character_table, _orbit_norm,
                                _ramanujan_sum, artin_L_minus_one, bernoulli2_chi,
                                character_multiplicities,
                                characters_mod, characters_trivial_on, conductor_primitive,
@@ -258,19 +258,21 @@ def per_character_multiplicities(x, r) -> dict:
 
 
 def test_orbit_products_match_fraction_arithmetic():
-    """Every orbit mod f <= 60, as galois_orbits lists it, reversed and
-    rotated: the memoised product equals the Fraction one, the first
-    call evaluates the orbit and both reorderings are cache hits."""
+    """Every orbit mod f <= 60, as galois_orbits lists it: the orbit opens
+    at its least member, and the memoised product under it equals the
+    Fraction one, evaluated on the first call and a cache hit on the
+    second."""
     _orbit_norm.cache_clear()
     checked = 0
     for f in range(1, 61):
         for orbit in galois_orbits(characters_mod(f)):
+            assert orbit[0] == min(orbit, key=lambda chi: chi.exponents), (f, orbit)
             expected = fraction_orbit_product(orbit)
             before = _orbit_norm.cache_info()
-            for order in (orbit, orbit[::-1], orbit[1:] + orbit[:1]):
-                assert _orbit_L_product(order) == expected, (f, orbit[0].exponents)
+            for _ in range(2):
+                assert _orbit_norm(orbit[0]) == expected, (f, orbit[0].exponents)
             after = _orbit_norm.cache_info()
-            assert (after.misses - before.misses, after.hits - before.hits) == (1, 2), \
+            assert (after.misses - before.misses, after.hits - before.hits) == (1, 1), \
                 (f, orbit[0].exponents)
             checked += len(orbit)
     assert checked == sum(euler_phi(f) for f in range(1, 61))
@@ -283,7 +285,7 @@ def test_orbit_norm_matches_the_conjugate_by_conjugate_product():
     checked = 0
     for f in range(1, 201):
         for orbit in galois_orbits(characters_mod(f)):
-            chi = min(orbit, key=lambda c: c.exponents)
+            chi = orbit[0]
             assert _orbit_norm(chi) == conjugate_orbit_norm(chi), (f, chi.exponents)
             checked += len(orbit)
     assert checked == sum(euler_phi(f) for f in range(1, 201))
@@ -298,7 +300,7 @@ def test_orbit_norm_evaluates_one_bernoulli_vector_per_orbit(f):
     _bernoulli2_integers.cache_clear()
     orbits = galois_orbits(characters_mod(f))
     for orbit in orbits:
-        _orbit_L_product(orbit)
+        _orbit_norm(orbit[0])
     assert _orbit_norm.cache_info().misses == len(orbits)
     assert _bernoulli2_integers.cache_info().misses == len(orbits)
 
@@ -318,7 +320,7 @@ def test_orbit_norm_takes_logarithmically_many_products(f, monkeypatch):
         m = orbit[0].order
         bound = 2 * sum(n.bit_length() - 1 for n in unit_group(m).orders)
         calls.clear()
-        _orbit_L_product(orbit)
+        _orbit_norm(orbit[0])
         assert len(calls) <= bound, (f, m, len(calls))
         below_phi += bound < euler_phi(m)
     assert below_phi >= 3
@@ -404,8 +406,9 @@ def test_character_table_matches_the_per_lattice_loop():
 
 
 def test_character_table_is_built_once_per_realization(monkeypatch):
-    """Four lattices over one realization list the characters once; an equal
-    realization built separately lists them again."""
+    """Four lattices and the zeta values of every fixed field over one
+    realization list the characters once; an equal realization built
+    separately lists them again."""
     calls = []
     real = dirichlet.characters_trivial_on
     monkeypatch.setattr(dirichlet, "characters_trivial_on",
@@ -418,6 +421,8 @@ def test_character_table_is_built_once_per_realization(monkeypatch):
         assert character_multiplicities(x, r) == loop_character_multiplicities(x, r)
     assert len(calls) == 1
     artin_L_minus_one(lattices[0], r)
+    for h in subgroup_classes(g):
+        zeta_minus_one(h, r)
     assert len(calls) == 1
     character_multiplicities(lattices[0], _rung(37)[1])
     assert len(calls) == 2
@@ -439,36 +444,51 @@ def test_character_table_keeps_its_typed_errors(c2):
                 multiplicities(x, r)
 
 
+def test_character_table_orbits_open_at_their_least_member():
+    """_orbit_norm is keyed by orbit[0], so the table must list each orbit
+    from its least exponent tuple; on every realization of the zeta pool."""
+    for r in _zeta_realizations():
+        for orbit, _, _ in _character_table(r):
+            assert orbit[0] == min(orbit, key=lambda chi: chi.exponents), (r.modulus, orbit)
+
+
 def _zeta_fresh(h, r) -> Fraction:
-    """zeta_minus_one as computed before the memo: the orbit products over
-    the characters trivial on the unit preimage of h."""
+    """zeta_minus_one as computed before it read the character table: the
+    orbit norms over the characters trivial on the unit preimage of h,
+    each keyed by its least member."""
     chars = characters_trivial_on(r.modulus, r.unit_preimage(h))
-    return prod((_orbit_L_product(orbit) for orbit in galois_orbits(chars)),
-                start=Fraction(1))
+    return prod((_orbit_norm(min(orbit, key=lambda chi: chi.exponents))
+                 for orbit in galois_orbits(chars)), start=Fraction(1))
 
 
-def test_zeta_memo_matches_a_fresh_computation(monkeypatch):
-    """On every subgroup class of the rungs C3 .. C30 the memoised value is
-    the fresh one, and a second call evaluates no orbit product."""
-    calls = []
-    real = dirichlet._orbit_L_product
-    monkeypatch.setattr(dirichlet, "_orbit_L_product",
-                        lambda orbit: calls.append(orbit) or real(orbit))
-    for p in RUNG_PRIMES:
-        if p > 61:
-            break
-        g, r = _rung(p)
-        for h in subgroup_classes(g):
-            first = zeta_minus_one(h, r)
-            count = len(calls)
-            assert zeta_minus_one(h, r) == first == _zeta_fresh(h, r), (p, h.elements)
-            assert zeta_minus_one(h.elements, r) == first
-            assert len(calls) == count, (p, h.elements)
+def _zeta_realizations() -> list:
+    """The rungs Res Q(zeta_p)^+ C3 .. C48, the C2^2, C2^3 and C2^4 fields
+    (Q(sqrt2, sqrt3, sqrt5, sqrt7) the last) and the fixtures."""
+    pool = [_rung(p)[1] for p in RUNG_PRIMES]
+    pool += [multiquadratic_realization(discs)
+             for discs in MULTIQUADRATIC_DISCS + ((8, 12, 5, 28),)]
+    return pool + [fx.realization for fx in map(fixture, FIXTURE_NAMES)
+                   if fx.realization is not None]
+
+
+def test_zeta_table_route_matches_the_per_subgroup_enumeration():
+    """On every subgroup class of the pool, the orbits of the character table
+    whose row reads phi(m) on all of H give the value of the characters
+    trivial on the unit preimage of H, enumerated for H alone; for the
+    class and for its raw element tuple."""
+    checked = 0
+    for r in _zeta_realizations():
+        for h in subgroup_classes(r.group):
+            expected = _zeta_fresh(h, r)
+            assert zeta_minus_one(h, r) == zeta_minus_one(h.elements, r) == expected, \
+                (r.modulus, h.elements)
+            checked += 1
+    assert checked == 206
 
 
 def test_zeta_memo_keeps_the_subgroup_check_and_its_instance():
-    """Non-subgroups still raise once the memo is warm, and an equal
-    realization built separately starts with an empty memo of its own."""
+    """Non-subgroups still raise once the character table is warm, and an
+    equal realization built separately builds a table of its own."""
     g, r = _rung(13)                                 # C6
     for h in subgroup_classes(g):
         zeta_minus_one(h, r)
@@ -478,5 +498,5 @@ def test_zeta_memo_keeps_the_subgroup_check_and_its_instance():
     twin = _rung(13)[1]
     assert twin == r and twin._memo == {}
     assert zeta_minus_one((0, 2, 4), twin) == zeta_minus_one((0, 2, 4), r)
-    assert list(dirichlet._zeta_values(twin)) == [(0, 2, 4)]
-    assert len(dirichlet._zeta_values(r)) == len(subgroup_classes(g)) == 4
+    assert _character_table(twin) == _character_table(r)
+    assert _character_table(twin) is not _character_table(r)

@@ -5,7 +5,8 @@ from collections import Counter
 import pytest
 
 from conftest import left_cosets, quaternion_generators, small_groups
-from torusbt.errors import GroupTooLarge, NonPermutation, NotHomomorphism, NotSubgroup
+from torusbt.errors import (GroupTooLarge, NonPermutation, NotHomomorphism, NotSubgroup,
+                            ShapeMismatch)
 from torusbt.groups import (FiniteGroup, all_subgroups, conjugacy_classes, coset_action,
                             cyclic_group, generating_set, group_from_generators,
                             group_from_table, is_metacyclic, subgroup_classes,
@@ -159,6 +160,24 @@ def test_subgroup_elements_keeps_rejecting_non_int_elements(c2):
     assert subgroup_elements(c2, (0, 1)) == subgroup_elements(c2, (1, 0)) == (0, 1)
     with pytest.raises(NotSubgroup):
         subgroup_elements(c2, (0, True))
+
+
+@pytest.mark.parametrize("h", [None, 3, (0, "a"), [[0]]], ids=str)
+def test_subgroup_elements_refuses_what_is_no_element_tuple(c2, h):
+    """Each raised a raw TypeError from set() or sorted()."""
+    with pytest.raises(NotSubgroup):
+        subgroup_elements(c2, h)
+
+
+def test_cyclic_group_is_typed_and_bounded():
+    """A str order was a raw TypeError, and an unbounded order built its
+    n x n table before any check."""
+    with pytest.raises(ShapeMismatch):
+        cyclic_group("3")
+    with pytest.raises(ShapeMismatch):
+        cyclic_group(True)
+    with pytest.raises(GroupTooLarge):
+        cyclic_group(257)
 
 
 def test_predict_runs_generating_set_once_per_element_set(monkeypatch):

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from conftest import (catalog_pool, conjugate_lattice, det, hstack, left_cosets,
-                      random_lattice, random_unimodular, run_fresh, small_groups)
+from conftest import (catalog_pool, conjugate_lattice, det, element_norm_one_lattice, hstack,
+                      left_cosets, random_lattice, random_unimodular, run_fresh, small_groups)
 from torusbt import intmat
 from torusbt import lattices as lat
 from torusbt.errors import (GroupMismatch, NotHomomorphism, NotUnimodular,
@@ -198,6 +198,20 @@ def test_norm_one_lattice_character(v4):
     assert lat.lattice_character(n1) == (3, -1, -1, -1)
 
 
+def test_norm_one_lattice_matches_the_element_by_element_build(s3, d4, a4):
+    """Expanded from its generators, the norm-one lattice is the validated
+    one built element by element (conftest) on C1 (the trivial group) to
+    C48, S3, D4, A4, D6, S4 and C2^1 .. C2^5."""
+    groups = [cyclic_group(n) for n in range(1, 49)] + [s3, d4, a4] + [
+        group_from_generators(gens, name=name) for gens, name in (
+            ([[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]], "D6"),
+            ([[1, 2, 3, 0], [1, 0, 2, 3]], "S4"))] + [
+        group_from_generators([[x ^ (1 << i) for x in range(2 ** k)] for i in range(k)],
+                              name=f"C2^{k}") for k in range(1, 6)]
+    for g in groups:
+        assert lat.norm_one_lattice(g) == element_norm_one_lattice(g), g
+
+
 def test_from_generator_matrices_rejects_bad_action(c2):
     with pytest.raises(NotHomomorphism):
         lat.from_generator_matrices(c2, 1, [intmat.from_rows([[1]])] * 2)
@@ -355,9 +369,9 @@ print(x.rank, time.perf_counter() - start)
 
 
 def test_norm_one_c96_builds_and_validates_fast():
-    """The 96 rank-95 matrices of the C96 norm-one lattice, built and
-    validated (one product and one unimodularity check per element) in a
-    fresh process, the group built untimed."""
+    """The 96 rank-95 matrices of the C96 norm-one lattice, expanded from
+    its generator and checked (one product per element) in a fresh
+    process, the group built untimed."""
     rank, seconds = run_fresh(C96_NORM_ONE, timeout=60).split()
     assert rank == "95"
     assert float(seconds) < 1.5

@@ -32,7 +32,8 @@ def _passes_under_python_O(*paths):
 
 def test_dirichlet_suite_passes_under_python_O():
     _passes_under_python_O("tests/test_dirichlet.py", "tests/test_dirichlet_oracles.py",
-                           "tests/test_cyclotomic.py", "tests/test_realization.py")
+                           "tests/test_cyclotomic.py", "tests/test_realization.py",
+                           "tests/test_w_precision.py")
 
 
 def test_lattice_and_cohomology_suites_pass_under_python_O():

@@ -7,13 +7,14 @@ from conftest import det, hstack, left_cosets, oracle_w2, snf_diagonal, vstack
 from torusbt import intmat
 from torusbt import lattices as lat
 from torusbt import realization as realz
-from torusbt.cohomology import real_decomposition
+from torusbt.cohomology import check_motivic_interpretation, flasque_resolution, real_decomposition
 from torusbt.cyclotomic import cyclotomic_polynomial
 from torusbt.dirichlet import (DirichletCharacter, artin_L_minus_one, character_multiplicities,
                                characters_mod, zeta_minus_one)
 from torusbt.errors import (BadReduction, GroupMismatch, InvariantViolation, NotHomomorphism,
                             NotSubgroup, NotSurjective, ShapeMismatch)
-from torusbt.engine import btc_predict, local_table, weil_restriction_check
+from torusbt.engine import (btc_predict, isogeny_invariance_check, local_table, ono_l_value,
+                           shapiro_suite, weil_restriction_check)
 from torusbt.groups import cyclic_group, group_from_table, subgroup_classes
 from torusbt.realization import (WGroupResult, global_coinvariants_order, is_prime,
                                  local_point_count, realization_from_images,
@@ -147,10 +148,11 @@ def test_w_group_debug_mode_runs(c2, r5):
     assert res.total == 10
 
 
-@pytest.mark.parametrize("h", [(0, 5), (5,), (0, 1, 2)], ids=str)
+@pytest.mark.parametrize("h", [(0, 5), (5,), (0, 1, 2), None], ids=str)
 def test_raw_non_subgroup_tuples_are_typed_errors(r5, h):
     """Over C2, 5 and 2 are out of range: before, zeta_minus_one((0, 5), r5)
-    returned 1/30 and w2_of_subfield((0, 5), r5) returned 120."""
+    returned 1/30 and w2_of_subfield((0, 5), r5) returned 120. None was a
+    raw TypeError."""
     with pytest.raises(NotSubgroup):
         zeta_minus_one(h, r5)
     with pytest.raises(NotSubgroup):
@@ -310,16 +312,28 @@ def test_lattice_and_realization_over_different_groups(v4, r40):
     lambda g, r: weil_restriction_check((0,), None),
     lambda g, r: local_table(lat.trivial_lattice(g), None),
     lambda g, r: DirichletCharacter(5, (True,)),
+    lambda g, r: btc_predict("x", None),
+    lambda g, r: flasque_resolution("x"),
+    lambda g, r: check_motivic_interpretation("x"),
+    lambda g, r: real_decomposition("x", 0),
+    lambda g, r: isogeny_invariance_check(lat.trivial_lattice(g), "y", r),
+    lambda g, r: shapiro_suite(None),
+    lambda g, r: ono_l_value(lat.trivial_lattice(g), None),
+    lambda g, r: local_table(lat.trivial_lattice(g), r, -5),
 ], ids=["matrix-lists", "str-element", "str-rank", "str-unit", "str-modulus",
         "bool-image", "image-pairs", "str-conj", "str-prime-cap",
         "wgroup-none-realization", "wgroup-str-lattice", "lvalue-none-realization",
         "lvalue-str-lattice", "str-ell", "float-ell", "str-unit-group-modulus",
         "str-character-modulus", "float-cyclotomic-order", "str-cyclotomic-order",
         "zeta-none-realization", "multiplicities-str-lattice", "w2-none-realization",
-        "weil-none-realization", "local-table-none-realization", "bool-exponent"])
+        "weil-none-realization", "local-table-none-realization", "bool-exponent",
+        "predict-str-lattice", "flasque-str-lattice", "motivic-str-lattice",
+        "real-decomposition-str-lattice", "isogeny-str-lattice", "shapiro-none-realization",
+        "ono-none-realization", "negative-prime-cap"])
 def test_badly_typed_api_arguments_are_shape_mismatch(v4, r40, call):
     """Each was a raw AttributeError or TypeError, or (True as an image or
-    exponent) accepted and written to JSON as true. unit_group and
+    exponent) accepted and written to JSON as true, or (a negative prime
+    cap, which the manifest refuses) an empty table. unit_group and
     cyclotomic_polynomial are cached, so 2.0 or "5" must not reach a
     cached 2 or 5."""
     unit_group(5)
