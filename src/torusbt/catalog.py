@@ -18,7 +18,7 @@ from . import intmat, lattices
 from .errors import UnknownFixture
 from .groups import FiniteGroup, cyclic_group, group_from_generators
 from .lattices import GLattice
-from .realization import AbelianRealization, realization_from_images
+from .dirichlet import AbelianRealization, realization_from_images
 
 
 @dataclass(frozen=True)

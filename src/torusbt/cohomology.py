@@ -59,6 +59,7 @@ def h1(h, x: GLattice) -> FinAbGroup:
     d_i of S, and X^H fills the Z/n of the z = sum_{h in H} tr rho(h) / n
     zero d_i.
     """
+    check_lattices(x)
     elems = subgroup_elements(x.group, h)
     z = sum(x.action[a][i, i] for a in elems for i in range(x.rank)) // len(elems)
     stacked = minus_identity_stack(x, subgroup_generators(x.group, h))

@@ -1,9 +1,12 @@
-"""Dirichlet characters and exact L-values at s = -1.
+"""Abelian realizations, their Dirichlet characters, and exact L-values at s = -1.
 
-Character values are tracked as exponents of a root of unity of the
-character's order: a character keeps its order and one integer scale per
-canonical generator, so chi(a) is a dot product with the discrete log of
-a. L(chi, -1) = -B_{2,chi}/2 with
+A realization presents the splitting field L inside Q(mu_f) as a
+surjection pi: (Z/f)* -> G, so the characters of G are the Dirichlet
+characters mod f trivial on ker pi. Character values are tracked as
+exponents of a root of unity of the character's order: a character
+keeps its order and one integer scale per canonical generator, so
+chi(a) is a dot product with the discrete log of a.
+L(chi, -1) = -B_{2,chi}/2 with
 B_{2,chi} = f * sum_{a=1}^{f} chi(a) B_2(a/f), B_2(t) = t^2 - t + 1/6,
 evaluated for the primitive character inducing chi. The sum is taken in
 integers: for each value exponent e, S_j,e = sum of a^j over the a with
@@ -31,19 +34,108 @@ phi(order) on all of H.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd
 
 from .cyclotomic import CyclotomicNumber, mul_mod_phi, reduce_mod_phi
-from .errors import (InvariantViolation, MultiplicityNotInteger,
-                     NonAbelianRealization, NotRational, NotTotallyReal, ShapeMismatch)
+from .errors import (GroupMismatch, GroupTooLarge, InvariantViolation, MultiplicityNotInteger,
+                     NonAbelianRealization, NotHomomorphism, NotRational, NotSurjective,
+                     NotTotallyReal, ShapeMismatch)
 from .exact import lcm
-from .groups import memoised, subgroup_elements
-from .realization import check_same_group, check_types
+from .groups import MODULUS_BOUND, FiniteGroup, memoised, subgroup_elements, walk_generators
+from .lattices import GLattice, check_lattices
 from .units import UnitGroupStructure, euler_phi, factorize, unit_group, units_mod
+
+
+@dataclass(frozen=True)
+class AbelianRealization:
+    group: FiniteGroup
+    modulus: int
+    images: tuple[tuple[int, int], ...]       # the (unit, element) pairs supplied
+    pi_table: tuple[tuple[int, int], ...]     # unit -> element, all units mod f
+    totally_real: bool
+    # Values of dirichlet's @memoised tables, set on first use.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_table", dict(self.pi_table))
+
+    def pi(self, a: int) -> int:
+        if self.modulus == 1:
+            return self.group.identity
+        return self._table[a % self.modulus]
+
+    def unit_preimage(self, h) -> set[int]:
+        elems = set(subgroup_elements(self.group, h))
+        return {u for u, e in self.pi_table if e in elems}
+
+    def to_json(self) -> dict:
+        return {"modulus": self.modulus,
+                "images": {str(u): e for u, e in self.images},
+                "totally_real": self.totally_real}
+
+
+def realization_from_images(group: FiniteGroup, modulus: int,
+                            images: dict[int, int]) -> AbelianRealization:
+    """Extend images of some generating units to all of (Z/f)* and validate.
+
+    Propagation is groups.walk_generators, so any relation violation
+    surfaces as a conflict; the supplied units must generate the whole
+    unit group and their images must generate G. A modulus past
+    groups.MODULUS_BOUND raises GroupTooLarge before any walk, a non-int
+    ShapeMismatch.
+    """
+    if not (type(modulus) is int and isinstance(images, dict) and all(
+            type(u) is int and type(e) is int for u, e in images.items())):
+        raise ShapeMismatch(f"need an int modulus and int unit -> int element images, "
+                            f"got {modulus!r}, {images!r:.80}")
+    if modulus < 1:
+        raise NotHomomorphism("modulus must be >= 1")
+    if modulus > MODULUS_BOUND:
+        raise GroupTooLarge(f"modulus {modulus} past {MODULUS_BOUND}")
+    if not group.is_abelian():
+        raise NotHomomorphism("abelian realization needs an abelian group")
+    norm_images = {}
+    for u, e in images.items():
+        u %= modulus
+        if modulus > 1 and gcd(u, modulus) != 1:
+            raise NotHomomorphism(f"{u} is not a unit mod {modulus}")
+        if not (0 <= e < group.order):
+            raise NotHomomorphism(f"image {e} is not a group element index")
+        if norm_images.get(u, e) != e:
+            raise NotHomomorphism(f"conflicting images for unit {u}")
+        norm_images[u] = e
+    table = walk_generators(1, group.identity, norm_images,
+                            lambda u, a: a * u % modulus if modulus > 1 else 1, group.op)
+    units = units_mod(modulus)
+    if len(table) != len(units):
+        raise NotHomomorphism("supplied units do not generate (Z/f)*")
+    if set(table.values()) != set(range(group.order)):
+        raise NotSurjective("images do not generate the whole group")
+    minus_one = modulus - 1 if modulus > 2 else 1
+    totally_real = table[minus_one] == group.identity
+    return AbelianRealization(
+        group, modulus, tuple(sorted(norm_images.items())),
+        tuple(sorted(table.items())), totally_real)
+
+
+def check_types(r, *lattices) -> None:
+    """ShapeMismatch unless r is an AbelianRealization and lattices GLattices."""
+    if not isinstance(r, AbelianRealization):
+        raise ShapeMismatch(f"need an AbelianRealization, got {type(r).__name__}")
+    check_lattices(*lattices)
+
+
+def check_same_group(x: GLattice, r: AbelianRealization) -> None:
+    """GroupMismatch unless x and r share one multiplication table, as
+    r's element numbers index x.action; ShapeMismatch unless x is a
+    GLattice and r an AbelianRealization (check_types)."""
+    check_types(r, x)
+    if x.group.mul != r.group.mul:
+        raise GroupMismatch(f"lattice over {x.group.name}, realization over {r.group.name}")
 
 
 @dataclass(frozen=True)

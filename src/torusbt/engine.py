@@ -20,7 +20,7 @@ from .errors import CharacterMismatch, ShapeMismatch, TorusBTError
 from .exact import odd_part, rational_nth_root, two_power_ratio
 from .groups import SubgroupClass, subgroup_classes
 from .lattices import GLattice
-from .realization import AbelianRealization
+from .dirichlet import AbelianRealization
 
 
 def lattice_id(x: GLattice) -> str:
@@ -29,6 +29,7 @@ def lattice_id(x: GLattice) -> str:
     (permutation, norm-one and block-sum tables repeat a few rows n^2
     times), as the repr of a list of ints with its spaces dropped.
     """
+    lattices.check_lattices(x)
     encoded: dict[tuple[int, ...], str] = {}
 
     def row(r: tuple[int, ...]) -> str:
@@ -230,11 +231,12 @@ def local_table(x: GLattice, r: AbelianRealization, prime_cap: int = 50) -> list
     if type(prime_cap) is not int or prime_cap < 1:
         raise ShapeMismatch(f"prime_cap = {prime_cap!r} is not a positive integer")
     realz.check_same_group(x, r)
+    mults = dirichlet.character_multiplicities(x, r)
     out = []
     for ell in range(2, prime_cap + 1):
         if not realz.is_prime(ell):
             continue
         if r.modulus > 1 and r.modulus % ell == 0:
             continue
-        out.append({"ell": ell, "count": realz.local_point_count(x, r, ell)})
+        out.append({"ell": ell, "count": realz.point_count(mults, ell)})
     return out

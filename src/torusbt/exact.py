@@ -18,6 +18,8 @@ from .units import factorize
 
 def integer_nth_root(m: int, n: int) -> int | None:
     """Exact n-th root of a nonnegative integer, or None if not a perfect power."""
+    if type(m) is not int or type(n) is not int:
+        raise ShapeMismatch(f"need integers, got {m!r} and {n!r}")
     if m < 0 or n < 1:
         raise ShapeMismatch("need m >= 0 and n >= 1")
     if m in (0, 1) or n == 1:
@@ -40,11 +42,13 @@ def rational_nth_root(x: Fraction, n: int) -> Fraction | None:
     cannot be certified to have a rational root; callers report it and
     carry on.
     """
+    if not isinstance(x, (int, Fraction)):
+        raise ShapeMismatch(f"rational_nth_root needs an int or a Fraction, got {x!r:.80}")
     x = Fraction(x)
     if x <= 0:
         raise ShapeMismatch("rational_nth_root needs x > 0")
-    if n < 1:
-        raise ShapeMismatch("rational_nth_root needs n >= 1")
+    if type(n) is not int or n < 1:
+        raise ShapeMismatch("rational_nth_root needs an integer n >= 1")
     num = integer_nth_root(x.numerator, n)
     if num is None:
         return None
@@ -56,6 +60,8 @@ def rational_nth_root(x: Fraction, n: int) -> Fraction | None:
 
 def odd_part(x: Fraction) -> Fraction:
     """Strip all factors of 2 from numerator and denominator."""
+    if not isinstance(x, (int, Fraction)):
+        raise ShapeMismatch(f"odd_part needs an int or a Fraction, got {x!r:.80}")
     num, den = x.numerator, x.denominator
     sign = -1 if num < 0 else 1
     num = abs(num)

@@ -202,13 +202,29 @@ def group_from_generators(perms: list, name: str = "G") -> FiniteGroup:
         gens.append(p)
     if npoints is None:
         npoints = 1
-    elems = walk_generators(tuple(range(npoints)), None, dict.fromkeys(gens), _compose,
-                            lambda s, a: None, GROUP_ORDER_BOUND)
-    ordered = sorted(elems)
+    ident = tuple(range(npoints))
+    # Breadth-first over right products a o s: rights[i][a] = a o gens[i], and
+    # parent[b] = (a, i) with b = a o gens[i] spans the group from the identity.
+    rights = [{} for _ in gens]
+    parent, reached = {ident: None}, [ident]
+    for a in reached:
+        for i, s in enumerate(gens):
+            b = rights[i][a] = _compose(a, s)
+            if b not in parent:
+                if len(parent) == GROUP_ORDER_BOUND:
+                    raise GroupTooLarge(f"closure past {GROUP_ORDER_BOUND} elements")
+                parent[b] = (a, i)
+                reached.append(b)
+    ordered = sorted(parent)
     index = {p: i for i, p in enumerate(ordered)}
-    mul = [[index[_compose(a, b)] for b in ordered] for a in ordered]
-    gen_indices = tuple(index[p] for p in gens)
-    return group_from_table(mul, name=name, generators=gen_indices)
+    right = [[index[rs[a]] for a in ordered] for rs in rights]
+    # Column b of the table: x o b = (x o a) o gens[i] for b = a o gens[i].
+    cols = {ident: range(len(ordered))}
+    for b in reached[1:]:
+        a, i = parent[b]
+        cols[b] = [right[i][y] for y in cols[a]]
+    mul = list(zip(*(cols[b] for b in ordered)))
+    return group_from_table(mul, name=name, generators=tuple(index[p] for p in gens))
 
 
 @memoised

@@ -16,7 +16,7 @@ from math import gcd
 from . import intmat
 from .errors import NoSolution
 from .groups import FiniteGroup, conjugacy_classes, memoised, subgroup_classes
-from .lattices import GLattice, lattice_character
+from .lattices import GLattice, check_lattices, lattice_character
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,7 @@ def ono_decomposition(x: GLattice):
     id -> multiplicity; symbolically this is L(X,-1)^m = prod_H
     zeta_{M_H}(-1)^{a_H} over the fixed fields M_H.
     """
+    check_lattices(x)
     dec = artin_induction(x.group, lattice_character(x))
     p_spec = {cid: -a for cid, a in dec.coefficients.items() if a < 0}
     q_spec = {cid: a for cid, a in dec.coefficients.items() if a > 0}

@@ -2,14 +2,15 @@
 
 Everything here is exact: entries are Python ints. A product adds the
 rows of the right factor picked by the nonzero entries of the left, in
-O(nnz(left) * cols). The forward gcd pass of the column Hermite form
-leaves pivots that the reduction above them never touches, so
-unimodularity (n pivots, all 1), |det| (their product), and span
-membership with coordinates (a forward substitution along them) read
-that one pass alone. The reduction above the pivots runs only where
-its result is read: on the whole form for hnf_columns, and on the rows
-of [A; I] (built as [column j of A | e_j]) whose pivots lie in I for
-the kernel of A. smith_valuations reads the p-adic valuations of the
+O(nnz(left) * cols), each output row starting from the row at its first
+nonzero coefficient, so a signed-permutation factor copies rows. The
+forward gcd pass of the column Hermite form leaves pivots that the
+reduction above them never touches, so unimodularity (n pivots, all 1)
+and span membership with coordinates (a forward substitution along
+them) read that one pass alone. The reduction above the pivots runs
+only where its result is read: on the whole form for hnf_columns, and
+on the rows of [A; I] (built as [column j of A | e_j]) whose pivots
+lie in I for the kernel of A. smith_valuations reads the p-adic valuations of the
 Smith diagonal by elimination mod p^k on sparse rows, each pivot from
 the shortest row holding an entry of least valuation. A cokernel takes
 its free rank and torsion order from Hermite forms and its p-parts from
@@ -79,11 +80,15 @@ class IntMatrix:
         zero = (0,) * other.cols
         out = []
         for r in self.data:
-            acc = zero
+            acc = None
             for a, row in zip(r, other.data):
-                if a:
+                if not a:
+                    continue
+                if acc is None:
+                    acc = row if a == 1 else [a * y for y in row]
+                else:
                     acc = [x + a * y for x, y in zip(acc, row)]
-            out.append(tuple(acc))
+            out.append(zero if acc is None else tuple(acc))
         return IntMatrix(self.rows, other.cols, tuple(out))
 
     def apply(self, vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -108,7 +113,10 @@ class IntMatrix:
 
 
 def from_rows(rows: list[list[int]] | list[tuple[int, ...]], cols: int | None = None) -> IntMatrix:
-    """Matrix with these rows; an entry that is not an int raises ShapeMismatch."""
+    """Matrix with these rows; rows that are not a list or tuple of lists or
+    tuples, or an entry that is not an int, raise ShapeMismatch."""
+    if not (isinstance(rows, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in rows)):
+        raise ShapeMismatch(f"need a list of rows, got {rows!r:.80}")
     nrows = len(rows)
     if nrows == 0:
         return IntMatrix(0, cols or 0, ())
@@ -120,6 +128,8 @@ def from_rows(rows: list[list[int]] | list[tuple[int, ...]], cols: int | None = 
 
 
 def identity(n: int) -> IntMatrix:
+    if type(n) is not int:
+        raise ShapeMismatch(f"n = {n!r} is not an integer")
     return IntMatrix(n, n, tuple(
         tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
@@ -296,14 +306,6 @@ def is_unimodular(mat: IntMatrix) -> bool:
     return mat.rows == mat.cols and _diagonal(mat) == [1] * mat.rows
 
 
-def abs_det(mat: IntMatrix) -> int:
-    """|det| of a square matrix: the product of n echelon pivots, 0 if fewer."""
-    if mat.rows != mat.cols:
-        raise ShapeMismatch("determinant of non-square matrix")
-    d = _diagonal(mat)
-    return prod(d) if len(d) == mat.cols else 0
-
-
 def kernel_basis(mat: IntMatrix) -> IntMatrix:
     """Canonical (HNF-reduced) basis of {x : mat @ x = 0}, as columns.
 
@@ -312,8 +314,10 @@ def kernel_basis(mat: IntMatrix) -> IntMatrix:
     canonical HNF basis of the kernel, a saturated lattice (Cohen, A Course
     in Computational Algebraic Number Theory, §2.4). Its rows [column j | e_j]
     are built directly. A row is reduced only by the rows after it, so only
-    the rows with pivots in I are reduced.
+    the rows with pivots in I are reduced. A non-IntMatrix raises ShapeMismatch.
     """
+    if not isinstance(mat, IntMatrix):
+        raise ShapeMismatch(f"need an IntMatrix, got {type(mat).__name__}")
     n = mat.cols
     m = [[*c, *(0,) * j, 1, *(0,) * (n - j - 1)] for j, c in enumerate(mat.transpose().data)]
     piv = _forward_pass(m, mat.rows + n)

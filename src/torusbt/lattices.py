@@ -108,6 +108,8 @@ def zero_lattice(group: FiniteGroup) -> GLattice:
 
 def permutation_lattice(group: FiniteGroup, h) -> GLattice:
     """Z[G/H], rank [G:H], G permuting the cosets in coset_action order."""
+    if not isinstance(group, FiniteGroup):
+        raise ShapeMismatch(f"need a FiniteGroup, got {type(group).__name__}")
     perms = coset_action(group, h)
     n = len(perms[0])
     unit = intmat.identity(n).data
@@ -149,6 +151,7 @@ def direct_sum(*lats: GLattice) -> GLattice:
 
 def dual(x: GLattice) -> GLattice:
     """Dual lattice: g acts by transpose(action(g^{-1}))."""
+    check_lattices(x)
     g = x.group
     mats = tuple(x.action[g.inv(a)].transpose() for a in range(g.order))
     return GLattice(g, x.rank, mats)

@@ -46,11 +46,10 @@ import tempfile
 from dataclasses import dataclass, field
 
 from . import catalog, cohomology, engine, intmat, lattices, realization as realz
-from .dirichlet import artin_L_minus_one
+from .dirichlet import AbelianRealization, artin_L_minus_one, realization_from_images
 from .errors import ManifestError, NonAbelianRealization, TorusBTError
 from .groups import FiniteGroup, group_from_generators, group_from_table, subgroup_classes
 from .lattices import GLattice
-from .realization import AbelianRealization, realization_from_images
 
 SCHEMA_VERSION = 1
 
@@ -177,6 +176,8 @@ def _parse_lattice(group: FiniteGroup, section: dict, secname: str) -> GLattice:
 
 
 def parse_manifest(text: str) -> Manifest:
+    if not isinstance(text, str):
+        raise ManifestError(f"manifest text must be a string, got {type(text).__name__}")
     sections = _parse_sections(text)
     man = Manifest()
 
@@ -319,7 +320,7 @@ def _run_command(cmd: str, man: Manifest) -> dict:
     if cmd == "wgroup":
         r = _require_realization(man, cmd)
         wres = realz.w_group_order(x, r, debug=debug)
-        m = realz.global_coinvariants_order(x, r)
+        m = realz.global_coinvariants_order(x, r, debug=debug)
         out = wres.to_json()
         return {"w_total": out["total"], "w_breakdown": out["breakdown"], "m_global": m}
     if cmd == "resolve":

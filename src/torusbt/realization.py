@@ -1,115 +1,32 @@
-"""Abelian arithmetic realizations and twisted (co)invariant orders.
+"""Twisted (co)invariant orders and local point counts of a realization.
 
-A realization presents the splitting field L inside Q(mu_f) as a
-surjection pi: (Z/f)* -> G. The absolute Galois group then acts on
-X (x) Z_p(j) through sigma_a |-> a^j * rho(pi(a mod f)). For each
-candidate prime p, one Smith form of the stacked a^j rho(a) - 1, a
-running over generators of (Z/f p^2)* (of (Z/8f)* for p = 2), gives the
-p-part of the W-group / coinvariant orders. It is read mod p^cap with
+A realization (dirichlet.AbelianRealization) presents the splitting
+field L inside Q(mu_f) as a surjection pi: (Z/f)* -> G. The absolute
+Galois group then acts on X (x) Z_p(j) through
+sigma_a |-> a^j * rho(pi(a mod f)). At a candidate prime p that divides
+|G|, one Smith form of the stacked a^j rho(a) - 1, a running over
+generators of (Z/f p^2)* (of (Z/8f)* for p = 2), gives the p-part of
+the W-group / coinvariant orders. It is read mod p^cap with
 cap = v_p(w_2(L)) + 1, which no valuation reaches, lowered to p^t by
 each generator that acts as a scalar c with t = v_p(c - 1); w_2 of a
-subfield M = L^H is its classical closed form (w2_of_subfield).
+subfield M = L^H is its classical closed form (w2_of_subfield). At a
+prime p that does not divide |G| the part is a closed form in the
+character multiplicities of X (_tame_part), and so is every local point
+count (point_count): neither runs an elimination.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, prod
 
 from . import intmat
-from .errors import (BadReduction, GroupMismatch, GroupTooLarge, InvariantViolation,
-                     NotHomomorphism, NotSurjective, ShapeMismatch)
-from .groups import MODULUS_BOUND, FiniteGroup, subgroup_elements, walk_generators
-from .lattices import GLattice, check_lattices
-from .units import factorize, unit_group, units_mod
-
-
-@dataclass(frozen=True)
-class AbelianRealization:
-    group: FiniteGroup
-    modulus: int
-    images: tuple[tuple[int, int], ...]       # the (unit, element) pairs supplied
-    pi_table: tuple[tuple[int, int], ...]     # unit -> element, all units mod f
-    totally_real: bool
-    # Values of dirichlet's @memoised tables, set on first use.
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_table", dict(self.pi_table))
-
-    def pi(self, a: int) -> int:
-        if self.modulus == 1:
-            return self.group.identity
-        return self._table[a % self.modulus]
-
-    def unit_preimage(self, h) -> set[int]:
-        elems = set(subgroup_elements(self.group, h))
-        return {u for u, e in self.pi_table if e in elems}
-
-    def to_json(self) -> dict:
-        return {"modulus": self.modulus,
-                "images": {str(u): e for u, e in self.images},
-                "totally_real": self.totally_real}
-
-
-def realization_from_images(group: FiniteGroup, modulus: int,
-                            images: dict[int, int]) -> AbelianRealization:
-    """Extend images of some generating units to all of (Z/f)* and validate.
-
-    Propagation is groups.walk_generators, so any relation violation
-    surfaces as a conflict; the supplied units must generate the whole
-    unit group and their images must generate G. A modulus past
-    groups.MODULUS_BOUND raises GroupTooLarge before any walk, a non-int
-    ShapeMismatch.
-    """
-    if not (type(modulus) is int and isinstance(images, dict) and all(
-            type(u) is int and type(e) is int for u, e in images.items())):
-        raise ShapeMismatch(f"need an int modulus and int unit -> int element images, "
-                            f"got {modulus!r}, {images!r:.80}")
-    if modulus < 1:
-        raise NotHomomorphism("modulus must be >= 1")
-    if modulus > MODULUS_BOUND:
-        raise GroupTooLarge(f"modulus {modulus} past {MODULUS_BOUND}")
-    if not group.is_abelian():
-        raise NotHomomorphism("abelian realization needs an abelian group")
-    norm_images = {}
-    for u, e in images.items():
-        u %= modulus
-        if modulus > 1 and gcd(u, modulus) != 1:
-            raise NotHomomorphism(f"{u} is not a unit mod {modulus}")
-        if not (0 <= e < group.order):
-            raise NotHomomorphism(f"image {e} is not a group element index")
-        if norm_images.get(u, e) != e:
-            raise NotHomomorphism(f"conflicting images for unit {u}")
-        norm_images[u] = e
-    table = walk_generators(1, group.identity, norm_images,
-                            lambda u, a: a * u % modulus if modulus > 1 else 1, group.op)
-    units = units_mod(modulus)
-    if len(table) != len(units):
-        raise NotHomomorphism("supplied units do not generate (Z/f)*")
-    if set(table.values()) != set(range(group.order)):
-        raise NotSurjective("images do not generate the whole group")
-    minus_one = modulus - 1 if modulus > 2 else 1
-    totally_real = table[minus_one] == group.identity
-    return AbelianRealization(
-        group, modulus, tuple(sorted(norm_images.items())),
-        tuple(sorted(table.items())), totally_real)
-
-
-def check_types(r, *lattices) -> None:
-    """ShapeMismatch unless r is an AbelianRealization and lattices GLattices."""
-    if not isinstance(r, AbelianRealization):
-        raise ShapeMismatch(f"need an AbelianRealization, got {type(r).__name__}")
-    check_lattices(*lattices)
-
-
-def check_same_group(x: GLattice, r: AbelianRealization) -> None:
-    """GroupMismatch unless x and r share one multiplication table, as
-    r's element numbers index x.action; ShapeMismatch unless x is a
-    GLattice and r an AbelianRealization (check_types)."""
-    check_types(r, x)
-    if x.group.mul != r.group.mul:
-        raise GroupMismatch(f"lattice over {x.group.name}, realization over {r.group.name}")
+from .cyclotomic import cyclotomic_polynomial
+from .dirichlet import AbelianRealization, character_multiplicities, check_same_group, check_types
+from .dirichlet import realization_from_images  # noqa: F401  (re-exported: the public API)
+from .errors import BadReduction, InvariantViolation, ShapeMismatch
+from .lattices import GLattice
+from .units import euler_phi, factorize, unit_group
 
 
 @dataclass(frozen=True)
@@ -196,30 +113,77 @@ def _next_primes_outside(candidates: list[int], count: int = 3) -> list[int]:
     return out
 
 
+def _tame_part(mults: list, r: AbelianRealization, p: int, twist: int) -> tuple[int, int]:
+    """(p-part, depth) of the twist-j (co)invariants at a prime p prime to
+    |G|, from the multiplicities of character_multiplicities (Washington,
+    Introduction to Cyclotomic Fields, 5.1). There 1 + pZ_p (all of Z_2*
+    for p = 2) acts by scalars, so the part lies in X/p^t (x) Z/p^t(j),
+    t = 3 for (p, j) = (2, 2) and 1 otherwise, where only the
+    psi = omega_p^(-j)-isotypic part of X is fixed (psi = 1 for p = 2). For
+    psi trivial (p = 2, or p = 3 and j = 2) that is p^(t z), z = rank X^G,
+    the multiplicity of the trivial orbit. Else psi has order
+    k = (p - 1) / gcd(p - 1, j) and kernel {a : a^j = 1 mod p}, and the part
+    is p^m, m the multiplicity of the orbit with that kernel (0 when G has
+    none, as when p does not divide f).
+    """
+    z = next(m for orbit, m in mults if orbit[0].order == 1)
+    if p == 2 and twist == 2:
+        return 8 ** z, 3 if z else 1
+    k = (p - 1) // gcd(p - 1, twist)
+    if k == 1:
+        return p ** z, 1
+    if r.modulus % p:
+        return 1, 1
+    # ker chi and {a^j = 1 mod p} both have index k, so one holding the other is equal.
+    kernel = [u for u, _ in r.pi_table if pow(u, twist, p) == 1]
+    m = next((m for orbit, m in mults if orbit[0].order == k
+              and all(orbit[0].value_exponent(u) == 0 for u in kernel)), 0)
+    return p ** m, 1
+
+
+def _twisted_parts(x: GLattice, r: AbelianRealization, ps: list[int], twist: int,
+                   side: str, debug: bool) -> tuple[tuple[int, int, int], ...]:
+    """(p, part, depth) at each p of ps: _stable_part where p divides |G|,
+    else _tame_part. With debug each tame part is read by _stable_part
+    too, and a disagreement raises InvariantViolation."""
+    tame = [p for p in ps if r.group.order % p]
+    mults = character_multiplicities(x, r) if tame else []
+    parts = []
+    for p in ps:
+        part = _tame_part(mults, r, p, twist) if p in tame else _stable_part(x, r, p, twist, side)
+        if debug and p in tame and part != (smith := _stable_part(x, r, p, twist, side)):
+            raise InvariantViolation(f"p = {p}: the tame part {part} of twist {twist} "
+                                     f"disagrees with the Smith route {smith}")
+        parts.append((p, *part))
+    return tuple(parts)
+
+
 def w_group_order(x: GLattice, r: AbelianRealization, debug: bool = False) -> WGroupResult:
     """|W^T(Q)| = |H^0(Q, X (x) Q/Z(2))| with per-prime breakdown.
 
     Candidate primes are {2, 3} and the divisors of f: away from the
     conductor the twist acts by the full square scalar, which fixes
     anything mod p only for p <= 3. With debug, the three smallest
-    primes outside that set are checked to contribute nothing.
+    primes outside that set are checked to contribute nothing, and each
+    tame part is checked against the Smith route.
     """
     check_same_group(x, r)
     ps = _candidate_primes(r.modulus, (2, 3))
-    parts = tuple((p, *_stable_part(x, r, p, 2, "invariants")) for p in ps)
     if debug:                   # the unfolded stack at p^2: a nontrivial part fails here
         for p in _next_primes_outside(ps):
             if _stable_part(x, r, p, 2, "invariants", oracle=True)[0] != 1:
                 raise InvariantViolation(f"candidate-prime completeness fails at p = {p}")
+    parts = _twisted_parts(x, r, ps, 2, "invariants", debug)
     return WGroupResult(prod(part for _, part, _ in parts), parts)
 
 
-def global_coinvariants_order(x: GLattice, r: AbelianRealization) -> int:
+def global_coinvariants_order(x: GLattice, r: AbelianRealization, debug: bool = False) -> int:
     """Order m of the twist-1 Tate-module coinvariants (the global term
-    of the localization sequence); candidate primes {2} and divisors of f."""
+    of the localization sequence); candidate primes {2} and divisors of f.
+    With debug each tame part is checked against the Smith route."""
     check_same_group(x, r)
-    return prod(_stable_part(x, r, p, 1, "coinvariants")[0]
-                for p in _candidate_primes(r.modulus, (2,)))
+    parts = _twisted_parts(x, r, _candidate_primes(r.modulus, (2,)), 1, "coinvariants", debug)
+    return prod(part for _, part, _ in parts)
 
 
 def w2_of_subfield(h, r: AbelianRealization) -> int:
@@ -245,7 +209,7 @@ def is_prime(n: int) -> bool:
 
 
 def local_point_count(x: GLattice, r: AbelianRealization, ell: int) -> int:
-    """#T_v(F_ell) = |det(ell * rho(Frob_ell) - 1)| at a good prime ell."""
+    """#T_v(F_ell) = |det(ell * rho(Frob_ell) - 1)| at a good prime ell (point_count)."""
     check_same_group(x, r)
     if type(ell) is not int:
         raise ShapeMismatch(f"ell = {ell!r} is not an integer")
@@ -253,5 +217,24 @@ def local_point_count(x: GLattice, r: AbelianRealization, ell: int) -> int:
         raise BadReduction(f"{ell} is not prime")
     if r.modulus % ell == 0 and r.modulus > 1:
         raise BadReduction(f"{ell} divides the conductor {r.modulus}")
-    frob = x.action[r.pi(ell)]
-    return intmat.abs_det(ell * frob - intmat.identity(x.rank))
+    return point_count(character_multiplicities(x, r), ell)
+
+
+def point_count(mults: list, ell: int) -> int:
+    """|det(ell * rho(Frob_ell) - 1)| at a prime ell prime to f, from the
+    multiplicities of character_multiplicities. The eigenvalues of
+    rho(Frob_ell) are the chi(ell): an orbit of order k and multiplicity m
+    with chi(ell) = zeta_k^e, chi = orbit[0], gives each primitive d-th
+    root zeta, d = k / gcd(e, k), m phi(k) / phi(d) times, and the product
+    of ell zeta - 1 over those roots is Phi_d(ell) up to sign.
+    """
+    out = 1
+    for orbit, m in mults:
+        if m:
+            k = orbit[0].order
+            d = k // gcd(orbit[0].value_exponent(ell), k)
+            phi_d = 0
+            for c in reversed(cyclotomic_polynomial(d)):
+                phi_d = phi_d * ell + c
+            out *= phi_d ** (m * euler_phi(k) // euler_phi(d))
+    return out

@@ -29,7 +29,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, prod
 from pathlib import Path
 
 import pytest
@@ -385,6 +385,16 @@ def cap30_stable_part(x, r, p: int, twist: int, side: str) -> tuple[int, int]:
     depth = max(1, max(vs, default=0))
     assert depth < 30, (r.modulus, p)
     return p ** sum(vs), depth
+
+
+def abs_det(mat: intmat.IntMatrix) -> int:
+    """|det| of a square matrix: the product of n echelon pivots, 0 if fewer.
+    Verbatim the intmat.abs_det that local point counts read before
+    realization.point_count took them off the character table."""
+    if mat.rows != mat.cols:
+        raise ShapeMismatch("determinant of non-square matrix")
+    d = intmat._diagonal(mat)
+    return prod(d) if len(d) == mat.cols else 0
 
 
 def det(mat: intmat.IntMatrix) -> int:

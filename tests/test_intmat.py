@@ -5,15 +5,15 @@ from math import gcd
 
 import pytest
 
-from conftest import (dense_smith_valuations, det, oracle_cokernel, random_unimodular,
-                      snf_diagonal, solve_exact, vstack)
+from conftest import (abs_det, dense_smith_valuations, det, oracle_cokernel,
+                      random_unimodular, snf_diagonal, solve_exact, vstack)
 from torusbt import intmat, lattices
 from torusbt.errors import ShapeMismatch
 from torusbt.exact import FinAbGroup
 from torusbt.groups import cyclic_group
-from torusbt.intmat import (IntMatrix, abs_det, cokernel_structure, from_columns, from_rows,
+from torusbt.intmat import (IntMatrix, cokernel_structure, from_columns, from_rows,
                             hnf_columns, identity, is_unimodular, kernel_basis, zeros)
-from torusbt.realization import realization_from_images, w_group_order
+from torusbt.realization import _stable_part, realization_from_images
 from torusbt.units import primitive_root_mod_prime
 
 
@@ -128,10 +128,11 @@ def test_smith_valuations_match_the_dense_elimination():
 
 @pytest.mark.parametrize("f", [7, 13, 17, 29, 37, 59, 61, 97])
 def test_smith_valuations_on_the_ladder_w_group_matrices(f, monkeypatch):
-    """The stacked a^2 rho(a) - 1 that w_group_order feeds to the
-    elimination at p = 2, 3 and f, on the regular, norm-one and dual
+    """The stacked a^2 rho(a) - 1 that realization._stable_part feeds to
+    the elimination at p = 2, 3 and f, on the regular, norm-one and dual
     norm-one lattices of Res Q(zeta_f)^+ (C3 .. C48), against the dense
-    elimination. w_2(Q(zeta_f)^+) = 24f sets the caps 2^4, 3^2, f^2. The
+    elimination (w_group_order reads the parts at a p prime to |G|,
+    such as f, off the character table). w_2(Q(zeta_f)^+) = 24f sets the caps 2^4, 3^2, f^2. The
     CRT generators of the 2- and 3-parts are 1 mod f, so they act as the
     scalars c = a^2 and are folded into the precision p^v_p(c - 1): 2^3
     (from a = 5 mod 8) and 3^1. Only the (Z/f)* generator's block is fed
@@ -145,7 +146,8 @@ def test_smith_valuations_on_the_ladder_w_group_matrices(f, monkeypatch):
                         lambda m, p, k: fed.append((m, p, k)) or sparse(m, p, k))
     for x in (lattices.permutation_lattice(g, (g.identity,)), norm_one,
               lattices.dual(norm_one)):
-        w_group_order(x, r)
+        for p in (2, 3, f):
+            _stable_part(x, r, p, 2, "invariants")
     assert sorted({(p, k) for _, p, k in fed}) == [(2, 3), (3, 1), (f, 2)]
     assert len(fed) == 9
     assert all(m.rows == m.cols for m, _, _ in fed)

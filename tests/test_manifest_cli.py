@@ -114,6 +114,14 @@ def test_group_section_cannot_move_a_fixture_onto_another_group():
     assert same.lattice.group.mul == same.group.mul
 
 
+@pytest.mark.parametrize("text", [None, b"[fixture]\nname = gm_q\n"],
+                         ids=["none-text", "bytes-text"])
+def test_manifest_text_that_is_not_a_string_is_manifest_error(text):
+    """parse_manifest(None) was a raw AttributeError on splitlines."""
+    with pytest.raises(ManifestError, match="must be a string"):
+        parse_manifest(text)
+
+
 def test_missing_lattice():
     with pytest.raises(ManifestError):
         parse_manifest("[group]\ngenerators = [[1,0]]\n")

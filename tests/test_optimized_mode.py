@@ -3,7 +3,9 @@
 ``-O`` strips ``assert`` statements, so any invariant of the library that
 still rested on one would silently stop being checked. No check in the
 library is an ``assert``: those on the Dirichlet path, in ``cyclotomic``,
-``realization``, ``validate``, ``flasque_resolution``, ``generating_set``,
+``realization`` (the tame closed forms and point counts, whose oracle
+tests against the Smith route and the determinant are in
+``test_w_precision.py``), ``validate``, ``flasque_resolution``, ``generating_set``,
 ``induction``, ``exact``, ``span_coordinates``, ``kernel_basis``,
 ``check-shapiro`` and the manifest's options check are typed errors or
 explicit checks; this runs their tests with asserts off. The intmat suite

@@ -7,15 +7,18 @@ from conftest import det, hstack, left_cosets, oracle_w2, snf_diagonal, vstack
 from torusbt import intmat
 from torusbt import lattices as lat
 from torusbt import realization as realz
-from torusbt.cohomology import check_motivic_interpretation, flasque_resolution, real_decomposition
+from torusbt.cohomology import (check_motivic_interpretation, flasque_resolution, h1,
+                                 real_decomposition)
 from torusbt.cyclotomic import cyclotomic_polynomial
 from torusbt.dirichlet import (DirichletCharacter, artin_L_minus_one, character_multiplicities,
                                characters_mod, zeta_minus_one)
 from torusbt.errors import (BadReduction, GroupMismatch, InvariantViolation, NotHomomorphism,
                             NotSubgroup, NotSurjective, ShapeMismatch)
-from torusbt.engine import (btc_predict, isogeny_invariance_check, local_table, ono_l_value,
-                           shapiro_suite, weil_restriction_check)
+from torusbt.engine import (btc_predict, isogeny_invariance_check, lattice_id, local_table,
+                            ono_l_value, shapiro_suite, weil_restriction_check)
+from torusbt.exact import integer_nth_root, odd_part, rational_nth_root
 from torusbt.groups import cyclic_group, group_from_table, subgroup_classes
+from torusbt.induction import ono_decomposition
 from torusbt.realization import (WGroupResult, global_coinvariants_order, is_prime,
                                  local_point_count, realization_from_images,
                                  w2_of_subfield, w_group_order)
@@ -320,6 +323,17 @@ def test_lattice_and_realization_over_different_groups(v4, r40):
     lambda g, r: shapiro_suite(None),
     lambda g, r: ono_l_value(lat.trivial_lattice(g), None),
     lambda g, r: local_table(lat.trivial_lattice(g), r, -5),
+    lambda g, r: intmat.from_rows(None),
+    lambda g, r: intmat.kernel_basis("x"),
+    lambda g, r: intmat.identity("2"),
+    lambda g, r: rational_nth_root("x", 2),
+    lambda g, r: odd_part(None),
+    lambda g, r: integer_nth_root(4, "2"),
+    lambda g, r: h1((0,), "x"),
+    lambda g, r: lat.dual("x"),
+    lambda g, r: lat.permutation_lattice(None, (0,)),
+    lambda g, r: ono_decomposition("x"),
+    lambda g, r: lattice_id("x"),
 ], ids=["matrix-lists", "str-element", "str-rank", "str-unit", "str-modulus",
         "bool-image", "image-pairs", "str-conj", "str-prime-cap",
         "wgroup-none-realization", "wgroup-str-lattice", "lvalue-none-realization",
@@ -329,9 +343,12 @@ def test_lattice_and_realization_over_different_groups(v4, r40):
         "weil-none-realization", "local-table-none-realization", "bool-exponent",
         "predict-str-lattice", "flasque-str-lattice", "motivic-str-lattice",
         "real-decomposition-str-lattice", "isogeny-str-lattice", "shapiro-none-realization",
-        "ono-none-realization", "negative-prime-cap"])
+        "ono-none-realization", "negative-prime-cap", "from-rows-none", "kernel-str-matrix",
+        "str-identity-size", "str-root-radicand", "none-odd-part", "str-root-degree",
+        "h1-str-lattice", "dual-str-lattice", "permutation-none-group",
+        "ono-decomposition-str-lattice", "lattice-id-str-lattice"])
 def test_badly_typed_api_arguments_are_shape_mismatch(v4, r40, call):
-    """Each was a raw AttributeError or TypeError, or (True as an image or
+    """Each was a raw AttributeError, TypeError or ValueError, or (True as an image or
     exponent) accepted and written to JSON as true, or (a negative prime
     cap, which the manifest refuses) an empty table. unit_group and
     cyclotomic_polynomial are cached, so 2.0 or "5" must not reach a
@@ -526,12 +543,14 @@ def test_one_smith_form_matches_the_depth_loop():
 def test_stabilization_cap_boundary(r1, monkeypatch):
     """gm_q has depth 3 at p = 2 (w_2(Q) = 24), read at 2^4. A w_2 of 12
     would put the bound at 2^3, which that depth reaches: a bug, not a
-    user error."""
+    user error. Every prime is tame over Q, so w_group_order reads the
+    closed form and the Smith route is called directly."""
     x = lat.trivial_lattice(r1.group)
     assert _breakdown(w_group_order(x, r1))[2] == {"part": 8, "depth": 3}
+    assert realz._stable_part(x, r1, 2, 2, "invariants") == (8, 3)
     monkeypatch.setattr(realz, "w2_of_subfield", lambda h, r: 12)
     with pytest.raises(InvariantViolation, match="reaches the w_2 bound 3"):
-        w_group_order(x, r1)
+        realz._stable_part(x, r1, 2, 2, "invariants")
 
 
 def test_norm_one_predictions_at_c20_and_c29():
