@@ -11,7 +11,7 @@ real-place decompositions, and good-reduction local point counts.
 
 from .exact import FinAbGroup, odd_part, rational_nth_root
 from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial
-from .intmat import IntMatrix, cokernel_structure, kernel_basis
+from .intmat import IntMatrix, kernel_basis
 from .groups import (FiniteGroup, SubgroupClass, conjugacy_classes, cyclic_group,
                      group_from_generators, group_from_table, is_metacyclic,
                      subgroup_classes)

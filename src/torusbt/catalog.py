@@ -94,6 +94,6 @@ FIXTURE_NAMES = tuple(_BUILDERS)
 
 
 def fixture(name: str) -> Fixture:
-    if name not in _BUILDERS:
+    if not isinstance(name, str) or name not in _BUILDERS:
         raise UnknownFixture(f"unknown fixture {name!r}; have {', '.join(FIXTURE_NAMES)}")
     return _BUILDERS[name]()

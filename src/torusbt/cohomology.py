@@ -30,7 +30,7 @@ from .induction import permutation_character_table
 from .intmat import IntMatrix
 from .lattices import (GLattice, check_lattices, direct_sum, dual, from_generator_matrices,
                        invariant_basis, lattice_character, minus_identity_stack,
-                       norm_element_matrix, permutation_lattice, zero_lattice)
+                       norm_element_matrix, permutation_lattice, traces, zero_lattice)
 from .units import factorize
 
 
@@ -61,7 +61,7 @@ def h1(h, x: GLattice) -> FinAbGroup:
     """
     check_lattices(x)
     elems = subgroup_elements(x.group, h)
-    z = sum(x.action[a][i, i] for a in elems for i in range(x.rank)) // len(elems)
+    z = sum(traces(x)[a] for a in elems) // len(elems)
     stacked = minus_identity_stack(x, subgroup_generators(x.group, h))
     return _smith_torsion(stacked, len(elems), z)
 
@@ -77,10 +77,10 @@ def tate_h0(h, x: GLattice) -> FinAbGroup:
     so each such d_i divides n; the r - z zero d_i are dropped. X^H itself
     is never built.
     """
-    norm = norm_element_matrix(x, h)
-    n = len(subgroup_elements(x.group, h))
-    z = sum(norm[i, i] for i in range(x.rank)) // n
-    return _smith_torsion(norm, n, x.rank - z)
+    check_lattices(x)
+    elems = subgroup_elements(x.group, h)
+    z = sum(traces(x)[a] for a in elems) // len(elems)
+    return _smith_torsion(norm_element_matrix(x, h), len(elems), x.rank - z)
 
 
 def _h1_witnesses(x: GLattice):
@@ -92,6 +92,7 @@ def _h1_witnesses(x: GLattice):
 
 def is_flasque(x: GLattice):
     """True iff H^1(H, X) = 0 for every subgroup class; else the witnesses."""
+    check_lattices(x)
     witnesses = list(_h1_witnesses(x))
     return (not witnesses), witnesses
 
@@ -212,7 +213,7 @@ def flasque_resolution(x: GLattice) -> FlasqueResolution:
         q_lattice=q_lat, inclusion=inclusion)
 
     # Postconditions: exactness over Z, equivariance, and flasqueness of Q.
-    if not intmat.cokernel_structure(surjection).is_trivial:
+    if not intmat.hnf_columns(surjection).is_identity():
         raise InvariantViolation("surjection not onto")
     if p_lat.rank != q_rank + x.rank:
         raise InvariantViolation("rank additivity broken")
@@ -247,14 +248,12 @@ class InvertibilityCertificate:
 
 
 def verify_invertibility(q: GLattice, cert: InvertibilityCertificate) -> bool:
-    """Soundness check: iso is unimodular and intertwines Q (+) I' with the target."""
+    """Soundness check: iso is unimodular and intertwines Q (+) I' with the
+    target; a complement over another table is a GroupMismatch (direct_sum)."""
+    check_lattices(q)
     g = q.group
     classes = subgroup_classes(g)
-    parts = [q]
-    if cert.complement is not None and cert.complement.rank > 0:
-        if cert.complement.group != g:
-            raise ShapeMismatch("complement over a different group")
-        parts.append(cert.complement)
+    parts = [q] if cert.complement is None else [q, cert.complement]
     source = direct_sum(*parts)
     targets = [permutation_lattice(g, classes[cid]) for cid in cert.target_spec]
     target = direct_sum(*targets) if targets else zero_lattice(g)
@@ -420,6 +419,7 @@ def search_invertibility_certificate(q: GLattice) -> InvertibilityCertificate | 
     counts these character-matched pairs, and complements reach rank
     RANK_BOUND.
     """
+    check_lattices(q)
     g = q.group
     classes = subgroup_classes(g)
     if q.rank == 0:
@@ -513,9 +513,8 @@ def real_decomposition(x: GLattice, conj: int):
         raise ShapeMismatch(f"conj = {conj!r} is not an element of a group of order {g.order}")
     if g.op(conj, conj) != g.identity:
         raise ShapeMismatch("conj must square to the identity")
-    sigma = x.action[conj]
     c = intmat.smith_valuations(minus_identity_stack(x, (conj,)), 2, 1).count(0)
-    trace = sum(sigma[i, i] for i in range(x.rank))
+    trace = traces(x)[conj]
     twice_a, twice_b = x.rank - 2 * c + trace, x.rank - 2 * c - trace
     if twice_a % 2 or min(twice_a, twice_b) < 0:
         raise InconsistentRank(f"rank {x.rank} and trace {trace} with c = {c}")

@@ -39,14 +39,16 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd
+from operator import mul
 
 from .cyclotomic import CyclotomicNumber, mul_mod_phi, reduce_mod_phi
 from .errors import (GroupMismatch, GroupTooLarge, InvariantViolation, MultiplicityNotInteger,
                      NonAbelianRealization, NotHomomorphism, NotRational, NotSurjective,
-                     NotTotallyReal, ShapeMismatch)
+                     NotTotallyReal, ShapeMismatch, check_instance)
 from .exact import lcm
-from .groups import MODULUS_BOUND, FiniteGroup, memoised, subgroup_elements, walk_generators
-from .lattices import GLattice, check_lattices
+from .groups import (MODULUS_BOUND, FiniteGroup, memoised, same_table, subgroup_elements,
+                     walk_generators)
+from .lattices import GLattice, check_lattices, traces
 from .units import UnitGroupStructure, euler_phi, factorize, unit_group, units_mod
 
 
@@ -124,8 +126,7 @@ def realization_from_images(group: FiniteGroup, modulus: int,
 
 def check_types(r, *lattices) -> None:
     """ShapeMismatch unless r is an AbelianRealization and lattices GLattices."""
-    if not isinstance(r, AbelianRealization):
-        raise ShapeMismatch(f"need an AbelianRealization, got {type(r).__name__}")
+    check_instance(r, AbelianRealization)
     check_lattices(*lattices)
 
 
@@ -134,7 +135,7 @@ def check_same_group(x: GLattice, r: AbelianRealization) -> None:
     r's element numbers index x.action; ShapeMismatch unless x is a
     GLattice and r an AbelianRealization (check_types)."""
     check_types(r, x)
-    if x.group.mul != r.group.mul:
+    if not same_table(x.group, r.group):
         raise GroupMismatch(f"lattice over {x.group.name}, realization over {r.group.name}")
 
 
@@ -202,6 +203,7 @@ def characters_mod(f: int) -> list[DirichletCharacter]:
 
 def conductor_primitive(chi: DirichletCharacter) -> tuple[int, DirichletCharacter]:
     """Minimal f' | f through which chi factors, and the inducing primitive character."""
+    check_instance(chi, DirichletCharacter)
     f = chi.modulus
     if chi.is_trivial():
         cond = 1
@@ -250,12 +252,14 @@ def _bernoulli2_integers(chi: DirichletCharacter) -> tuple[tuple[int, ...], int]
 
 def bernoulli2_chi(chi: DirichletCharacter) -> CyclotomicNumber:
     """Generalized Bernoulli number B_{2,chi} for a primitive character."""
+    check_instance(chi, DirichletCharacter)
     v, den = _bernoulli2_integers(chi)
     return CyclotomicNumber.from_integers(chi.order, v, den)
 
 
 def L_minus_one(chi: DirichletCharacter) -> CyclotomicNumber:
     """L(chi, -1) = -B_{2,chi}/2 for a primitive character."""
+    check_instance(chi, DirichletCharacter)
     v, den = _bernoulli2_integers(chi)
     return CyclotomicNumber.from_integers(chi.order, v, -2 * den)
 
@@ -416,10 +420,10 @@ def character_multiplicities(x, realization) -> list[tuple[list[DirichletCharact
     if x.group.order != realization.group.order:
         raise NonAbelianRealization("realization does not cover the group")
     check_same_group(x, realization)
-    traces = [sum(m.data[i][i] for i in range(x.rank)) for m in x.action]
+    t = traces(x)
     out = []
     for orbit, den, row in _character_table(realization):
-        total = sum(t * c for t, c in zip(traces, row))
+        total = sum(map(mul, t, row))
         mult, rem = divmod(total, den)
         if rem or mult < 0:
             raise MultiplicityNotInteger(f"multiplicity {Fraction(total, den)} of {orbit[0]}")

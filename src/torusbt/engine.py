@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import cohomology, dirichlet, induction, lattices, realization as realz
-from .errors import CharacterMismatch, ShapeMismatch, TorusBTError
+from .errors import CharacterMismatch, NotTotallyReal, ShapeMismatch, TorusBTError
 from .exact import odd_part, rational_nth_root, two_power_ratio
 from .groups import SubgroupClass, subgroup_classes
 from .lattices import GLattice
@@ -182,6 +182,8 @@ def isogeny_invariance_check(x1: GLattice, x2: GLattice,
     realz.check_types(r, x1, x2)
     if lattices.lattice_character(x1) != lattices.lattice_character(x2):
         raise CharacterMismatch("lattices have different characters, not isogenous")
+    if not r.totally_real:
+        raise NotTotallyReal("isogeny check needs a prediction, and pi(-1) != identity")
     p1 = btc_predict(x1, r).predicted_kt_order
     p2 = btc_predict(x2, r).predicted_kt_order
     ratio = p1 / p2
@@ -219,11 +221,8 @@ def weil_restriction_check(h, r: AbelianRealization) -> dict:
 
 def shapiro_suite(r: AbelianRealization) -> dict:
     realz.check_types(r)
-    rows = []
-    for cls in subgroup_classes(r.group):
-        row = weil_restriction_check(cls, r)
-        row["subgroup_id"] = cls.class_id
-        rows.append(row)
+    rows = [{**weil_restriction_check(cls, r), "subgroup_id": cls.class_id}
+            for cls in subgroup_classes(r.group)]
     return {"instances": rows, "pass": all(row["equal"] for row in rows)}
 
 
@@ -232,11 +231,5 @@ def local_table(x: GLattice, r: AbelianRealization, prime_cap: int = 50) -> list
         raise ShapeMismatch(f"prime_cap = {prime_cap!r} is not a positive integer")
     realz.check_same_group(x, r)
     mults = dirichlet.character_multiplicities(x, r)
-    out = []
-    for ell in range(2, prime_cap + 1):
-        if not realz.is_prime(ell):
-            continue
-        if r.modulus > 1 and r.modulus % ell == 0:
-            continue
-        out.append({"ell": ell, "count": realz.point_count(mults, ell)})
-    return out
+    return [{"ell": ell, "count": realz.point_count(mults, ell)}
+            for ell in range(2, prime_cap + 1) if realz.is_prime(ell) and r.modulus % ell]

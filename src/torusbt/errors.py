@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its argument type check."""
 
 
 class TorusBTError(Exception):
@@ -36,6 +36,12 @@ class NotSurjective(TorusBTError):
 
 class ShapeMismatch(TorusBTError):
     """A bad argument: wrong matrix dimensions, a non-int entry, or a value out of range."""
+
+
+def check_instance(value, cls) -> None:
+    """ShapeMismatch unless value is a cls."""
+    if not isinstance(value, cls):
+        raise ShapeMismatch(f"need a {cls.__name__}, got {type(value).__name__}")
 
 
 class InconsistentRank(TorusBTError):

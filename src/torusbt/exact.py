@@ -123,31 +123,19 @@ class FinAbGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def from_elementary_divisors(divisors: list[int], free_rank: int = 0) -> FinAbGroup:
+def from_elementary_divisors(divisors: list[int]) -> FinAbGroup:
     """Canonicalize an arbitrary list of cyclic orders into invariant factors.
 
-    Accepts any multiset of moduli >= 1 (1s are dropped), e.g. the diagonal
-    of a Smith form or a merge of two invariant-factor lists.
+    Accepts any multiset of moduli >= 1 (1s are dropped), e.g. the
+    p-parts of a Smith diagonal or a merge of two invariant-factor lists.
     """
     primary: dict[int, list[int]] = {}
     for d in divisors:
-        if d < 0:
-            d = -d
-        if d == 0:
-            free_rank += 1
-            continue
         for p, e in factorize(d):
             primary.setdefault(p, []).append(p ** e)
-    for p in primary:
-        primary[p].sort(reverse=True)
-    width = max((len(v) for v in primary.values()), default=0)
-    factors = []
-    for i in range(width):
-        d = 1
-        for p, powers in primary.items():
-            if i < len(powers):
-                d *= powers[i]
-        factors.append(d)
-    factors.reverse()
-    return FinAbGroup(tuple(factors), free_rank)
+    # The i-th invariant factor from the top multiplies the i-th largest power of each p.
+    chains = [sorted(powers, reverse=True) for powers in primary.values()]
+    width = max(map(len, chains), default=0)
+    return FinAbGroup(tuple(prod(c[i] for c in chains if i < len(c))
+                            for i in reversed(range(width))))
 

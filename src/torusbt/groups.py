@@ -29,12 +29,17 @@ SUBGROUP_COUNT_BOUND = 5000
 
 
 def memoised(build):
-    """build(g), computed on the first call for each group (or realization) g and kept on it."""
+    """build(g), computed on the first call for each group, realization or
+    lattice g and kept in its _memo; an argument without one raises ShapeMismatch."""
     @wraps(build)
     def cached(g):
-        if build.__qualname__ not in g._memo:
-            g._memo[build.__qualname__] = build(g)
-        return g._memo[build.__qualname__]
+        try:
+            memo = g._memo
+        except AttributeError:
+            raise ShapeMismatch(f"{build.__name__} got a {type(g).__name__}") from None
+        if build.__qualname__ not in memo:
+            memo[build.__qualname__] = build(g)
+        return memo[build.__qualname__]
     return cached
 
 
@@ -97,6 +102,12 @@ class FiniteGroup:
         return f"{self.name}(order={self.order})"
 
 
+def same_table(g: FiniteGroup, h: FiniteGroup) -> bool:
+    """True iff g and h share one multiplication table (names and
+    generator tuples may differ), so element numbers mean the same in both."""
+    return g is h or g.mul == h.mul
+
+
 @dataclass(frozen=True)
 class SubgroupClass:
     """One conjugacy class of subgroups, identified by a canonical representative."""
@@ -156,12 +167,11 @@ def group_from_table(table, name: str = "G", generators=None) -> FiniteGroup:
     return g
 
 
-def walk_generators(start, start_image, gens: dict, step, image_step,
-                    bound: int | None = None) -> dict:
+def walk_generators(start, start_image, gens: dict, step, image_step) -> dict:
     """Breadth-first extension from generators: {key: image} over the keys
     reached from start, b = step(s, a) getting image_step(gens[s], image of a).
-    Two images of one key raise NotHomomorphism, a walk past bound keys
-    GroupTooLarge; whether it reached all it should is the caller's check."""
+    Two images of one key raise NotHomomorphism; whether it reached all it
+    should is the caller's check."""
     table = {start: start_image}
     frontier = [start]
     while frontier:
@@ -171,8 +181,6 @@ def walk_generators(start, start_image, gens: dict, step, image_step,
             for s, image_s in gens.items():
                 b, image_b = step(s, a), image_step(image_s, image)
                 if b not in table:
-                    if len(table) == bound:
-                        raise GroupTooLarge(f"closure past {bound} elements")
                     table[b] = image_b
                     new.append(b)
                 elif table[b] != image_b:

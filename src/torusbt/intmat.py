@@ -10,24 +10,21 @@ and span membership with coordinates (a forward substitution along
 them) read that one pass alone. The reduction above the pivots runs
 only where its result is read: on the whole form for hnf_columns, and
 on the rows of [A; I] (built as [column j of A | e_j]) whose pivots
-lie in I for the kernel of A. smith_valuations reads the p-adic valuations of the
+lie in I for the kernel of A. Columns span Z^n exactly when their
+hnf_columns is I. smith_valuations reads the p-adic valuations of the
 Smith diagonal by elimination mod p^k on sparse rows, each pivot from
-the shortest row holding an entry of least valuation. A cokernel takes
-its free rank and torsion order from Hermite forms and its p-parts from
-smith_valuations, so no integer Smith form is ever built. Matrices are
-immutable tuples of row tuples, shared freely across threads.
+the shortest row holding an entry of least valuation, so no integer
+Smith form is ever built. Matrices are immutable tuples of row tuples,
+shared freely across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from math import prod
 from operator import mul
 
-from .exact import FinAbGroup, from_elementary_divisors
-from .errors import ShapeMismatch
-from .units import factorize
+from .errors import ShapeMismatch, check_instance
 
 
 @dataclass(frozen=True)
@@ -60,11 +57,7 @@ class IntMatrix:
             for ra, rb in zip(self.data, other.data)))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("sub shape mismatch")
-        return IntMatrix(self.rows, self.cols, tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.data, other.data)))
+        return self + other * -1
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -316,29 +309,11 @@ def kernel_basis(mat: IntMatrix) -> IntMatrix:
     are built directly. A row is reduced only by the rows after it, so only
     the rows with pivots in I are reduced. A non-IntMatrix raises ShapeMismatch.
     """
-    if not isinstance(mat, IntMatrix):
-        raise ShapeMismatch(f"need an IntMatrix, got {type(mat).__name__}")
+    check_instance(mat, IntMatrix)
     n = mat.cols
     m = [[*c, *(0,) * j, 1, *(0,) * (n - j - 1)] for j, c in enumerate(mat.transpose().data)]
     piv = _forward_pass(m, mat.rows + n)
     r = sum(1 for j in piv if j < mat.rows)
     _reduce_above(m, piv, r)
     return from_columns([row[mat.rows:] for row in m[r:]], mat.cols)
-
-
-def cokernel_structure(mat: IntMatrix) -> FinAbGroup:
-    """Isomorphism type of Z^rows / column-image(mat).
-
-    H = hnf_columns(mat) spans the image with full column rank r, so the
-    free rank is rows - r. H^T has full row rank, so the pivots of its
-    Hermite form multiply to d_1...d_r, the torsion order, and for each
-    p^e exactly dividing that order smith_valuations(H, p, e) gives the
-    p-parts. Only the order is factored: H's own pivots depend on the
-    basis ([[2**89 - 1], [1]] has cokernel Z and pivot 2**89 - 1).
-    """
-    h = hnf_columns(mat)
-    order = prod(_diagonal(h.transpose()))
-    return from_elementary_divisors(
-        [p ** v for p, e in factorize(order) for v in smith_valuations(h, p, e)],
-        mat.rows - h.cols)
 

@@ -6,20 +6,22 @@ a tuple element-index -> IntMatrix acting on column vectors.
 An action table M is checked on a generating set S of G, not on all
 |G|^2 pairs: if M(e) = I and M(s*b) = M(s)M(b) for every s in S and b in
 G, induction on word length gives M(a*b) = M(a)M(b) for all a, b, and
-then M(a)^ord(a) = I forces det M(a) = +-1. A failed check raises
-NotUnimodular (wrong shape or not unimodular) or NotHomomorphism (table
-size, identity, or a product).
+then M(a)^ord(a) = I forces det M(a) = +-1. from_generator_matrices
+runs that walk, and validate compares a table with the walk from it on
+S. A failed check raises NotUnimodular (wrong shape or not unimodular)
+or NotHomomorphism (table size, or a table that is not its walk).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import intmat
 from .intmat import IntMatrix
-from .errors import GroupMismatch, NotHomomorphism, NotUnimodular, ShapeMismatch
-from .groups import (FiniteGroup, conjugacy_classes, coset_action, spanning_generators,
-                     subgroup_elements, subgroup_generators, walk_generators)
+from .errors import GroupMismatch, NotHomomorphism, NotUnimodular, ShapeMismatch, check_instance
+from .groups import (FiniteGroup, conjugacy_classes, coset_action, memoised, same_table,
+                     spanning_generators, subgroup_elements, subgroup_generators,
+                     walk_generators)
 
 
 @dataclass(frozen=True)
@@ -27,6 +29,8 @@ class GLattice:
     group: FiniteGroup
     rank: int
     action: tuple[IntMatrix, ...]      # one matrix per element index
+    # Values of the @memoised functions of this lattice, set on first use.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __repr__(self) -> str:
         return f"GLattice(rank={self.rank} over {self.group.name})"
@@ -42,11 +46,12 @@ def validate(x: GLattice) -> None:
     """Check that x.action is a unimodular action of x.group.
 
     Every matrix must be rank x rank and unimodular (NotUnimodular);
-    the table needs one matrix per element, identity acting as I, and
-    action(s)action(b) == action(s*b) for s in spanning_generators(G) and
-    every b (NotHomomorphism). By the module docstring that is the whole
-    homomorphism property, at |S|*|G| <= |G|*log2|G| products.
+    the table needs one matrix per element and must be what
+    from_generator_matrices expands from it on spanning_generators(G)
+    (NotHomomorphism): by the module docstring the whole homomorphism
+    property, at |S|*|G| <= |G|*log2|G| products.
     """
+    check_lattices(x)
     g = x.group
     if len(x.action) != g.order:
         raise NotHomomorphism("action table size != group order")
@@ -55,12 +60,9 @@ def validate(x: GLattice) -> None:
             raise NotUnimodular(f"action({a}) has wrong shape")
         if not intmat.is_unimodular(m):
             raise NotUnimodular(f"action({a}) is not unimodular")
-    if not x.action[g.identity].is_identity():
-        raise NotHomomorphism("action(identity) is not the identity matrix")
-    for s in spanning_generators(g):
-        for b in range(g.order):
-            if x.action[s] @ x.action[b] != x.action[g.op(s, b)]:
-                raise NotHomomorphism(f"action({s})action({b}) != action({s}*{b})")
+    gens = {s: x.action[s] for s in spanning_generators(g)}
+    if from_generator_matrices(g, x.rank, gens).action != tuple(x.action):
+        raise NotHomomorphism("action table is not the G-action of its generator matrices")
 
 
 def from_generator_matrices(group: FiniteGroup, rank: int,
@@ -69,12 +71,12 @@ def from_generator_matrices(group: FiniteGroup, rank: int,
 
     The walk (groups.walk_generators) starts from M(e) = I, checks
     M(s*a) == M(s)M(a) for every given s and every element a it reaches,
-    and fails unless the given elements reach all of G. That is the
-    generating-set check of validate, so the expanded table is a G-action
-    without a second pass. Anything but IntMatrix values on int keys, and
-    wrong-sized matrices, raise ShapeMismatch, a failed check
-    NotHomomorphism.
+    and fails unless the given elements reach all of G, so by the module
+    docstring the expanded table is a G-action. Anything but IntMatrix
+    values on int keys, and wrong-sized matrices, raise ShapeMismatch, a
+    failed check NotHomomorphism.
     """
+    check_instance(group, FiniteGroup)
     if isinstance(gen_mats, (list, tuple)):
         if len(gen_mats) != len(group.generators):
             raise NotHomomorphism("need one matrix per group generator")
@@ -98,8 +100,8 @@ def from_generator_matrices(group: FiniteGroup, rank: int,
 
 
 def trivial_lattice(group: FiniteGroup, rank: int = 1) -> GLattice:
-    ident = intmat.identity(rank)
-    return GLattice(group, rank, tuple(ident for _ in range(group.order)))
+    check_instance(group, FiniteGroup)
+    return GLattice(group, rank, (intmat.identity(rank),) * group.order)
 
 
 def zero_lattice(group: FiniteGroup) -> GLattice:
@@ -108,8 +110,7 @@ def zero_lattice(group: FiniteGroup) -> GLattice:
 
 def permutation_lattice(group: FiniteGroup, h) -> GLattice:
     """Z[G/H], rank [G:H], G permuting the cosets in coset_action order."""
-    if not isinstance(group, FiniteGroup):
-        raise ShapeMismatch(f"need a FiniteGroup, got {type(group).__name__}")
+    check_instance(group, FiniteGroup)
     perms = coset_action(group, h)
     n = len(perms[0])
     unit = intmat.identity(n).data
@@ -123,6 +124,7 @@ def sign_lattice(group: FiniteGroup, signs: dict[int, int] | None = None) -> GLa
     With signs omitted this needs |G| <= 2: the nonidentity element acts
     by -1. A signs that misses an element raises ShapeMismatch.
     """
+    check_instance(group, FiniteGroup)
     if signs is None:
         if group.order > 2:
             raise NotHomomorphism("default sign lattice needs |G| <= 2")
@@ -138,12 +140,11 @@ def sign_lattice(group: FiniteGroup, signs: dict[int, int] | None = None) -> GLa
 def direct_sum(*lats: GLattice) -> GLattice:
     """lats[0] (+) ... (+) lats[-1], one block_diag per group element.
 
-    The groups must share one multiplication table (names and generator
-    tuples may differ), as realization.check_same_group asks."""
+    The groups must share one multiplication table (groups.same_table)."""
     if not lats:
         raise ShapeMismatch("empty direct sum needs an explicit group")
     g = lats[0].group
-    if any(x.group is not g and x.group.mul != g.mul for x in lats):
+    if not all(same_table(x.group, g) for x in lats):
         raise GroupMismatch("direct_sum over different groups")
     mats = tuple(intmat.block_diag([x.action[a] for x in lats]) for a in range(g.order))
     return GLattice(g, sum(x.rank for x in lats), mats)
@@ -175,21 +176,26 @@ def norm_element_matrix(x: GLattice, h) -> IntMatrix:
     return IntMatrix(x.rank, x.rank, tuple(tuple(map(sum, zip(*rows))) for rows in zip(*mats)))
 
 
+@memoised
+def traces(x: GLattice) -> tuple[int, ...]:
+    """tr rho(a) for each element a, once per lattice: every trace the package reads."""
+    return tuple(sum(row[i] for i, row in enumerate(m.data)) for m in x.action)
+
+
 def lattice_character(x: GLattice) -> tuple[int, ...]:
     """Trace of the action on each conjugacy class (checked constant on classes)."""
-    values = []
-    for cls in conjugacy_classes(x.group):
-        traces = {sum(x.action[a].data[i][i] for i in range(x.rank)) for a in cls}
-        if len(traces) != 1:
+    t, classes = traces(x), conjugacy_classes(x.group)
+    for cls in classes:
+        if len({t[a] for a in cls}) != 1:
             raise NotHomomorphism(f"trace not constant on class {cls}")
-        values.append(traces.pop())
-    return tuple(values)
+    return tuple(t[cls[0]] for cls in classes)
 
 
 def norm_one_lattice(group: FiniteGroup) -> GLattice:
     """Cocharacter lattice of the norm-one torus ker[Res Gm -> Gm]: the
     augmentation sublattice of Z[G], basis [a]-[e] for a != e, on which s in
     spanning_generators(G) acts by [sa]-[s]; from_generator_matrices expands it."""
+    check_instance(group, FiniteGroup)
     nonid = [a for a in range(group.order) if a != group.identity]
     pos = {a: i for i, a in enumerate(nonid)}
     n = len(nonid)

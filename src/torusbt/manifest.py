@@ -48,7 +48,8 @@ from dataclasses import dataclass, field
 from . import catalog, cohomology, engine, intmat, lattices, realization as realz
 from .dirichlet import AbelianRealization, artin_L_minus_one, realization_from_images
 from .errors import ManifestError, NonAbelianRealization, TorusBTError
-from .groups import FiniteGroup, group_from_generators, group_from_table, subgroup_classes
+from .groups import (FiniteGroup, group_from_generators, group_from_table, same_table,
+                     subgroup_classes)
 from .lattices import GLattice
 
 SCHEMA_VERSION = 1
@@ -81,8 +82,9 @@ def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             val, ln = sections[current][last_key]
             sections[current][last_key] = (val + " " + stripped, ln)
             continue
-        if stripped.startswith("[") and stripped.endswith("]"):
-            current = stripped[1:-1].strip().lower()
+        header = stripped.partition("#")[0].rstrip()     # a header may carry a comment
+        if header.startswith("[") and header.endswith("]"):
+            current = header[1:-1].strip().lower()
             if not current:
                 raise ManifestError("empty section name", line=lineno)
             sections.setdefault(current, {})
@@ -161,7 +163,7 @@ def _parse_lattice(group: FiniteGroup, section: dict, secname: str) -> GLattice:
         rows = _literal(raw, ln, key)
         try:
             gen_mats[elem] = intmat.from_rows(rows, rank if rank == 0 else None)
-        except Exception as exc:
+        except TorusBTError as exc:
             raise ManifestError(f"bad matrix: {exc}", line=ln, field=key)
     missing = [s for s in group.generators if s not in gen_mats]
     if missing and rank > 0:
@@ -185,7 +187,7 @@ def parse_manifest(text: str) -> Manifest:
         raw, ln = sections["fixture"].get("name", (None, 0))
         if raw is None:
             raise ManifestError("fixture section needs name =", field="fixture.name")
-        name = raw.strip().strip("'\"")
+        name = raw.partition("#")[0].strip().strip("'\"")
         try:
             fx = catalog.fixture(name)
         except TorusBTError as exc:
@@ -248,7 +250,7 @@ def parse_manifest(text: str) -> Manifest:
         except TorusBTError as exc:
             raise ManifestError(str(exc), line=fln, field="realization")
     for part in (man.lattice, man.realization):
-        if part is not None and part.group.mul != man.group.mul:
+        if part is not None and not same_table(part.group, man.group):
             raise ManifestError("the fixture's lattice and realization are over its own "
                                 "group; a different [group] needs its own [lattice] "
                                 "and [realization]", field="group")
@@ -256,7 +258,7 @@ def parse_manifest(text: str) -> Manifest:
     if "commands" in sections:
         raw, ln = sections["commands"].get("run", (None, 0))
         if raw is not None:
-            cmds = tuple(c.strip() for c in raw.split(",") if c.strip())
+            cmds = tuple(c.strip() for c in raw.partition("#")[0].split(",") if c.strip())
             for c in cmds:
                 if c not in COMMANDS:
                     raise ManifestError(f"unknown command {c!r}", line=ln, field="commands.run")
@@ -269,7 +271,10 @@ def parse_manifest(text: str) -> Manifest:
 
 
 def load_manifest(path: str) -> Manifest:
-    """parse_manifest of the file's text; text that is not UTF-8 is a ManifestError."""
+    """parse_manifest of the file's text; text that is not UTF-8, or a path
+    that is no str or os.PathLike (a file descriptor), is a ManifestError."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ManifestError(f"manifest path {path!r:.40} is not a file name")
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -386,6 +391,8 @@ def run_manifest(man: Manifest, cache_dir: str | None = None) -> tuple[dict, boo
     body is reused byte-for-byte on identical inputs (only the timestamp
     differs). A cache directory that cannot be made or written raises.
     """
+    if not isinstance(man, Manifest):
+        raise ManifestError(f"need a Manifest, got {type(man).__name__}")
     cache_dir = cache_dir or man.options.get("cache_dir")
     inputs = _inputs_json(man)
     key = _cache_key(inputs, man.commands)

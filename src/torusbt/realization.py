@@ -25,6 +25,7 @@ from .cyclotomic import cyclotomic_polynomial
 from .dirichlet import AbelianRealization, character_multiplicities, check_same_group, check_types
 from .dirichlet import realization_from_images  # noqa: F401  (re-exported: the public API)
 from .errors import BadReduction, InvariantViolation, ShapeMismatch
+from .groups import memoised
 from .lattices import GLattice
 from .units import euler_phi, factorize, unit_group
 
@@ -68,7 +69,7 @@ def _stable_part(x: GLattice, r: AbelianRealization, p: int, twist: int,
     full stack is read at p^max(cap, 2), so a nontrivial part fails the
     candidate-prime completeness check rather than the cap.
     """
-    w2, cap = w2_of_subfield((r.group.identity,), r), 1
+    w2, cap = _w2_of_splitting_field(r), 1
     while w2 % p ** cap == 0:
         cap += 1
     if oracle:
@@ -98,9 +99,7 @@ def _stable_part(x: GLattice, r: AbelianRealization, p: int, twist: int,
 
 
 def _candidate_primes(f: int, extra: tuple[int, ...]) -> list[int]:
-    ps = set(extra)
-    ps.update(p for p, _ in factorize(f))
-    return sorted(ps)
+    return sorted({*extra, *(p for p, _ in factorize(f))})
 
 
 def _next_primes_outside(candidates: list[int], count: int = 3) -> list[int]:
@@ -184,6 +183,11 @@ def global_coinvariants_order(x: GLattice, r: AbelianRealization, debug: bool = 
     check_same_group(x, r)
     parts = _twisted_parts(x, r, _candidate_primes(r.modulus, (2,)), 1, "coinvariants", debug)
     return prod(part for _, part, _ in parts)
+
+
+@memoised
+def _w2_of_splitting_field(r: AbelianRealization) -> int:
+    return w2_of_subfield((r.group.identity,), r)
 
 
 def w2_of_subfield(h, r: AbelianRealization) -> int:

@@ -98,10 +98,15 @@ class UnitGroupStructure:
         return self._logs
 
 
-@lru_cache(maxsize=None, typed=True)
 def unit_group(n: int) -> UnitGroupStructure:
+    """(Z/n)*, cached per n; n is checked before the cache hashes it."""
     if type(n) is not int or n < 1:
         raise ShapeMismatch(f"modulus must be positive and an int, got {n!r}")
+    return _unit_group(n)
+
+
+@lru_cache(maxsize=None)
+def _unit_group(n: int) -> UnitGroupStructure:
     if n == 1:
         return UnitGroupStructure(1, (), ())
     parts: list[tuple[int, int, int]] = []    # (generator mod p^e, order, p^e)
@@ -119,6 +124,9 @@ def unit_group(n: int) -> UnitGroupStructure:
             parts.append((primitive_root_mod_prime_power(p, e), (p - 1) * p ** (e - 1), q))
     return UnitGroupStructure(n, tuple(crt_pair(g % q, q, 1, n // q) for g, _, q in parts),
                               tuple(order for _, order, _ in parts))
+
+
+unit_group.cache_info = _unit_group.cache_info
 
 
 def units_mod(n: int) -> list[int]:

@@ -5,10 +5,11 @@ cosets as sorted element tuples, w2 by direct congruence search,
 Bernoulli numbers by the binomial recurrence, H^1 from the all-elements
 cocycle complex, cyclic H^1 from ker(norm)/im(sigma - 1), Smith
 diagonals by the integer Smith elimination, p-adic Smith valuations by
-the dense elimination mod p^k, determinants by the Bareiss elimination
-and Hermite lattice quotients by the lattice_quotient that intmat no
-longer carries. Character multiplicities by the per-lattice loop that
-the realization's character table replaced. Galois-orbit norms by the
+the dense elimination mod p^k, determinants by the Bareiss elimination,
+and cokernels and lattice quotients by the integer Smith form
+(oracle_cokernel, lattice_quotient), which intmat no longer reads.
+Character multiplicities by the per-lattice loop that the realization's
+character table replaced. Galois-orbit norms by the
 product of the conjugates, each primitivized and evaluated on its own,
 that _orbit_norm replaced with one evaluation and its conjugates. Exact
 solves by the full Hermite form of [A; I] (solve_exact, once intmat's),
@@ -42,7 +43,7 @@ from torusbt.dirichlet import (DirichletCharacter, _bernoulli2_integers, _ramanu
                                characters_trivial_on, conductor_primitive, galois_orbits)
 from torusbt.errors import (MultiplicityNotInteger, NonAbelianRealization, NotRational,
                             NotUnimodular, ShapeMismatch)
-from torusbt.exact import FinAbGroup, from_elementary_divisors
+from torusbt.exact import FinAbGroup
 from torusbt.groups import (cyclic_group, group_from_generators, subgroup_classes,
                             subgroup_elements, subgroup_generators)
 from torusbt.units import euler_phi, unit_group, units_mod
@@ -479,10 +480,11 @@ def snf_diagonal(mat: intmat.IntMatrix) -> list[int]:
 
 
 def oracle_cokernel(mat: intmat.IntMatrix) -> FinAbGroup:
-    """Z^rows / column-image(mat) read off the integer Smith diagonal."""
-    ds = snf_diagonal(mat)
-    r = sum(1 for d in ds if d != 0)
-    return from_elementary_divisors([d for d in ds if d > 1], mat.rows - r)
+    """Z^rows / column-image(mat) read off the integer Smith diagonal
+    d_1 | d_2 | ...: its nonzero entries past 1 are the invariant factors,
+    and each of the other rows is a free summand."""
+    nonzero = [d for d in snf_diagonal(mat) if d]
+    return FinAbGroup(tuple(d for d in nonzero if d > 1), mat.rows - len(nonzero))
 
 
 def oracle_bernoulli_numbers(n: int) -> list[Fraction]:
@@ -504,7 +506,7 @@ def lattice_quotient(basis: intmat.IntMatrix, sub_gens: intmat.IntMatrix) -> Fin
     y = solve_exact(basis, sub_gens)
     if y is None:
         raise ShapeMismatch("sublattice generators outside the lattice")
-    return intmat.cokernel_structure(y)
+    return oracle_cokernel(y)
 
 
 def oracle_h1_cyclic(x, sigma: int) -> FinAbGroup:

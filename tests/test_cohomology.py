@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import sys
@@ -12,7 +13,8 @@ from conftest import (catalog_pool, dense_h1, dense_invariant_basis, dense_orbit
 from torusbt import cohomology as coh
 from torusbt import intmat
 from torusbt import lattices as lat
-from torusbt.errors import InconsistentRank, InvariantViolation, NotSubgroup, ShapeMismatch
+from torusbt.errors import (GroupMismatch, InconsistentRank, InvariantViolation, NotSubgroup,
+                            ShapeMismatch)
 from torusbt.exact import FinAbGroup, from_elementary_divisors
 from torusbt.groups import (coset_action, cyclic_group, generating_set, group_from_generators,
                             subgroup_classes, subgroup_elements, subgroup_generators)
@@ -388,6 +390,26 @@ def test_motivic_certificate_for_dual_norm_one(v4):
     assert verdict == "YesInvertibleCertificate"
     assert cert is not None
     assert coh.verify_invertibility(res.q_lattice, cert)
+
+
+def test_verify_invertibility_takes_a_complement_over_a_renamed_table(v4):
+    """A complement over the same multiplication table under another name
+    and generator tuple verifies, as direct_sum takes it (it was a
+    ShapeMismatch); one over another table is a GroupMismatch."""
+    classes = subgroup_classes(v4)
+    h = next(cls for cls in classes if cls.index == 2)
+    comp = lat.permutation_lattice(v4, h)
+    # Z (+) Z[G/H] is the permutation lattice Z[G/G] (+) Z[G/H] through I.
+    cert = coh.InvertibilityCertificate(comp, intmat.identity(3),
+                                        (classes[-1].class_id, h.class_id))
+    q = lat.trivial_lattice(v4)
+    assert coh.verify_invertibility(q, cert)
+    renamed = dataclasses.replace(v4, name="Klein", generators=v4.generators[::-1])
+    moved = dataclasses.replace(cert, complement=lat.GLattice(renamed, 2, comp.action))
+    assert coh.verify_invertibility(q, moved)
+    other = dataclasses.replace(cert, complement=lat.trivial_lattice(cyclic_group(4), 2))
+    with pytest.raises(GroupMismatch):
+        coh.verify_invertibility(q, other)
 
 
 def test_motivic_supplied_certificate_wins(v4):

@@ -19,6 +19,7 @@ from torusbt.exact import odd_part
 from torusbt.groups import cyclic_group, subgroup_classes
 from torusbt.intmat import block_diag, from_rows
 from torusbt.dirichlet import artin_L_minus_one
+from torusbt.realization import w_group_order
 
 
 def test_catalog_names_complete():
@@ -146,6 +147,33 @@ def test_weil_restriction_single():
     assert out["equal"]
     assert out["classical"] == "4"
     assert out["zeta_fixed_field"] == "1/12" and out["w2_fixed_field"] == 48
+
+
+def test_one_prediction_reads_the_diagonals_once():
+    """btc_predict, w_group_order and local_table on one lattice sum its
+    diagonals once: lattices.traces, kept on the lattice, is the only
+    diagonal sum, and every later reader takes the kept tuple."""
+    fx = fixture("dual_normone_v4")
+    x, r = fx.lattice, fx.realization
+    builds, reads = [], []
+
+    class Memo(dict):
+        def __setitem__(self, key, value):
+            builds.append(key)
+            super().__setitem__(key, value)
+
+        def __getitem__(self, key):
+            reads.append(key)
+            return super().__getitem__(key)
+
+    object.__setattr__(x, "_memo", Memo())
+    btc_predict(x, r)
+    w_group_order(x, r)
+    local_table(x, r)
+    assert builds == ["traces"]
+    # lattice_character and character_multiplicities in btc_predict (its
+    # L-value and its W-group), then w_group_order and local_table
+    assert reads.count("traces") >= 5
 
 
 def test_weil_restriction_of_a_non_subgroup_is_a_typed_error():

@@ -1,7 +1,6 @@
 import random
-import time
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -9,12 +8,12 @@ from conftest import (abs_det, dense_smith_valuations, det, oracle_cokernel,
                       random_unimodular, snf_diagonal, solve_exact, vstack)
 from torusbt import intmat, lattices
 from torusbt.errors import ShapeMismatch
-from torusbt.exact import FinAbGroup
+from torusbt.exact import FinAbGroup, from_elementary_divisors
 from torusbt.groups import cyclic_group
-from torusbt.intmat import (IntMatrix, cokernel_structure, from_columns, from_rows,
-                            hnf_columns, identity, is_unimodular, kernel_basis, zeros)
+from torusbt.intmat import (IntMatrix, from_columns, from_rows, hnf_columns, identity,
+                            is_unimodular, kernel_basis, zeros)
 from torusbt.realization import _stable_part, realization_from_images
-from torusbt.units import primitive_root_mod_prime
+from torusbt.units import factorize, primitive_root_mod_prime
 
 
 def _minor_gcd(m, k):
@@ -27,17 +26,22 @@ def _minor_gcd(m, k):
 
 
 def check_snf(m):
-    """The Smith diagonal read off cokernel_structure against the
-    determinantal divisors: d_1...d_k is the gcd of the k x k minors."""
-    coker = cokernel_structure(m)
-    r = m.rows - coker.free_rank
-    diag = ([1] * (r - len(coker.invariant_factors)) + list(coker.invariant_factors)
-            + [0] * (min(m.rows, m.cols) - r))
-    assert len(diag) == min(m.rows, m.cols)
+    """The Smith diagonal read off smith_valuations at each p^e exactly
+    dividing the last nonzero determinantal divisor D_r (r the rank),
+    against the determinantal divisors: d_1...d_k = D_k, the gcd of the
+    k x k minors. Each d_i with i <= r divides D_r, so p^e caps none."""
+    n = min(m.rows, m.cols)
+    minors = [_minor_gcd(m, k) for k in range(1, n + 1)]
+    r = sum(1 for d in minors if d)
+    diag = [1] * r
+    for p, e in factorize(minors[r - 1] if r else 1):
+        for i, v in enumerate(intmat.smith_valuations(m, p, e)[:r]):
+            diag[i] *= p ** v
+    diag += [0] * (n - r)
     prod = 1
     for k, d in enumerate(diag, start=1):
         prod *= d
-        assert prod == _minor_gcd(m, k)
+        assert prod == minors[k - 1]
     return diag
 
 
@@ -162,18 +166,23 @@ def test_smith_valuations_examples():
     assert intmat.smith_valuations(zeros(0, 2), 7, 4) == []
 
 
+def _is_onto(m):
+    """The columns of m span Z^rows: flasque_resolution's onto test."""
+    return hnf_columns(m).is_identity()
+
+
 def test_cokernel_examples():
-    assert cokernel_structure(from_rows([[2]])) == FinAbGroup((2,))
-    assert cokernel_structure(zeros(2, 0)) == FinAbGroup((), 2)
-    assert cokernel_structure(from_rows([[2, 4], [6, 8]])) == FinAbGroup((2, 4))
-
-
-def test_cokernel_factors_only_the_torsion_order():
-    """The Hermite pivot 2**89 - 1 is an artefact of the basis: the
-    cokernel is Z, and reading it factors nothing that large."""
-    start = time.perf_counter()
-    assert cokernel_structure(from_rows([[2 ** 89 - 1], [1]])) == FinAbGroup((), 1)
-    assert time.perf_counter() - start < 1.0
+    """The oracle's cokernels, and the onto test on each."""
+    examples = [(from_rows([[2]]), FinAbGroup((2,))),
+                (zeros(2, 0), FinAbGroup((), 2)),
+                (from_rows([[2, 4], [6, 8]]), FinAbGroup((2, 4))),
+                (from_rows([[2 ** 89 - 1], [1]]), FinAbGroup((), 1)),
+                (from_rows([[2, 3]]), FinAbGroup()),
+                (zeros(0, 0), FinAbGroup()),
+                (zeros(0, 3), FinAbGroup())]
+    for m, coker in examples:
+        assert oracle_cokernel(m) == coker
+        assert _is_onto(m) == coker.is_trivial, m
 
 
 def _random_matrix(rng):
@@ -194,23 +203,73 @@ def _random_matrix(rng):
                       for _ in range(rows)], cols)
 
 
+def _torsion_order(m) -> int:
+    """|d_1 ... d_r| over the nonzero Smith entries of m: the pivot
+    product of the Hermite form of the transposed column basis."""
+    h = hnf_columns(hnf_columns(m).transpose())
+    return prod(h[k, k] for k in range(h.cols))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_cokernel_matches_the_integer_smith_form(seed):
+    """The cokernel as the package reads such quotients: free rank from the
+    Hermite form, and the p-parts of the torsion from smith_valuations at
+    each p^e exactly dividing its order."""
     rng = random.Random(6000 + seed)
     for _ in range(120):
         m = _random_matrix(rng)
-        assert cokernel_structure(m) == oracle_cokernel(m), m
+        r = hnf_columns(m).cols
+        divisors = [p ** v for p, e in factorize(_torsion_order(m))
+                    for v in intmat.smith_valuations(m, p, e)[:r]]
+        coker = oracle_cokernel(m)
+        assert (m.rows - r, from_elementary_divisors(divisors)) == \
+            (coker.free_rank, FinAbGroup(coker.invariant_factors)), m
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_cokernel_order_equals_det(seed):
+    """|Z^n / mZ^n| = |det m|, as p^(sum of smith_valuations(m, p, e)) over
+    the p^e exactly dividing det m."""
     rng = random.Random(2000 + seed)
     n = rng.randint(1, 4)
     while True:
         m = from_rows([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
         if det(m) != 0:
             break
-    assert cokernel_structure(m).order() == abs(det(m))
+    assert prod(p ** sum(intmat.smith_valuations(m, p, e))
+                for p, e in factorize(abs(det(m)))) == abs(det(m))
+
+
+def _onto_pool(rng):
+    """Matrices with 0 to 4 rows and 0 to 6 columns: unimodular blocks with
+    extra columns (onto), their images under a random integer matrix, and
+    plain small entries."""
+    rows, cols = rng.randint(0, 4), rng.randint(0, 6)
+    kind = rng.randrange(3)
+    if kind == 0 and cols >= rows:
+        u = random_unimodular(rows, rng) if rows else zeros(0, 0)
+        extra = [[rng.randint(-3, 3) for _ in range(cols - rows)] for _ in range(rows)]
+        return from_rows([list(a) + b for a, b in zip(u.data, extra)], cols)
+    if kind == 1:
+        return from_rows([[rng.randint(-2, 2) for _ in range(rows)] for _ in range(rows)],
+                         rows) @ from_rows([[rng.randint(-2, 2) for _ in range(cols)]
+                                            for _ in range(rows)], cols)
+    return from_rows([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)], cols)
+
+
+def test_onto_test_matches_the_integer_smith_form():
+    """hnf_columns(m) == I exactly when the oracle cokernel of m is 0
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4), on
+    3,000 random matrices with 0 to 4 rows, the empty shapes included."""
+    rng = random.Random(29)
+    seen = {True: 0, False: 0}
+    for _ in range(3000):
+        m = _onto_pool(rng)
+        onto = _is_onto(m)
+        assert onto == oracle_cokernel(m).is_trivial, m
+        seen[onto] += 1
+    assert min(seen.values()) > 500
+    assert _is_onto(zeros(0, 0)) and _is_onto(zeros(0, 2)) and not _is_onto(zeros(3, 0))
 
 
 def test_kernel_basis_is_saturated_and_canonical():

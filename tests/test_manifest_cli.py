@@ -514,3 +514,34 @@ def test_readme_names_exactly_the_options_and_flags():
     synopsis = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
     flags = {s for a in build_parser()._actions for s in a.option_strings} - {"-h", "--help"}
     assert set(re.findall(r"--[a-z-]+", synopsis)) == flags
+
+
+def test_readme_and_docstring_manifests_parse():
+    """Every ```ini block of README.md and the manifest module's example
+    parse. A trailing comment after a section header failed with
+    "expected 'key = value'", and one after name = or run = was read as
+    part of the fixture name or the command list."""
+    import textwrap
+    from pathlib import Path
+    from torusbt import manifest
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    example = textwrap.dedent(manifest.__doc__.split("::\n", 1)[1].split("\nValues are", 1)[0])
+    assert len(blocks) >= 2 and "[lattice2]" in example
+    parsed = [parse_manifest(text) for text in blocks + [example]]
+    assert parsed[0].fixture_name == "res_sqrt5"
+    for man in parsed[1:]:
+        assert man.lattice2 is not None and man.commands == ("predict", "wgroup")
+    assert parsed[-1].fixture_name == "res_sqrt5"
+
+
+def test_trailing_comments_and_quoted_hashes():
+    """A comment after a header, a fixture name or a run list is dropped;
+    a "#" inside a quoted literal stays."""
+    man = parse_manifest("[fixture]   # the anchor\nname = normone_5  # Z^-\n"
+                         "[commands]  # two of them\nrun = predict, lvalue  # no more\n"
+                         "[options]\ncache_dir = 'cache#1'  # a path with a hash\n")
+    assert man.fixture_name == "normone_5"
+    assert man.commands == ("predict", "lvalue")
+    assert man.options["cache_dir"] == "cache#1"

@@ -7,8 +7,9 @@ library is an ``assert``: those on the Dirichlet path, in ``cyclotomic``,
 tests against the Smith route and the determinant are in
 ``test_w_precision.py``), ``validate``, ``flasque_resolution``, ``generating_set``,
 ``induction``, ``exact``, ``span_coordinates``, ``kernel_basis``,
-``check-shapiro`` and the manifest's options check are typed errors or
-explicit checks; this runs their tests with asserts off. The intmat suite
+``check-shapiro``, the manifest's options check and the entry points'
+refusal of ``None`` and lists (``test_realization.py``) are typed errors
+or explicit checks; this runs their tests with asserts off. The intmat suite
 runs once more with the lattice and cohomology suites, whose kernels and
 Smith valuations it checks.
 """

@@ -1,4 +1,5 @@
 
+import os
 from math import gcd, prod
 
 import pytest
@@ -7,18 +8,24 @@ from conftest import det, hstack, left_cosets, oracle_w2, snf_diagonal, vstack
 from torusbt import intmat
 from torusbt import lattices as lat
 from torusbt import realization as realz
-from torusbt.cohomology import (check_motivic_interpretation, flasque_resolution, h1,
-                                 real_decomposition)
+from torusbt.catalog import fixture
+from torusbt.cohomology import (InvertibilityCertificate, check_motivic_interpretation,
+                                 flasque_resolution, h1, is_flasque, real_decomposition,
+                                 search_invertibility_certificate, tate_h0, verify_invertibility)
 from torusbt.cyclotomic import cyclotomic_polynomial
-from torusbt.dirichlet import (DirichletCharacter, artin_L_minus_one, character_multiplicities,
-                               characters_mod, zeta_minus_one)
-from torusbt.errors import (BadReduction, GroupMismatch, InvariantViolation, NotHomomorphism,
-                            NotSubgroup, NotSurjective, ShapeMismatch)
+from torusbt.dirichlet import (DirichletCharacter, L_minus_one, artin_L_minus_one,
+                               bernoulli2_chi, character_multiplicities, characters_mod,
+                               conductor_primitive, zeta_minus_one)
+from torusbt.errors import (BadReduction, GroupMismatch, InvariantViolation, ManifestError,
+                            NotHomomorphism, NotSubgroup, NotSurjective, NotTotallyReal,
+                            ShapeMismatch, UnknownFixture)
 from torusbt.engine import (btc_predict, isogeny_invariance_check, lattice_id, local_table,
                             ono_l_value, shapiro_suite, weil_restriction_check)
 from torusbt.exact import integer_nth_root, odd_part, rational_nth_root
-from torusbt.groups import cyclic_group, group_from_table, subgroup_classes
-from torusbt.induction import ono_decomposition
+from torusbt.groups import (conjugacy_classes, cyclic_group, group_from_table, is_metacyclic,
+                            subgroup_classes)
+from torusbt.induction import artin_induction, ono_decomposition
+from torusbt.manifest import load_manifest, parse_manifest, run_manifest
 from torusbt.realization import (WGroupResult, global_coinvariants_order, is_prime,
                                  local_point_count, realization_from_images,
                                  w2_of_subfield, w_group_order)
@@ -257,7 +264,7 @@ def test_stabilization_bound_error(c2, r5, monkeypatch):
     2^(v_2(w_2) + 1), so an odd w_2 makes its valuation 1 a bug."""
     x = lat.trivial_lattice(c2)
     assert global_coinvariants_order(x, r5) == 2
-    monkeypatch.setattr(realz, "w2_of_subfield", lambda h, r: 15)
+    monkeypatch.setattr(realz, "_w2_of_splitting_field", lambda r: 15)
     with pytest.raises(InvariantViolation, match="p = 2: .* reaches the w_2 bound 1"):
         global_coinvariants_order(x, r5)
 
@@ -357,6 +364,70 @@ def test_badly_typed_api_arguments_are_shape_mismatch(v4, r40, call):
     cyclotomic_polynomial(2)
     with pytest.raises(ShapeMismatch):
         call(v4, r40)
+
+
+_EMPTY_CERT = InvertibilityCertificate(None, intmat.zeros(0, 0), ())
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: conjugacy_classes(None), ShapeMismatch),
+    (lambda: subgroup_classes(None), ShapeMismatch),
+    (lambda: is_metacyclic(None), ShapeMismatch),
+    (lambda: artin_induction(None, (1,)), ShapeMismatch),
+    (lambda: lat.traces(None), ShapeMismatch),
+    (lambda: lat.lattice_character(None), ShapeMismatch),
+    (lambda: tate_h0((0,), None), ShapeMismatch),
+    (lambda: is_flasque(None), ShapeMismatch),
+    (lambda: search_invertibility_certificate(None), ShapeMismatch),
+    (lambda: verify_invertibility(None, _EMPTY_CERT), ShapeMismatch),
+    (lambda: lat.validate(None), ShapeMismatch),
+    (lambda: lat.trivial_lattice(None), ShapeMismatch),
+    (lambda: lat.sign_lattice(None), ShapeMismatch),
+    (lambda: lat.norm_one_lattice(None), ShapeMismatch),
+    (lambda: lat.from_generator_matrices(None, None, ()), ShapeMismatch),
+    (lambda: L_minus_one(None), ShapeMismatch),
+    (lambda: L_minus_one([]), ShapeMismatch),
+    (lambda: bernoulli2_chi(None), ShapeMismatch),
+    (lambda: bernoulli2_chi([]), ShapeMismatch),
+    (lambda: conductor_primitive(None), ShapeMismatch),
+    (lambda: conductor_primitive([]), ShapeMismatch),
+    (lambda: characters_mod([]), ShapeMismatch),
+    (lambda: unit_group([]), ShapeMismatch),
+    (lambda: fixture([]), UnknownFixture),
+    (lambda: run_manifest(None), ManifestError),
+    (lambda: load_manifest(2), ManifestError),
+], ids=["conjugacy-classes-none", "subgroup-classes-none", "metacyclic-none",
+        "artin-induction-none", "traces-none", "lattice-character-none", "tate-h0-none",
+        "flasque-none", "certificate-search-none", "verify-invertibility-none",
+        "validate-none", "trivial-lattice-none", "sign-lattice-none", "norm-one-none",
+        "generator-matrices-none", "l-minus-one-none", "l-minus-one-list",
+        "bernoulli-none", "bernoulli-list", "conductor-none", "conductor-list",
+        "characters-mod-list", "unit-group-list", "fixture-list", "run-manifest-none",
+        "load-manifest-fd"])
+def test_none_and_list_arguments_are_typed_errors(call, error):
+    """Each was a raw AttributeError, TypeError or OSError; load_manifest(2)
+    also closed the caller's stderr. unit_group is still the lru_cache's."""
+    with pytest.raises(error):
+        call()
+    os.fstat(2)
+    assert unit_group.cache_info().maxsize is None
+
+
+def test_isogeny_check_needs_a_totally_real_realization(c2):
+    """Z^- (+) Z and Z[C2] under Q(sqrt -3): the check divided the two
+    missing predictions (None / None), and the TypeError escaped
+    run_manifest. It is NotTotallyReal, in the API and in the report."""
+    r3 = realization_from_images(c2, 3, {2: 1})
+    x1 = lat.direct_sum(lat.sign_lattice(c2), lat.trivial_lattice(c2))
+    x2 = lat.permutation_lattice(c2, (c2.identity,))
+    with pytest.raises(NotTotallyReal):
+        isogeny_invariance_check(x1, x2, r3)
+    man = parse_manifest("[group]\ngenerators = [[1,0]]\n[lattice]\nrank = 2\n"
+                         "action.g0 = [[-1,0],[0,1]]\n[lattice2]\nrank = 2\n"
+                         "action.g0 = [[0,1],[1,0]]\n[realization]\nmodulus = 3\n"
+                         "images = {2: 1}\n[commands]\nrun = check-isogeny\n")
+    report, _ = run_manifest(man)
+    assert report["commands"]["check-isogeny"]["error"]["type"] == "NotTotallyReal"
 
 
 def test_is_prime_matches_a_sieve():
@@ -548,7 +619,7 @@ def test_stabilization_cap_boundary(r1, monkeypatch):
     x = lat.trivial_lattice(r1.group)
     assert _breakdown(w_group_order(x, r1))[2] == {"part": 8, "depth": 3}
     assert realz._stable_part(x, r1, 2, 2, "invariants") == (8, 3)
-    monkeypatch.setattr(realz, "w2_of_subfield", lambda h, r: 12)
+    monkeypatch.setattr(realz, "_w2_of_splitting_field", lambda r: 12)
     with pytest.raises(InvariantViolation, match="reaches the w_2 bound 3"):
         realz._stable_part(x, r1, 2, 2, "invariants")
 
