@@ -22,15 +22,16 @@ from dataclasses import dataclass
 
 from . import intmat
 from .exact import FinAbGroup, from_elementary_divisors
-from .errors import InconsistentRank, InvariantViolation, ShapeMismatch
+from .errors import InconsistentRank, InvariantViolation, ShapeMismatch, check_instance
 from .groups import (FiniteGroup, SubgroupClass, coset_action, is_metacyclic,
                      spanning_generators, subgroup_classes, subgroup_elements,
                      subgroup_generators)
 from .induction import permutation_character_table
 from .intmat import IntMatrix
-from .lattices import (GLattice, check_lattices, direct_sum, dual, from_generator_matrices,
-                       invariant_basis, lattice_character, minus_identity_stack,
-                       norm_element_matrix, permutation_lattice, traces, zero_lattice)
+from .lattices import (GLattice, action_json, check_lattices, direct_sum, dual,
+                       from_generator_matrices, invariant_basis, lattice_character,
+                       minus_identity_stack, norm_element_matrix, permutation_lattice, traces,
+                       zero_lattice)
 from .units import factorize
 
 
@@ -213,7 +214,7 @@ def flasque_resolution(x: GLattice) -> FlasqueResolution:
         q_lattice=q_lat, inclusion=inclusion)
 
     # Postconditions: exactness over Z, equivariance, and flasqueness of Q.
-    if not intmat.hnf_columns(surjection).is_identity():
+    if not intmat.is_onto(surjection):
         raise InvariantViolation("surjection not onto")
     if p_lat.rank != q_rank + x.rank:
         raise InvariantViolation("rank additivity broken")
@@ -241,7 +242,7 @@ class InvertibilityCertificate:
         return {
             "complement_rank": 0 if self.complement is None else self.complement.rank,
             "complement_action": None if self.complement is None else
-                {str(a): m.tolist() for a, m in enumerate(self.complement.action)},
+                action_json(self.complement),
             "iso": self.iso.tolist(),
             "target_spec": list(self.target_spec),
         }
@@ -251,6 +252,7 @@ def verify_invertibility(q: GLattice, cert: InvertibilityCertificate) -> bool:
     """Soundness check: iso is unimodular and intertwines Q (+) I' with the
     target; a complement over another table is a GroupMismatch (direct_sum)."""
     check_lattices(q)
+    check_instance(cert, InvertibilityCertificate)
     g = q.group
     classes = subgroup_classes(g)
     parts = [q] if cert.complement is None else [q, cert.complement]

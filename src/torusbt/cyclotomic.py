@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantViolation, NotRational, ShapeMismatch
+from .errors import GroupTooLarge, InvariantViolation, NotRational, ShapeMismatch
+from .groups import MODULUS_BOUND
 
 # Phi_n as integer coefficient tuples (ascending degree), computed by
 # exact division of x^n - 1 by the product of all lower-order Phi_d.
@@ -47,12 +48,16 @@ def _poly_divmod_int(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[
 
 
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending, cached."""
+    """Coefficients of Phi_n, ascending, cached; an n past
+    groups.MODULUS_BOUND (a character order is below its conductor)
+    raises GroupTooLarge before x^n - 1 is built."""
     if type(n) is not int or n < 1:
         raise ShapeMismatch(f"order must be >= 1 and an int, got {n!r}")
     phi = _PHI_CACHE.get(n)
     if phi is not None:
         return phi
+    if n > MODULUS_BOUND:
+        raise GroupTooLarge(f"order {n} past {MODULUS_BOUND}")
     num = tuple([-1] + [0] * (n - 1) + [1])        # x^n - 1
     den = (1,)
     for d in range(1, n):

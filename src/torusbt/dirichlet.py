@@ -14,18 +14,19 @@ chi(a) = zeta^e, and 6f B_{2,chi} = sum_e zeta^e (6 S2_e - 6f S1_e + f^2 S0_e)
 is an integer vector reduced mod Phi_order. That vector is memoised per
 primitive character.
 
-Dedekind zeta values of the abelian fixed fields and the Artin L-value
-of a lattice are assembled from these, with conjugate characters
-grouped into Galois orbits. An orbit evaluates B_{2,chi} once, and
-B_{2,chi^k} = sigma_k(B_{2,chi}) (Washington, Introduction to Cyclotomic
-Fields, 4.1) gives the other members by moving exponents. Their product,
-the norm from Q(zeta_order), is taken in Z[zeta_order] over one integer
-denominator by doubling along each cyclic factor of (Z/order)*, so it
-costs O(log order) products rather than phi(order), and certified
-rational; it is memoised for the life of the process under the orbit's
-least member, its first. Each realization builds one character table
-(the orbits, with the Ramanujan sums of their values on each element),
-and it is the only place that enumerates characters. The traces of a
+Dedekind zeta values of the abelian fixed fields, the Artin L-value of
+a lattice and its per-character report rows are assembled from these,
+with conjugate characters grouped into Galois orbits. An orbit
+evaluates B_{2,chi} once, and B_{2,chi^k} = sigma_k(B_{2,chi})
+(Washington, Introduction to Cyclotomic Fields, 4.1) gives the other
+members by moving exponents. Their product, the norm from
+Q(zeta_order), is taken in Z[zeta_order] over one integer denominator
+by doubling along each cyclic factor of (Z/order)*, so it costs
+O(log order) products rather than phi(order), and certified rational;
+it is memoised for the life of the process under the orbit's least
+member, its first. Each realization builds one character table (the
+orbits, with the Ramanujan sums of their values on each element), and
+it is the only place that enumerates characters. The traces of a
 lattice are rational, so conjugate characters share one multiplicity:
 the traces dotted with the orbit's row of that table. zeta_M(-1) of a
 fixed field M = L^H is the product of the orbit norms whose row reads
@@ -151,10 +152,10 @@ class DirichletCharacter:
 
     def __post_init__(self):
         units = unit_group(self.modulus)
+        if not (isinstance(self.exponents, tuple) and all(type(k) is int for k in self.exponents)):
+            raise ShapeMismatch(f"exponents must be integers in a tuple, got {self.exponents!r}")
         if len(self.exponents) != len(units.generators):
             raise ShapeMismatch("one exponent per canonical generator required")
-        if not all(type(k) is int for k in self.exponents):
-            raise ShapeMismatch(f"exponents must be integers, got {self.exponents!r}")
         m = 1
         for k, n in zip(self.exponents, units.orders):
             m = lcm(m, n // gcd(n, k))
@@ -196,7 +197,10 @@ class DirichletCharacter:
 
 
 def characters_mod(f: int) -> list[DirichletCharacter]:
-    """All phi(f) characters mod f in lexicographic exponent order."""
+    """All phi(f) characters mod f in lexicographic exponent order; an f
+    past groups.MODULUS_BOUND raises GroupTooLarge before any is built."""
+    if type(f) is int and f > MODULUS_BOUND:
+        raise GroupTooLarge(f"modulus {f} past {MODULUS_BOUND}")
     return [DirichletCharacter(f, ks)
             for ks in product(*(range(n) for n in unit_group(f).orders))]
 
@@ -268,7 +272,8 @@ def galois_orbits(chars: list[DirichletCharacter]) -> list[list[DirichletCharact
     """Partition into orbits under chi -> chi^k, k coprime to the order.
     Each orbit opens at its first member in chars: on a Galois-closed list in
     lexicographic exponent order (characters_mod, characters_trivial_on) its
-    least member, the key of _orbit_norm's memo."""
+    least member, the key of _orbit_norm's memo. An orbit lists orbit[0]^k
+    for k in units_mod(order), in that order (L_value_rows reads it so)."""
     seen: set[tuple[int, ...]] = set()
     orbits = []
     for chi in chars:
@@ -431,7 +436,7 @@ def character_multiplicities(x, realization) -> list[tuple[list[DirichletCharact
     return out
 
 
-def artin_L_minus_one(x, realization, with_table: bool = False):
+def artin_L_minus_one(x, realization) -> Fraction:
     """L(X, -1) (with sign) for a lattice split through an abelian,
     totally real realization; the product of L(chi*,-1)^{m_chi} grouped
     by Galois orbit. Raises if a hypothesis fails; never returns 0.
@@ -443,23 +448,27 @@ def artin_L_minus_one(x, realization, with_table: bool = False):
     if sum(len(orbit) * m for orbit, m in mults) != x.rank:
         raise MultiplicityNotInteger("multiplicities do not add up to the rank")
     total = Fraction(1)
-    table = []
     for orbit, mult in mults:
-        if with_table:
-            for chi in orbit:
-                cond, prim = conductor_primitive(chi)
-                table.append({"conductor": cond, "order": chi.order,
-                              "multiplicity": mult,
-                              "value": _value_json(L_minus_one(prim))})
-        if mult == 0:
-            continue
-        total *= _orbit_norm(orbit[0]) ** mult
+        if mult:
+            total *= _orbit_norm(orbit[0]) ** mult
     if total == 0:
         raise InvariantViolation("L-value vanished despite a totally real splitting")
-    return (total, table) if with_table else total
+    return total
 
 
-def _value_json(v: CyclotomicNumber):
-    if v.is_rational():
-        return str(v.to_rational())
-    return {"order": v.order, "coeffs": [str(c) for c in v.coeffs]}
+def L_value_rows(x, realization) -> list[dict]:
+    """One row per character chi of G: the conductor and order of chi, its
+    multiplicity in X and L(chi*, -1) of the primitive chi*. Orbit by orbit,
+    as _orbit_norm: the member orbit[0]^k takes sigma_k of the one B_{2,chi*}
+    vector of orbit[0] (galois_orbits lists k in units_mod order)."""
+    rows = []
+    for orbit, mult in character_multiplicities(x, realization):
+        m = orbit[0].order
+        cond, prim = conductor_primitive(orbit[0])
+        v, d = _bernoulli2_integers(prim)
+        for k in units_mod(m):
+            value = CyclotomicNumber.from_integers(m, _conjugate(m, v, k), -2 * d)
+            rows.append({"conductor": cond, "order": m, "multiplicity": mult, "value":
+                         str(value.to_rational()) if value.is_rational() else
+                         {"order": m, "coeffs": list(map(str, value.coeffs))}})
+    return rows

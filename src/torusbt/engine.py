@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import cohomology, dirichlet, induction, lattices, realization as realz
@@ -21,6 +21,9 @@ from .exact import odd_part, rational_nth_root, two_power_ratio
 from .groups import SubgroupClass, subgroup_classes
 from .lattices import GLattice
 from .dirichlet import AbelianRealization
+
+# The largest prime_cap of local_table: its primes are tested one by one.
+PRIME_CAP_BOUND = 10_000
 
 
 def lattice_id(x: GLattice) -> str:
@@ -61,52 +64,38 @@ class BTCReport:
     lattice_id: str
     realization_id: str | None
     motivic_verdict: str
-    l_value: Fraction | None
-    l_value_abs: Fraction | None
-    w_order: int | None
-    predicted_kt_order: Fraction | None
-    two_defect_rank: int | None
-    ono: dict = field(default_factory=dict)
-    certificates: dict | None = None
-    warnings: list[str] = field(default_factory=list)
+    ono: dict
+    certificates: dict | None
+    warnings: list[str]
+    l_value: Fraction | None = None
+    l_value_abs: Fraction | None = None
+    w_order: int | None = None
+    predicted_kt_order: Fraction | None = None
+    two_defect_rank: int | None = None
     w_breakdown: dict | None = None
     odd_part: Fraction | None = None
 
     def to_json(self) -> dict:
-        def rat(v):
-            return None if v is None else str(v)
-        return {
-            "lattice_id": self.lattice_id,
-            "realization_id": self.realization_id,
-            "motivic_verdict": self.motivic_verdict,
-            "l_value": rat(self.l_value),
-            "l_value_abs": rat(self.l_value_abs),
-            "w_order": self.w_order,
-            "predicted_kt_order": rat(self.predicted_kt_order),
-            "odd_part": rat(self.odd_part),
-            "two_defect_rank": self.two_defect_rank,
-            "two_defect_note": None if self.two_defect_rank is None else
-                f"equality asserted up to a power of 2 bounded by 2^{self.two_defect_rank}",
-            "ono": self.ono,
-            "certificates": self.certificates,
-            "w_breakdown": self.w_breakdown,
-            "warnings": self.warnings,
-        }
+        """Every field, Fractions as "num/den" strings, and the note on the
+        2-defect bound."""
+        out = {f.name: str(v) if isinstance(v := getattr(self, f.name), Fraction) else v
+               for f in fields(self)}
+        out["two_defect_note"] = None if self.two_defect_rank is None else \
+            f"equality asserted up to a power of 2 bounded by 2^{self.two_defect_rank}"
+        return out
 
 
-def _ono_root(m: int, p_spec: dict, q_spec: dict, r: AbelianRealization):
+def _ono_root(dec: induction.InductionDecomposition, r: AbelianRealization):
     """(m-th root of prod_H |zeta_{M_H}(-1)|^{a_H} or None, warnings)."""
     classes = subgroup_classes(r.group)
     prod = Fraction(1)
-    for cid, mult in q_spec.items():
-        prod *= abs(dirichlet.zeta_minus_one(classes[cid], r)) ** mult
-    for cid, mult in p_spec.items():
-        prod /= abs(dirichlet.zeta_minus_one(classes[cid], r)) ** mult
+    for cid, a in dec.coefficients.items():
+        prod *= abs(dirichlet.zeta_minus_one(classes[cid], r)) ** a
     warnings = []
-    root = rational_nth_root(prod, m)
+    root = rational_nth_root(prod, dec.m)
     if root is None:
         warnings.append(
-            f"ono cross-check: {prod} has no exact rational {m}-th root")
+            f"ono cross-check: {prod} has no exact rational {dec.m}-th root")
     return root, warnings
 
 
@@ -115,8 +104,8 @@ def ono_l_value(x: GLattice, r: AbelianRealization):
     the m-th root of prod_H |zeta_{M_H}(-1)|^{a_H}. Returns
     (root or None, identity json, warnings)."""
     realz.check_same_group(x, r)
-    m, p_spec, q_spec, dec = induction.ono_decomposition(x)
-    root, warnings = _ono_root(m, p_spec, q_spec, r)
+    dec = induction.ono_decomposition(x)[3]
+    root, warnings = _ono_root(dec, r)
     return root, dec.to_json(), warnings
 
 
@@ -127,53 +116,38 @@ def btc_predict(x: GLattice, r: AbelianRealization | None,
     over another group raises GroupMismatch."""
     if r is not None:
         realz.check_same_group(x, r)
-    warnings: list[str] = []
     verdict, found_cert, _res = cohomology.check_motivic_interpretation(x)
-    certs = None if found_cert is None else found_cert.to_json()
-
-    report = BTCReport(
-        lattice_id=lattice_id(x), realization_id=realization_id(r),
-        motivic_verdict=verdict, l_value=None, l_value_abs=None,
-        w_order=None, predicted_kt_order=None, two_defect_rank=None,
-        certificates=certs, warnings=warnings)
-
-    m, p_spec, q_spec, dec = induction.ono_decomposition(x)
-    report.ono = dec.to_json()
-
-    if r is None:
-        if not x.group.is_abelian():
-            warnings.append("NonAbelianRealization: no abelian realization exists; "
-                            "emitting the symbolic induction identity only")
-        else:
-            warnings.append("no realization supplied; symbolic output only")
-        return report
-    if not r.totally_real:
+    dec = induction.ono_decomposition(x)[3]
+    warnings: list[str] = []
+    prediction: dict = {}
+    if r is None and not x.group.is_abelian():
+        warnings.append("NonAbelianRealization: no abelian realization exists; "
+                        "emitting the symbolic induction identity only")
+    elif r is None:
+        warnings.append("no realization supplied; symbolic output only")
+    elif not r.totally_real:
         warnings.append("NotTotallyReal: pi(-1) != identity, the conjecture's "
                         "hypothesis is unmet; no prediction")
-        return report
-
-    lv = dirichlet.artin_L_minus_one(x, r)
-    wres = realz.w_group_order(x, r, debug=debug)
-    report.l_value = lv
-    report.l_value_abs = abs(lv)
-    report.w_order = wres.total
-    report.w_breakdown = wres.to_json()["breakdown"]
-    report.predicted_kt_order = abs(lv) * wres.total
-    report.odd_part = odd_part(report.predicted_kt_order)
-    if report.predicted_kt_order.denominator != 1:
-        warnings.append(f"predicted order {report.predicted_kt_order} is not an "
-                        "integer; reported as an exact rational")
-
-    root, ono_warn = _ono_root(m, p_spec, q_spec, r)
-    warnings.extend(ono_warn)
-    if root is not None and root != abs(lv):
-        raise TorusBTError(
-            f"ono cross-check mismatch: direct |L| = {abs(lv)}, induction route {root}")
-
-    # r is totally real, so conj = pi(-1) is the identity: H^0 = Z^r/2Z^r
-    # and H^1 = 0, and real_decomposition would return a = x.rank.
-    report.two_defect_rank = x.rank
-    return report
+    else:
+        lv = dirichlet.artin_L_minus_one(x, r)
+        wres = realz.w_group_order(x, r, debug=debug)
+        kt = abs(lv) * wres.total
+        if kt.denominator != 1:
+            warnings.append(f"predicted order {kt} is not an integer; "
+                            "reported as an exact rational")
+        root, ono_warn = _ono_root(dec, r)
+        warnings.extend(ono_warn)
+        if root is not None and root != abs(lv):
+            raise TorusBTError(
+                f"ono cross-check mismatch: direct |L| = {abs(lv)}, induction route {root}")
+        # r is totally real, so conj = pi(-1) is the identity: H^0 = Z^r/2Z^r
+        # and H^1 = 0, and real_decomposition would return a = x.rank.
+        prediction = dict(l_value=lv, l_value_abs=abs(lv), w_order=wres.total,
+                          predicted_kt_order=kt, two_defect_rank=x.rank,
+                          w_breakdown=wres.to_json()["breakdown"], odd_part=odd_part(kt))
+    return BTCReport(lattice_id(x), realization_id(r), verdict, dec.to_json(),
+                     None if found_cert is None else found_cert.to_json(), warnings,
+                     **prediction)
 
 
 def isogeny_invariance_check(x1: GLattice, x2: GLattice,
@@ -227,8 +201,11 @@ def shapiro_suite(r: AbelianRealization) -> dict:
 
 
 def local_table(x: GLattice, r: AbelianRealization, prime_cap: int = 50) -> list[dict]:
-    if type(prime_cap) is not int or prime_cap < 1:
-        raise ShapeMismatch(f"prime_cap = {prime_cap!r} is not a positive integer")
+    """#T(F_ell) at each prime ell <= prime_cap prime to the conductor; a
+    prime_cap past PRIME_CAP_BOUND raises ShapeMismatch."""
+    if type(prime_cap) is not int or not 0 < prime_cap <= PRIME_CAP_BOUND:
+        raise ShapeMismatch(f"prime_cap = {prime_cap!r} is not a positive integer "
+                            f"at most {PRIME_CAP_BOUND}")
     realz.check_same_group(x, r)
     mults = dirichlet.character_multiplicities(x, r)
     return [{"ell": ell, "count": realz.point_count(mults, ell)}

@@ -22,8 +22,10 @@ def integer_nth_root(m: int, n: int) -> int | None:
         raise ShapeMismatch(f"need integers, got {m!r} and {n!r}")
     if m < 0 or n < 1:
         raise ShapeMismatch("need m >= 0 and n >= 1")
-    if m in (0, 1) or n == 1:
+    if n == 1:
         return m
+    if n >= m.bit_length():             # 1 < root < 2 for every m >= 2
+        return m if m <= 1 else None
     # Integer Newton iteration from 2^ceil(bits/n) >= m^(1/n): the iterates
     # fall strictly until they reach floor(m^(1/n)), then stop falling.
     r = 1 << -(-m.bit_length() // n)
@@ -92,6 +94,10 @@ class FinAbGroup:
     free_rank: int = 0
 
     def __post_init__(self):
+        if not (isinstance(self.invariant_factors, tuple) and type(self.free_rank) is int
+                and all(type(d) is int for d in self.invariant_factors)):
+            raise ShapeMismatch(f"need a tuple of int invariant factors and an int free rank, "
+                                f"got {self.invariant_factors!r:.40}, {self.free_rank!r:.20}")
         for d in self.invariant_factors:
             if d < 2:
                 raise ShapeMismatch(f"invariant factor {d} < 2")

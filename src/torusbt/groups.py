@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import wraps
 
 from .errors import GroupTooLarge, NonPermutation, NotHomomorphism, NotSubgroup, ShapeMismatch
+from .intmat import int_rows
 from .units import factorize
 
 SUBGROUP_ENUM_BOUND = 48
@@ -127,17 +128,11 @@ def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[q[x]] for x in range(len(p)))
 
 
-def _int_rows(rows) -> bool:
-    """True iff rows is a list or tuple of lists or tuples of ints."""
-    return isinstance(rows, (list, tuple)) and all(
-        isinstance(r, (list, tuple)) and all(type(x) is int for x in r) for r in rows)
-
-
 def group_from_table(table, name: str = "G", generators=None) -> FiniteGroup:
     """Group with this multiplication table. A malformed table raises
     NotHomomorphism; generators that are not element indices raise
     NotSubgroup."""
-    if not _int_rows(table):
+    if not int_rows(table):
         raise NotHomomorphism(f"multiplication table must be rows of integers, got {table!r}")
     n = len(table)
     mul = tuple(tuple(row) for row in table)
@@ -197,7 +192,7 @@ def group_from_generators(perms: list, name: str = "G") -> FiniteGroup:
     sequences raises NonPermutation, a closure past GROUP_ORDER_BOUND
     elements GroupTooLarge.
     """
-    if not _int_rows(perms):
+    if not int_rows(perms):
         raise NonPermutation(f"generators must be lists of point indices, got {perms!r}")
     gens = []
     npoints = None

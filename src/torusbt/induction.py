@@ -77,9 +77,7 @@ def artin_induction(g: FiniteGroup, chi: tuple[int, ...]) -> InductionDecomposit
             d = gcd(chi[0], col[0])
             return InductionDecomposition(col[0] // d, {j: chi[0] // d})
 
-    h = intmat.hnf_columns(intmat.from_rows(cols[::-1]))
-    support = sorted(len(cols) - 1 - next(i for i in range(h.rows) if h[i, k])
-                     for k in range(h.cols))
+    support = sorted(len(cols) - 1 - i for i in intmat.pivot_rows(intmat.from_rows(cols[::-1])))
     kern = intmat.kernel_basis(intmat.from_columns(
         [cols[j] for j in support] + [tuple(-v for v in chi)], nrows))
     if kern.cols != 1 or kern[len(support), 0] == 0:

@@ -5,13 +5,12 @@ rows of the right factor picked by the nonzero entries of the left, in
 O(nnz(left) * cols), each output row starting from the row at its first
 nonzero coefficient, so a signed-permutation factor copies rows. The
 forward gcd pass of the column Hermite form leaves pivots that the
-reduction above them never touches, so unimodularity (n pivots, all 1)
-and span membership with coordinates (a forward substitution along
-them) read that one pass alone. The reduction above the pivots runs
-only where its result is read: on the whole form for hnf_columns, and
+reduction above them never touches, so the pivot rows, surjectivity
+(n pivots, all 1), unimodularity (square and onto) and span membership
+with coordinates (a forward substitution along them) read that one
+pass alone. The reduction above the pivots runs only in kernel_basis,
 on the rows of [A; I] (built as [column j of A | e_j]) whose pivots
-lie in I for the kernel of A. Columns span Z^n exactly when their
-hnf_columns is I. smith_valuations reads the p-adic valuations of the
+lie in I. smith_valuations reads the p-adic valuations of the
 Smith diagonal by elimination mod p^k on sparse rows, each pivot from
 the shortest row holding an entry of least valuation, so no integer
 Smith form is ever built. Matrices are immutable tuples of row tuples,
@@ -34,10 +33,14 @@ class IntMatrix:
     data: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ShapeMismatch("negative dimension")
-        if len(self.data) != self.rows or any(len(r) != self.cols for r in self.data):
-            raise ShapeMismatch(f"data does not fill {self.rows}x{self.cols}")
+        try:
+            if self.rows < 0 or self.cols < 0:
+                raise ShapeMismatch("negative dimension")
+            if len(self.data) != self.rows or any(len(r) != self.cols for r in self.data):
+                raise ShapeMismatch(f"data does not fill {self.rows}x{self.cols}")
+        except TypeError:
+            raise ShapeMismatch(f"need int dimensions and a tuple of rows, got {self.rows!r:.20}, "
+                                f"{self.cols!r:.20}, {self.data!r:.40}") from None
 
     def __getitem__(self, ij):
         i, j = ij
@@ -105,19 +108,19 @@ class IntMatrix:
         return "[" + "; ".join(" ".join(str(a) for a in r) for r in self.data) + "]"
 
 
+def int_rows(rows) -> bool:
+    """True iff rows is a list or tuple of lists or tuples of ints."""
+    return isinstance(rows, (list, tuple)) and all(
+        isinstance(r, (list, tuple)) and all(type(x) is int for x in r) for r in rows)
+
+
 def from_rows(rows: list[list[int]] | list[tuple[int, ...]], cols: int | None = None) -> IntMatrix:
-    """Matrix with these rows; rows that are not a list or tuple of lists or
-    tuples, or an entry that is not an int, raise ShapeMismatch."""
-    if not (isinstance(rows, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in rows)):
-        raise ShapeMismatch(f"need a list of rows, got {rows!r:.80}")
-    nrows = len(rows)
-    if nrows == 0:
+    """Matrix with these rows; anything but int_rows raises ShapeMismatch."""
+    if not int_rows(rows):
+        raise ShapeMismatch(f"matrix entries must be integers in a list of rows, got {rows!r:.80}")
+    if not rows:
         return IntMatrix(0, cols or 0, ())
-    ncols = len(rows[0]) if cols is None else cols
-    data = tuple(tuple(r) for r in rows)
-    if not all(type(a) is int for r in data for a in r):
-        raise ShapeMismatch(f"matrix entries must be integers, got {rows!r}")
-    return IntMatrix(nrows, ncols, data)
+    return IntMatrix(len(rows), len(rows[0]) if cols is None else cols, tuple(map(tuple, rows)))
 
 
 def identity(n: int) -> IntMatrix:
@@ -206,8 +209,8 @@ def smith_valuations(mat: IntMatrix, p: int, k: int) -> list[int]:
 
 
 def _echelon(mat: IntMatrix) -> tuple[list[list[int]], list[int]]:
-    """The forward gcd pass of hnf_columns: the columns of mat as rows m,
-    the first len(piv) in echelon form with pivots m[k][piv[k]] > 0."""
+    """The forward gcd pass of the column Hermite form: the columns of mat
+    as rows m, the first len(piv) in echelon form with pivots m[k][piv[k]] > 0."""
     m = [list(c) for c in zip(*mat.data)] if mat.data else []
     return m, _forward_pass(m, mat.rows)
 
@@ -245,8 +248,8 @@ def span_coordinates(mat: IntMatrix):
     """vec -> its coordinates along the rows of one _echelon(mat), or None
     when vec is not in the column span of mat over Z. The coordinates
     come by forward substitution; every pivot must divide its entry. A
-    matrix in column Hermite form (hnf_columns, kernel_basis) is its own
-    echelon form, so on one the coordinates are along its columns."""
+    matrix in column Hermite form (kernel_basis) is its own echelon
+    form, so on one the coordinates are along its columns."""
     m, piv = _echelon(mat)
 
     def coordinates(vec: tuple[int, ...]) -> list[int] | None:
@@ -264,7 +267,7 @@ def span_coordinates(mat: IntMatrix):
     return coordinates
 
 
-def _reduce_above(m: list[list[int]], piv: list[int], start: int = 0) -> None:
+def _reduce_above(m: list[list[int]], piv: list[int], start: int) -> None:
     """Reduce, in place, the entries of echelon rows start.. at the pivot
     of each later row into [0, pivot); earlier rows stay as they are."""
     for k in range(start, len(piv)):
@@ -275,28 +278,22 @@ def _reduce_above(m: list[list[int]], piv: list[int], start: int = 0) -> None:
                 m[i] = [x - q * y for x, y in zip(m[i], m[k])]
 
 
-def hnf_columns(mat: IntMatrix) -> IntMatrix:
-    """Column-style Hermite normal form of the column lattice of mat.
+def pivot_rows(mat: IntMatrix) -> list[int]:
+    """The rows of the pivots of mat's column Hermite form, top-down: the
+    first nonzero row of each of its columns."""
+    return _echelon(mat)[1]
 
-    Zero columns are dropped; pivots (first nonzero entry of each column,
-    scanning top-down) are positive and strictly lower with each later
-    column; earlier columns' entries in a pivot row are reduced into
-    [0, pivot). The result is the canonical basis of the column span.
-    """
+
+def is_onto(mat: IntMatrix) -> bool:
+    """True iff the columns of mat span Z^rows: there are rows echelon
+    pivots, all 1."""
     m, piv = _echelon(mat)
-    _reduce_above(m, piv)
-    return from_columns(m[:len(piv)], mat.rows)
-
-
-def _diagonal(mat: IntMatrix) -> list[int]:
-    """The Hermite diagonal of mat: its echelon pivots."""
-    m, piv = _echelon(mat)
-    return [m[k][j] for k, j in enumerate(piv)]
+    return len(piv) == mat.rows and all(m[k][j] == 1 for k, j in enumerate(piv))
 
 
 def is_unimodular(mat: IntMatrix) -> bool:
-    """True iff mat is square and its echelon pivots are n ones."""
-    return mat.rows == mat.cols and _diagonal(mat) == [1] * mat.rows
+    """True iff mat is square and onto."""
+    return mat.rows == mat.cols and is_onto(mat)
 
 
 def kernel_basis(mat: IntMatrix) -> IntMatrix:

@@ -122,14 +122,14 @@ def sign_lattice(group: FiniteGroup, signs: dict[int, int] | None = None) -> GLa
     """Rank-1 lattice with action +-1; signs maps each element to its sign.
 
     With signs omitted this needs |G| <= 2: the nonidentity element acts
-    by -1. A signs that misses an element raises ShapeMismatch.
+    by -1. A signs that is no dict or misses an element raises ShapeMismatch.
     """
     check_instance(group, FiniteGroup)
     if signs is None:
         if group.order > 2:
             raise NotHomomorphism("default sign lattice needs |G| <= 2")
         signs = {a: (1 if a == group.identity else -1) for a in range(group.order)}
-    if any(a not in signs for a in range(group.order)):
+    if not isinstance(signs, dict) or any(a not in signs for a in range(group.order)):
         raise ShapeMismatch(f"signs must give a sign for each of the {group.order} elements")
     mats = tuple(intmat.from_rows([[signs[a]]]) for a in range(group.order))
     lat = GLattice(group, 1, mats)
@@ -143,11 +143,17 @@ def direct_sum(*lats: GLattice) -> GLattice:
     The groups must share one multiplication table (groups.same_table)."""
     if not lats:
         raise ShapeMismatch("empty direct sum needs an explicit group")
+    check_lattices(*lats)
     g = lats[0].group
     if not all(same_table(x.group, g) for x in lats):
         raise GroupMismatch("direct_sum over different groups")
     mats = tuple(intmat.block_diag([x.action[a] for x in lats]) for a in range(g.order))
     return GLattice(g, sum(x.rank for x in lats), mats)
+
+
+def action_json(x: GLattice) -> dict[str, list[list[int]]]:
+    """The action table for a JSON report: element index (a string) -> rows."""
+    return {str(a): m.tolist() for a, m in enumerate(x.action)}
 
 
 def dual(x: GLattice) -> GLattice:

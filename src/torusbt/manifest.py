@@ -46,7 +46,8 @@ import tempfile
 from dataclasses import dataclass, field
 
 from . import catalog, cohomology, engine, intmat, lattices, realization as realz
-from .dirichlet import AbelianRealization, artin_L_minus_one, realization_from_images
+from .dirichlet import (AbelianRealization, L_value_rows, artin_L_minus_one,
+                        realization_from_images)
 from .errors import ManifestError, NonAbelianRealization, TorusBTError
 from .groups import (FiniteGroup, group_from_generators, group_from_table, same_table,
                      subgroup_classes)
@@ -110,14 +111,11 @@ def _literal(raw: str, lineno: int, fieldname: str):
         raise ManifestError(f"cannot parse value: {exc}", line=lineno, field=fieldname)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 # The [options] keys: predicate and what it demands.
 _OPTION_TYPES = {
-    "prime_cap": (lambda v: _is_int(v) and v > 0, "a positive integer"),
-    "conj": (_is_int, "an integer"),
+    "prime_cap": (lambda v: type(v) is int and 0 < v <= engine.PRIME_CAP_BOUND,
+                  f"a positive integer at most {engine.PRIME_CAP_BOUND}"),
+    "conj": (lambda v: type(v) is int, "an integer"),
     "debug_oracles": (lambda v: isinstance(v, bool), "True or False"),
     "cache_dir": (lambda v: isinstance(v, str), "a quoted path"),
 }
@@ -141,7 +139,7 @@ def _parse_lattice(group: FiniteGroup, section: dict, secname: str) -> GLattice:
         raise ManifestError("lattice needs a rank", field=f"{secname}.rank")
     rank_raw, ln = section["rank"]
     rank = _literal(rank_raw, ln, "rank")
-    if not _is_int(rank) or rank < 0:
+    if type(rank) is not int or rank < 0:
         raise ManifestError("rank must be a nonnegative integer", line=ln, field="rank")
     gen_mats: dict[int, intmat.IntMatrix] = {}
     for key, (raw, ln) in section.items():
@@ -234,7 +232,7 @@ def parse_manifest(text: str) -> Manifest:
             raise ManifestError("realization needs modulus =", field="realization.modulus")
         fraw, fln = sec["modulus"]
         modulus = _literal(fraw, fln, "modulus")
-        if not _is_int(modulus):
+        if type(modulus) is not int:
             raise ManifestError("modulus must be an integer", line=fln,
                                 field="realization.modulus")
         images = {}
@@ -242,7 +240,7 @@ def parse_manifest(text: str) -> Manifest:
             iraw, iln = sec["images"]
             images = _literal(iraw, iln, "images")
             if not (isinstance(images, dict)
-                    and all(_is_int(u) and _is_int(e) for u, e in images.items())):
+                    and all(type(u) is int and type(e) is int for u, e in images.items())):
                 raise ManifestError("images must be a {unit: element} dict of integers",
                                     line=iln, field="realization.images")
         try:
@@ -289,13 +287,9 @@ def _inputs_json(man: Manifest) -> dict:
         "group": {"order": man.group.order,
                   "table": [list(r) for r in man.group.mul],
                   "generators": list(man.group.generators)},
-        "lattice": {"rank": man.lattice.rank,
-                    "action": {str(a): m.tolist()
-                               for a, m in enumerate(man.lattice.action)}},
+        "lattice": {"rank": man.lattice.rank, "action": lattices.action_json(man.lattice)},
         "lattice2": None if man.lattice2 is None else
-            {"rank": man.lattice2.rank,
-             "action": {str(a): m.tolist()
-                        for a, m in enumerate(man.lattice2.action)}},
+            {"rank": man.lattice2.rank, "action": lattices.action_json(man.lattice2)},
         "realization": None if man.realization is None else man.realization.to_json(),
         "options": dict(sorted(man.options.items())),
     }
@@ -319,9 +313,10 @@ def _run_command(cmd: str, man: Manifest) -> dict:
     if cmd == "predict":
         return engine.btc_predict(x, r, debug=debug).to_json()
     if cmd == "lvalue":
-        lv, table = artin_L_minus_one(x, _require_realization(man, cmd),
-                                      with_table=True)
-        return {"l_value": str(lv), "l_value_abs": str(abs(lv)), "characters": table}
+        r = _require_realization(man, cmd)
+        lv = artin_L_minus_one(x, r)
+        return {"l_value": str(lv), "l_value_abs": str(abs(lv)),
+                "characters": L_value_rows(x, r)}
     if cmd == "wgroup":
         r = _require_realization(man, cmd)
         wres = realz.w_group_order(x, r, debug=debug)
@@ -331,7 +326,7 @@ def _run_command(cmd: str, man: Manifest) -> dict:
     if cmd == "resolve":
         res = cohomology.flasque_resolution(x)
         out = res.to_json()
-        out["q_action"] = {str(a): m.tolist() for a, m in enumerate(res.q_lattice.action)}
+        out["q_action"] = lattices.action_json(res.q_lattice)
         out["subgroups"] = engine.subgroup_table_json(subgroup_classes(x.group))
         out["flasque_checked"] = True
         return out
@@ -389,11 +384,15 @@ def run_manifest(man: Manifest, cache_dir: str | None = None) -> tuple[dict, boo
     Per-command failures are embedded in the report without aborting the
     other commands. When a cache directory is configured, the report
     body is reused byte-for-byte on identical inputs (only the timestamp
-    differs). A cache directory that cannot be made or written raises.
+    differs). A cache directory that is no path, or that cannot be made
+    or written, raises.
     """
     if not isinstance(man, Manifest):
         raise ManifestError(f"need a Manifest, got {type(man).__name__}")
     cache_dir = cache_dir or man.options.get("cache_dir")
+    if cache_dir and not isinstance(cache_dir, (str, os.PathLike)):
+        raise ManifestError(f"cache_dir {cache_dir!r:.40} is not a path",
+                            field="options.cache_dir")
     inputs = _inputs_json(man)
     key = _cache_key(inputs, man.commands)
     body, hit, cache_path = None, False, None

@@ -23,6 +23,8 @@ matrix and a subtraction, the kernel from the stacked [A; I], and each
 K-orbit by applying rho(k) to each vector (dense_*). The norm-one
 lattice by the element-by-element build that norm_one_lattice replaced
 with its generators, validated afterwards (element_norm_one_lattice).
+The column Hermite form hnf_columns and its diagonal, which intmat
+replaced with is_onto and pivot_rows read off the forward pass alone.
 """
 
 import os
@@ -388,13 +390,35 @@ def cap30_stable_part(x, r, p: int, twist: int, side: str) -> tuple[int, int]:
     return p ** sum(vs), depth
 
 
+def hnf_columns(mat: intmat.IntMatrix) -> intmat.IntMatrix:
+    """Column-style Hermite normal form of the column lattice of mat.
+
+    Zero columns are dropped; pivots (first nonzero entry of each column,
+    scanning top-down) are positive and strictly lower with each later
+    column; earlier columns' entries in a pivot row are reduced into
+    [0, pivot). The result is the canonical basis of the column span.
+    Verbatim the intmat.hnf_columns that the flasque onto check and
+    artin_induction read before intmat.is_onto and intmat.pivot_rows.
+    """
+    m, piv = intmat._echelon(mat)
+    intmat._reduce_above(m, piv, 0)
+    return intmat.from_columns(m[:len(piv)], mat.rows)
+
+
+def _diagonal(mat: intmat.IntMatrix) -> list[int]:
+    """The Hermite diagonal of mat: its echelon pivots. Verbatim the
+    intmat._diagonal that is_unimodular read before intmat.is_onto."""
+    m, piv = intmat._echelon(mat)
+    return [m[k][j] for k, j in enumerate(piv)]
+
+
 def abs_det(mat: intmat.IntMatrix) -> int:
     """|det| of a square matrix: the product of n echelon pivots, 0 if fewer.
     Verbatim the intmat.abs_det that local point counts read before
     realization.point_count took them off the character table."""
     if mat.rows != mat.cols:
         raise ShapeMismatch("determinant of non-square matrix")
-    d = intmat._diagonal(mat)
+    d = _diagonal(mat)
     return prod(d) if len(d) == mat.cols else 0
 
 
@@ -453,7 +477,7 @@ def solve_exact(mat: intmat.IntMatrix, rhs: intmat.IntMatrix) -> intmat.IntMatri
     """
     if rhs.rows != mat.rows:
         raise ShapeMismatch("solve_exact shape mismatch")
-    h = intmat.hnf_columns(vstack([mat, intmat.identity(mat.cols)]))
+    h = hnf_columns(vstack([mat, intmat.identity(mat.cols)]))
     top, t = h.data[:mat.rows], h.data[mat.rows:]
     r = sum(1 for j in range(mat.cols) if any(row[j] for row in top))
     pivots = [next(i for i, row in enumerate(top) if row[k]) for k in range(r)]

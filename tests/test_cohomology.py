@@ -7,7 +7,7 @@ import time
 import pytest
 
 from conftest import (catalog_pool, dense_h1, dense_invariant_basis, dense_orbit_sums,
-                      fin_ab, hstack, lattice_quotient, left_cosets, oracle_h1_bar,
+                      fin_ab, hnf_columns, hstack, lattice_quotient, left_cosets, oracle_h1_bar,
                       oracle_h1_cyclic, run_fresh, small_groups, random_lattice,
                       sign_lattice_v4, solve_exact, vstack)
 from torusbt import cohomology as coh
@@ -274,8 +274,8 @@ def test_orbit_sums_span_the_image_of_the_coset_invariants(c2, s3, v4, d4, a4):
             for k in classes:
                 sums = coh._orbit_sums(perms, k.elements, orbit)
                 image = block @ lat.invariant_basis(perm, k)
-                assert intmat.hnf_columns(intmat.from_columns(sums, x.rank)) == \
-                    intmat.hnf_columns(image), (g.name, cid, k.class_id)
+                assert hnf_columns(intmat.from_columns(sums, x.rank)) == \
+                    hnf_columns(image), (g.name, cid, k.class_id)
                 checked += 1
     assert checked > 400
 

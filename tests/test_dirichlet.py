@@ -7,11 +7,12 @@ from pathlib import Path
 import pytest
 
 from conftest import oracle_bernoulli_numbers
+from test_w_precision import _pool
 from torusbt import lattices as lat
 from torusbt.cyclotomic import cyclotomic_polynomial
-from torusbt.dirichlet import (DirichletCharacter, L_minus_one, artin_L_minus_one,
-                               bernoulli2_chi, characters_mod, conductor_primitive,
-                               zeta_minus_one)
+from torusbt.dirichlet import (DirichletCharacter, L_minus_one, L_value_rows,
+                               artin_L_minus_one, bernoulli2_chi, character_multiplicities,
+                               characters_mod, conductor_primitive, zeta_minus_one)
 from torusbt.errors import NotTotallyReal, ShapeMismatch
 from torusbt.groups import subgroup_classes
 from torusbt.realization import realization_from_images
@@ -202,9 +203,36 @@ def test_character_table_multiplicities_sum_to_rank(c2):
     from torusbt.dirichlet import artin_L_minus_one as L
     r5 = realization_from_images(c2, 5, {2: 1})
     x = lat.direct_sum(lat.permutation_lattice(c2, (0,)), lat.sign_lattice(c2))
-    lv, table = L(x, r5, with_table=True)
+    lv, table = L(x, r5), L_value_rows(x, r5)
     assert sum(row["multiplicity"] for row in table) == x.rank
     assert lv == Fraction(1, 30) * Fraction(-2, 5)
+
+
+def _per_character_rows(x, r):
+    """The lvalue rows as artin_L_minus_one's with_table branch built them:
+    every character primitivized and evaluated on its own."""
+    def value_json(v):
+        if v.is_rational():
+            return str(v.to_rational())
+        return {"order": v.order, "coeffs": [str(c) for c in v.coeffs]}
+    rows = []
+    for orbit, mult in character_multiplicities(x, r):
+        for chi in orbit:
+            cond, prim = conductor_primitive(chi)
+            rows.append({"conductor": cond, "order": chi.order, "multiplicity": mult,
+                         "value": value_json(L_minus_one(prim))})
+    return rows
+
+
+def test_L_value_rows_match_the_per_character_loop_on_the_pool():
+    """Every lattice and realization of the W-precision pool: the rungs to
+    C96, the multiquadratic fields up to f = 840 and the cyclic subfields,
+    imaginary ones included (their odd characters read 0)."""
+    pairs = _pool()
+    for x, r in pairs:
+        assert L_value_rows(x, r) == _per_character_rows(x, r), (r.modulus, x.rank)
+    assert max(r.modulus for _, r in pairs) == 840
+    assert any(not isinstance(row["value"], str) for row in L_value_rows(*pairs[-1]))
 
 
 def test_unit_group_canonical_generators():

@@ -18,7 +18,7 @@ from torusbt.errors import CharacterMismatch, NotSubgroup
 from torusbt.exact import odd_part
 from torusbt.groups import cyclic_group, subgroup_classes
 from torusbt.intmat import block_diag, from_rows
-from torusbt.dirichlet import artin_L_minus_one
+from torusbt.dirichlet import artin_L_minus_one, realization_from_images
 from torusbt.realization import w_group_order
 
 
@@ -205,6 +205,51 @@ def test_report_json_roundtrip():
     assert rep["predicted_kt_order"] == "4"
     assert rep["odd_part"] == "1"
     assert rep["two_defect_note"].endswith("2^2")
+
+
+def _hand_written_to_json(rep):
+    """BTCReport.to_json as it was written out key by key, before it
+    wrote every field."""
+    def rat(v):
+        return None if v is None else str(v)
+    return {
+        "lattice_id": rep.lattice_id,
+        "realization_id": rep.realization_id,
+        "motivic_verdict": rep.motivic_verdict,
+        "l_value": rat(rep.l_value),
+        "l_value_abs": rat(rep.l_value_abs),
+        "w_order": rep.w_order,
+        "predicted_kt_order": rat(rep.predicted_kt_order),
+        "odd_part": rat(rep.odd_part),
+        "two_defect_rank": rep.two_defect_rank,
+        "two_defect_note": None if rep.two_defect_rank is None else
+            f"equality asserted up to a power of 2 bounded by 2^{rep.two_defect_rank}",
+        "ono": rep.ono,
+        "certificates": rep.certificates,
+        "w_breakdown": rep.w_breakdown,
+        "warnings": rep.warnings,
+    }
+
+
+def test_report_json_is_the_hand_written_one(c2, s3, v4):
+    """Every fixture's report, and each catalog_pool lattice's under no
+    realization, a totally real one and one that is not, has the sorted
+    JSON bytes of the hand-written to_json."""
+    real = {"c2": [None, realization_from_images(c2, 5, {2: 1}),
+                   realization_from_images(c2, 8, {7: 0, 5: 1}),
+                   realization_from_images(c2, 4, {3: 1})],
+            "s3": [None],
+            "v4": [None, realization_from_images(v4, 40, {31: 0, 21: 1, 17: 2}),
+                   realization_from_images(v4, 40, {31: 1, 21: 0, 17: 2})]}
+    reports = [btc_predict(f.lattice, f.realization) for f in map(fixture, FIXTURE_NAMES)]
+    for name, xs in catalog_pool(c2, s3, v4).items():
+        reports += [btc_predict(x, r) for x in xs for r in real[name]]
+    for rep in reports:
+        assert json.dumps(rep.to_json(), sort_keys=True) == \
+            json.dumps(_hand_written_to_json(rep), sort_keys=True), rep
+    symbolic = sum(rep.realization_id is None for rep in reports)
+    predicted = sum(rep.predicted_kt_order is not None for rep in reports)
+    assert (symbolic, predicted, len(reports) - symbolic - predicted) == (14, 17, 9)
 
 
 def test_reports_deterministic():

@@ -94,3 +94,17 @@ def test_integer_nth_root_small_cases():
         for m in range(300):
             assert integer_nth_root(m, n) == powers.get(m), (m, n)
     assert integer_nth_root(5, 10) is None
+
+
+def test_integer_nth_root_at_and_past_the_bit_length():
+    """From n = m.bit_length() on, 2^n > m leaves only 0 and 1 as n-th
+    powers, and the answer comes without a Newton step (rational_nth_root
+    of 8 and 2^40 ran for seconds); below it the Newton route runs."""
+    for m in range(2 ** 11):
+        for n in range(max(1, m.bit_length() - 2), m.bit_length() + 3):
+            k = 0
+            while k ** n < m:
+                k += 1
+            assert integer_nth_root(m, n) == (k if k ** n == m else None), (m, n)
+    assert integer_nth_root(1, 2 ** 40) == 1 and integer_nth_root(0, 2 ** 40) == 0
+    assert rational_nth_root(Fraction(1), 2 ** 40) == 1

@@ -4,14 +4,14 @@ from math import gcd, prod
 
 import pytest
 
-from conftest import (abs_det, dense_smith_valuations, det, oracle_cokernel,
+from conftest import (abs_det, dense_smith_valuations, det, hnf_columns, oracle_cokernel,
                       random_unimodular, snf_diagonal, solve_exact, vstack)
 from torusbt import intmat, lattices
 from torusbt.errors import ShapeMismatch
 from torusbt.exact import FinAbGroup, from_elementary_divisors
 from torusbt.groups import cyclic_group
-from torusbt.intmat import (IntMatrix, from_columns, from_rows, hnf_columns, identity,
-                            is_unimodular, kernel_basis, zeros)
+from torusbt.intmat import (IntMatrix, from_columns, from_rows, identity, is_unimodular,
+                            kernel_basis, zeros)
 from torusbt.realization import _stable_part, realization_from_images
 from torusbt.units import factorize, primitive_root_mod_prime
 
@@ -270,6 +270,26 @@ def test_onto_test_matches_the_integer_smith_form():
         seen[onto] += 1
     assert min(seen.values()) > 500
     assert _is_onto(zeros(0, 0)) and _is_onto(zeros(0, 2)) and not _is_onto(zeros(3, 0))
+
+
+def test_is_onto_and_pivot_rows_match_the_full_hermite_form():
+    """is_onto, pivot_rows and is_unimodular read the forward pass alone,
+    against the full column Hermite form (conftest.hnf_columns): onto iff
+    it is I, and the pivot rows are the first nonzero row of each of its
+    columns. 3,000 matrices of both random pools, empty shapes included."""
+    rng = random.Random(31)
+    seen = {True: 0, False: 0}
+    mats = [zeros(0, 0), zeros(0, 3), zeros(3, 0), zeros(2, 2)]
+    mats += [(_onto_pool if i % 2 else _random_matrix)(rng) for i in range(3000)]
+    for m in mats:
+        h = hnf_columns(m)
+        onto = h.is_identity()
+        assert intmat.is_onto(m) == onto, m
+        assert is_unimodular(m) == (m.rows == m.cols and onto), m
+        assert intmat.pivot_rows(m) == \
+            [next(i for i in range(h.rows) if h[i, k]) for k in range(h.cols)], m
+        seen[onto] += 1
+    assert min(seen.values()) > 500, seen
 
 
 def test_kernel_basis_is_saturated_and_canonical():

@@ -9,9 +9,9 @@ tests against the Smith route and the determinant are in
 ``induction``, ``exact``, ``span_coordinates``, ``kernel_basis``,
 ``check-shapiro``, the manifest's options check and the entry points'
 refusal of ``None`` and lists (``test_realization.py``) are typed errors
-or explicit checks; this runs their tests with asserts off. The intmat suite
-runs once more with the lattice and cohomology suites, whose kernels and
-Smith valuations it checks.
+or explicit checks; this runs their tests with asserts off. The intmat
+suite, whose kernels and Smith valuations the lattice and cohomology
+suites read, runs once, with the groups and exact suites.
 """
 
 import os
@@ -40,8 +40,8 @@ def test_dirichlet_suite_passes_under_python_O():
 
 
 def test_lattice_and_cohomology_suites_pass_under_python_O():
-    _passes_under_python_O("tests/test_intmat.py", "tests/test_lattices.py",
-                           "tests/test_cohomology.py", "tests/test_induction.py")
+    _passes_under_python_O("tests/test_lattices.py", "tests/test_cohomology.py",
+                           "tests/test_induction.py")
 
 
 def test_intmat_and_groups_suites_pass_under_python_O():

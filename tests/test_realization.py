@@ -1,5 +1,7 @@
 
 import os
+import time
+import tracemalloc
 from math import gcd, prod
 
 import pytest
@@ -16,12 +18,12 @@ from torusbt.cyclotomic import cyclotomic_polynomial
 from torusbt.dirichlet import (DirichletCharacter, L_minus_one, artin_L_minus_one,
                                bernoulli2_chi, character_multiplicities, characters_mod,
                                conductor_primitive, zeta_minus_one)
-from torusbt.errors import (BadReduction, GroupMismatch, InvariantViolation, ManifestError,
-                            NotHomomorphism, NotSubgroup, NotSurjective, NotTotallyReal,
-                            ShapeMismatch, UnknownFixture)
-from torusbt.engine import (btc_predict, isogeny_invariance_check, lattice_id, local_table,
-                            ono_l_value, shapiro_suite, weil_restriction_check)
-from torusbt.exact import integer_nth_root, odd_part, rational_nth_root
+from torusbt.errors import (BadReduction, GroupMismatch, GroupTooLarge, InvariantViolation,
+                            ManifestError, NotHomomorphism, NotSubgroup, NotSurjective,
+                            NotTotallyReal, ShapeMismatch, UnknownFixture)
+from torusbt.engine import (PRIME_CAP_BOUND, btc_predict, isogeny_invariance_check, lattice_id,
+                            local_table, ono_l_value, shapiro_suite, weil_restriction_check)
+from torusbt.exact import FinAbGroup, integer_nth_root, odd_part, rational_nth_root
 from torusbt.groups import (conjugacy_classes, cyclic_group, group_from_table, is_metacyclic,
                             subgroup_classes)
 from torusbt.induction import artin_induction, ono_decomposition
@@ -411,6 +413,78 @@ def test_none_and_list_arguments_are_typed_errors(call, error):
         call()
     os.fstat(2)
     assert unit_group.cache_info().maxsize is None
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda g: lat.direct_sum(lat.trivial_lattice(g), None), ShapeMismatch),
+    (lambda g: verify_invertibility(lat.trivial_lattice(g), None), ShapeMismatch),
+    (lambda g: lat.sign_lattice(g, 0), ShapeMismatch),
+    (lambda g: DirichletCharacter(5, None), ShapeMismatch),
+    (lambda g: FinAbGroup(None), ShapeMismatch),
+    (lambda g: FinAbGroup((2,), "x"), ShapeMismatch),
+    (lambda g: intmat.IntMatrix(1, 1, None), ShapeMismatch),
+    (lambda g: intmat.IntMatrix((0,), 0, ()), ShapeMismatch),
+    (lambda g: intmat.from_rows([[1]], "x"), ShapeMismatch),
+    (lambda g: run_manifest(parse_manifest("[fixture]\nname = gm_q\n"), cache_dir=1.5),
+     ManifestError),
+], ids=["direct-sum-none", "verify-invertibility-none", "sign-lattice-int-signs",
+        "character-none-exponents", "fin-ab-none", "fin-ab-str-free-rank",
+        "int-matrix-none-data", "int-matrix-tuple-rows", "from-rows-str-cols",
+        "run-manifest-float-cache-dir"])
+def test_public_calls_raise_typed_errors_not_raw_python_ones(c2, call, error):
+    """Each raised a raw AttributeError or TypeError; run_manifest's came
+    from os.makedirs, and is a ManifestError on options.cache_dir."""
+    with pytest.raises(error) as err:
+        call(c2)
+    if error is ManifestError:
+        assert err.value.field == "options.cache_dir"
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda x, r: characters_mod(2 ** 70), GroupTooLarge),
+    (lambda x, r: characters_mod(10 ** 30), GroupTooLarge),
+    (lambda x, r: cyclotomic_polynomial(2 ** 70), GroupTooLarge),
+    (lambda x, r: local_table(x, r, 10 ** 7), ShapeMismatch),
+    (lambda x, r: parse_manifest("[fixture]\nname = res_sqrt5\n[options]\n"
+                                 "prime_cap = 10000000\n"), ManifestError),
+    (lambda x, r: rational_nth_root(8, 2 ** 40), None),
+    (lambda x, r: integer_nth_root(3 ** 100, 2 ** 40), None),
+], ids=["characters-mod-2^70", "characters-mod-10^30", "cyclotomic-2^70",
+        "local-table-10^7", "manifest-prime-cap-10^7", "rational-root-2^40",
+        "integer-root-2^40"])
+def test_huge_integer_arguments_end_at_once(call, error):
+    """characters_mod and cyclotomic_polynomial raised a raw OverflowError
+    at 2^70 (characters_mod kept growing at 10^30), and the other calls
+    ran for seconds: each now ends in under a second without a large
+    allocation, in a budget's typed error or (no n-th root) None."""
+    f = fixture("res_sqrt5")
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        if error is None:
+            assert call(f.lattice, f.realization) is None
+        else:
+            with pytest.raises(error):
+                call(f.lattice, f.realization)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1 and peak < 4 * 2 ** 20, (elapsed, peak)
+
+
+def test_the_prime_cap_bound_is_inclusive():
+    f = fixture("res_sqrt5")
+    table = local_table(f.lattice, f.realization, PRIME_CAP_BOUND)
+    assert [row["ell"] for row in table[:3]] == [2, 3, 7]
+    assert table[-1]["ell"] == max(n for n in range(PRIME_CAP_BOUND + 1) if is_prime(n))
+    base = "[fixture]\nname = res_sqrt5\n[options]\nprime_cap = "
+    assert parse_manifest(f"{base}{PRIME_CAP_BOUND}\n").options["prime_cap"] == PRIME_CAP_BOUND
+    with pytest.raises(ShapeMismatch, match="at most"):
+        local_table(f.lattice, f.realization, PRIME_CAP_BOUND + 1)
+    with pytest.raises(ManifestError, match="must be a positive integer at most") as err:
+        parse_manifest(f"{base}{PRIME_CAP_BOUND + 1}\n")
+    assert err.value.field == "options.prime_cap"
 
 
 def test_isogeny_check_needs_a_totally_real_realization(c2):
